@@ -182,20 +182,21 @@ def step(state: ConstructionState, params: ConstructionParams,
     rnorm = float(np.linalg.norm(r[:n]))
     target = float(_schedule(n, beta))
 
+    # each check is written so that a NaN anywhere fails it
     problems = []
-    if an < 0.0:
-        problems.append(f"alpha={an!r} negative")
+    if not an >= 0.0:
+        problems.append(f"alpha={an!r} not >= 0")
     if not 0.0 < xin <= 1.0:
         problems.append(f"xi={xin!r} outside (0, 1]")
-    if abs(ip - qn) > CONDITION_RTOL * qn:
+    if not abs(ip - qn) <= CONDITION_RTOL * qn:
         problems.append(f"<r,d>={ip!r} vs q={qn!r}")
     dnorm2 = nv2 + xin * xin
-    if abs(np.sqrt(dnorm2) - 1.0) > CONDITION_RTOL:
+    if not abs(np.sqrt(dnorm2) - 1.0) <= CONDITION_RTOL:
         problems.append(f"|d|={np.sqrt(dnorm2)!r}")
-    if abs(rnorm - target) > CONDITION_RTOL * target:
+    if not abs(rnorm - target) <= CONDITION_RTOL * target:
         problems.append(f"|r|={rnorm!r} vs schedule {target!r}")
     orth = float(r[:n] @ d)
-    if abs(orth) > CONDITION_RTOL:
+    if not abs(orth) <= CONDITION_RTOL:
         problems.append(f"<r_n,d_n>={orth!r}")
     if problems:
         raise ConstructionError(f"step {n} conditions violated: " + "; ".join(problems))

@@ -2,9 +2,10 @@
 
 Commands: constants, solve-f, make-phi, build, verify, run, rate, plot.
 Every output file starts with a header echoing the resolved configuration
-and the package version; reruns with an identical configuration produce
-byte-identical files.  Exit codes: 0 success, 1 usage, 2 numeric failure,
-3 verification failure.
+and the package version; reruns with an identical configuration and BLAS
+thread count produce byte-identical files.  Exit codes: 0 success, 1 usage
+(including a malformed instance file), 2 numeric failure, 3 verification
+failure.
 """
 
 from __future__ import annotations

@@ -7,3 +7,7 @@ class NumericFailure(RuntimeError):
 
 class ConstructionError(NumericFailure):
     """The worst-case construction could not satisfy its step conditions."""
+
+
+class InstanceFormatError(ValueError):
+    """An instance file is malformed: a missing header key, a bad row, ..."""

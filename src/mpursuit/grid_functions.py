@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import io
 
-
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 __all__ = [
     "GridFunction",
@@ -65,6 +63,8 @@ class GridFunction:
         values.flags.writeable = False
         self.extend_left_zero = bool(extend_left_zero)
         self.extend_right_hold = bool(extend_right_hold)
+        self._nodes = None
+        self._coeffs = None
         self._spline = None
         self._antideriv = None
         self._log_antideriv = None
@@ -81,7 +81,11 @@ class GridFunction:
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.m)
+        """The M grid nodes (cached, read-only)."""
+        if self._nodes is None:
+            self._nodes = np.linspace(self.lo, self.hi, self.m)
+            self._nodes.flags.writeable = False
+        return self._nodes
 
     def with_extension(self, left_zero=True, right_hold=True) -> "GridFunction":
         return GridFunction(self.lo, self.hi, self.values,
@@ -90,11 +94,36 @@ class GridFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def spline(self) -> CubicHermiteSpline:
+    def spline(self):
+        """The interpolant as a scipy ``CubicHermiteSpline`` (imports scipy)."""
         if self._spline is None:
+            from scipy.interpolate import CubicHermiteSpline
             self._spline = CubicHermiteSpline(
                 self.nodes, self.values, _hermite_slopes(self.values, self.h))
         return self._spline
+
+    def interpolant(self, x: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolant at the points x, without scipy.
+
+        Outside [lo, hi] the end cubics extrapolate.  The coefficients, the
+        interval search and the order of the polynomial terms are those of
+        ``CubicHermiteSpline`` / ``PPoly``, so the result equals
+        ``self.spline()(x)`` bit for bit.
+        """
+        if self._coeffs is None:
+            y = self.values
+            d = _hermite_slopes(y, self.h)
+            dx = np.diff(self.nodes)
+            slope = np.diff(y) / dx
+            t = (d[:-1] + d[1:] - 2 * slope) / dx
+            # PPoly starts its sum at 0.0, which turns a -0.0 value into +0.0
+            self._coeffs = (t / dx, (slope - d[:-1]) / dx - t, d[:-1], 0.0 + y[:-1])
+        c0, c1, c2, c3 = self._coeffs
+        nodes = self.nodes
+        i = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, self.m - 2)
+        s = x - nodes[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -108,7 +137,7 @@ class GridFunction:
         if above.any() and not self.extend_right_hold:
             raise ValueError(f"evaluation above hi={self.hi} without extension rule")
         inside = np.clip(x, self.lo, self.hi)
-        out = self.spline()(inside)
+        out = self.interpolant(inside)
         out[below] = 0.0
         out[above] = self.values[-1]
         return float(out[0]) if scalar else out
@@ -125,7 +154,7 @@ class GridFunction:
     def refined(self, factor: int = 2) -> "GridFunction":
         """Resample onto a grid with (M-1)*factor + 1 nodes."""
         mm = (self.m - 1) * factor + 1
-        vals = self.spline()(np.linspace(self.lo, self.hi, mm))
+        vals = self.interpolant(np.linspace(self.lo, self.hi, mm))
         return GridFunction(self.lo, self.hi, vals,
                             extend_left_zero=self.extend_left_zero,
                             extend_right_hold=self.extend_right_hold)
@@ -159,6 +188,7 @@ class GridFunction:
                 w = np.where(nodes > 0.0, self.values / np.where(nodes > 0.0, nodes, 1.0), 0.0)
             else:
                 w = self.values / nodes
+            from scipy.interpolate import CubicHermiteSpline
             spl = CubicHermiteSpline(nodes, w, _hermite_slopes(w, self.h))
             self._log_antideriv = spl.antiderivative()
         return self._log_antideriv

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adversarial import (AdversarialInstance, ConstructionParams,
-                          ConstructionState, advance, finalize, init_state)
+from .adversarial import (CONDITION_RTOL, AdversarialInstance, ConstructionParams,
+                          advance, finalize, init_state)
+from .errors import ConstructionError, InstanceFormatError
 from .grid_functions import GridFunction
 from .phi_builder import PhiProfile
 
@@ -57,8 +58,22 @@ def save_instance(instance: AdversarialInstance, path: str,
         fh.write(instance_to_text(instance))
 
 
+def _header_value(scalars: dict, key: str, typ):
+    if key not in scalars:
+        raise InstanceFormatError(f"instance header is missing {key}=")
+    try:
+        return typ(scalars[key])
+    except ValueError:
+        raise InstanceFormatError(f"instance header {key}={scalars[key]!r} "
+                                  f"is not a valid {typ.__name__}") from None
+
+
 def load_instance(path_or_text: str, is_text: bool = False) -> AdversarialInstance:
-    """Parse an instance file and replay the construction it describes."""
+    """Parse an instance file and replay the construction it describes.
+
+    A malformed file raises InstanceFormatError; a replay whose step
+    conditions fail raises ConstructionError naming the step.
+    """
     if is_text:
         text = path_or_text
     else:
@@ -88,33 +103,40 @@ def load_instance(path_or_text: str, is_text: bool = False) -> AdversarialInstan
         else:
             if line.startswith("n,"):
                 continue
-            parts = line.split(",")
-            seq_rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                             float(parts[3]), float(parts[4])))
+            try:
+                n, qv, gv, av, xv = line.split(",")
+                seq_rows.append((int(n), float(qv), float(gv), float(av), float(xv)))
+            except ValueError:
+                raise InstanceFormatError(f"malformed sequence row {line!r}") from None
 
-    beta = float(scalars["beta"])
-    k_par = int(scalars["K"])
-    n_par = int(scalars["N"])
-    n_max = int(scalars["n_max"])
-    epsilon = float(scalars["epsilon"])
+    beta = _header_value(scalars, "beta", float)
+    k_par = _header_value(scalars, "K", int)
+    n_par = _header_value(scalars, "N", int)
+    n_max = _header_value(scalars, "n_max", int)
+    epsilon = _header_value(scalars, "epsilon", float)
     phi_grid = GridFunction.from_csv("\n".join(phi_lines))
-    profile = PhiProfile(phi=phi_grid, t=float(scalars["t"]),
-                         c_t=float(scalars["c_t"]), delta=float(scalars["delta"]),
-                         beta=beta, tau=float(scalars["tau"]))
+    profile = PhiProfile(phi=phi_grid, t=_header_value(scalars, "t", float),
+                         c_t=_header_value(scalars, "c_t", float),
+                         delta=_header_value(scalars, "delta", float),
+                         beta=beta, tau=_header_value(scalars, "tau", float))
     params = ConstructionParams(beta=beta, K=k_par, N=n_par, n_max=n_max,
                                 epsilon=epsilon, phi=profile)
 
     size = n_max + 1
     given = {key: np.zeros(size) for key in ("q", "gamma", "alpha", "xi")}
     for n, qv, gv, av, xv in seq_rows:
-        if n >= size:
-            raise ValueError(f"sequence row {n} beyond n_max")
+        if not 0 <= n < size:
+            raise InstanceFormatError(f"sequence row {n} outside [0, n_max]")
         given["q"][n] = qv
         given["gamma"][n] = gv
         given["alpha"][n] = av
         given["xi"][n] = xv
 
     state = init_state(params)
-    state.q[k_par - 1] = given["q"][k_par - 1]
+    # no step condition reads the seed row's q, so check it against q_of here
+    seed_q, want = float(given["q"][k_par - 1]), float(state.q[k_par - 1])
+    if not abs(seed_q - want) <= CONDITION_RTOL * want:
+        raise ConstructionError(f"step {k_par - 1} seed q={seed_q!r} vs schedule {want!r}")
+    state.q[k_par - 1] = seed_q
     advance(state, params, given_rows=given)
     return finalize(state, params)

@@ -1,9 +1,15 @@
+import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mpursuit
 from mpursuit.cli import main
+from mpursuit.errors import ConstructionError, InstanceFormatError
 from mpursuit.instance_io import instance_to_text, load_instance, save_instance
 
 
@@ -125,6 +131,64 @@ def test_verify_command_corrupted_alpha(tmp_path, saved_instance):
     out = tmp_path / "v.txt"
     assert main(["verify", "--instance", str(bad), "--out", str(out)]) == 3
     assert "passed=false" in read(out)
+
+
+@pytest.mark.parametrize("row", [700, 199])   # a step, and the seed row K-1
+def test_verify_command_nan_sequence_fails_replay(tmp_path, saved_instance, row):
+    _, path = saved_instance
+    lines = read(path).splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith(f"{row},"):
+            parts = line.split(",")
+            parts[1] = "nan"
+            lines[i] = ",".join(parts)
+            break
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ConstructionError, match=f"step {row} "):
+        load_instance(text, is_text=True)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "v.txt"
+    assert main(["verify", "--instance", str(bad), "--out", str(out)]) == 3
+    report = read(out)
+    assert f"replay_failed=step {row} " in report
+    assert "passed=false" in report
+
+
+def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, capsys):
+    _, path = saved_instance
+    text = "".join(line for line in read(path).splitlines(keepends=True)
+                   if not line.startswith("epsilon="))
+    with pytest.raises(InstanceFormatError, match="epsilon="):
+        load_instance(text, is_text=True)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    capsys.readouterr()
+    for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
+                ["run", "--out", str(tmp_path / "t.csv")]):
+        assert main(cmd + ["--instance", str(bad)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "epsilon=" in err[0]
+
+
+def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
+    _, path = saved_instance
+    code = (
+        "import json, sys\n"
+        "from mpursuit.cli import main\n"
+        f"codes = [main(['run', '--instance', {path!r}, '--steps', '50', "
+        f"'--out', {str(tmp_path / 't.csv')!r}]),\n"
+        f"         main(['verify', '--instance', {path!r}, "
+        f"'--out', {str(tmp_path / 'v.txt')!r}])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy')]))\n")
+    src = os.path.dirname(os.path.dirname(mpursuit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert scipy_modules == []
 
 
 def test_run_and_rate_commands(tmp_path, saved_instance):

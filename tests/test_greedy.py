@@ -54,6 +54,10 @@ def test_select_negated_dictionary_invariance(rng):
 def test_dictionary_rejects_non_unit_atoms():
     with pytest.raises(ValueError, match="norm"):
         Dictionary([CoeffVector.of(1.0, 1.0)])
+    nan_atom = np.zeros(200)
+    nan_atom[0], nan_atom[150] = 1.0, np.nan
+    with pytest.raises(ValueError, match="norm nan"):
+        Dictionary([basis_vector(1, 200), CoeffVector(nan_atom)])
 
 
 def test_pga_exact_recovery_orthonormal():
@@ -200,3 +204,60 @@ def test_trace_csv_shape():
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "n,residual_norm,atom_id,sign,coefficient"
     assert len(lines) == 3
+
+
+def reference_run(algorithm, f, d, steps, shrinkage=1.0, variation_bound=None):
+    """Full-width greedy loop: every atom against the whole residual.
+
+    OGA projects by least squares on the selected atoms instead of CGS2.
+    Returns (atom index, sign, residual norm) per step.
+    """
+    mat = d.matrix()
+    width = max(d.width, f.active_len)
+    target = f.padded(width)
+    r = target.copy()
+    approx = np.zeros(width)
+    selected, out = [], []
+    for n in range(1, steps + 1):
+        vals = mat @ r[: mat.shape[1]]
+        j = int(np.argmax(np.abs(vals)))
+        sign = 1 if vals[j] >= 0.0 else -1
+        atom = np.zeros(width)
+        atom[: mat.shape[1]] = sign * mat[j]
+        if algorithm in ("pga", "pga_shrink"):
+            r = r - shrinkage * abs(vals[j]) * atom
+        elif algorithm == "oga":
+            selected.append(atom)
+            span = np.array(selected).T
+            coef, *_ = np.linalg.lstsq(span, target, rcond=None)
+            r = target - span @ coef
+        else:
+            step = variation_bound if n == 1 else 2.0 * variation_bound / n
+            approx = (1.0 - 2.0 / n) * approx + step * atom if n > 1 else step * atom
+            r = target - approx
+        out.append((j, sign, float(np.linalg.norm(r))))
+    return out
+
+
+@pytest.mark.parametrize("algorithm, shrinkage", [
+    ("pga", 1.0), ("pga_shrink", 0.5), ("oga", 1.0), ("rga", 1.0)])
+def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
+    # atoms of mixed support, most far shorter than the width, and a target
+    # shorter than the width: selection reads only the residual's live prefix
+    for _ in range(10):
+        width = int(rng.integers(150, 400))
+        lens = np.concatenate([rng.integers(1, 80, size=40),
+                               rng.integers(80, width + 1, size=10), [width]])
+        atoms = []
+        for n in rng.permutation(lens):
+            v = rng.standard_normal(int(n))
+            atoms.append(CoeffVector(v / np.linalg.norm(v)))
+        d = Dictionary(atoms)
+        f = CoeffVector(rng.standard_normal(int(rng.integers(5, 60))))
+        vb = 2.0 * float(np.linalg.norm(f.coeffs))
+        trace = run(algorithm, f, d, 25, shrinkage=shrinkage, variation_bound=vb)
+        ref = reference_run(algorithm, f, d, 25, shrinkage, vb)
+        got = [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)]
+        assert got == [(j, sign) for j, sign, _ in ref]
+        assert np.allclose(trace.residual_norms, [rn for _, _, rn in ref],
+                           rtol=0.0, atol=1e-12)

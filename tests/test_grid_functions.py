@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from mpursuit.grid_functions import (GridFunction, integrate, log_between,
-                                     log_tail, scaled_selfconv,
+from scipy.interpolate import CubicHermiteSpline
+
+from mpursuit.grid_functions import (GridFunction, _hermite_slopes, integrate,
+                                     log_between, log_tail, scaled_selfconv,
                                      selfconv_on_nodes)
 
 
@@ -87,6 +89,25 @@ def test_evaluation_extension_rules():
     assert ge(0.2) == 0.0
     assert ge(1.2) == pytest.approx(1.0)
     assert ge(0.75) == pytest.approx(0.75, abs=1e-12)
+
+
+def test_evaluation_bit_identical_to_scipy(rng):
+    for _ in range(20):
+        m = 2 * int(rng.integers(1, 600)) + 1
+        lo = float(rng.uniform(-1.0, 1.0))
+        hi = lo + float(rng.uniform(0.01, 3.0))
+        vals = rng.standard_normal(m) * 10.0 ** rng.uniform(-6, 6)
+        vals[rng.integers(0, m, size=m // 4)] = -0.0
+        g = GridFunction(lo, hi, vals)
+        ref = CubicHermiteSpline(g.nodes, g.values, _hermite_slopes(g.values, g.h))
+        n = int(rng.integers(2, 3000))
+        inside = np.concatenate([g.nodes, [lo, hi], rng.uniform(lo, hi, 500),
+                                 lo + (hi - lo) * np.arange(1, n) / n])
+        assert np.array_equal(g(inside).view(np.int64), ref(inside).view(np.int64))
+        outside = np.concatenate([rng.uniform(lo - 1.0, lo, 100),
+                                  rng.uniform(hi, hi + 1.0, 100)])
+        assert np.array_equal(g.interpolant(outside).view(np.int64),
+                              ref(outside).view(np.int64))
 
 
 def test_derivative_accuracy():
