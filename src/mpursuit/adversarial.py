@@ -89,9 +89,9 @@ class ConstructionParams:
 class ConstructionState:
     """Mutable state of the inductive construction.
 
-    Scalar sequences are indexed by the step number n directly; the dense
-    atom rows cover d_K..d_n and the residual history keeps r_m for
-    m >= N (the verification needs every r_{n-1} with n > N).
+    Scalar sequences are indexed by the step number n directly.  `atoms` is
+    the only atom store: row 0 the blended atom, then d_N..d_n, zero-padded;
+    the residual history keeps r_m for m >= N (verify needs r_{n-1}, n > N).
     """
 
     def __init__(self, params: ConstructionParams):
@@ -106,22 +106,19 @@ class ConstructionState:
         self.xi = np.zeros(n_max + 1)
         self.norms = np.zeros(n_max + 1)
         self.r = np.zeros(n_max)
-        self.atoms = np.zeros((n_max - params.K + 1, n_max))
+        self.atoms = np.zeros((n_max - params.N + 2, n_max))
         self.r_hist = np.zeros((n_max - params.N + 1, n_max))
         self.n = params.K - 1
 
     def atom_row(self, k: int) -> np.ndarray:
-        if not self.K <= k <= self.n:
-            raise IndexError(f"atom {k} not built")
-        return self.atoms[k - self.K]
+        if not self.N <= k <= self.n:
+            raise IndexError(f"atom {k} not stored")
+        return self.atoms[k - self.N + 1]
 
     def residual_row(self, m: int) -> np.ndarray:
         if not self.N <= m <= self.n:
             raise IndexError(f"residual {m} not stored")
         return self.r_hist[m - self.N]
-
-    def residual_vector(self) -> CoeffVector:
-        return CoeffVector(self.r[: self.n].copy())
 
 
 def init_state(params: ConstructionParams) -> ConstructionState:
@@ -206,10 +203,10 @@ def step(state: ConstructionState, params: ConstructionParams,
     state.alpha[n] = an
     state.xi[n] = xin
     state.norms[n] = rnorm
-    state.atoms[n - state.K, :n] = d
-    if n >= state.N:
-        state.r_hist[n - state.N, :n] = r[:n]
     state.n = n
+    if n >= state.N:
+        state.atom_row(n)[:n] = d
+        state.residual_row(n)[:n] = r[:n]
     return state
 
 
@@ -279,30 +276,28 @@ class AdversarialInstance:
 
 
 def finalize(state: ConstructionState, params: ConstructionParams) -> AdversarialInstance:
-    """Assemble f = r_N, the blended atom, and the dictionary."""
+    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary."""
     if state.n != state.n_max:
         raise ValueError("advance the construction to n_max before finalizing")
     if params.epsilon is None:
         raise ValueError("epsilon not chosen")
     eps = params.epsilon
     N = state.N
-    r_n = state.r_hist[0][:N].copy()
+    r_n = state.residual_row(N)[:N]
     r_n_norm = state.norms[N]
     d_n = state.atom_row(N)[:N]
-    d_til = eps * r_n / r_n_norm + np.sqrt(1.0 - eps * eps) * d_n
+    d_til = state.atoms[0, :N]
+    d_til[:] = eps * r_n / r_n_norm + np.sqrt(1.0 - eps * eps) * d_n
     til_norm = float(np.linalg.norm(d_til))
     if abs(til_norm - 1.0) > 1e-12:
         raise ConstructionError(f"blended atom norm {til_norm!r} not 1")
-    atoms = [CoeffVector(d_til)]
-    labels = [f"dt{N}"]
-    for k in range(N, state.n_max + 1):
-        atoms.append(CoeffVector(state.atom_row(k)[:k].copy()))
-        labels.append(f"d{k}")
+    ks = range(N, state.n_max + 1)
+    dictionary = Dictionary(state.atoms, [N, *ks],
+                            [f"dt{N}", *(f"d{k}" for k in ks)])
     variation = (r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps))
     return AdversarialInstance(
-        params=params, f=CoeffVector(r_n), d_tilde=CoeffVector(d_til.copy()),
-        dictionary=Dictionary(atoms, labels), variation_bound=float(variation),
-        state=state)
+        params=params, f=CoeffVector(r_n), d_tilde=dictionary.atoms[0],
+        dictionary=dictionary, variation_bound=float(variation), state=state)
 
 
 class OracleTables:
@@ -524,13 +519,14 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
     Reports (never raises): minimum normalized margin over all pairs
     (n, k), k != n, the blended-atom margins, the worst oracle/direct
     disagreement, the diagonal equality error, and the norm-schedule
-    deviation over the whole residual history.
+    deviation over the whole residual history; a non-finite direct or
+    oracle value fails the check and the notes name its first n.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
     tables = instance.oracle_tables()
-    atoms_mat = st.atoms[N - st.K:]            # rows d_N..d_n_max
-    dtil = instance.d_tilde.padded(n_max)
+    atoms_mat = st.atoms[1:]                   # rows d_N..d_n_max
+    dtil = st.atoms[0]                         # the blended atom
     q = st.q
 
     min_margin = np.inf
@@ -541,6 +537,7 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
     dual_max = 0.0
     diag_max = 0.0
     n_pairs = 0
+    first_nonfinite = None
 
     for lo in range(N + 1, n_max + 1, block):
         hi = min(lo + block - 1, n_max)
@@ -550,9 +547,9 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
         for n in range(lo, hi + 1):
             drow = direct[n - lo]
             orow = tables.row(n)
-            dual_max = max(dual_max, float(np.max(np.abs(drow - orow))))
+            dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
             qn = q[n]
-            diag_max = max(diag_max, abs(drow[n - N] - qn) / qn)
+            diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
             margins = (qn - np.abs(drow)) / qn
             margins[n - N] = np.inf
             jmin = int(np.argmin(margins))
@@ -561,10 +558,13 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
                 min_pair = (n, N + jmin)
             omargins = (qn - np.abs(orow)) / qn
             omargins[n - N] = np.inf
-            min_margin_o = min(min_margin_o, float(np.min(omargins)))
+            min_margin_o = np.minimum(min_margin_o, np.min(omargins))
             tval = float(til_direct[n - lo])
             oval = tables.tilde_value(n)
-            dual_max = max(dual_max, abs(tval - oval))
+            dual_max = np.maximum(dual_max, abs(tval - oval))
+            # any non-finite value of row n makes dual_max non-finite; np.maximum keeps it
+            if first_nonfinite is None and not np.isfinite(dual_max):
+                first_nonfinite = n
             tmarg = (qn - max(abs(tval), abs(oval))) / qn
             if tmarg < til_min:
                 til_min = tmarg
@@ -576,12 +576,15 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
 
     return VerificationReport(
         n_pairs=n_pairs,
-        all_strict=bool(min_margin > 0.0 and min_margin_o > 0.0 and til_min > 0.0),
+        all_strict=bool(first_nonfinite is None and min_margin > 0.0
+                        and min_margin_o > 0.0 and til_min > 0.0),
         min_margin=float(min_margin), min_margin_pair=min_pair,
         min_margin_oracle=float(min_margin_o),
         tilde_min_margin=float(til_min), tilde_argmin=til_arg,
         dual_max_diff=float(dual_max), diag_max_rel_err=float(diag_max),
-        schedule_max_rel_err=sched_err)
+        schedule_max_rel_err=sched_err,
+        notes="" if first_nonfinite is None
+        else f"non-finite inner product at n={first_nonfinite}")
 
 
 def build_instance(phi: PhiProfile, K: int = 200, N: int = 400,

@@ -34,6 +34,7 @@ EXIT_OK, EXIT_USAGE, EXIT_NUMERIC, EXIT_VERIFY = 0, 1, 2, 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -120,6 +121,10 @@ def cmd_constants(args) -> int:
     return EXIT_OK if bun.all_strict else EXIT_VERIFY
 
 
+_SOLVE_DEFAULTS = {"beta_margin": 0.002, "tau_margin": 0.98, "grid_m": 2001,
+                   "tol": 1e-8, "max_iter": 500, "outdir": "."}
+
+
 def _solve_profile(cfg):
     beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
     bun = bundle(beta, tau)
@@ -128,10 +133,22 @@ def _solve_profile(cfg):
     return beta, tau, g, report
 
 
+def _phi_profile(cfg):
+    """(beta, tau, profile, condition report) from --f-csv or a fresh solve."""
+    if cfg["f_csv"]:
+        with open(cfg["f_csv"], "r", encoding="utf-8") as fh:
+            fbar = GridFunction.from_csv(fh.read())
+        beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
+    else:
+        beta, tau, _, report = _solve_profile(cfg)
+        fbar = report.converged_f
+    fext = fbar.with_extension(left_zero=True, right_hold=True)
+    profile, report = build_profile(fext, beta, tau, t=cfg["t"])
+    return beta, tau, profile, report
+
+
 def cmd_solve_f(args) -> int:
-    cfg = _resolve(args, {"beta_margin": 0.002, "tau_margin": 0.98,
-                          "grid_m": 2001, "tol": 1e-8, "max_iter": 500,
-                          "outdir": "."})
+    cfg = _resolve(args, _SOLVE_DEFAULTS)
     beta, tau, g, report = _solve_profile(cfg)
     head = _header("solve-f", cfg)
     for j, it in enumerate(report.iterates[:4]):
@@ -157,18 +174,8 @@ def cmd_solve_f(args) -> int:
 
 
 def cmd_make_phi(args) -> int:
-    cfg = _resolve(args, {"beta_margin": 0.002, "tau_margin": 0.98,
-                          "grid_m": 2001, "tol": 1e-8, "max_iter": 500,
-                          "t": 0.01, "f_csv": "", "outdir": "."})
-    if cfg["f_csv"]:
-        with open(cfg["f_csv"], "r", encoding="utf-8") as fh:
-            fbar = GridFunction.from_csv(fh.read())
-        beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
-    else:
-        beta, tau, _, report = _solve_profile(cfg)
-        fbar = report.converged_f
-    fext = fbar.with_extension(left_zero=True, right_hold=True)
-    profile, report = build_profile(fext, beta, tau, t=cfg["t"])
+    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "t": 0.01, "f_csv": ""})
+    beta, tau, profile, report = _phi_profile(cfg)
     head = _header("make-phi", cfg)
     _write(os.path.join(cfg["outdir"], "phi.csv"), head + profile.phi.to_csv())
     lines = [
@@ -185,19 +192,9 @@ def cmd_make_phi(args) -> int:
 
 
 def cmd_build(args) -> int:
-    cfg = _resolve(args, {"beta_margin": 0.002, "tau_margin": 0.98,
-                          "grid_m": 2001, "tol": 1e-8, "max_iter": 500,
-                          "t": 0.05, "k": 200, "n": 400, "n_max": 5000,
-                          "epsilon": 0.0, "f_csv": "", "outdir": "."})
-    if cfg["f_csv"]:
-        with open(cfg["f_csv"], "r", encoding="utf-8") as fh:
-            fbar = GridFunction.from_csv(fh.read())
-        beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
-    else:
-        beta, tau, _, report_f = _solve_profile(cfg)
-        fbar = report_f.converged_f
-    fext = fbar.with_extension(left_zero=True, right_hold=True)
-    profile, cond_report = build_profile(fext, beta, tau, t=cfg["t"])
+    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "t": 0.05, "f_csv": "", "k": 200,
+                          "n": 400, "n_max": 5000, "epsilon": 0.0})
+    beta, tau, profile, cond_report = _phi_profile(cfg)
     eps = cfg["epsilon"] if cfg["epsilon"] > 0.0 else None
     instance, vreport = build_instance(profile, K=cfg["k"], N=cfg["n"],
                                        n_max=cfg["n_max"], epsilon=eps)
@@ -341,11 +338,6 @@ def cmd_plot(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--seed", type=int, default=None, help="seed echoed into headers")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="mpursuit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -356,7 +348,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--beta-margin", dest="beta_margin", type=float, default=None)
     sp.add_argument("--tau-margin", dest="tau_margin", type=float, default=None)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_constants)
 
     sp = sub.add_parser("solve-f", help="solve the profile integral equation")
@@ -364,7 +355,6 @@ def build_parser() -> _Parser:
                       ("--grid-m", int), ("--tol", float), ("--max-iter", int)):
         sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
     sp.add_argument("--outdir", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_solve_f)
 
     sp = sub.add_parser("make-phi", help="mollify and certify the weight profile")
@@ -375,7 +365,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--f-csv", dest="f_csv", default=None,
                     help="solved profile CSV (skips the solve)")
     sp.add_argument("--outdir", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_make_phi)
 
     sp = sub.add_parser("build", help="build and verify a worst-case instance")
@@ -386,13 +375,11 @@ def build_parser() -> _Parser:
         sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
     sp.add_argument("--f-csv", dest="f_csv", default=None)
     sp.add_argument("--outdir", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("verify", help="replay an instance file and verify it")
     sp.add_argument("--instance", default=None)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("run", help="run a greedy algorithm on an instance")
@@ -401,7 +388,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--steps", type=int, default=None)
     sp.add_argument("--shrinkage", type=float, default=None)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("rate", help="fit a decay exponent to a trace CSV")
@@ -413,7 +399,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--variation-bound", dest="variation_bound", type=float,
                     default=None)
     sp.add_argument("--out", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_rate)
 
     sp = sub.add_parser("plot", help="render grid/trace CSVs to a static SVG")
@@ -422,8 +407,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--log-log", dest="log_log", action="store_const", const=True,
                     default=None)
     sp.add_argument("--title", default=None)
-    _add_common(sp)
     sp.set_defaults(func=cmd_plot)
+    for sp in sub.choices.values():
+        sp.add_argument("--config", help="flat key=value config file")
     return parser
 
 

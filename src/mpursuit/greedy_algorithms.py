@@ -31,44 +31,53 @@ _PREFIX_ALIGN = 64
 
 
 class Dictionary:
-    """Finite symmetric set of unit atoms with fast best-atom selection."""
+    """Finite symmetric set of unit atoms with fast best-atom selection.
 
-    def __init__(self, atoms: Sequence[CoeffVector], labels: Sequence[str] | None = None):
-        atoms = list(atoms)
+    The atoms are the rows of one matrix, held without a copy when it is
+    C-order float64: atom i is a read-only view of the first lengths[i]
+    entries of row i, and the rest of the row must be zero.
+    """
+
+    def __init__(self, rows: np.ndarray, lengths: Sequence[int],
+                 labels: Sequence[str] | None = None):
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
         if labels is None:
-            labels = [f"a{i}" for i in range(len(atoms))]
+            labels = [f"a{i}" for i in range(len(rows))]
         labels = [str(s) for s in labels]
-        if len(labels) != len(atoms):
-            raise ValueError("one label per atom required")
+        if not len(lengths) == len(labels) == len(rows):
+            raise ValueError("one length and one label per atom required")
         if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be unique")
-        self.atoms = atoms
+        # row by row, with no temporary the size of the rows; a NaN norm fails
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"atom {labels[i]} has norm {float(norms[i])!r}, expected 1")
+        self._matrix = rows
+        self.atoms = [CoeffVector(row[:n]) for row, n in zip(rows, lengths)]
         self.labels = labels
-        self._matrix = None
-        self._width = max((a.active_len for a in atoms), default=0)
-        for a, lab in zip(atoms, labels):
-            nrm = float(np.linalg.norm(a.coeffs))
-            if not abs(nrm - 1.0) <= UNIT_NORM_TOL:
-                raise ValueError(f"atom {lab} has norm {nrm!r}, expected 1")
+
+    @classmethod
+    def from_atoms(cls, atoms: Sequence[CoeffVector],
+                   labels: Sequence[str] | None = None) -> "Dictionary":
+        """Stack the atoms as rows, zero-padded to the longest."""
+        lengths = [a.active_len for a in atoms]
+        rows = np.zeros((len(lengths), max(lengths, default=0)))
+        for row, a in zip(rows, atoms):
+            row[: a.active_len] = a.coeffs
+        return cls(rows, lengths, labels)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     @property
     def width(self) -> int:
-        return self._width
+        return self._matrix.shape[1]
 
     def matrix(self) -> np.ndarray:
-        """Atoms stacked as rows, zero-padded to the common width."""
-        if self._matrix is None:
-            mat = np.zeros((len(self.atoms), self._width))
-            for i, a in enumerate(self.atoms):
-                mat[i, : a.active_len] = a.coeffs
-            self._matrix = mat
+        """The atom store: one zero-padded row per atom."""
         return self._matrix
-
-    def index_of(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 class TraceStep(NamedTuple):

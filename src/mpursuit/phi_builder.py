@@ -37,8 +37,8 @@ def bump_kernel(u):
     return out
 
 
-def kernel_mass(t: float) -> float:
-    """Quadrature mass of the scaled kernel (should be 1)."""
+def kernel_mass() -> float:
+    """Quadrature mass of the bump kernel (should be 1); scaling keeps it."""
     return float(_GL_WEIGHTS @ bump_kernel(_GL_NODES))
 
 

@@ -251,7 +251,7 @@ def test_criterion_10_property_suites(full_instance, rng):
             continue
         if n not in row_cache:
             row_cache[n] = tables.row(n)
-        direct = float(st.r_hist[n - 1 - p.N] @ st.atoms[k - p.K])
+        direct = float(st.r_hist[n - 1 - p.N] @ st.atom_row(k))
         worst_pair = max(worst_pair, abs(row_cache[n][k - p.N] - direct))
     pairs_ok = worst_pair <= 1e-9
 

@@ -6,6 +6,7 @@ from mpursuit.adversarial import (ConstructionParams, advance, build_instance,
                                   inner_product_oracle, q_of, step, verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
+from mpursuit.instance_io import instance_to_text, load_instance
 from mpursuit.linear_core import dot
 from mpursuit.phi_builder import PhiProfile
 
@@ -78,7 +79,7 @@ def test_step_energy_identity(small_instance):
 def test_step_selected_inner_product(small_instance):
     st = small_instance.state
     for n in range(st.N + 1, st.n_max + 1):
-        ip = float(st.r_hist[n - 1 - st.N] @ st.atoms[n - st.K])
+        ip = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
         assert ip == pytest.approx(st.q[n], rel=1e-10)
 
 
@@ -173,7 +174,7 @@ def test_finalize_blended_atom(small_instance):
     assert dot(inst.f, inst.d_tilde) == pytest.approx(eps * st.norms[st.N],
                                                       abs=1e-10)
     # <f, d_N> = 0 by the step conditions
-    assert abs(st.r_hist[0] @ st.atoms[st.N - st.K]) <= 1e-9
+    assert abs(st.r_hist[0] @ st.atom_row(st.N)) <= 1e-9
 
 
 def test_variation_bound_matches_two_atom_expansion(small_instance):
@@ -181,7 +182,7 @@ def test_variation_bound_matches_two_atom_expansion(small_instance):
     st = inst.state
     n_pad = st.n_max
     mat = np.vstack([inst.d_tilde.padded(n_pad),
-                     st.atoms[st.N - st.K]])
+                     st.atom_row(st.N)])
     coef, res, *_ = np.linalg.lstsq(mat.T, inst.f.padded(n_pad), rcond=None)
     reconstruction = mat.T @ coef
     assert np.linalg.norm(inst.f.padded(n_pad) - reconstruction) <= 1e-9
@@ -205,11 +206,33 @@ def test_dictionary_contents(small_instance):
     assert inst.dictionary.labels[-1] == f"d{p.n_max}"
 
 
+def _loaded_copy(inst):
+    return load_instance(instance_to_text(inst), is_text=True)
+
+
+@pytest.mark.parametrize("source", [lambda inst: inst, _loaded_copy],
+                         ids=["built", "loaded"])
+def test_one_atom_store(small_instance, source):
+    inst = source(small_instance)
+    st, p = inst.state, inst.params
+    store = inst.dictionary.matrix()
+    assert store is st.atoms
+    assert st.atoms.shape == (p.n_max - p.N + 2, p.n_max)
+    assert all(np.shares_memory(a.coeffs, store) for a in inst.dictionary.atoms)
+    assert np.shares_memory(inst.d_tilde.coeffs, st.atoms[0])
+    for i, k in ((1, p.N), (2, p.N + 1), (len(store) - 1, p.n_max)):
+        assert np.shares_memory(inst.dictionary.atoms[i].coeffs, st.atom_row(k))
+        assert inst.dictionary.labels[i] == f"d{k}"
+    with pytest.raises(IndexError):
+        st.atom_row(p.N - 1)
+    assert not inst.dictionary.atoms[1].coeffs.flags.writeable
+
+
 def test_oracle_base_case_previous_atom(small_instance):
     st = small_instance.state
     for n in (st.N + 1, st.N + 5, st.n_max):
         assert inner_product_oracle(small_instance, n, n - 1) == 0.0
-        direct = float(st.r_hist[n - 1 - st.N] @ st.atoms[n - 1 - st.K])
+        direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n - 1))
         assert abs(direct) <= 1e-10
 
 
@@ -238,7 +261,7 @@ def test_oracle_vs_direct_random_pairs(small_instance, rng):
         if k == n:
             continue
         o = inner_product_oracle(small_instance, n, k)
-        d = float(st.r_hist[n - 1 - st.N] @ st.atoms[k - st.K])
+        d = float(st.r_hist[n - 1 - st.N] @ st.atom_row(k))
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
 

@@ -77,7 +77,7 @@ def test_check_bounds_validation():
 
 def test_compare_orthonormal_dictionary(rng):
     dim = 6
-    d = Dictionary([basis_vector(k + 1, dim) for k in range(dim)])
+    d = Dictionary.from_atoms([basis_vector(k + 1, dim) for k in range(dim)])
     f = CoeffVector(rng.standard_normal(dim))
     rows, traces = compare(f, d, ("pga", "oga"), steps=dim,
                            variation_bound=float(np.sum(np.abs(f.coeffs))))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mpursuit
+from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
 from mpursuit.instance_io import instance_to_text, load_instance, save_instance
@@ -50,6 +51,14 @@ def test_constants_reruns_byte_identical(tmp_path):
     first = read(out)
     assert main(["constants", "--shrinkage", "1", "--out", str(out)]) == 0
     assert read(out) == first
+
+
+def test_seed_flag_is_a_usage_error(tmp_path, capsys):
+    # nothing in the pipeline is random, so no command takes a seed
+    out = tmp_path / "c.txt"
+    assert main(["constants", "--seed", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "error: unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -153,6 +162,28 @@ def test_verify_command_nan_sequence_fails_replay(tmp_path, saved_instance, row)
     report = read(out)
     assert f"replay_failed=step {row} " in report
     assert "passed=false" in report
+
+
+@pytest.mark.parametrize("route", ["oracle", "direct"])
+def test_verify_names_first_non_finite_row(saved_instance, route):
+    # non-finite values reaching verify by a path other than replay: the
+    # seed q feeds every oracle row, r_{N+50} the direct row of n = N+51
+    _, path = saved_instance
+    inst = load_instance(path)
+    st = inst.state
+    if route == "oracle":
+        st.q[st.K - 1] = np.nan
+        first = st.N + 1
+    else:
+        st.residual_row(st.N + 50)[10] = np.nan
+        first = st.N + 51
+    inst._tables = None
+    report = verify(inst)
+    assert not report.passed and not report.all_strict
+    assert report.notes == f"non-finite inner product at n={first}"
+    assert "passed=false" in report.to_text()
+    if route == "oracle":
+        assert np.isnan(report.min_margin_oracle)
 
 
 def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, capsys):

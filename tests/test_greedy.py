@@ -7,8 +7,8 @@ from mpursuit.linear_core import CoeffVector, basis_vector
 
 def ortho_dict(dim, n_atoms=None):
     n_atoms = dim if n_atoms is None else n_atoms
-    return Dictionary([basis_vector(k + 1, dim) for k in range(n_atoms)],
-                      [f"e{k + 1}" for k in range(n_atoms)])
+    return Dictionary.from_atoms([basis_vector(k + 1, dim) for k in range(n_atoms)],
+                                 [f"e{k + 1}" for k in range(n_atoms)])
 
 
 def random_dict(rng, dim, n_atoms):
@@ -16,7 +16,7 @@ def random_dict(rng, dim, n_atoms):
     for _ in range(n_atoms):
         v = rng.standard_normal(dim)
         atoms.append(CoeffVector(v / np.linalg.norm(v)))
-    return Dictionary(atoms)
+    return Dictionary.from_atoms(atoms)
 
 
 def test_select_axis_aligned():
@@ -38,13 +38,13 @@ def test_select_zero_residual_tie_rule():
 
 def test_select_empty_dictionary():
     with pytest.raises(ValueError, match="empty dictionary"):
-        select_atom(CoeffVector.of(1.0), Dictionary([]))
+        select_atom(CoeffVector.of(1.0), Dictionary.from_atoms([]))
 
 
 def test_select_negated_dictionary_invariance(rng):
     for _ in range(20):
         d = random_dict(rng, 6, 9)
-        neg = Dictionary([CoeffVector(-a.coeffs) for a in d.atoms], d.labels)
+        neg = Dictionary.from_atoms([CoeffVector(-a.coeffs) for a in d.atoms], d.labels)
         r = CoeffVector(rng.standard_normal(6))
         l1, s1, v1 = select_atom(r, d)
         l2, s2, v2 = select_atom(r, neg)
@@ -53,11 +53,11 @@ def test_select_negated_dictionary_invariance(rng):
 
 def test_dictionary_rejects_non_unit_atoms():
     with pytest.raises(ValueError, match="norm"):
-        Dictionary([CoeffVector.of(1.0, 1.0)])
+        Dictionary.from_atoms([CoeffVector.of(1.0, 1.0)])
     nan_atom = np.zeros(200)
     nan_atom[0], nan_atom[150] = 1.0, np.nan
     with pytest.raises(ValueError, match="norm nan"):
-        Dictionary([basis_vector(1, 200), CoeffVector(nan_atom)])
+        Dictionary.from_atoms([basis_vector(1, 200), CoeffVector(nan_atom)])
 
 
 def test_pga_exact_recovery_orthonormal():
@@ -252,7 +252,7 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
         for n in rng.permutation(lens):
             v = rng.standard_normal(int(n))
             atoms.append(CoeffVector(v / np.linalg.norm(v)))
-        d = Dictionary(atoms)
+        d = Dictionary.from_atoms(atoms)
         f = CoeffVector(rng.standard_normal(int(rng.integers(5, 60))))
         vb = 2.0 * float(np.linalg.norm(f.coeffs))
         trace = run(algorithm, f, d, 25, shrinkage=shrinkage, variation_bound=vb)
