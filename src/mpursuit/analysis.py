@@ -9,8 +9,7 @@ import numpy as np
 from .greedy_algorithms import Dictionary, GreedyTrace, run
 from .linear_core import CoeffVector
 
-__all__ = ["RateFit", "BoundReport", "fit_decay", "check_bounds", "compare",
-           "compare_table_csv"]
+__all__ = ["RateFit", "BoundReport", "fit_decay", "check_bounds", "compare"]
 
 _FLOOR = 1e-13
 
@@ -115,11 +114,3 @@ def compare(f: CoeffVector, dictionary: Dictionary, algs, steps: int,
             "r2": r2,
         })
     return rows, traces
-
-
-def compare_table_csv(rows) -> str:
-    lines = ["algorithm,steps,final_residual,slope,r2"]
-    for r in rows:
-        lines.append(f"{r['algorithm']},{r['steps']},{r['final_residual']:.17g},"
-                     f"{r['slope']:.17g},{r['r2']:.17g}")
-    return "\n".join(lines) + "\n"

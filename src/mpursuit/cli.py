@@ -56,8 +56,12 @@ def _resolve(args, defaults: dict) -> dict:
     if getattr(args, "config", None):
         file_cfg = _read_config_file(args.config)
         for key, val in file_cfg.items():
-            if key in cfg:
-                cfg[key] = type(defaults[key])(val) if defaults[key] is not None else val
+            if key not in cfg:
+                continue
+            kind = type(defaults[key]) if defaults[key] is not None else str
+            if kind is bool and val.lower() not in ("true", "false"):
+                raise ValueError(f"config {key}={val!r}: expected true or false")
+            cfg[key] = val.lower() == "true" if kind is bool else kind(val)
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -350,32 +354,21 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_constants)
 
-    sp = sub.add_parser("solve-f", help="solve the profile integral equation")
-    for flag, typ in (("--beta-margin", float), ("--tau-margin", float),
-                      ("--grid-m", int), ("--tol", float), ("--max-iter", int)):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
-    sp.add_argument("--outdir", default=None)
-    sp.set_defaults(func=cmd_solve_f)
-
-    sp = sub.add_parser("make-phi", help="mollify and certify the weight profile")
-    for flag, typ in (("--beta-margin", float), ("--tau-margin", float),
-                      ("--grid-m", int), ("--tol", float), ("--max-iter", int),
-                      ("--t", float)):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
-    sp.add_argument("--f-csv", dest="f_csv", default=None,
-                    help="solved profile CSV (skips the solve)")
-    sp.add_argument("--outdir", default=None)
-    sp.set_defaults(func=cmd_make_phi)
-
-    sp = sub.add_parser("build", help="build and verify a worst-case instance")
-    for flag, typ in (("--beta-margin", float), ("--tau-margin", float),
-                      ("--grid-m", int), ("--tol", float), ("--max-iter", int),
-                      ("--t", float), ("--k", int), ("--n", int),
-                      ("--n-max", int), ("--epsilon", float)):
-        sp.add_argument(flag, dest=flag[2:].replace("-", "_"), type=typ, default=None)
-    sp.add_argument("--f-csv", dest="f_csv", default=None)
-    sp.add_argument("--outdir", default=None)
-    sp.set_defaults(func=cmd_build)
+    solve = (("--beta-margin", float), ("--tau-margin", float), ("--grid-m", int),
+             ("--tol", float), ("--max-iter", int))
+    profile = (("--t", float), ("--f-csv", str))
+    for name, help_text, func, flags in (
+            ("solve-f", "solve the profile integral equation", cmd_solve_f, solve),
+            ("make-phi", "mollify and certify the weight profile", cmd_make_phi,
+             solve + profile),
+            ("build", "build and verify a worst-case instance", cmd_build,
+             solve + profile + (("--k", int), ("--n", int), ("--n-max", int),
+                                ("--epsilon", float)))):
+        sp = sub.add_parser(name, help=help_text)
+        for flag, typ in flags + (("--outdir", str),):
+            sp.add_argument(flag, type=typ, help="solved profile CSV (skips the solve)"
+                            if flag == "--f-csv" else None)
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("verify", help="replay an instance file and verify it")
     sp.add_argument("--instance", default=None)

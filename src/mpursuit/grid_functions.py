@@ -9,7 +9,8 @@ a^{-1} * integral_tau^a f(x) f(x/a) dx.
 
 from __future__ import annotations
 
-import io
+import operator
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -17,12 +18,12 @@ __all__ = [
     "GridFunction",
     "integrate",
     "log_tail",
-    "log_between",
     "scaled_selfconv",
     "selfconv_on_nodes",
 ]
 
 _EDGE_SLACK = 1e-12
+_BLOCK = 1 << 16  # points per block of a self-convolution sweep
 
 
 def _hermite_slopes(values: np.ndarray, h: float) -> np.ndarray:
@@ -32,6 +33,63 @@ def _hermite_slopes(values: np.ndarray, h: float) -> np.ndarray:
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return d
+
+
+# A piece table has one polynomial per grid interval, highest power first:
+# row k of a (K, M-1) table multiplies s**(K-1-k), s the offset from the
+# interval's left node.  Coefficients, interval search and term order are
+# scipy PPoly's, so each evaluation equals CubicHermiteSpline's bit for bit;
+# the constant row carries PPoly's "0.0 +" start (-0.0 becomes +0.0).
+
+
+def _hermite_pieces(nodes: np.ndarray, y: np.ndarray, h: float) -> np.ndarray:
+    """Piece table of the cubic Hermite interpolant of y at the nodes."""
+    d = _hermite_slopes(y, h)
+    dx = np.diff(nodes)
+    slope = np.diff(y) / dx
+    t = (d[:-1] + d[1:] - 2 * slope) / dx
+    return np.array([t / dx, (slope - d[:-1]) / dx - t, d[:-1], 0.0 + y[:-1]])
+
+
+def _antiderivative_pieces(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Piece table of the antiderivative that vanishes at nodes[0].
+
+    A piece's constant is the previous piece's value at its right end, its
+    terms added to that constant in PPoly's order: a sequential loop.
+    """
+    a = np.zeros((c.shape[0] + 1, c.shape[1]))
+    a[:-1] = c / np.arange(c.shape[0], 0, -1)[:, None]
+    rises = _terms(a[:, :-1], np.diff(nodes)[:-1])[1:]  # each piece at its right end
+    const = [0.0]
+    for rise in zip(*(t.tolist() for t in rises)):
+        const.append(reduce(operator.add, rise, const[-1]))
+    a[-1] = const
+    return a
+
+
+def _terms(c: np.ndarray, s: np.ndarray) -> list:
+    """The terms c[-1], c[-2] s, c[-3] s^2, ... of the pieces at offsets s."""
+    terms, z = [c[-1]], s
+    for k in range(c.shape[0] - 2, -1, -1):
+        terms.append(c[k] * z)
+        if k:
+            z = z * s
+    return terms
+
+
+def _value(c: np.ndarray, i, s):
+    """Pieces i of table c at offsets s, their terms summed left to right as PPoly does."""
+    return reduce(operator.add, _terms(c.take(i, axis=1), s))
+
+
+def _locate(nodes: np.ndarray, x):
+    """Piece index of each point x (the end pieces extrapolate) and its offset.
+
+    Searching the interior nodes gives PPoly's interval, searchsorted(nodes,
+    x, "right") - 1 clipped to [0, M-2], in one call.
+    """
+    i = np.searchsorted(nodes[1:-1], x, "right")
+    return i, x - nodes[i]
 
 
 class GridFunction:
@@ -63,11 +121,6 @@ class GridFunction:
         values.flags.writeable = False
         self.extend_left_zero = bool(extend_left_zero)
         self.extend_right_hold = bool(extend_right_hold)
-        self._nodes = None
-        self._coeffs = None
-        self._spline = None
-        self._antideriv = None
-        self._log_antideriv = None
 
     # -- basic geometry -------------------------------------------------
 
@@ -79,13 +132,12 @@ class GridFunction:
     def h(self) -> float:
         return (self.hi - self.lo) / (self.m - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
         """The M grid nodes (cached, read-only)."""
-        if self._nodes is None:
-            self._nodes = np.linspace(self.lo, self.hi, self.m)
-            self._nodes.flags.writeable = False
-        return self._nodes
+        nodes = np.linspace(self.lo, self.hi, self.m)
+        nodes.flags.writeable = False
+        return nodes
 
     def with_extension(self, left_zero=True, right_hold=True) -> "GridFunction":
         return GridFunction(self.lo, self.hi, self.values,
@@ -94,36 +146,43 @@ class GridFunction:
 
     # -- evaluation ------------------------------------------------------
 
-    def spline(self):
-        """The interpolant as a scipy ``CubicHermiteSpline`` (imports scipy)."""
-        if self._spline is None:
-            from scipy.interpolate import CubicHermiteSpline
-            self._spline = CubicHermiteSpline(
-                self.nodes, self.values, _hermite_slopes(self.values, self.h))
-        return self._spline
+    @cached_property
+    def pieces(self) -> np.ndarray:
+        """Piece table (4 x M-1) of the cubic Hermite interpolant (cached)."""
+        return _hermite_pieces(self.nodes, self.values, self.h)
+
+    @cached_property
+    def _derivative(self) -> np.ndarray:
+        c = self.pieces
+        return np.array([3.0 * c[0], 2.0 * c[1], 0.0 + c[2]])
+
+    @cached_property
+    def _antiderivative(self) -> np.ndarray:
+        return _antiderivative_pieces(self.pieces, self.nodes)
+
+    @cached_property
+    def _log_antiderivative(self) -> np.ndarray:
+        """Antiderivative of g(z)/z, zero at lo; g must vanish at nodes <= 0."""
+        nodes = self.nodes
+        if nodes[0] <= 0.0:
+            bad = (nodes <= 0.0) & (self.values != 0.0)
+            if bad.any():
+                raise ValueError("g/z integrand diverges: nonzero value at a node <= 0")
+            w = np.where(nodes > 0.0, self.values / np.where(nodes > 0.0, nodes, 1.0), 0.0)
+        else:
+            w = self.values / nodes
+        return _antiderivative_pieces(_hermite_pieces(nodes, w, self.h), nodes)
+
+    def _at(self, table: np.ndarray, x) -> np.ndarray:
+        """A piece table at x clipped to [lo, hi]."""
+        return _value(table, *_locate(self.nodes, np.clip(x, self.lo, self.hi)))
 
     def interpolant(self, x: np.ndarray) -> np.ndarray:
-        """Cubic Hermite interpolant at the points x, without scipy.
+        """Cubic Hermite interpolant at the points x; the end cubics extrapolate.
 
-        Outside [lo, hi] the end cubics extrapolate.  The coefficients, the
-        interval search and the order of the polynomial terms are those of
-        ``CubicHermiteSpline`` / ``PPoly``, so the result equals
-        ``self.spline()(x)`` bit for bit.
+        Equals scipy's ``CubicHermiteSpline`` with the same slopes bit for bit.
         """
-        if self._coeffs is None:
-            y = self.values
-            d = _hermite_slopes(y, self.h)
-            dx = np.diff(self.nodes)
-            slope = np.diff(y) / dx
-            t = (d[:-1] + d[1:] - 2 * slope) / dx
-            # PPoly starts its sum at 0.0, which turns a -0.0 value into +0.0
-            self._coeffs = (t / dx, (slope - d[:-1]) / dx - t, d[:-1], 0.0 + y[:-1])
-        c0, c1, c2, c3 = self._coeffs
-        nodes = self.nodes
-        i = np.clip(np.searchsorted(nodes, x, "right") - 1, 0, self.m - 2)
-        s = x - nodes[i]
-        s2 = s * s
-        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+        return _value(self.pieces, *_locate(self.nodes, x))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -148,7 +207,7 @@ class GridFunction:
         slack = _EDGE_SLACK * (self.hi - self.lo)
         if np.any(x < self.lo - slack) or np.any(x > self.hi + slack):
             raise ValueError("derivative requested outside the grid interval")
-        out = self.spline().derivative()(np.clip(x, self.lo, self.hi))
+        out = self._at(self._derivative, x)
         return float(out) if scalar else out
 
     def refined(self, factor: int = 2) -> "GridFunction":
@@ -173,37 +232,7 @@ class GridFunction:
         for lim in (np.asarray(u), np.asarray(v)):
             if np.any(lim < self.lo - slack) or np.any(lim > self.hi + slack):
                 raise ValueError("integration limit outside the grid interval")
-        if self._antideriv is None:
-            self._antideriv = self.spline().antiderivative()
-        w = self._antideriv
-        return w(np.clip(v, self.lo, self.hi)) - w(np.clip(u, self.lo, self.hi))
-
-    def _log_weight_antiderivative(self):
-        if self._log_antideriv is None:
-            nodes = self.nodes
-            if nodes[0] <= 0.0:
-                bad = (nodes <= 0.0) & (self.values != 0.0)
-                if bad.any():
-                    raise ValueError("g/z integrand diverges: nonzero value at a node <= 0")
-                w = np.where(nodes > 0.0, self.values / np.where(nodes > 0.0, nodes, 1.0), 0.0)
-            else:
-                w = self.values / nodes
-            from scipy.interpolate import CubicHermiteSpline
-            spl = CubicHermiteSpline(nodes, w, _hermite_slopes(w, self.h))
-            self._log_antideriv = spl.antiderivative()
-        return self._log_antideriv
-
-    def log_tail(self, x: float) -> float:
-        """integral_x^hi of g(z)/z dz via the cached cumulative table."""
-        slack = _EDGE_SLACK * (self.hi - self.lo)
-        if x < self.lo - slack:
-            if not self.extend_left_zero:
-                raise ValueError("log_tail start below the grid interval")
-            x = self.lo
-        if x > self.hi + slack:
-            raise ValueError("log_tail start above the grid interval")
-        w = self._log_weight_antiderivative()
-        return float(w(self.hi) - w(np.clip(x, self.lo, self.hi)))
+        return self._at(self._antiderivative, v) - self._at(self._antiderivative, u)
 
     def log_between(self, u, v):
         """integral_u^v of g(z)/z dz; limits below lo use the zero extension."""
@@ -214,54 +243,39 @@ class GridFunction:
             raise ValueError("log_between limit below the grid interval")
         if np.any(u > self.hi + slack) or np.any(v > self.hi + slack):
             raise ValueError("log_between limit above the grid interval")
-        w = self._log_weight_antiderivative()
-        return w(np.clip(v, self.lo, self.hi)) - w(np.clip(u, self.lo, self.hi))
+        w = self._log_antiderivative
+        return self._at(w, v) - self._at(w, u)
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
-        ext = ""
-        if self.extend_left_zero:
-            ext += ",ext_left=zero"
-        if self.extend_right_hold:
-            ext += ",ext_right=hold"
-        buf = io.StringIO()
-        buf.write(f"# lo={self.lo!r},hi={self.hi!r},M={self.m}{ext}\n")
-        buf.write("x,value\n")
-        for x, v in zip(self.nodes, self.values):
-            buf.write(f"{x:.17g},{v:.17g}\n")
-        return buf.getvalue()
+        ext = ",ext_left=zero" if self.extend_left_zero else ""
+        ext += ",ext_right=hold" if self.extend_right_hold else ""
+        rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(self.nodes, self.values))
+        return f"# lo={self.lo!r},hi={self.hi!r},M={self.m}{ext}\nx,value\n" + rows
 
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
-        lo = hi = None
-        left = right = False
-        vals = []
+        head, vals = {}, []
         for line in text.splitlines():
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                body = line.lstrip("# ")
-                if body.startswith("lo="):
-                    for part in body.split(","):
-                        key, _, val = part.partition("=")
-                        if key == "lo":
-                            lo = float(val)
-                        elif key == "hi":
-                            hi = float(val)
-                        elif key == "ext_left":
-                            left = val == "zero"
-                        elif key == "ext_right":
-                            right = val == "hold"
-                continue
-            if line.startswith("x,"):
-                continue
-            vals.append(float(line.split(",")[1]))
-        if lo is None or hi is None:
-            raise ValueError("grid CSV is missing the lo/hi header")
-        return cls(lo, hi, np.array(vals),
-                   extend_left_zero=left, extend_right_hold=right)
+                if line.lstrip("# ").startswith("lo="):
+                    head = dict(part.partition("=")[::2]
+                                for part in line.lstrip("# ").split(","))
+            elif line and not line.startswith("x,"):
+                try:
+                    _, v = map(float, line.split(","))
+                except ValueError:
+                    raise ValueError(f"grid CSV row {line!r} is not two numbers") from None
+                vals.append(v)
+        if not {"lo", "hi", "M"} <= head.keys():
+            raise ValueError("grid CSV is missing the lo/hi/M header")
+        if len(vals) != int(head["M"]):
+            raise ValueError(f"grid CSV has {len(vals)} rows, its header says M={head['M']}")
+        return cls(float(head["lo"]), float(head["hi"]), np.array(vals),
+                   extend_left_zero=head.get("ext_left") == "zero",
+                   extend_right_hold=head.get("ext_right") == "hold")
 
 
 # -- module-level operations ----------------------------------------------
@@ -272,11 +286,8 @@ def integrate(g: GridFunction) -> float:
 
 
 def log_tail(g: GridFunction, x: float) -> float:
-    return g.log_tail(x)
-
-
-def log_between(g: GridFunction, u, v):
-    return g.log_between(u, v)
+    """integral_x^hi of g(z)/z dz."""
+    return float(g.log_between(x, g.hi))
 
 
 def _corrected_trapezoid(p: np.ndarray, h: float) -> float:
@@ -314,15 +325,14 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
         raise ValueError("a must lie in [tau, hi]")
     a = min(a, f.hi)
     nodes = f.nodes
-    spl = f.spline()
     nonneg = float(np.min(f.values)) >= 0.0
 
     def second_factor(x):
-        out = spl(np.minimum(x / a, f.hi))
+        out = f.interpolant(np.minimum(x / a, f.hi))
         return np.maximum(out, 0.0) if nonneg else out
 
     def first_factor(x):
-        out = spl(x)
+        out = f.interpolant(x)
         return np.maximum(out, 0.0) if nonneg else out
 
     j = int(np.searchsorted(nodes, a + slack) - 1)
@@ -351,9 +361,10 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
 class _SelfConvKernel:
     """Evaluates the scaled self-convolution at every grid node at once.
 
-    Precomputes the triangular query table x_j / x_i (j <= i) so a sweep
-    costs one interpolant evaluation over ~M^2/2 points plus row
-    reductions.  Quadrature is the end-corrected trapezoid used by
+    The query points x_j / x_i (j <= i) never change, so the kernel keeps
+    each one's interpolant piece and offset, and a sweep costs one
+    polynomial evaluation over ~M^2/2 points, in blocks of _BLOCK, plus
+    row reductions.  Quadrature is the end-corrected trapezoid used by
     ``scaled_selfconv`` (degenerate rows fall back to plain trapezoid).
     """
 
@@ -364,21 +375,28 @@ class _SelfConvKernel:
         self.h = (hi - lo) / (m - 1)
         counts = np.arange(1, m + 1)
         self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        rows = np.repeat(np.arange(m), counts)
-        cols = np.concatenate([np.arange(i + 1) for i in range(m)])
-        self.cols = cols
-        self.queries = np.minimum(nodes[cols] / nodes[rows], hi)
         self.row_ends = self.offsets + np.arange(m)
+        rows = np.repeat(np.arange(m, dtype=np.int32), counts)
+        self.cols = np.concatenate([np.arange(i + 1, dtype=np.int32) for i in range(m)])
+        self.piece = np.empty(rows.size, dtype=np.int32)
+        self.offset = np.empty(rows.size)
+        for blk in self._blocks():
+            queries = np.minimum(nodes[self.cols[blk]] / nodes[rows[blk]], hi)
+            self.piece[blk], self.offset[blk] = _locate(nodes, queries)
+
+    def _blocks(self):
+        return (slice(k, k + _BLOCK) for k in range(0, self.cols.size, _BLOCK))
 
     def sweep(self, f: GridFunction) -> np.ndarray:
         if f.m != self.m or abs(f.lo - self.lo) > 1e-14 or abs(f.hi - self.hi) > 1e-14:
             raise ValueError("grid mismatch with kernel")
-        spl = f.spline()
         nonneg = float(np.min(f.values)) >= 0.0
-        p = spl(self.queries)
-        if nonneg:
-            np.maximum(p, 0.0, out=p)  # kill cubic undershoot on clamped data
-        p *= f.values[self.cols]
+        p = np.empty(self.cols.size)
+        for blk in self._blocks():
+            q = _value(f.pieces, self.piece[blk], self.offset[blk])
+            if nonneg:
+                np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
+            np.multiply(q, f.values[self.cols[blk]], out=p[blk])
         sums = np.add.reduceat(p, self.offsets)
         first = p[self.offsets]
         last = p[self.row_ends]
@@ -393,8 +411,8 @@ class _SelfConvKernel:
         out[2:] += corr
         # the two-sample row gets a midpoint Simpson instead of a bare trapezoid
         x_mid = 0.5 * (self.nodes[0] + self.nodes[1])
-        f1 = float(spl(x_mid))
-        f2 = float(spl(min(x_mid / self.nodes[1], self.hi)))
+        f1 = float(f.interpolant(x_mid))
+        f2 = float(f.interpolant(min(x_mid / self.nodes[1], self.hi)))
         if nonneg:
             f1, f2 = max(f1, 0.0), max(f2, 0.0)
         o1 = self.offsets[1]
@@ -402,16 +420,10 @@ class _SelfConvKernel:
         return out / self.nodes
 
 
-_KERNELS: dict[tuple, _SelfConvKernel] = {}
+# a solve sweeps one grid many times: keep the plans of the last few grids
+_kernel = lru_cache(maxsize=5)(_SelfConvKernel)
 
 
 def selfconv_on_nodes(f: GridFunction) -> np.ndarray:
     """Scaled self-convolution evaluated at every node of f's own grid."""
-    key = (f.lo, f.hi, f.m)
-    kern = _KERNELS.get(key)
-    if kern is None:
-        if len(_KERNELS) > 4:
-            _KERNELS.clear()
-        kern = _SelfConvKernel(*key)
-        _KERNELS[key] = kern
-    return kern.sweep(f)
+    return _kernel(f.lo, f.hi, f.m).sweep(f)

@@ -69,14 +69,34 @@ def residual_values(G: GridFunction, f: GridFunction) -> np.ndarray:
     return f.values + selfconv_on_nodes(f) - G.values
 
 
-def _check_interleaving(iterates: list[np.ndarray]) -> None:
-    for j in range(2, len(iterates)):
-        diff = iterates[j] - iterates[j - 2]
+def _sweeps(G: GridFunction, tau: float, max_sweeps: int,
+            tol: float = 0.0) -> list[GridFunction]:
+    """Iterates [G, T G, T^2 G, ...] of the clamped sweep map, which must interleave.
+
+    Stops once sup|f_j - f_{j-2}| < tol for both parities (j >= 4); a zero
+    tol runs all max_sweeps sweeps, a positive one raises if it needs more.
+    """
+    fs = [G]
+    widths = [np.inf, np.inf]
+    for j in range(1, max_sweeps + 1):
+        fs.append(apply_T(G, fs[-1], tau, clamp=True))
+        if j >= 2:
+            widths[j % 2] = float(np.max(np.abs(fs[j].values - fs[j - 2].values)))
+        if j >= 4 and max(widths) < tol:
+            break
+    else:
+        if tol > 0.0:
+            err = NumericFailure(f"bracket did not close within {max_sweeps} sweeps "
+                                 f"(last width {max(widths):.3e})")
+            err.bracket_width = max(widths)
+            raise err
+    for j in range(2, len(fs)):
+        diff = fs[j].values - fs[j - 2].values
         worst = float(np.max(diff)) if j % 2 == 0 else -float(np.min(diff))
         if worst > _MONO_FAIL:
-            raise NumericFailure(
-                f"grid too coarse: monotone interleaving violated by {worst:.3e} "
-                f"at iterate {j}")
+            raise NumericFailure(f"grid too coarse: monotone interleaving violated "
+                                 f"by {worst:.3e} at iterate {j}")
+    return fs
 
 
 def bracket_sequence(G: GridFunction, tau: float, k: int = 4) -> IterationReport:
@@ -88,10 +108,7 @@ def bracket_sequence(G: GridFunction, tau: float, k: int = 4) -> IterationReport
     """
     if k < 4:
         raise ValueError("need at least four iterates")
-    fs = [G]
-    for _ in range(k):
-        fs.append(apply_T(G, fs[-1], tau, clamp=True))
-    _check_interleaving([f.values for f in fs])
+    fs = _sweeps(G, tau, k)
     f3_min = float(np.min(fs[3].values))
     certified = False
     if f3_min > 0.0:
@@ -119,21 +136,7 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     rg = numeric_rg(G)
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")
-    fs = [G]
-    widths = [np.inf, np.inf]
-    for j in range(1, max_iter + 1):
-        fs.append(apply_T(G, fs[-1], tau, clamp=True))
-        if j >= 2:
-            widths[j % 2] = float(np.max(np.abs(fs[j].values - fs[j - 2].values)))
-        if j >= 4 and max(widths) < tol:
-            break
-    else:
-        err = NumericFailure(
-            f"bracket did not close within {max_iter} sweeps "
-            f"(last width {max(widths):.3e})")
-        err.bracket_width = max(widths)
-        raise err
-    _check_interleaving([f.values for f in fs])
+    fs = _sweeps(G, tau, max_iter, tol)
     even, odd = fs[-1], fs[-2]
     if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
         even, odd = fs[-2], fs[-1]

@@ -11,6 +11,7 @@ import mpursuit
 from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
+from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text, load_instance, save_instance
 
 
@@ -69,6 +70,36 @@ def test_config_file_and_flag_precedence(tmp_path):
     text = read(out)
     assert value_of(text, "s") == "0.5"     # file overrides default
     assert "out=" + str(out) in text          # flag overrides file
+
+
+def write_curve(tmp_path):
+    curve = tmp_path / "c.csv"
+    curve.write_text(GridFunction(0.5, 1.0, np.linspace(1.0, 2.0, 5)).to_csv())
+    return curve
+
+
+@pytest.mark.parametrize("value, flag", [("false", "False"), ("FALSE", "False"),
+                                         ("true", "True")])
+def test_config_bool_values(tmp_path, value, flag):
+    curve = write_curve(tmp_path)
+    cfgfile = tmp_path / "plot.cfg"
+    cfgfile.write_text(f"log_log={value}\n")
+    svg = tmp_path / "p.svg"
+    assert main(["plot", str(curve), "--config", str(cfgfile), "--out", str(svg)]) == 0
+    assert f"log_log={flag} " in read(svg)
+
+
+@pytest.mark.parametrize("value", ["no", "0", "yes", ""])
+def test_config_bool_other_value_is_a_usage_error(tmp_path, capsys, value):
+    curve = write_curve(tmp_path)
+    cfgfile = tmp_path / "plot.cfg"
+    cfgfile.write_text(f"log_log={value}\n")
+    svg = tmp_path / "p.svg"
+    capsys.readouterr()
+    assert main(["plot", str(curve), "--config", str(cfgfile), "--out", str(svg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "log_log" in err[0]
+    assert not svg.exists()
 
 
 def test_unknown_command_usage():
@@ -188,21 +219,37 @@ def test_verify_names_first_non_finite_row(saved_instance, route):
 
 def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, capsys):
     _, path = saved_instance
-    text = "".join(line for line in read(path).splitlines(keepends=True)
-                   if not line.startswith("epsilon="))
+    lines = read(path).splitlines(keepends=True)
+    no_epsilon = "".join(line for line in lines if not line.startswith("epsilon="))
     with pytest.raises(InstanceFormatError, match="epsilon="):
-        load_instance(text, is_text=True)
-    bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+        load_instance(no_epsilon, is_text=True)
+    # a [phi] data row cut to its x column
+    row = lines.index("[phi]\n") + 4
+    cut_phi = "".join(lines[:row] + [lines[row].split(",")[0] + "\n"] + lines[row + 1:])
+    for text, key in ((no_epsilon, "epsilon="), (cut_phi, "not two numbers")):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        capsys.readouterr()
+        for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
+                    ["run", "--out", str(tmp_path / "t.csv")]):
+            assert main(cmd + ["--instance", str(bad)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+def test_make_phi_short_profile_row_is_a_usage_error(tmp_path, capsys):
+    bad = write_curve(tmp_path)
+    lines = read(bad).splitlines()
+    lines[3] = "0.5"
+    bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
-                ["run", "--out", str(tmp_path / "t.csv")]):
-        assert main(cmd + ["--instance", str(bad)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "epsilon=" in err[0]
+    assert main(["make-phi", "--f-csv", str(bad), "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not two numbers" in err[0]
 
 
 def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
+    # scipy is a test-only reference: no command, build included, imports it
     _, path = saved_instance
     code = (
         "import json, sys\n"
@@ -210,7 +257,9 @@ def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
         f"codes = [main(['run', '--instance', {path!r}, '--steps', '50', "
         f"'--out', {str(tmp_path / 't.csv')!r}]),\n"
         f"         main(['verify', '--instance', {path!r}, "
-        f"'--out', {str(tmp_path / 'v.txt')!r}])]\n"
+        f"'--out', {str(tmp_path / 'v.txt')!r}]),\n"
+        "         main(['build', '--grid-m', '1001', '--t', '0.05', '--k', '200', "
+        f"'--n', '400', '--n-max', '900', '--outdir', {str(tmp_path / 'b')!r}])]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules "
         "if m.split('.')[0] == 'scipy')]))\n")
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
@@ -218,7 +267,7 @@ def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert scipy_modules == []
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.interpolate import CubicHermiteSpline
 
 from mpursuit.grid_functions import (GridFunction, _hermite_slopes, integrate,
-                                     log_between, log_tail, scaled_selfconv,
-                                     selfconv_on_nodes)
+                                     log_tail, scaled_selfconv, selfconv_on_nodes)
 
 
 def grid(lo, hi, fn, m=2001, **kw):
@@ -68,7 +69,7 @@ def test_log_tail_cumulative_consistency():
     g = grid(0.3, 1, lambda x: np.cos(x) + 2, m=1001)
     for x in (0.31, 0.5, 0.77, 0.99):
         total = log_tail(g, 0.3)
-        assert log_between(g, 0.3, x) + log_tail(g, x) == pytest.approx(total, abs=1e-10)
+        assert g.log_between(0.3, x) + log_tail(g, x) == pytest.approx(total, abs=1e-10)
 
 
 def test_log_tail_domain_errors():
@@ -91,10 +92,15 @@ def test_evaluation_extension_rules():
     assert ge(0.75) == pytest.approx(0.75, abs=1e-12)
 
 
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def test_evaluation_bit_identical_to_scipy(rng):
-    for _ in range(20):
+    # scipy is the reference only: the package evaluates its own piece tables
+    for trial in range(20):
         m = 2 * int(rng.integers(1, 600)) + 1
-        lo = float(rng.uniform(-1.0, 1.0))
+        lo = float(rng.uniform(-1.0, 1.0)) if trial % 2 else float(rng.uniform(0.01, 1.0))
         hi = lo + float(rng.uniform(0.01, 3.0))
         vals = rng.standard_normal(m) * 10.0 ** rng.uniform(-6, 6)
         vals[rng.integers(0, m, size=m // 4)] = -0.0
@@ -103,11 +109,21 @@ def test_evaluation_bit_identical_to_scipy(rng):
         n = int(rng.integers(2, 3000))
         inside = np.concatenate([g.nodes, [lo, hi], rng.uniform(lo, hi, 500),
                                  lo + (hi - lo) * np.arange(1, n) / n])
-        assert np.array_equal(g(inside).view(np.int64), ref(inside).view(np.int64))
+        assert np.array_equal(bits(g(inside)), bits(ref(inside)))
         outside = np.concatenate([rng.uniform(lo - 1.0, lo, 100),
                                   rng.uniform(hi, hi + 1.0, 100)])
-        assert np.array_equal(g.interpolant(outside).view(np.int64),
-                              ref(outside).view(np.int64))
+        assert np.array_equal(bits(g.interpolant(outside)), bits(ref(outside)))
+        assert np.array_equal(bits(g.derivative(inside)), bits(ref.derivative()(inside)))
+        u, v = rng.uniform(lo, hi, (2, 300))
+        anti = ref.antiderivative()
+        assert np.array_equal(bits(g.integral_between(u, v)), bits(anti(v) - anti(u)))
+        if lo <= 0.0:
+            continue  # g/z diverges at a nonzero node <= 0
+        w = g.values / g.nodes
+        log_anti = CubicHermiteSpline(g.nodes, w, _hermite_slopes(w, g.h)).antiderivative()
+        assert np.array_equal(bits(g.log_between(u, v)), bits(log_anti(v) - log_anti(u)))
+        tails = [log_tail(g, x) for x in u[:20]]
+        assert np.array_equal(bits(tails), bits(log_anti(hi) - log_anti(u[:20])))
 
 
 def test_derivative_accuracy():
@@ -135,7 +151,7 @@ def test_selfconv_constant_one():
 def test_selfconv_against_fine_quadrature():
     tau = 0.46
     g = grid(tau, 1, lambda x: x ** -0.7, m=2001)
-    spl = g.spline()
+    spl = CubicHermiteSpline(g.nodes, g.values, _hermite_slopes(g.values, g.h))
     for a in (0.55, 0.731, 0.9, 1.0):
         fine = np.linspace(tau, a, 80001)
         brute = np.trapezoid(spl(fine) * spl(np.minimum(fine / a, 1.0)), fine) / a
@@ -176,6 +192,48 @@ def test_csv_round_trip():
     assert back.lo == g.lo and back.hi == g.hi and back.m == g.m
     assert np.array_equal(back.values, g.values)
     assert back.extend_left_zero and not back.extend_right_hold
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 12).map(lambda k: 2 * k + 1),
+       lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3),
+       data=st.data())
+def test_csv_round_trip_exact_and_rows_required(m, lo, width, data):
+    vals = np.array(data.draw(st.lists(_finite | st.just(-0.0), min_size=m, max_size=m)))
+    g = GridFunction(lo, lo + width, vals, extend_right_hold=True)
+    text = g.to_csv()
+    back = GridFunction.from_csv(text)
+    assert (back.lo, back.hi, back.m) == (g.lo, g.hi, g.m)
+    assert np.array_equal(bits(back.values), bits(g.values))   # -0.0 included
+    assert back.extend_right_hold and not back.extend_left_zero
+    # one dropped row leaves an even node count; two leave an odd count that
+    # only the header's M catches
+    lines = text.splitlines()
+    drop = data.draw(st.sets(st.sampled_from([i for i, line in enumerate(lines)
+                                              if line != "x,value"]),
+                             min_size=1, max_size=2))
+    with pytest.raises(ValueError):
+        GridFunction.from_csv("\n".join(line for i, line in enumerate(lines)
+                                        if i not in drop))
+
+
+@pytest.mark.parametrize("row", ["0.5", "0.5,1.0,2.0", "0.5,abc", ","])
+def test_csv_malformed_row_is_a_value_error(row):
+    lines = grid(0, 1, np.exp, m=5).to_csv().splitlines()
+    lines[3] = row
+    with pytest.raises(ValueError, match="not two numbers"):
+        GridFunction.from_csv("\n".join(lines))
+
+
+def test_csv_row_count_must_match_header():
+    text = grid(0, 1, np.exp, m=5).to_csv()
+    with pytest.raises(ValueError, match="M=5"):
+        GridFunction.from_csv(text + "1.25,3.0\n")
+    with pytest.raises(ValueError, match="lo/hi/M header"):
+        GridFunction.from_csv(text.replace(",M=5", ""))
 
 
 def test_refined_reproduces_values():
