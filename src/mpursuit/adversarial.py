@@ -37,6 +37,7 @@ __all__ = [
 CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
+_VERIFY_BLOCK = 512  # residual rows per direct-route matmul in verify
 
 
 def q_of(n, beta: float):
@@ -513,7 +514,7 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def verify(instance: AdversarialInstance, block: int = 512) -> VerificationReport:
+def verify(instance: AdversarialInstance) -> VerificationReport:
     """Check every selection inequality by both routes and compare them.
 
     Reports (never raises): minimum normalized margin over all pairs
@@ -539,8 +540,8 @@ def verify(instance: AdversarialInstance, block: int = 512) -> VerificationRepor
     n_pairs = 0
     first_nonfinite = None
 
-    for lo in range(N + 1, n_max + 1, block):
-        hi = min(lo + block - 1, n_max)
+    for lo in range(N + 1, n_max + 1, _VERIFY_BLOCK):
+        hi = min(lo + _VERIFY_BLOCK - 1, n_max)
         rows = st.r_hist[lo - 1 - N: hi - N]   # r_{n-1} for n in [lo, hi]
         direct = rows @ atoms_mat.T
         til_direct = rows @ dtil

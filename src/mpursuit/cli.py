@@ -14,14 +14,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .adversarial import build_instance, verify
 from .analysis import check_bounds, fit_decay
 from .constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from .errors import NumericFailure
-from .greedy_algorithms import ALGORITHMS, GreedyTrace, TraceStep, run
+from .greedy_algorithms import GreedyTrace, run
 from .grid_functions import GridFunction
 from .instance_io import load_instance, save_instance
 from .integral_equation import residual_on_refined, solve_f
@@ -38,32 +36,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    for line in _read(path).splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
             key, _, val = line.partition("=")
             out[key.strip()] = val.strip()
     return out
 
 
-def _resolve(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
-        file_cfg = _read_config_file(args.config)
-        for key, val in file_cfg.items():
-            if key not in cfg:
-                continue
-            kind = type(defaults[key]) if defaults[key] is not None else str
-            if kind is bool and val.lower() not in ("true", "false"):
+def _resolve(args, options: dict) -> dict:
+    """Table defaults < config file < explicit flags.
+
+    A config key that only another command declares is ignored, so one
+    file can serve the whole pipeline; a key that no command declares is
+    a usage error.
+    """
+    cfg = dict(options)
+    for key, val in (_read_config_file(args.config) if args.config else {}).items():
+        if key not in options:
+            if not any(key in opts for _, _, opts in COMMANDS.values()):
+                raise ValueError(f"config key {key!r} is not an option of any command")
+            continue
+        kind = type(options[key])
+        if kind is bool:
+            if val.lower() not in ("true", "false"):
                 raise ValueError(f"config {key}={val!r}: expected true or false")
-            cfg[key] = val.lower() == "true" if kind is bool else kind(val)
+            val = val.lower() == "true"
+        cfg[key] = kind(val)
     for key in cfg:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     return cfg
@@ -91,14 +99,8 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_constants(args) -> int:
-    cfg = _resolve(args, {"shrinkage": 1.0, "beta_margin": 0.002,
-                          "tau_margin": 0.98, "out": "constants.txt"})
-    s = cfg["shrinkage"]
-    if not 0.0 < s <= 1.0:
-        print("shrinkage must lie in (0, 1]", file=sys.stderr)
-        return EXIT_USAGE
-    rate = solve_gamma(s)
+def cmd_constants(cfg) -> int:
+    rate = solve_gamma(cfg["shrinkage"])
     beta_star = solve_beta_star()
     t_star = tau_star(beta_star)
     beta_op, tau_op = operating_point(cfg["beta_margin"], cfg["tau_margin"])
@@ -125,10 +127,6 @@ def cmd_constants(args) -> int:
     return EXIT_OK if bun.all_strict else EXIT_VERIFY
 
 
-_SOLVE_DEFAULTS = {"beta_margin": 0.002, "tau_margin": 0.98, "grid_m": 2001,
-                   "tol": 1e-8, "max_iter": 500, "outdir": "."}
-
-
 def _solve_profile(cfg):
     beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
     bun = bundle(beta, tau)
@@ -140,8 +138,7 @@ def _solve_profile(cfg):
 def _phi_profile(cfg):
     """(beta, tau, profile, condition report) from --f-csv or a fresh solve."""
     if cfg["f_csv"]:
-        with open(cfg["f_csv"], "r", encoding="utf-8") as fh:
-            fbar = GridFunction.from_csv(fh.read())
+        fbar = GridFunction.from_csv(_read(cfg["f_csv"]))
         beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
     else:
         beta, tau, _, report = _solve_profile(cfg)
@@ -151,8 +148,7 @@ def _phi_profile(cfg):
     return beta, tau, profile, report
 
 
-def cmd_solve_f(args) -> int:
-    cfg = _resolve(args, _SOLVE_DEFAULTS)
+def cmd_solve_f(cfg) -> int:
     beta, tau, g, report = _solve_profile(cfg)
     head = _header("solve-f", cfg)
     for j, it in enumerate(report.iterates[:4]):
@@ -177,8 +173,7 @@ def cmd_solve_f(args) -> int:
     return EXIT_OK
 
 
-def cmd_make_phi(args) -> int:
-    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "t": 0.01, "f_csv": ""})
+def cmd_make_phi(cfg) -> int:
     beta, tau, profile, report = _phi_profile(cfg)
     head = _header("make-phi", cfg)
     _write(os.path.join(cfg["outdir"], "phi.csv"), head + profile.phi.to_csv())
@@ -195,9 +190,7 @@ def cmd_make_phi(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_VERIFY
 
 
-def cmd_build(args) -> int:
-    cfg = _resolve(args, {**_SOLVE_DEFAULTS, "t": 0.05, "f_csv": "", "k": 200,
-                          "n": 400, "n_max": 5000, "epsilon": 0.0})
+def cmd_build(cfg) -> int:
     beta, tau, profile, cond_report = _phi_profile(cfg)
     eps = cfg["epsilon"] if cfg["epsilon"] > 0.0 else None
     instance, vreport = build_instance(profile, K=cfg["k"], N=cfg["n"],
@@ -225,8 +218,7 @@ def cmd_build(args) -> int:
     return EXIT_OK if vreport.passed else EXIT_VERIFY
 
 
-def cmd_verify(args) -> int:
-    cfg = _resolve(args, {"instance": "instance.txt", "out": "verify_report.txt"})
+def cmd_verify(cfg) -> int:
     head = _header("verify", cfg)
     try:
         instance = load_instance(cfg["instance"])
@@ -242,12 +234,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    cfg = _resolve(args, {"instance": "instance.txt", "alg": "pga",
-                          "steps": 0, "shrinkage": 1.0, "out": ""})
-    if cfg["alg"] not in ALGORITHMS:
-        print(f"unknown algorithm {cfg['alg']!r}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_run(cfg) -> int:
     instance = load_instance(cfg["instance"])
     p = instance.params
     steps = cfg["steps"] if cfg["steps"] > 0 else p.n_max - p.N
@@ -260,28 +247,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _trace_from_csv(path: str) -> tuple[GreedyTrace, int]:
-    offset = 0
-    trace = GreedyTrace(algorithm="file", shrinkage=1.0)
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("# index_offset="):
-                offset = int(line.partition("=")[2])
-                continue
-            if not line or line.startswith("#") or line.startswith("n,"):
-                continue
-            n_s, rn, atom, sign, coeff = line.split(",")
-            trace.steps.append(TraceStep(int(n_s), atom, int(sign),
-                                         float(coeff), float(rn)))
-    return trace, offset
-
-
-def cmd_rate(args) -> int:
-    cfg = _resolve(args, {"trace": "trace_pga.csv", "n_min": 500,
-                          "n_max": 5000, "offset": -1, "alpha": 0.0,
-                          "variation_bound": 0.0, "out": "rate_report.txt"})
-    trace, file_offset = _trace_from_csv(cfg["trace"])
+def cmd_rate(cfg) -> int:
+    trace, file_offset = GreedyTrace.from_csv(_read(cfg["trace"]))
     offset = cfg["offset"] if cfg["offset"] >= 0 else file_offset
     fit = fit_decay(trace, cfg["n_min"], cfg["n_max"], index_offset=offset)
     lines = [
@@ -303,105 +270,71 @@ def cmd_rate(args) -> int:
 
 
 def _load_curve(path: str):
-    xs, ys = [], []
-    kind = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("x,"):
-                kind = "grid"
-                continue
-            if line.startswith("n,"):
-                kind = "trace"
-                continue
-            parts = line.split(",")
-            xs.append(float(parts[0]))
-            ys.append(float(parts[1]))
-    if kind is None:
-        raise ValueError(f"{path}: not a grid or trace CSV")
-    return np.array(xs), np.array(ys)
+    """(x, y) of a grid CSV (nodes, values) or a trace CSV (n, residual norm)."""
+    text = _read(path)
+    lines = {line.strip() for line in text.splitlines()}
+    if "x,value" in lines:
+        g = GridFunction.from_csv(text)
+        return g.nodes, g.values
+    if GreedyTrace.CSV_HEADER in lines:
+        trace, _ = GreedyTrace.from_csv(text)
+        return [step.step_index for step in trace.steps], trace.residual_norms
+    raise ValueError(f"{path}: not a grid or trace CSV")
 
 
-def cmd_plot(args) -> int:
-    cfg = _resolve(args, {"out": "plot.svg", "log_log": False, "title": ""})
-    if not args.inputs:
-        print("plot needs at least one input CSV", file=sys.stderr)
-        return EXIT_USAGE
-    curves, labels = [], []
-    for path in args.inputs:
-        curves.append(_load_curve(path))
-        labels.append(os.path.splitext(os.path.basename(path))[0])
+def cmd_plot(cfg, *inputs) -> int:
+    curves = [_load_curve(path) for path in inputs]
+    labels = [os.path.splitext(os.path.basename(path))[0] for path in inputs]
     line_plot(curves, labels, cfg["out"], log_x=cfg["log_log"],
               log_y=cfg["log_log"], title=cfg["title"],
               header_lines=[_header("plot", cfg).strip()])
     return EXIT_OK
 
 
-# ---------------------------------------------------------------- parser
+# ------------------------------------------------------------- option table
+
+_MARGINS = {"beta_margin": 0.002, "tau_margin": 0.98}
+_SOLVE = {**_MARGINS, "grid_m": 2001, "tol": 1e-8, "max_iter": 500, "outdir": "."}
+
+# command -> (handler, help, {option: default}).  Each option is a --flag
+# and a config key; its default fixes its type, and a bool is a switch.
+# A handler takes the resolved config (plot also its input paths).
+COMMANDS = {
+    "constants": (cmd_constants, "solve the rate equations and closed forms",
+                  {"shrinkage": 1.0, **_MARGINS, "out": "constants.txt"}),
+    "solve-f": (cmd_solve_f, "solve the profile integral equation", _SOLVE),
+    "make-phi": (cmd_make_phi, "mollify and certify the weight profile",
+                 {**_SOLVE, "t": 0.01, "f_csv": ""}),
+    "build": (cmd_build, "build and verify a worst-case instance",
+              {**_SOLVE, "t": 0.05, "f_csv": "", "k": 200, "n": 400,
+               "n_max": 5000, "epsilon": 0.0}),
+    "verify": (cmd_verify, "replay an instance file and verify it",
+               {"instance": "instance.txt", "out": "verify_report.txt"}),
+    "run": (cmd_run, "run a greedy algorithm on an instance",
+            {"instance": "instance.txt", "alg": "pga", "steps": 0,
+             "shrinkage": 1.0, "out": ""}),
+    "rate": (cmd_rate, "fit a decay exponent to a trace CSV",
+             {"trace": "trace_pga.csv", "n_min": 500, "n_max": 5000, "offset": -1,
+              "alpha": 0.0, "variation_bound": 0.0, "out": "rate_report.txt"}),
+    "plot": (cmd_plot, "render grid/trace CSVs to a static SVG",
+             {"out": "plot.svg", "log_log": False, "title": ""}),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="mpursuit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("constants", help="solve the rate equations and closed forms")
-    sp.add_argument("--shrinkage", type=float, default=None)
-    sp.add_argument("--beta-margin", dest="beta_margin", type=float, default=None)
-    sp.add_argument("--tau-margin", dest="tau_margin", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_constants)
-
-    solve = (("--beta-margin", float), ("--tau-margin", float), ("--grid-m", int),
-             ("--tol", float), ("--max-iter", int))
-    profile = (("--t", float), ("--f-csv", str))
-    for name, help_text, func, flags in (
-            ("solve-f", "solve the profile integral equation", cmd_solve_f, solve),
-            ("make-phi", "mollify and certify the weight profile", cmd_make_phi,
-             solve + profile),
-            ("build", "build and verify a worst-case instance", cmd_build,
-             solve + profile + (("--k", int), ("--n", int), ("--n-max", int),
-                                ("--epsilon", float)))):
+    for name, (_, help_text, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        for flag, typ in flags + (("--outdir", str),):
-            sp.add_argument(flag, type=typ, help="solved profile CSV (skips the solve)"
-                            if flag == "--f-csv" else None)
-        sp.set_defaults(func=func)
-
-    sp = sub.add_parser("verify", help="replay an instance file and verify it")
-    sp.add_argument("--instance", default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("run", help="run a greedy algorithm on an instance")
-    sp.add_argument("--instance", default=None)
-    sp.add_argument("--alg", default=None, choices=ALGORITHMS)
-    sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--shrinkage", type=float, default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_run)
-
-    sp = sub.add_parser("rate", help="fit a decay exponent to a trace CSV")
-    sp.add_argument("--trace", default=None)
-    sp.add_argument("--n-min", dest="n_min", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--offset", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--variation-bound", dest="variation_bound", type=float,
-                    default=None)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_rate)
-
-    sp = sub.add_parser("plot", help="render grid/trace CSVs to a static SVG")
-    sp.add_argument("inputs", nargs="*")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--log-log", dest="log_log", action="store_const", const=True,
-                    default=None)
-    sp.add_argument("--title", default=None)
-    sp.set_defaults(func=cmd_plot)
-    for sp in sub.choices.values():
+        if name == "plot":
+            sp.add_argument("inputs", nargs="+", help="grid or trace CSVs")
+        for key, default in options.items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                sp.add_argument(flag, action="store_const", const=True, help="switch")
+            else:
+                sp.add_argument(flag, type=type(default), help=f"default: {default!r}")
         sp.add_argument("--config", help="flat key=value config file")
     return parser
 
@@ -412,8 +345,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, _, options = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, options), *getattr(args, "inputs", ()))
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -105,12 +105,32 @@ class GreedyTrace:
     def coefficients(self) -> np.ndarray:
         return np.array([s.coefficient for s in self.steps])
 
+    CSV_HEADER = "n,residual_norm,atom_id,sign,coefficient"
+
     def to_csv(self) -> str:
-        lines = ["n,residual_norm,atom_id,sign,coefficient"]
+        lines = [self.CSV_HEADER]
         for s in self.steps:
             lines.append(f"{s.step_index},{s.residual_norm:.17g},{s.atom_id},"
                          f"{s.sign},{s.coefficient:.17g}")
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_csv(cls, text: str) -> tuple["GreedyTrace", int]:
+        """Parse `to_csv` output and the `# index_offset=` line `mpursuit run` writes
+        above it: (trace, offset), the offset 0 when the line is absent."""
+        trace, offset = cls(algorithm="file", shrinkage=1.0), 0
+        for line in text.splitlines():
+            line = line.strip()
+            if line.startswith("# index_offset="):
+                offset = int(line.partition("=")[2])
+            elif line and not line.startswith("#") and line != cls.CSV_HEADER:
+                try:
+                    n, rn, atom, sign, coeff = line.split(",")
+                    step = TraceStep(int(n), atom, int(sign), float(coeff), float(rn))
+                except ValueError:
+                    raise ValueError(f"trace CSV row {line!r} is not {cls.CSV_HEADER}") from None
+                trace.steps.append(step)
+        return trace, offset
 
 
 def _select(matrix: np.ndarray, r: np.ndarray, live: int):

@@ -256,7 +256,8 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
-        head, vals = {}, []
+        """Parse `to_csv` output; each row's x must be its grid node."""
+        head, xs, vals = {}, [], []
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("#"):
@@ -265,17 +266,25 @@ class GridFunction:
                                 for part in line.lstrip("# ").split(","))
             elif line and not line.startswith("x,"):
                 try:
-                    _, v = map(float, line.split(","))
+                    x, v = map(float, line.split(","))
                 except ValueError:
                     raise ValueError(f"grid CSV row {line!r} is not two numbers") from None
+                xs.append(x)
                 vals.append(v)
         if not {"lo", "hi", "M"} <= head.keys():
             raise ValueError("grid CSV is missing the lo/hi/M header")
         if len(vals) != int(head["M"]):
             raise ValueError(f"grid CSV has {len(vals)} rows, its header says M={head['M']}")
-        return cls(float(head["lo"]), float(head["hi"]), np.array(vals),
-                   extend_left_zero=head.get("ext_left") == "zero",
-                   extend_right_hold=head.get("ext_right") == "hold")
+        g = cls(float(head["lo"]), float(head["hi"]), np.array(vals),
+                extend_left_zero=head.get("ext_left") == "zero",
+                extend_right_hold=head.get("ext_right") == "hold")
+        xs = np.array(xs)
+        off = np.flatnonzero(~(np.abs(xs - g.nodes) <= _EDGE_SLACK * (g.hi - g.lo)))
+        if off.size:
+            i = int(off[0])
+            raise ValueError(f"grid CSV row x={float(xs[i])!r} is not grid node {i}, "
+                             f"{float(g.nodes[i])!r}")
+        return g
 
 
 # -- module-level operations ----------------------------------------------

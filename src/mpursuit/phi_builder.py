@@ -42,7 +42,7 @@ def kernel_mass() -> float:
     return float(_GL_WEIGHTS @ bump_kernel(_GL_NODES))
 
 
-def mollify(f: GridFunction, t: float, m_nodes: int | None = None) -> GridFunction:
+def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolve the extended f with the width-t bump; result lives on [0, 1].
 
     f must carry the construction's extension rules (zero below tau, hold
@@ -50,16 +50,15 @@ def mollify(f: GridFunction, t: float, m_nodes: int | None = None) -> GridFuncti
     cut at the kernel preimages of the jump at tau, the kink at 1, and
     every grid node of f (the interpolant is only C^1 across nodes, which
     would otherwise cap Gauss-Legendre accuracy), with a 12-point rule on
-    each polynomial-times-kernel piece.
+    each polynomial-times-kernel piece.  The result has f's node count.
     """
     if not (f.extend_left_zero and f.extend_right_hold):
         raise ValueError("f must carry the zero-left / hold-right extension rules")
     tau = f.lo
     if not 0.0 < t < tau:
         raise ValueError("mollification width must satisfy 0 < t < tau")
-    m = f.m if m_nodes is None else m_nodes
-    xs = np.linspace(0.0, 1.0, m)
-    out = np.zeros(m)
+    xs = np.linspace(0.0, 1.0, f.m)
+    out = np.zeros(f.m)
     f_nodes = f.nodes
     for i, x in enumerate(xs):
         # f(x - t u) vanishes for u above (x - tau)/t
@@ -264,7 +263,6 @@ class PhiProfile:
 
 
 def build_profile(f: GridFunction, beta: float, tau: float, t: float = 0.01,
-                  m_nodes: int | None = None, fallback: bool = True,
                   t_min: float = 1e-4):
     """Mollify, normalize and certify; halve t until certification passes.
 
@@ -273,7 +271,7 @@ def build_profile(f: GridFunction, beta: float, tau: float, t: float = 0.01,
     """
     t_cur = t
     while True:
-        phi_bar = mollify(f, t_cur, m_nodes=m_nodes)
+        phi_bar = mollify(f, t_cur)
         c_t, phi = normalize(phi_bar, beta)
         window = np.linspace(max(0.0, tau - t_cur), min(1.0, tau + t_cur), 501)
         report = check_conditions(phi, beta, tau, "phi_form", extra_points=window)
@@ -281,7 +279,7 @@ def build_profile(f: GridFunction, beta: float, tau: float, t: float = 0.01,
             profile = PhiProfile(phi=phi, t=t_cur, c_t=c_t,
                                  delta=tau - 2.0 * t_cur, beta=beta, tau=tau)
             return profile, report
-        if not fallback or t_cur / 2.0 < t_min:
+        if t_cur / 2.0 < t_min:
             raise NumericFailure(
                 f"no mollification width in the fallback schedule certifies the "
                 f"profile (stopped at t={t_cur:g})")

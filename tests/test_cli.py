@@ -11,6 +11,7 @@ import mpursuit
 from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
+from mpursuit.greedy_algorithms import GreedyTrace
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text, load_instance, save_instance
 
@@ -24,6 +25,16 @@ def value_of(text, key):
     m = re.search(rf"^{re.escape(key)}=(.*)$", text, re.MULTILINE)
     assert m, f"{key} not found"
     return m.group(1)
+
+
+def error_line(capsys, usage=False):
+    """The one `error:` line on stderr; argparse's usage lines come first."""
+    err = capsys.readouterr().err.splitlines()
+    if usage:
+        assert err and err[0].startswith("usage:"), err
+        err = [line for line in err if not line.startswith(("usage:", " "))]
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
 def test_constants_default(tmp_path):
@@ -41,9 +52,12 @@ def test_constants_small_shrinkage(tmp_path):
     assert abs(float(value_of(read(out), "alpha")) - 0.305) < 0.001
 
 
-def test_constants_usage_error(tmp_path):
-    assert main(["constants", "--shrinkage", "2",
-                 "--out", str(tmp_path / "c.txt")]) == 1
+def test_constants_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    for value in ("2", "0", "-0.5", "nan"):
+        assert main(["constants", "--shrinkage", value, "--out", str(out)]) == 1
+        assert error_line(capsys) == "error: shrinkage must lie in (0, 1]"
+    assert not out.exists()
 
 
 def test_constants_reruns_byte_identical(tmp_path):
@@ -72,6 +86,26 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert "out=" + str(out) in text          # flag overrides file
 
 
+def test_config_key_no_command_declares_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("shrinkage=0.5\nnmax=100\n")     # a typo of n_max
+    out = tmp_path / "c.txt"
+    assert main(["constants", "--config", str(cfgfile), "--out", str(out)]) == 1
+    assert "'nmax'" in error_line(capsys)
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path):
+    # one file serves the whole pipeline: build's and run's keys pass constants by
+    cfgfile = tmp_path / "pipeline.cfg"
+    cfgfile.write_text("n_max=100\nalg=oga\nlog_log=maybe\nshrinkage=0.5\n")
+    out = tmp_path / "c.txt"
+    assert main(["constants", "--config", str(cfgfile), "--out", str(out)]) == 0
+    text = read(out)
+    assert value_of(text, "s") == "0.5"
+    assert "n_max" not in text and "alg" not in text and "log_log" not in text
+
+
 def write_curve(tmp_path):
     curve = tmp_path / "c.csv"
     curve.write_text(GridFunction(0.5, 1.0, np.linspace(1.0, 2.0, 5)).to_csv())
@@ -97,8 +131,7 @@ def test_config_bool_other_value_is_a_usage_error(tmp_path, capsys, value):
     svg = tmp_path / "p.svg"
     capsys.readouterr()
     assert main(["plot", str(curve), "--config", str(cfgfile), "--out", str(svg)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "log_log" in err[0]
+    assert "log_log" in error_line(capsys)
     assert not svg.exists()
 
 
@@ -136,8 +169,38 @@ def test_solve_and_phi_pipeline(tmp_path):
     assert it3.min() > 0.0
 
 
-def test_plot_requires_inputs(tmp_path):
+def test_plot_requires_inputs(tmp_path, capsys):
     assert main(["plot", "--out", str(tmp_path / "x.svg")]) == 1
+    assert "inputs" in error_line(capsys, usage=True)
+    assert not (tmp_path / "x.svg").exists()
+
+
+TRACE_HEAD = "# index_offset=400\nn,residual_norm,atom_id,sign,coefficient\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# lo=0,hi=1,M=3\nx,value\n0,1\n0.5\n1,1\n", "not two numbers"),
+    (TRACE_HEAD + "1,0.5,d401,1,0.1\n2,0.4,d402,1\n", "is not n,residual_norm"),
+    ("a,b\n1,2\n", "not a grid or trace CSV"),
+])
+def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
+    good, bad = write_curve(tmp_path), tmp_path / "bad.csv"
+    bad.write_text(text)
+    svg = tmp_path / "p.svg"
+    capsys.readouterr()
+    assert main(["plot", str(good), str(bad), "--out", str(svg)]) == 1
+    assert message in error_line(capsys)
+    assert not svg.exists()
+
+
+def test_rate_short_trace_row_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(TRACE_HEAD + "1,0.5,d401,1,0.1\n2,0.4,d402,1\n")
+    out = tmp_path / "r.txt"
+    capsys.readouterr()
+    assert main(["rate", "--trace", str(bad), "--out", str(out)]) == 1
+    assert "'2,0.4,d402,1' is not n,residual_norm" in error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -223,18 +286,20 @@ def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, 
     no_epsilon = "".join(line for line in lines if not line.startswith("epsilon="))
     with pytest.raises(InstanceFormatError, match="epsilon="):
         load_instance(no_epsilon, is_text=True)
-    # a [phi] data row cut to its x column
+    # a [phi] data row cut to its x column, and one whose x is off its node
     row = lines.index("[phi]\n") + 4
-    cut_phi = "".join(lines[:row] + [lines[row].split(",")[0] + "\n"] + lines[row + 1:])
-    for text, key in ((no_epsilon, "epsilon="), (cut_phi, "not two numbers")):
+    x, value = lines[row].split(",")
+    cut_phi = "".join(lines[:row] + [x + "\n"] + lines[row + 1:])
+    moved_x = "".join(lines[:row] + [f"{float(x) + 1e-6!r},{value}"] + lines[row + 1:])
+    for text, key in ((no_epsilon, "epsilon="), (cut_phi, "not two numbers"),
+                      (moved_x, "is not grid node 1")):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         capsys.readouterr()
         for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
                     ["run", "--out", str(tmp_path / "t.csv")]):
             assert main(cmd + ["--instance", str(bad)]) == 1
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+            assert key in error_line(capsys)
 
 
 def test_make_phi_short_profile_row_is_a_usage_error(tmp_path, capsys):
@@ -244,8 +309,7 @@ def test_make_phi_short_profile_row_is_a_usage_error(tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["make-phi", "--f-csv", str(bad), "--outdir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "not two numbers" in err[0]
+    assert "not two numbers" in error_line(capsys)
 
 
 def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
@@ -269,6 +333,15 @@ def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0]
     assert scipy_modules == []
+
+
+def test_run_unknown_algorithm_is_a_usage_error(tmp_path, capsys, saved_instance):
+    _, path = saved_instance
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    assert main(["run", "--instance", path, "--alg", "frob", "--out", str(out)]) == 1
+    assert error_line(capsys) == "error: unknown algorithm 'frob'"
+    assert not out.exists()
 
 
 def test_run_and_rate_commands(tmp_path, saved_instance):
@@ -335,3 +408,33 @@ def test_instance_text_round_trip(saved_instance):
     assert np.array_equal(inst.state.atoms, inst2.state.atoms)
     assert np.array_equal(inst.state.r_hist, inst2.state.r_hist)
     assert instance_to_text(inst2) == body
+
+
+@pytest.fixture(scope="module")
+def instance_2500(tmp_path_factory):
+    out = tmp_path_factory.mktemp("b2500")
+    assert main(["build", "--n-max", "2500", "--outdir", str(out)]) == 0
+    return str(out / "instance.txt")
+
+
+@pytest.mark.parametrize("alg", ["pga", "oga"])
+def test_run_output_contract_across_blas_threads(tmp_path, instance_2500, alg):
+    """The output contract of DECISIONS.md: at 1 and 2 BLAS threads a run
+    picks the same atoms with the same signs, and each residual norm agrees
+    to 4 ulps.  With OpenBLAS at n_max=2500 the two traces part in their
+    last bits (PGA from step 1047 or later, OGA from step 191), so the
+    bound is exercised; at n_max=900 they are bit-identical."""
+    src = os.path.dirname(os.path.dirname(mpursuit.__file__))
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"trace_{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "mpursuit.cli", "run", "--instance",
+                        instance_2500, "--alg", alg, "--out", str(out)],
+                       env=env, check=True)
+        traces.append(GreedyTrace.from_csv(read(out))[0])
+    one, two = traces
+    assert len(one.steps) == len(two.steps) == 2100
+    assert [(s.atom_id, s.sign) for s in one.steps] == [(s.atom_id, s.sign) for s in two.steps]
+    r1, r2 = one.residual_norms, two.residual_norms
+    assert np.all(np.abs(r1 - r2) <= 4 * np.spacing(r2))

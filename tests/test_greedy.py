@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpursuit.greedy_algorithms import Dictionary, run, select_atom
+from mpursuit.greedy_algorithms import Dictionary, GreedyTrace, run, select_atom
 from mpursuit.linear_core import CoeffVector, basis_vector
 
 
@@ -204,6 +204,17 @@ def test_trace_csv_shape():
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "n,residual_norm,atom_id,sign,coefficient"
     assert len(lines) == 3
+    back, offset = GreedyTrace.from_csv("# index_offset=7\n" + trace.to_csv())
+    assert back.steps == trace.steps and offset == 7
+    assert GreedyTrace.from_csv(trace.to_csv())[1] == 0
+
+
+@pytest.mark.parametrize("row", ["1,0.5,a0,1", "1,0.5,a0,1,0.1,9", "x,0.5,a0,1,0.1",
+                                 "1,0.5,a0,+,0.1"])
+def test_trace_csv_malformed_row_is_a_value_error(row):
+    text = "n,residual_norm,atom_id,sign,coefficient\n" + row + "\n"
+    with pytest.raises(ValueError, match="is not n,residual_norm"):
+        GreedyTrace.from_csv(text)
 
 
 def reference_run(algorithm, f, d, steps, shrinkage=1.0, variation_bound=None):

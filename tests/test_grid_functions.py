@@ -236,6 +236,20 @@ def test_csv_row_count_must_match_header():
         GridFunction.from_csv(text.replace(",M=5", ""))
 
 
+@pytest.mark.parametrize("x, ok", [("7.0", False), ("0.626", False),
+                                   ("0.62500000000100", False), ("0.62500000000010", True)])
+def test_csv_x_must_be_the_grid_node(x, ok):
+    # nodes 0.5, 0.625, ..., 1; the slack is 1e-12 * (hi - lo) = 5e-13
+    text = GridFunction(0.5, 1.0, np.linspace(1.0, 2.0, 5)).to_csv()
+    assert "\n0.625,1.25\n" in text
+    text = text.replace("\n0.625,", f"\n{x},")
+    if ok:
+        assert GridFunction.from_csv(text).values[1] == 1.25
+    else:
+        with pytest.raises(ValueError, match=f"x={float(x)!r} is not grid node 1"):
+            GridFunction.from_csv(text)
+
+
 def test_refined_reproduces_values():
     g = grid(0, 1, lambda x: np.exp(x), m=501)
     fine = g.refined(2)
