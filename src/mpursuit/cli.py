@@ -19,7 +19,7 @@ from .adversarial import build_instance, verify
 from .analysis import check_bounds, fit_decay
 from .constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from .errors import NumericFailure
-from .greedy_algorithms import GreedyTrace, run
+from .greedy_algorithms import GreedyTrace, check_algorithm, run
 from .grid_functions import GridFunction
 from .instance_io import load_instance, save_instance
 from .integral_equation import residual_on_refined, solve_f
@@ -65,11 +65,12 @@ def _resolve(args, options: dict) -> dict:
                 raise ValueError(f"config key {key!r} is not an option of any command")
             continue
         kind = type(options[key])
-        if kind is bool:
-            if val.lower() not in ("true", "false"):
-                raise ValueError(f"config {key}={val!r}: expected true or false")
-            val = val.lower() == "true"
-        cfg[key] = kind(val)
+        try:
+            if kind is bool and val.lower() not in ("true", "false"):
+                raise ValueError("expected true or false")
+            cfg[key] = val.lower() == "true" if kind is bool else kind(val)
+        except ValueError as err:
+            raise ValueError(f"config {key}={val!r}: {err}") from None
     for key in cfg:
         flag = getattr(args, key)
         if flag is not None:
@@ -235,6 +236,7 @@ def cmd_verify(cfg) -> int:
 
 
 def cmd_run(cfg) -> int:
+    check_algorithm(cfg["alg"])  # before the instance is loaded and replayed
     instance = load_instance(cfg["instance"])
     p = instance.params
     steps = cfg["steps"] if cfg["steps"] > 0 else p.n_max - p.N

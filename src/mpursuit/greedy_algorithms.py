@@ -16,7 +16,7 @@ import numpy as np
 from .linear_core import CoeffVector
 
 __all__ = ["Dictionary", "TraceStep", "GreedyTrace", "select_atom", "run",
-           "ALGORITHMS"]
+           "check_algorithm", "ALGORITHMS"]
 
 ALGORITHMS = ("pga", "pga_shrink", "oga", "rga")
 
@@ -28,6 +28,7 @@ UNIT_NORM_TOL = 1e-9
 # the 2500 and 5000 instances, while an unaligned prefix changes the kernel's
 # tail handling and with it the last bit of some products.
 _PREFIX_ALIGN = 64
+_REORTHOGONALIZE = 2.0 ** -0.5  # DGKS: Daniel, Gragg, Kaufman & Stewart, 1976
 
 
 class Dictionary:
@@ -158,24 +159,30 @@ def select_atom(residual: CoeffVector, dictionary: Dictionary):
     return dictionary.labels[j], sign, value
 
 
+def check_algorithm(algorithm: str) -> None:
+    """Raise ValueError unless `algorithm` is one of ALGORITHMS."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+
+
 def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         shrinkage: float = 1.0, variation_bound: float | None = None) -> GreedyTrace:
     """Run a greedy algorithm for up to `steps` iterations.
 
     pga / pga_shrink update the residual by r -> r - s <r, d> d for the
     selected signed atom d.  oga re-projects onto the span of all selected
-    atoms: each new atom is orthogonalized against the basis by classical
-    Gram-Schmidt applied twice (CGS2), and the residual loses its component
-    along the normalized result.  rga mixes in each selected atom with the
-    classical 2/n relaxation schedule scaled by `variation_bound`.  The run
-    halts early once the residual norm falls below 1e-14.
+    atoms: each new atom is orthogonalized against the basis by one pass of
+    classical Gram-Schmidt, repeated when it keeps less than 1/sqrt(2) of
+    the atom's norm (DGKS), and the residual loses its component along the
+    normalized result.  rga mixes in each selected atom with the classical
+    2/n relaxation schedule scaled by `variation_bound`.  The run halts
+    early once the residual norm falls below 1e-14.
 
     Under every algorithm the residual is a combination of f and the atoms
     selected so far, so it vanishes beyond the longest of them; selection
-    reads only that live prefix.
+    and the oga projection read only that live prefix.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_algorithm(algorithm)
     if len(dictionary) == 0:
         raise ValueError("empty dictionary")
     if steps < 1:
@@ -208,16 +215,17 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
             r[: mat.shape[1]] -= coeff * atom
         elif algorithm == "oga":
             coeff = value  # selection inner product; the update is a projection
-            bb = np.zeros(width)
-            bb[: mat.shape[1]] = atom
-            for _ in range(2):
-                bb -= basis[:nbasis].T @ (basis[:nbasis] @ bb)
-            nb = float(np.linalg.norm(bb))
+            cols = min(mat.shape[1], -(-live // _PREFIX_ALIGN) * _PREFIX_ALIGN)
+            span, q = basis[:nbasis, :cols], basis[nbasis, :cols]  # q: the next row
+            q[:] = atom[:cols]
+            q -= span.T @ (span @ q)
+            if not float(np.linalg.norm(q)) >= _REORTHOGONALIZE:  # of a unit atom; or NaN
+                q -= span.T @ (span @ q)
+            nb = float(np.linalg.norm(q))
             if nb > 1e-12:
-                bb /= nb
-                basis[nbasis] = bb
+                q /= nb
                 nbasis += 1
-                r -= (r @ bb) * bb
+                r[:cols] -= (r[:cols] @ q) * q
         else:  # rga
             coeff = variation_bound if n == 1 else 2.0 * variation_bound / n
             if n == 1:

@@ -11,7 +11,7 @@ import mpursuit
 from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
-from mpursuit.greedy_algorithms import GreedyTrace
+from mpursuit.greedy_algorithms import GreedyTrace, run
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text, load_instance, save_instance
 
@@ -133,6 +133,19 @@ def test_config_bool_other_value_is_a_usage_error(tmp_path, capsys, value):
     assert main(["plot", str(curve), "--config", str(cfgfile), "--out", str(svg)]) == 1
     assert "log_log" in error_line(capsys)
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid_m=abc", "config grid_m='abc': invalid literal for int() with base 10: 'abc'"),
+    ("tol=1e-8x", "config tol='1e-8x': could not convert string to float: '1e-8x'")])
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, line, message):
+    cfgfile = tmp_path / "solve.cfg"
+    cfgfile.write_text(line + "\n")
+    outdir = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["solve-f", "--config", str(cfgfile), "--outdir", str(outdir)]) == 1
+    assert error_line(capsys) == "error: " + message
+    assert not outdir.exists()
 
 
 def test_unknown_command_usage():
@@ -342,6 +355,10 @@ def test_run_unknown_algorithm_is_a_usage_error(tmp_path, capsys, saved_instance
     assert main(["run", "--instance", path, "--alg", "frob", "--out", str(out)]) == 1
     assert error_line(capsys) == "error: unknown algorithm 'frob'"
     assert not out.exists()
+    # the name is checked before the instance file is read
+    missing = str(tmp_path / "missing.txt")
+    assert main(["run", "--instance", missing, "--alg", "frob", "--out", str(out)]) == 1
+    assert error_line(capsys) == "error: unknown algorithm 'frob'"
 
 
 def test_run_and_rate_commands(tmp_path, saved_instance):
@@ -417,12 +434,53 @@ def instance_2500(tmp_path_factory):
     return str(out / "instance.txt")
 
 
+def cgs2_oga(f, dictionary, steps):
+    """OGA as it ran before the single-pass projection: full-width selection,
+    and each new atom orthogonalized by two full-width classical Gram-Schmidt
+    passes (CGS2).  Returns the (atom index, sign) picks and residual norms."""
+    mat = dictionary.matrix()
+    width = max(dictionary.width, f.active_len)
+    r = f.padded(width)
+    basis = np.zeros((steps, width))
+    nbasis, picks, norms = 0, [], []
+    for _ in range(steps):
+        vals = mat @ r[: mat.shape[1]]
+        j = int(np.argmax(np.abs(vals)))
+        sign = 1 if vals[j] >= 0.0 else -1
+        bb = np.zeros(width)
+        bb[: mat.shape[1]] = sign * mat[j]
+        for _ in range(2):
+            bb -= basis[:nbasis].T @ (basis[:nbasis] @ bb)
+        nb = float(np.linalg.norm(bb))
+        if nb > 1e-12:
+            bb /= nb
+            basis[nbasis] = bb
+            nbasis += 1
+            r -= (r @ bb) * bb
+        picks.append((j, sign))
+        norms.append(float(np.linalg.norm(r)))
+    return picks, np.array(norms)
+
+
+def test_oga_single_pass_keeps_the_output_contract_of_cgs2(instance_2500):
+    """The output contract of DECISIONS.md between run("oga") and the CGS2
+    projection it replaced: the same atoms and signs at all 2100 steps, and
+    each residual norm within 4 ulps."""
+    inst = load_instance(instance_2500)
+    steps = inst.params.n_max - inst.params.N
+    trace = run("oga", inst.f, inst.dictionary, steps)
+    picks, ref = cgs2_oga(inst.f, inst.dictionary, steps)
+    assert len(trace.steps) == steps == 2100
+    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
+
+
 @pytest.mark.parametrize("alg", ["pga", "oga"])
 def test_run_output_contract_across_blas_threads(tmp_path, instance_2500, alg):
     """The output contract of DECISIONS.md: at 1 and 2 BLAS threads a run
     picks the same atoms with the same signs, and each residual norm agrees
     to 4 ulps.  With OpenBLAS at n_max=2500 the two traces part in their
-    last bits (PGA from step 1047 or later, OGA from step 191), so the
+    last bits (PGA from step 1047 or later, OGA from step 793), so the
     bound is exercised; at n_max=900 they are bit-identical."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
     traces = []

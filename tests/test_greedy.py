@@ -220,7 +220,7 @@ def test_trace_csv_malformed_row_is_a_value_error(row):
 def reference_run(algorithm, f, d, steps, shrinkage=1.0, variation_bound=None):
     """Full-width greedy loop: every atom against the whole residual.
 
-    OGA projects by least squares on the selected atoms instead of CGS2.
+    OGA projects by least squares on the selected atoms, not by Gram-Schmidt.
     Returns (atom index, sign, residual norm) per step.
     """
     mat = d.matrix()
@@ -271,4 +271,33 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
         got = [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)]
         assert got == [(j, sign) for j, sign, _ in ref]
         assert np.allclose(trace.residual_norms, [rn for _, _, rn in ref],
+                           rtol=0.0, atol=1e-12)
+
+
+def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():
+    # atoms e1 + delta_k e_{k+1} with delta_k ~ 1e-5: from the second step
+    # on, one Gram-Schmidt pass keeps about 1e-5 of each atom's norm, so the
+    # run must take the second pass; a single pass leaves the residual
+    # orthogonal to the selected atoms to no better than ~1e-11
+    rng = np.random.default_rng(1976)
+    dim, k = 16, 12
+    for _ in range(5):
+        atoms = []
+        for j in range(k):
+            v = np.zeros(dim)
+            v[0], v[j + 1] = 1.0, 1e-5 * (1.0 + rng.random())
+            atoms.append(CoeffVector(v / np.linalg.norm(v)))
+        d = Dictionary.from_atoms(atoms)
+        mat = d.matrix()
+        assert np.min(mat @ mat.T) > 2.0 ** -0.5
+        f = CoeffVector(rng.standard_normal(dim))
+        # the extra step selects among atoms that are all in the span, so its
+        # value is the largest |<r, d>| over the selected atoms
+        trace = run("oga", f, d, k + 1)
+        assert sorted(trace.atom_indices[:k]) == list(range(k))
+        assert trace.steps[k].coefficient <= 1e-12
+        ref = reference_run("oga", f, d, k)
+        got = [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)]
+        assert got[:k] == [(j, sign) for j, sign, _ in ref]
+        assert np.allclose(trace.residual_norms[:k], [rn for _, _, rn in ref],
                            rtol=0.0, atol=1e-12)
