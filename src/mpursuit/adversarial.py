@@ -30,7 +30,7 @@ from .phi_builder import PhiProfile
 __all__ = [
     "ConstructionParams", "ConstructionState", "AdversarialInstance",
     "VerificationReport", "q_of", "init_state", "step", "advance",
-    "choose_epsilon", "finalize", "inner_product_oracle", "verify",
+    "choose_epsilon", "finalize", "verify",
     "build_instance",
 ]
 
@@ -457,19 +457,6 @@ class OracleTables:
         for i in range(N + 1, n):
             acc += float(self.h_row(i)[:N] @ self.dtil_hat)
         return -float(self.q[n - 1]) * (acc - self.epsilon * self.rn_norm / self.q[N])
-
-
-def inner_product_oracle(instance: AdversarialInstance, n: int, k=None,
-                         tilde: bool = False) -> float:
-    """<r_{n-1}, d_k> (or the blended atom with tilde=True) by recursion only."""
-    tables = instance.oracle_tables()
-    if tilde:
-        return tables.tilde_pair_value(n)
-    if k is None:
-        raise ValueError("k required unless tilde=True")
-    if k == n:
-        raise ValueError("k = n is the selected atom; its value is q_n by construction")
-    return tables.pair_value(n, k)
 
 
 @dataclass

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy_algorithms import Dictionary, GreedyTrace, run
-from .linear_core import CoeffVector
+from .greedy_algorithms import GreedyTrace
 
-__all__ = ["RateFit", "BoundReport", "fit_decay", "check_bounds", "compare"]
+__all__ = ["RateFit", "BoundReport", "fit_decay", "check_bounds"]
 
 _FLOOR = 1e-13
 
@@ -79,38 +78,3 @@ def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
     return BoundReport(upper_witness=float(scaled.max()), lower_witness=lower,
                        alpha=alpha, variation_bound=variation_bound)
 
-
-def compare(f: CoeffVector, dictionary: Dictionary, algs, steps: int,
-            variation_bound: float | None = None, shrinkage: float = 0.5,
-            fit_range: tuple[int, int] | None = None,
-            index_offset: int = 0):
-    """Run several algorithms on one target and fit each decay slope.
-
-    Returns a list of row dicts (algorithm, steps, final_residual, slope,
-    r2) plus the traces keyed by algorithm.  Slope entries are NaN when a
-    trace terminates with fewer than 10 usable points in the fit range.
-    """
-    rows = []
-    traces = {}
-    for alg in algs:
-        trace = run(alg, f, dictionary, steps, shrinkage=shrinkage,
-                    variation_bound=variation_bound)
-        traces[alg] = trace
-        if fit_range is None:
-            last = index_offset + len(trace.steps)
-            fr = (max(1, index_offset + 1), last)
-        else:
-            fr = fit_range
-        try:
-            fit = fit_decay(trace, fr[0], fr[1], index_offset=index_offset)
-            slope, r2 = fit.slope, fit.r_squared
-        except ValueError:
-            slope, r2 = float("nan"), float("nan")
-        rows.append({
-            "algorithm": alg,
-            "steps": len(trace.steps),
-            "final_residual": float(trace.residual_norms[-1]),
-            "slope": slope,
-            "r2": r2,
-        })
-    return rows, traces

@@ -144,8 +144,7 @@ def _phi_profile(cfg):
     else:
         beta, tau, _, report = _solve_profile(cfg)
         fbar = report.converged_f
-    fext = fbar.with_extension(left_zero=True, right_hold=True)
-    profile, report = build_profile(fext, beta, tau, t=cfg["t"])
+    profile, report = build_profile(fbar, beta, tau, t=cfg["t"])
     return beta, tau, profile, report
 
 
@@ -192,6 +191,8 @@ def cmd_make_phi(cfg) -> int:
 
 
 def cmd_build(cfg) -> int:
+    if not cfg["epsilon"] >= 0.0:
+        raise ValueError("epsilon must be >= 0 (0 chooses it)")
     beta, tau, profile, cond_report = _phi_profile(cfg)
     eps = cfg["epsilon"] if cfg["epsilon"] > 0.0 else None
     instance, vreport = build_instance(profile, K=cfg["k"], N=cfg["n"],
@@ -237,6 +238,8 @@ def cmd_verify(cfg) -> int:
 
 def cmd_run(cfg) -> int:
     check_algorithm(cfg["alg"])  # before the instance is loaded and replayed
+    if cfg["steps"] < 0:
+        raise ValueError("steps must be >= 0 (0 runs n_max - N steps)")
     instance = load_instance(cfg["instance"])
     p = instance.params
     steps = cfg["steps"] if cfg["steps"] > 0 else p.n_max - p.N

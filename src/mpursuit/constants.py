@@ -30,6 +30,8 @@ __all__ = [
     "operating_point",
 ]
 
+_RG_SCAN_POINTS = 10000  # grid of the independent R_G scan
+
 
 def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
                  bisect_width: float = 1e-8, tol: float = 1e-12,
@@ -139,7 +141,7 @@ class ClosedFormBundle:
     tau: float
     c: float
     rg: float               # closed-form maximizer value
-    rg_scan: float          # 1e4-point grid-scan value (independent route)
+    rg_scan: float          # grid-scan value (independent route)
     rg_argmax: float
     F: Callable = field(repr=False)
     G: Callable = field(repr=False)
@@ -155,7 +157,7 @@ class ClosedFormBundle:
         return GridFunction(self.tau, 1.0, self.G(xs))
 
 
-def bundle(beta: float, tau: float, scan_points: int = 10000) -> ClosedFormBundle:
+def bundle(beta: float, tau: float) -> ClosedFormBundle:
     """Closed forms c, F, G, R_G plus every parameter-condition margin.
 
     R_G is evaluated twice, once at the closed-form maximizer
@@ -182,7 +184,7 @@ def bundle(beta: float, tau: float, scan_points: int = 10000) -> ClosedFormBundl
 
     a_star = min(1.0, tau * (1.0 + beta) ** (1.0 / beta))
     rg = float(rg_at(a_star))
-    grid = np.linspace(tau, 1.0, scan_points)
+    grid = np.linspace(tau, 1.0, _RG_SCAN_POINTS)
     rg_scan_vals = rg_at(grid)
     rg_scan = float(np.max(rg_scan_vals))
 

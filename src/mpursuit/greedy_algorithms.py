@@ -102,10 +102,6 @@ class GreedyTrace:
     def residual_norms(self) -> np.ndarray:
         return np.array([s.residual_norm for s in self.steps])
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([s.coefficient for s in self.steps])
-
     CSV_HEADER = "n,residual_norm,atom_id,sign,coefficient"
 
     def to_csv(self) -> str:

@@ -14,13 +14,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-__all__ = [
-    "GridFunction",
-    "integrate",
-    "log_tail",
-    "scaled_selfconv",
-    "selfconv_on_nodes",
-]
+__all__ = ["GridFunction", "scaled_selfconv", "selfconv_on_nodes"]
 
 _EDGE_SLACK = 1e-12
 _BLOCK = 1 << 16  # points per block of a self-convolution sweep
@@ -97,14 +91,10 @@ class GridFunction:
 
     Values are immutable after construction.  Evaluation uses the cubic
     Hermite interpolant with centered-difference slopes; outside [lo, hi]
-    evaluation is an error unless an extension rule is attached
-    (``extend_left_zero`` / ``extend_right_hold``, the rules used for the
-    profile construction).
+    (beyond a relative slack of 1e-12) evaluation is an error.
     """
 
-    def __init__(self, lo: float, hi: float, values,
-                 extend_left_zero: bool = False,
-                 extend_right_hold: bool = False):
+    def __init__(self, lo: float, hi: float, values):
         values = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
@@ -119,8 +109,6 @@ class GridFunction:
         self.hi = float(hi)
         self.values = values
         values.flags.writeable = False
-        self.extend_left_zero = bool(extend_left_zero)
-        self.extend_right_hold = bool(extend_right_hold)
 
     # -- basic geometry -------------------------------------------------
 
@@ -138,11 +126,6 @@ class GridFunction:
         nodes = np.linspace(self.lo, self.hi, self.m)
         nodes.flags.writeable = False
         return nodes
-
-    def with_extension(self, left_zero=True, right_hold=True) -> "GridFunction":
-        return GridFunction(self.lo, self.hi, self.values,
-                            extend_left_zero=left_zero,
-                            extend_right_hold=right_hold)
 
     # -- evaluation ------------------------------------------------------
 
@@ -184,39 +167,29 @@ class GridFunction:
         """
         return _value(self.pieces, *_locate(self.nodes, x))
 
-    def __call__(self, x):
+    def _inside(self, x, what: str) -> np.ndarray:
+        """x as an array, checked to lie in [lo, hi] up to the edge slack."""
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        slack = _EDGE_SLACK * (self.hi - self.lo)
-        below = x < self.lo - slack
-        above = x > self.hi + slack
-        if below.any() and not self.extend_left_zero:
-            raise ValueError(f"evaluation below lo={self.lo} without extension rule")
-        if above.any() and not self.extend_right_hold:
-            raise ValueError(f"evaluation above hi={self.hi} without extension rule")
-        inside = np.clip(x, self.lo, self.hi)
-        out = self.interpolant(inside)
-        out[below] = 0.0
-        out[above] = self.values[-1]
-        return float(out[0]) if scalar else out
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
         slack = _EDGE_SLACK * (self.hi - self.lo)
         if np.any(x < self.lo - slack) or np.any(x > self.hi + slack):
-            raise ValueError("derivative requested outside the grid interval")
+            raise ValueError(f"{what} outside the grid interval [{self.lo}, {self.hi}]")
+        return x
+
+    def __call__(self, x):
+        x = self._inside(x, "evaluation")
+        out = self._at(self.pieces, x)
+        return float(out) if x.ndim == 0 else out
+
+    def derivative(self, x):
+        x = self._inside(x, "derivative")
         out = self._at(self._derivative, x)
-        return float(out) if scalar else out
+        return float(out) if x.ndim == 0 else out
 
     def refined(self, factor: int = 2) -> "GridFunction":
         """Resample onto a grid with (M-1)*factor + 1 nodes."""
         mm = (self.m - 1) * factor + 1
-        vals = self.interpolant(np.linspace(self.lo, self.hi, mm))
-        return GridFunction(self.lo, self.hi, vals,
-                            extend_left_zero=self.extend_left_zero,
-                            extend_right_hold=self.extend_right_hold)
+        return GridFunction(self.lo, self.hi,
+                            self.interpolant(np.linspace(self.lo, self.hi, mm)))
 
     # -- quadrature -------------------------------------------------------
 
@@ -228,35 +201,27 @@ class GridFunction:
 
     def integral_between(self, u, v):
         """integral_u^v of g via the antiderivative of the interpolant."""
-        slack = _EDGE_SLACK * (self.hi - self.lo)
-        for lim in (np.asarray(u), np.asarray(v)):
-            if np.any(lim < self.lo - slack) or np.any(lim > self.hi + slack):
-                raise ValueError("integration limit outside the grid interval")
+        u, v = self._inside(u, "integration limit"), self._inside(v, "integration limit")
         return self._at(self._antiderivative, v) - self._at(self._antiderivative, u)
 
     def log_between(self, u, v):
-        """integral_u^v of g(z)/z dz; limits below lo use the zero extension."""
-        u = np.asarray(u, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        slack = _EDGE_SLACK * (self.hi - self.lo)
-        if (np.any(u < self.lo - slack) or np.any(v < self.lo - slack)) and not self.extend_left_zero:
-            raise ValueError("log_between limit below the grid interval")
-        if np.any(u > self.hi + slack) or np.any(v > self.hi + slack):
-            raise ValueError("log_between limit above the grid interval")
+        """integral_u^v of g(z)/z dz."""
+        u, v = self._inside(u, "log_between limit"), self._inside(v, "log_between limit")
         w = self._log_antiderivative
         return self._at(w, v) - self._at(w, u)
 
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
-        ext = ",ext_left=zero" if self.extend_left_zero else ""
-        ext += ",ext_right=hold" if self.extend_right_hold else ""
         rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(self.nodes, self.values))
-        return f"# lo={self.lo!r},hi={self.hi!r},M={self.m}{ext}\nx,value\n" + rows
+        return f"# lo={self.lo!r},hi={self.hi!r},M={self.m}\nx,value\n" + rows
 
     @classmethod
     def from_csv(cls, text: str) -> "GridFunction":
-        """Parse `to_csv` output; each row's x must be its grid node."""
+        """Parse `to_csv` output; each row's x must be its grid node.
+
+        Header keys other than lo, hi and M are ignored.
+        """
         head, xs, vals = {}, [], []
         for line in text.splitlines():
             line = line.strip()
@@ -275,9 +240,7 @@ class GridFunction:
             raise ValueError("grid CSV is missing the lo/hi/M header")
         if len(vals) != int(head["M"]):
             raise ValueError(f"grid CSV has {len(vals)} rows, its header says M={head['M']}")
-        g = cls(float(head["lo"]), float(head["hi"]), np.array(vals),
-                extend_left_zero=head.get("ext_left") == "zero",
-                extend_right_hold=head.get("ext_right") == "hold")
+        g = cls(float(head["lo"]), float(head["hi"]), np.array(vals))
         xs = np.array(xs)
         off = np.flatnonzero(~(np.abs(xs - g.nodes) <= _EDGE_SLACK * (g.hi - g.lo)))
         if off.size:
@@ -288,15 +251,6 @@ class GridFunction:
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def integrate(g: GridFunction) -> float:
-    return g.integrate()
-
-
-def log_tail(g: GridFunction, x: float) -> float:
-    """integral_x^hi of g(z)/z dz."""
-    return float(g.log_between(x, g.hi))
 
 
 def _corrected_trapezoid(p: np.ndarray, h: float) -> float:

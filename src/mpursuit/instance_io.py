@@ -5,7 +5,9 @@ the data that determines them (q, gamma, alpha, xi per step plus the phi
 grid), and loading replays the construction through the same vector
 arithmetic as the builder.  Given identical float64 evaluation order the
 reconstruction is bit-exact, and a corrupted sequence is caught by the
-step-condition assertions during the replay.
+step-condition assertions during the replay.  The file must hold exactly
+one sequence row per step n in [K-1, n_max], with the seed row's gamma,
+alpha and xi zero as the writer leaves them.
 """
 
 from __future__ import annotations
@@ -68,17 +70,14 @@ def _header_value(scalars: dict, key: str, typ):
                                   f"is not a valid {typ.__name__}") from None
 
 
-def load_instance(path_or_text: str, is_text: bool = False) -> AdversarialInstance:
+def load_instance(path: str) -> AdversarialInstance:
     """Parse an instance file and replay the construction it describes.
 
     A malformed file raises InstanceFormatError; a replay whose step
     conditions fail raises ConstructionError naming the step.
     """
-    if is_text:
-        text = path_or_text
-    else:
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     scalars: dict[str, str] = {}
     phi_lines: list[str] = []
     seq_rows: list[tuple[int, float, float, float, float]] = []
@@ -122,21 +121,30 @@ def load_instance(path_or_text: str, is_text: bool = False) -> AdversarialInstan
     params = ConstructionParams(beta=beta, K=k_par, N=n_par, n_max=n_max,
                                 epsilon=epsilon, phi=profile)
 
-    size = n_max + 1
-    given = {key: np.zeros(size) for key in ("q", "gamma", "alpha", "xi")}
-    for n, qv, gv, av, xv in seq_rows:
-        if not 0 <= n < size:
-            raise InstanceFormatError(f"sequence row {n} outside [0, n_max]")
-        given["q"][n] = qv
-        given["gamma"][n] = gv
-        given["alpha"][n] = av
-        given["xi"][n] = xv
+    seed = k_par - 1
+    table = np.zeros((4, n_max + 1))
+    seen = np.zeros(n_max + 1, dtype=bool)
+    for n, *vals in seq_rows:
+        if not seed <= n <= n_max:
+            raise InstanceFormatError(f"sequence row {n} outside [K-1, n_max] = "
+                                      f"[{seed}, {n_max}]")
+        if seen[n]:
+            raise InstanceFormatError(f"sequence row {n} appears twice")
+        seen[n] = True
+        table[:, n] = vals
+    if not seen[seed:].all():
+        raise InstanceFormatError(
+            f"sequence row {seed + int(np.argmin(seen[seed:]))} is missing")
+    # replay reads only the seed row's q; the writer leaves the rest zero
+    if not np.all(table[1:, seed] == 0.0):
+        raise InstanceFormatError(f"seed row {seed} must have gamma, alpha and xi 0")
+    given = dict(zip(("q", "gamma", "alpha", "xi"), table))
 
     state = init_state(params)
     # no step condition reads the seed row's q, so check it against q_of here
-    seed_q, want = float(given["q"][k_par - 1]), float(state.q[k_par - 1])
+    seed_q, want = float(given["q"][seed]), float(state.q[seed])
     if not abs(seed_q - want) <= CONDITION_RTOL * want:
-        raise ConstructionError(f"step {k_par - 1} seed q={seed_q!r} vs schedule {want!r}")
-    state.q[k_par - 1] = seed_q
+        raise ConstructionError(f"step {seed} seed q={seed_q!r} vs schedule {want!r}")
+    state.q[seed] = seed_q
     advance(state, params, given_rows=given)
     return finalize(state, params)

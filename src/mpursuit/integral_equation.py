@@ -9,7 +9,7 @@ final even/odd average solves the equation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class IterationReport:
     bracket_certified: bool = False
     deriv_sup: float = np.nan
     deriv_bound: float = np.nan
-    extra: dict = field(default_factory=dict)
+    sandwiched: bool = False  # solve_f: the average lies between its even and odd iterates
 
 
 def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True) -> GridFunction:
@@ -159,10 +159,10 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
         deriv_bound=kconst / (1.0 - rg))
     between = ((fbar.values <= np.maximum(even.values, odd.values) + _MONO_SLACK)
                & (fbar.values >= np.minimum(even.values, odd.values) - _MONO_SLACK))
-    report.extra["sandwiched"] = bool(between.all())
+    report.sandwiched = bool(between.all())
     return report
 
 
-def residual_on_refined(G: GridFunction, f: GridFunction, factor: int = 2) -> float:
-    """Residual sup re-measured on a refined grid (quadrature independence)."""
-    return float(np.max(np.abs(residual_values(G.refined(factor), f.refined(factor)))))
+def residual_on_refined(G: GridFunction, f: GridFunction) -> float:
+    """Residual sup re-measured on the twice-refined grid (quadrature independence)."""
+    return float(np.max(np.abs(residual_values(G.refined(2), f.refined(2)))))

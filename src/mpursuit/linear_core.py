@@ -1,9 +1,9 @@
 """Dense coefficient vectors over the standard basis of (truncated) little-ell-2.
 
 A CoeffVector stores the leading ``active_len`` coefficients of a sequence
-space element; everything beyond is implicitly zero.  Sums are accumulated
-with numpy's pairwise reduction so that squared norms stay accurate to
-~1e-12 relative even at a million active coefficients.
+space element; everything beyond is implicitly zero.  The vectors are
+read-only containers: the program's inner products are BLAS products over
+the dictionary's atom matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CoeffVector", "dot", "axpy", "norm", "basis_vector"]
+__all__ = ["CoeffVector"]
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,6 @@ class CoeffVector:
             raise ValueError("active_len must equal the stored length")
         arr.flags.writeable = False
 
-    @classmethod
-    def of(cls, *values: float) -> "CoeffVector":
-        return cls(np.array(values, dtype=np.float64))
-
     def padded(self, n: int) -> np.ndarray:
         """Coefficients extended with zeros to length n (a fresh array)."""
         if n < self.active_len:
@@ -48,33 +44,3 @@ class CoeffVector:
     def __len__(self) -> int:
         return self.active_len
 
-
-def dot(u: CoeffVector, v: CoeffVector) -> float:
-    """Inner product over the shared active prefix (pairwise accumulation)."""
-    m = min(u.active_len, v.active_len)
-    if m == 0:
-        return 0.0
-    return float(np.add.reduce(u.coeffs[:m] * v.coeffs[:m]))
-
-
-def norm(v: CoeffVector) -> float:
-    return float(np.sqrt(dot(v, v)))
-
-
-def axpy(a: float, u: CoeffVector, v: CoeffVector) -> CoeffVector:
-    """a*u + v with active_len the max of the inputs."""
-    n = max(u.active_len, v.active_len)
-    out = np.zeros(n)
-    out[: u.active_len] = a * u.coeffs
-    out[: v.active_len] += v.coeffs
-    return CoeffVector(out)
-
-
-def basis_vector(k: int, n: int | None = None) -> CoeffVector:
-    """e_k (1-based index), optionally padded to length n."""
-    if k < 1:
-        raise ValueError("basis index is 1-based")
-    size = k if n is None else max(k, n)
-    out = np.zeros(size)
-    out[k - 1] = 1.0
-    return CoeffVector(out)

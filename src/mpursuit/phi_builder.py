@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .grid_functions import GridFunction, _corrected_trapezoid
+from .grid_functions import _EDGE_SLACK, GridFunction, _corrected_trapezoid
 
 __all__ = ["PhiProfile", "ConditionEntry", "ConditionReport", "bump_kernel",
            "mollify", "scale_root", "normalize", "weighted_mass",
@@ -42,18 +42,29 @@ def kernel_mass() -> float:
     return float(_GL_WEIGHTS @ bump_kernel(_GL_NODES))
 
 
+def _extended(f: GridFunction, z: np.ndarray) -> np.ndarray:
+    """f at the points z under the construction's extension rules.
+
+    Zero below tau = f.lo, f(1) held above f.hi, each beyond the grid's
+    edge slack; points inside the slack are clipped onto the grid.
+    """
+    slack = _EDGE_SLACK * (f.hi - f.lo)
+    out = f.interpolant(np.clip(z, f.lo, f.hi))
+    out[z < f.lo - slack] = 0.0
+    out[z > f.hi + slack] = f.values[-1]
+    return out
+
+
 def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolve the extended f with the width-t bump; result lives on [0, 1].
 
-    f must carry the construction's extension rules (zero below tau, hold
-    f(1) above 1).  The convolution is integrated piecewise: the u-range is
-    cut at the kernel preimages of the jump at tau, the kink at 1, and
-    every grid node of f (the interpolant is only C^1 across nodes, which
-    would otherwise cap Gauss-Legendre accuracy), with a 12-point rule on
-    each polynomial-times-kernel piece.  The result has f's node count.
+    f, given on [tau, 1], is extended by zero below tau and by f(1) above
+    1.  The convolution is integrated piecewise: the u-range is cut at the
+    kernel preimages of the jump at tau, the kink at 1, and every grid
+    node of f (the interpolant is only C^1 across nodes, which would
+    otherwise cap Gauss-Legendre accuracy), with a 12-point rule on each
+    polynomial-times-kernel piece.  The result has f's node count.
     """
-    if not (f.extend_left_zero and f.extend_right_hold):
-        raise ValueError("f must carry the zero-left / hold-right extension rules")
     tau = f.lo
     if not 0.0 < t < tau:
         raise ValueError("mollification width must satisfy 0 < t < tau")
@@ -87,7 +98,7 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
         half = 0.5 * (cuts[1:] - cuts[:-1])
         uu = (mid[:, None] + half[:, None] * _GL_PIECE_NODES).ravel()
         ww = (half[:, None] * _GL_PIECE_WEIGHTS).ravel()
-        out[i] = float((ww * bump_kernel(uu)) @ f(x - t * uu))
+        out[i] = float((ww * bump_kernel(uu)) @ _extended(f, x - t * uu))
     return GridFunction(0.0, 1.0, out)
 
 

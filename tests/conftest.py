@@ -12,6 +12,7 @@ import pytest
 from mpursuit import bundle, operating_point, solve_f
 from mpursuit.adversarial import (ConstructionParams, advance, build_instance,
                                   choose_epsilon, finalize, init_state)
+from mpursuit.instance_io import load_instance
 from mpursuit.phi_builder import build_profile
 
 
@@ -33,8 +34,8 @@ def coarse_solution(op_point):
 def profile05(coarse_solution):
     """Mollified weight at t=0.05, the construction-friendly width."""
     beta, tau, _, report = coarse_solution
-    fext = report.converged_f.with_extension(left_zero=True, right_hold=True)
-    profile, cert = build_profile(fext, beta, tau, t=0.05)
+    fbar = report.converged_f
+    profile, cert = build_profile(fbar, beta, tau, t=0.05)
     assert cert.all_pass
     return profile
 
@@ -56,6 +57,17 @@ def mid_instance(profile05):
     """Smallest scale with strict selection margins (K=200, N=400)."""
     instance, report = build_instance(profile05, K=200, N=400, n_max=900)
     return instance, report
+
+
+@pytest.fixture(scope="session")
+def load_text(tmp_path_factory):
+    """load_instance of an instance text, written to a file as a command reads it."""
+    path = tmp_path_factory.mktemp("text") / "instance.txt"
+
+    def load(text):
+        path.write_text(text, encoding="utf-8")
+        return load_instance(str(path))
+    return load
 
 
 @pytest.fixture(scope="session")

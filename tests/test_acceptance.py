@@ -45,8 +45,8 @@ def solved(op_pair):
 @pytest.fixture(scope="module")
 def full_instance(solved):
     beta, tau, _, rep, _ = solved
-    fext = rep.converged_f.with_extension(left_zero=True, right_hold=True)
-    profile, cert = build_profile(fext, beta, tau, t=0.05)
+    fbar = rep.converged_f
+    profile, cert = build_profile(fbar, beta, tau, t=0.05)
     assert cert.all_pass
     params = ConstructionParams(beta=beta, K=200, N=400, n_max=5000,
                                 epsilon=None, phi=profile)
@@ -127,14 +127,14 @@ def test_criterion_5_integral_equation(solved):
 
 def test_criterion_6_phi_certification(solved):
     beta, tau, _, rep, _ = solved
-    fext = rep.converged_f.with_extension(left_zero=True, right_hold=True)
-    profile, report = build_profile(fext, beta, tau, t=0.01)
+    fbar = rep.converged_f
+    profile, report = build_profile(fbar, beta, tau, t=0.01)
     mass = report.entry("weighted_mass_residual")
     s1 = report.entry("growth_bound_sup")
     s2 = report.entry("tail_bound_sup")
     gaps = []
     for t in (0.02, 0.01, 0.005):
-        c_t, _ = normalize(mollify(fext, t), beta)
+        c_t, _ = normalize(mollify(fbar, t), beta)
         gaps.append(abs(c_t - 1.0))
     trend = gaps[0] > gaps[1] > gaps[2]
     ok = (mass.value <= 1e-8

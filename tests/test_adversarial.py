@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from mpursuit.adversarial import (ConstructionParams, advance, build_instance,
-                                  choose_epsilon, finalize, init_state,
-                                  inner_product_oracle, q_of, step, verify)
+                                  choose_epsilon, finalize, init_state, q_of, step,
+                                  verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
-from mpursuit.instance_io import instance_to_text, load_instance
-from mpursuit.linear_core import dot
+from mpursuit.instance_io import instance_to_text
 from mpursuit.phi_builder import PhiProfile
 
 
@@ -171,8 +170,8 @@ def test_finalize_blended_atom(small_instance):
     st = inst.state
     eps = inst.params.epsilon
     assert np.linalg.norm(inst.d_tilde.coeffs) == pytest.approx(1.0, abs=1e-12)
-    assert dot(inst.f, inst.d_tilde) == pytest.approx(eps * st.norms[st.N],
-                                                      abs=1e-10)
+    assert inst.f.coeffs @ inst.d_tilde.coeffs == pytest.approx(eps * st.norms[st.N],
+                                                                abs=1e-10)
     # <f, d_N> = 0 by the step conditions
     assert abs(st.r_hist[0] @ st.atom_row(st.N)) <= 1e-9
 
@@ -206,14 +205,11 @@ def test_dictionary_contents(small_instance):
     assert inst.dictionary.labels[-1] == f"d{p.n_max}"
 
 
-def _loaded_copy(inst):
-    return load_instance(instance_to_text(inst), is_text=True)
-
-
-@pytest.mark.parametrize("source", [lambda inst: inst, _loaded_copy],
-                         ids=["built", "loaded"])
-def test_one_atom_store(small_instance, source):
-    inst = source(small_instance)
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_one_atom_store(small_instance, load_text, source):
+    inst = small_instance
+    if source == "loaded":
+        inst = load_text(instance_to_text(inst))
     st, p = inst.state, inst.params
     store = inst.dictionary.matrix()
     assert store is st.atoms
@@ -230,37 +226,54 @@ def test_one_atom_store(small_instance, source):
 
 def test_oracle_base_case_previous_atom(small_instance):
     st = small_instance.state
+    tables = small_instance.oracle_tables()
     for n in (st.N + 1, st.N + 5, st.n_max):
-        assert inner_product_oracle(small_instance, n, n - 1) == 0.0
+        assert tables.pair_value(n, n - 1) == 0.0
         direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n - 1))
         assert abs(direct) <= 1e-10
 
 
-def test_oracle_rejects_selected_index(small_instance):
-    with pytest.raises(ValueError):
-        inner_product_oracle(small_instance, small_instance.params.N + 2,
-                             small_instance.params.N + 2)
+def test_oracle_selected_index_is_q(small_instance):
+    # the selected atom's value is q_n by construction, on both routes
+    st = small_instance.state
+    tables = small_instance.oracle_tables()
+    for n in (st.N + 2, st.n_max):
+        assert tables.pair_value(n, n) == st.q[n]
+        assert tables.row(n)[n - st.N] == st.q[n]
+        direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
+        assert direct == pytest.approx(st.q[n], rel=1e-9)
 
 
 def test_oracle_range_checks(small_instance):
     p = small_instance.params
+    tables = small_instance.oracle_tables()
     with pytest.raises(IndexError):
-        inner_product_oracle(small_instance, p.N, p.N + 1)
+        tables.pair_value(p.N, p.N + 1)
     with pytest.raises(IndexError):
-        inner_product_oracle(small_instance, p.n_max + 1, p.N)
+        tables.pair_value(p.n_max + 1, p.N)
     with pytest.raises(IndexError):
-        inner_product_oracle(small_instance, p.N + 1, p.n_max + 1)
+        tables.pair_value(p.N + 1, p.n_max + 1)
+    with pytest.raises(IndexError):
+        tables.pair_value(p.N + 1, p.N - 1)
+    for n in (p.N, p.n_max + 1):
+        with pytest.raises(IndexError):
+            tables.tilde_pair_value(n)
+        with pytest.raises(IndexError):
+            tables.tilde_value(n)
+        with pytest.raises(IndexError):
+            tables.row(n)
 
 
 def test_oracle_vs_direct_random_pairs(small_instance, rng):
     st = small_instance.state
+    tables = small_instance.oracle_tables()
     worst = 0.0
     for _ in range(150):
         n = int(rng.integers(st.N + 1, st.n_max + 1))
         k = int(rng.integers(st.N, st.n_max + 1))
         if k == n:
             continue
-        o = inner_product_oracle(small_instance, n, k)
+        o = tables.pair_value(n, k)
         d = float(st.r_hist[n - 1 - st.N] @ st.atom_row(k))
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
@@ -270,11 +283,12 @@ def test_oracle_tilde_path(small_instance, rng):
     st = small_instance.state
     eps = small_instance.params.epsilon
     dtil = small_instance.d_tilde.padded(st.n_max)
-    base = inner_product_oracle(small_instance, st.N + 1, tilde=True)
+    tables = small_instance.oracle_tables()
+    base = tables.tilde_pair_value(st.N + 1)
     assert base == pytest.approx(eps * st.norms[st.N], rel=1e-12)
     worst = 0.0
     for n in rng.integers(st.N + 1, st.n_max + 1, 40):
-        o = inner_product_oracle(small_instance, int(n), tilde=True)
+        o = tables.tilde_pair_value(int(n))
         d = float(st.r_hist[int(n) - 1 - st.N] @ dtil)
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mpursuit.analysis import check_bounds, compare, fit_decay
+from mpursuit.analysis import check_bounds, fit_decay
 from mpursuit.greedy_algorithms import Dictionary, GreedyTrace, TraceStep, run
-from mpursuit.linear_core import CoeffVector, basis_vector
+from mpursuit.linear_core import CoeffVector
 
 
 def synthetic_trace(norms, offset=0):
@@ -76,21 +76,26 @@ def test_check_bounds_validation():
 
 
 def test_compare_orthonormal_dictionary(rng):
+    # pga and oga both finish an orthonormal expansion within dim steps, so
+    # a decay fit over the run has too few points
     dim = 6
-    d = Dictionary.from_atoms([basis_vector(k + 1, dim) for k in range(dim)])
+    d = Dictionary(np.eye(dim), [dim] * dim)
     f = CoeffVector(rng.standard_normal(dim))
-    rows, traces = compare(f, d, ("pga", "oga"), steps=dim,
-                           variation_bound=float(np.sum(np.abs(f.coeffs))))
-    for row in rows:
-        assert row["final_residual"] <= 1e-12
-        assert row["steps"] <= dim
+    for alg in ("pga", "oga"):
+        trace = run(alg, f, d, dim, variation_bound=float(np.sum(np.abs(f.coeffs))))
+        assert trace.residual_norms[-1] <= 1e-12
+        assert len(trace.steps) <= dim
+        with pytest.raises(ValueError, match="usable points"):
+            fit_decay(trace, 1, len(trace.steps) + 1)
 
 
 def test_compare_shrink_smoke(small_instance):
     inst = small_instance
-    rows, traces = compare(inst.f, inst.dictionary, ("pga_shrink",), steps=30,
-                           shrinkage=0.5,
-                           variation_bound=inst.variation_bound)
-    assert rows[0]["algorithm"] == "pga_shrink"
-    assert rows[0]["steps"] == 30
-    assert np.all(np.diff(traces["pga_shrink"].residual_norms) <= 1e-14)
+    n0 = inst.params.N
+    trace = run("pga_shrink", inst.f, inst.dictionary, 30, shrinkage=0.5,
+                variation_bound=inst.variation_bound)
+    assert trace.algorithm == "pga_shrink"
+    assert len(trace.steps) == 30
+    assert np.all(np.diff(trace.residual_norms) <= 1e-14)
+    fit = fit_decay(trace, n0 + 1, n0 + 30, index_offset=n0)
+    assert fit.points == 30 and fit.slope < 0.0

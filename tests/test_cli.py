@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mpursuit
 from mpursuit.adversarial import verify
@@ -259,11 +261,10 @@ def test_verify_command_nan_sequence_fails_replay(tmp_path, saved_instance, row)
             parts[1] = "nan"
             lines[i] = ",".join(parts)
             break
-    text = "\n".join(lines) + "\n"
-    with pytest.raises(ConstructionError, match=f"step {row} "):
-        load_instance(text, is_text=True)
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConstructionError, match=f"step {row} "):
+        load_instance(str(bad))
     out = tmp_path / "v.txt"
     assert main(["verify", "--instance", str(bad), "--out", str(out)]) == 3
     report = read(out)
@@ -293,12 +294,13 @@ def test_verify_names_first_non_finite_row(saved_instance, route):
         assert np.isnan(report.min_margin_oracle)
 
 
-def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, capsys):
+def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, capsys,
+                                                      load_text):
     _, path = saved_instance
     lines = read(path).splitlines(keepends=True)
     no_epsilon = "".join(line for line in lines if not line.startswith("epsilon="))
     with pytest.raises(InstanceFormatError, match="epsilon="):
-        load_instance(no_epsilon, is_text=True)
+        load_text(no_epsilon)
     # a [phi] data row cut to its x column, and one whose x is off its node
     row = lines.index("[phi]\n") + 4
     x, value = lines[row].split(",")
@@ -313,6 +315,93 @@ def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, 
                     ["run", "--out", str(tmp_path / "t.csv")]):
             assert main(cmd + ["--instance", str(bad)]) == 1
             assert key in error_line(capsys)
+
+
+_SEQ_HEADER = "n,q,gamma,alpha,xi\n"
+
+
+def edit_rows(text, edit):
+    """The instance text with its [sequences] rows (header excluded) passed through edit."""
+    head, _, body = text.partition(_SEQ_HEADER)
+    return head + _SEQ_HEADER + "\n".join(edit(body.splitlines())) + "\n"
+
+
+# mid_instance: K=200, N=400, n_max=900, so the seed row is 199
+ROW_EDITS = {
+    "seed_fields": (lambda rows: [",".join(rows[0].split(",")[:2] + ["nan", "-inf", "nan"])]
+                    + rows[1:], "seed row 199 must have gamma, alpha and xi 0"),
+    "extra_row": (lambda rows: rows[:1] + ["5,nan,nan,nan,nan"] + rows[1:],
+                  "sequence row 5 outside [K-1, n_max] = [199, 900]"),
+    "duplicate_row": (lambda rows: rows + [rows[650 - 199]], "sequence row 650 appears twice"),
+    "missing_row": (lambda rows: [r for r in rows if not r.startswith("650,")],
+                    "sequence row 650 is missing"),
+}
+
+
+@pytest.mark.parametrize("case", list(ROW_EDITS))
+def test_instance_needs_one_row_per_step_and_a_zero_seed_row(tmp_path, saved_instance,
+                                                             capsys, case):
+    # each of these loaded, or failed only in replay, before the row check
+    _, path = saved_instance
+    edit, message = ROW_EDITS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(edit_rows(read(path), edit))
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        load_instance(str(bad))
+    capsys.readouterr()
+    for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
+                ["run", "--out", str(tmp_path / "t.csv")]):
+        assert main(cmd + ["--instance", str(bad)]) == 1
+        assert error_line(capsys) == f"error: {message}"
+    assert not (tmp_path / "v.txt").exists() and not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(199, 900), field=st.integers(1, 4),
+       kind=st.sampled_from(["relative", "sign", "zero", "nan", "inf", "-inf"]),
+       exponent=st.floats(-6.0, 1.0), down=st.booleans())
+def test_corrupted_sequence_field_never_verifies(mid_instance, load_text, row, field,
+                                                kind, exponent, down):
+    """One corrupted [sequences] field fails the replay or the verification.
+
+    The corruptions are a relative change of at least 1e-6 either way, a
+    sign flip, 0, NaN and +-inf, on any row, the seed row included.  A
+    smaller relative change is not claimed: one of 1e-9 is inside the step
+    conditions' tolerance CONDITION_RTOL (1e-9) and can replay and verify.
+    """
+    text = instance_to_text(mid_instance[0])
+    rows = text.partition(_SEQ_HEADER)[2].splitlines()
+    parts = rows[row - 199].split(",")
+    old = float(parts[field])
+    new = {"relative": old * (1.0 + (-1.0 if down else 1.0) * 10.0 ** exponent),
+           "sign": -old, "zero": 0.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    assume(not new == old)  # e.g. a sign flip of a zero field
+    parts[field] = repr(new)
+    rows[row - 199] = ",".join(parts)
+    try:
+        replayed = load_text(edit_rows(text, lambda _: rows))
+    except (ConstructionError, InstanceFormatError):
+        return
+    assert not verify(replayed).passed
+
+
+def test_negative_steps_or_epsilon_is_a_usage_error(tmp_path, saved_instance, capsys):
+    # 0 still means the default: all n_max - N steps, or a chosen epsilon
+    _, path = saved_instance
+    out = tmp_path / "t.csv"
+    capsys.readouterr()
+    assert main(["run", "--instance", path, "--steps", "-5", "--out", str(out)]) == 1
+    assert error_line(capsys) == "error: steps must be >= 0 (0 runs n_max - N steps)"
+    assert not out.exists()
+    assert main(["run", "--instance", path, "--steps", "0", "--out", str(out)]) == 0
+    assert len(GreedyTrace.from_csv(read(out))[0].steps) == 500
+    outdir = tmp_path / "b"
+    for value in ("-0.5", "nan"):
+        assert main(["build", "--epsilon", value, "--n-max", "900",
+                     "--outdir", str(outdir)]) == 1
+        assert error_line(capsys) == "error: epsilon must be >= 0 (0 chooses it)"
+    assert not outdir.exists()
 
 
 def test_make_phi_short_profile_row_is_a_usage_error(tmp_path, capsys):
@@ -417,11 +506,11 @@ def test_build_pipeline_reduced_scale(tmp_path):
     assert abs(slope + (0.5 - beta)) < 0.005
 
 
-def test_instance_text_round_trip(saved_instance):
+def test_instance_text_round_trip(saved_instance, load_text):
     inst, path = saved_instance
     text = read(path)
     body = text[text.index("# mpursuit-instance"):]
-    inst2 = load_instance(body, is_text=True)
+    inst2 = load_text(body)
     assert np.array_equal(inst.state.atoms, inst2.state.atoms)
     assert np.array_equal(inst.state.r_hist, inst2.state.r_hist)
     assert instance_to_text(inst2) == body

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from mpursuit.greedy_algorithms import Dictionary, GreedyTrace, run, select_atom
-from mpursuit.linear_core import CoeffVector, basis_vector
+from mpursuit.linear_core import CoeffVector
+
+
+def vec(*vals):
+    return CoeffVector(np.array(vals, dtype=np.float64))
 
 
 def ortho_dict(dim, n_atoms=None):
     n_atoms = dim if n_atoms is None else n_atoms
-    return Dictionary.from_atoms([basis_vector(k + 1, dim) for k in range(n_atoms)],
-                                 [f"e{k + 1}" for k in range(n_atoms)])
+    return Dictionary(np.eye(dim)[:n_atoms], [dim] * n_atoms,
+                      [f"e{k + 1}" for k in range(n_atoms)])
 
 
 def random_dict(rng, dim, n_atoms):
@@ -21,24 +25,24 @@ def random_dict(rng, dim, n_atoms):
 
 def test_select_axis_aligned():
     d = ortho_dict(2)
-    assert select_atom(CoeffVector.of(0.6, 0.8), d) == ("e2", 1, pytest.approx(0.8))
+    assert select_atom(vec(0.6, 0.8), d) == ("e2", 1, pytest.approx(0.8))
 
 
 def test_select_symmetry_picks_negated_atom():
     d = ortho_dict(2)
-    label, sign, value = select_atom(CoeffVector.of(-0.9, 0.1), d)
+    label, sign, value = select_atom(vec(-0.9, 0.1), d)
     assert (label, sign) == ("e1", -1)
     assert value == pytest.approx(0.9)
 
 
 def test_select_zero_residual_tie_rule():
     d = ortho_dict(2)
-    assert select_atom(CoeffVector.of(0.0, 0.0), d) == ("e1", 1, 0.0)
+    assert select_atom(vec(0.0, 0.0), d) == ("e1", 1, 0.0)
 
 
 def test_select_empty_dictionary():
     with pytest.raises(ValueError, match="empty dictionary"):
-        select_atom(CoeffVector.of(1.0), Dictionary.from_atoms([]))
+        select_atom(vec(1.0), Dictionary.from_atoms([]))
 
 
 def test_select_negated_dictionary_invariance(rng):
@@ -53,21 +57,21 @@ def test_select_negated_dictionary_invariance(rng):
 
 def test_dictionary_rejects_non_unit_atoms():
     with pytest.raises(ValueError, match="norm"):
-        Dictionary.from_atoms([CoeffVector.of(1.0, 1.0)])
+        Dictionary.from_atoms([vec(1.0, 1.0)])
     nan_atom = np.zeros(200)
     nan_atom[0], nan_atom[150] = 1.0, np.nan
     with pytest.raises(ValueError, match="norm nan"):
-        Dictionary.from_atoms([basis_vector(1, 200), CoeffVector(nan_atom)])
+        Dictionary.from_atoms([CoeffVector(np.eye(200)[0]), CoeffVector(nan_atom)])
 
 
 def test_pga_exact_recovery_orthonormal():
-    trace = run("pga", CoeffVector.of(0.6, 0.8), ortho_dict(2), 2)
+    trace = run("pga", vec(0.6, 0.8), ortho_dict(2), 2)
     assert [s.atom_id for s in trace.steps] == ["e2", "e1"]
     assert trace.residual_norms == pytest.approx([0.6, 0.0], abs=1e-15)
 
 
 def test_pga_shrink_single_direction():
-    trace = run("pga_shrink", CoeffVector.of(0.0, 1.0), ortho_dict(2), 1,
+    trace = run("pga_shrink", vec(0.0, 1.0), ortho_dict(2), 1,
                 shrinkage=0.5)
     s0 = trace.steps[0]
     assert s0.coefficient == pytest.approx(0.5)
@@ -85,7 +89,7 @@ def test_oga_exact_on_full_span(rng):
 
 def test_run_validation():
     d = ortho_dict(2)
-    f = CoeffVector.of(1.0, 0.0)
+    f = vec(1.0, 0.0)
     with pytest.raises(ValueError):
         run("nope", f, d, 1)
     with pytest.raises(ValueError):
@@ -100,11 +104,11 @@ def test_run_validation():
 def test_numeric_breakdown_detected():
     d = ortho_dict(2)
     with pytest.raises(RuntimeError, match="numeric breakdown at step 1"):
-        run("pga", CoeffVector.of(np.inf, 0.0), d, 3)
+        run("pga", vec(np.inf, 0.0), d, 3)
 
 
 def test_early_halt_below_floor():
-    trace = run("pga", CoeffVector.of(0.3, 0.4), ortho_dict(2), 50)
+    trace = run("pga", vec(0.3, 0.4), ortho_dict(2), 50)
     assert len(trace.steps) == 2  # exact recovery, then halt
 
 
@@ -147,18 +151,21 @@ def test_residual_norm_non_increasing(rng):
 
 
 def test_oga_residual_orthogonal_to_selected(rng):
+    # each step's reported norm is that of f minus its least-squares
+    # projection on the atoms selected so far
     dim = 12
     d = random_dict(rng, dim, 30)
     f = CoeffVector(rng.standard_normal(dim))
     trace = run("oga", f, d, 8)
+    assert len(trace.steps) == 8
     mat = d.matrix()
-    r = f.padded(dim).copy()
-    # rebuild the final residual by projecting f on the selected span
-    sel = mat[trace.atom_indices]
-    coef, *_ = np.linalg.lstsq(sel.T, f.padded(dim), rcond=None)
-    r = f.padded(dim) - sel.T @ coef
-    for j in trace.atom_indices:
-        assert abs(mat[j] @ r) <= 1e-9
+    for n, step in enumerate(trace.steps, start=1):
+        sel = mat[trace.atom_indices[:n]]
+        coef, *_ = np.linalg.lstsq(sel.T, f.padded(dim), rcond=None)
+        r = f.padded(dim) - sel.T @ coef
+        assert step.residual_norm == pytest.approx(float(np.linalg.norm(r)), rel=1e-12)
+        for j in trace.atom_indices[:n]:
+            assert abs(mat[j] @ r) <= 1e-9
 
 
 def test_oga_beats_pga_on_same_selections(rng, mid_instance):
@@ -200,7 +207,7 @@ def test_rga_runs_and_records_relaxation_coefficients(rng):
 
 
 def test_trace_csv_shape():
-    trace = run("pga", CoeffVector.of(0.6, 0.8), ortho_dict(2), 2)
+    trace = run("pga", vec(0.6, 0.8), ortho_dict(2), 2)
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "n,residual_norm,atom_id,sign,coefficient"
     assert len(lines) == 3

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 
 from scipy.interpolate import CubicHermiteSpline
 
-from mpursuit.grid_functions import (GridFunction, _hermite_slopes, integrate,
-                                     log_tail, scaled_selfconv, selfconv_on_nodes)
+from mpursuit.grid_functions import (GridFunction, _hermite_slopes, scaled_selfconv,
+                                     selfconv_on_nodes)
 
 
-def grid(lo, hi, fn, m=2001, **kw):
+def grid(lo, hi, fn, m=2001):
     x = np.linspace(lo, hi, m)
-    return GridFunction(lo, hi, fn(x), **kw)
+    return GridFunction(lo, hi, fn(x))
+
+
+def log_tail(g, x):
+    """integral_x^hi of g(z)/z dz."""
+    return float(g.log_between(x, g.hi))
 
 
 def test_constructor_validation():
@@ -26,23 +31,23 @@ def test_constructor_validation():
 
 
 def test_integrate_constant():
-    assert integrate(grid(0, 1, lambda x: np.ones_like(x))) == pytest.approx(1.0)
+    assert grid(0, 1, lambda x: np.ones_like(x)).integrate() == pytest.approx(1.0)
 
 
 def test_integrate_cubic_exact():
-    assert integrate(grid(0, 1, lambda x: x ** 3)) == pytest.approx(0.25, abs=1e-12)
+    assert grid(0, 1, lambda x: x ** 3).integrate() == pytest.approx(0.25, abs=1e-12)
 
 
 def test_integrate_log_analytic():
     g = grid(0.5, 1.0, lambda x: 1.0 / x, m=1001)
-    assert integrate(g) == pytest.approx(np.log(2.0), abs=1e-8)
+    assert g.integrate() == pytest.approx(np.log(2.0), abs=1e-8)
 
 
 def test_integrate_additive_over_split():
     f = np.exp
-    whole = integrate(grid(0, 1, f, m=2001))
-    left = integrate(grid(0, 0.5, f, m=1001))
-    right = integrate(grid(0.5, 1, f, m=1001))
+    whole = grid(0, 1, f, m=2001).integrate()
+    left = grid(0, 0.5, f, m=1001).integrate()
+    right = grid(0.5, 1, f, m=1001).integrate()
     assert whole == pytest.approx(left + right, rel=1e-12)
 
 
@@ -74,22 +79,28 @@ def test_log_tail_cumulative_consistency():
 
 def test_log_tail_domain_errors():
     g = grid(0.25, 1, lambda x: np.ones_like(x), m=501)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="log_between limit outside"):
         log_tail(g, 0.1)
-    gz = g.with_extension(left_zero=True, right_hold=False)
-    assert log_tail(gz, 0.1) == pytest.approx(np.log(4.0), abs=1e-8)
+    with pytest.raises(ValueError, match="log_between limit outside"):
+        g.log_between(0.5, 1.2)
+    # limits inside the edge slack are clipped onto the grid
+    assert log_tail(g, 0.25 - 1e-14) == pytest.approx(np.log(4.0), abs=1e-8)
 
 
 def test_evaluation_extension_rules():
+    # no extension: outside [lo, hi] beyond the edge slack every evaluation
+    # raises (the profile's zero/hold extension is mollify's own rule)
     g = grid(0.5, 1, lambda x: x, m=501)
-    with pytest.raises(ValueError):
-        g(0.2)
-    with pytest.raises(ValueError):
-        g(1.2)
-    ge = g.with_extension(left_zero=True, right_hold=True)
-    assert ge(0.2) == 0.0
-    assert ge(1.2) == pytest.approx(1.0)
-    assert ge(0.75) == pytest.approx(0.75, abs=1e-12)
+    for x in (0.2, 1.2, [0.75, 1.2]):
+        with pytest.raises(ValueError, match="evaluation outside"):
+            g(x)
+        with pytest.raises(ValueError, match="derivative outside"):
+            g.derivative(x)
+    with pytest.raises(ValueError, match="integration limit outside"):
+        g.integral_between(0.2, 0.75)
+    assert g(0.75) == pytest.approx(0.75, abs=1e-12)
+    assert g(1.0 + 1e-13) == g(1.0)
+    assert np.array_equal(g([0.5 - 1e-13, 0.75]), g([0.5, 0.75]))
 
 
 def bits(x):
@@ -186,12 +197,15 @@ def test_integral_between():
 
 
 def test_csv_round_trip():
-    g = grid(0.25, 1, lambda x: np.sin(5 * x), m=501,
-             extend_left_zero=True)
-    back = GridFunction.from_csv(g.to_csv())
+    g = grid(0.25, 1, lambda x: np.sin(5 * x), m=501)
+    text = g.to_csv()
+    assert text.startswith("# lo=0.25,hi=1.0,M=501\nx,value\n")
+    back = GridFunction.from_csv(text)
     assert back.lo == g.lo and back.hi == g.hi and back.m == g.m
     assert np.array_equal(back.values, g.values)
-    assert back.extend_left_zero and not back.extend_right_hold
+    # an older file's extension keys in the header are ignored
+    old = GridFunction.from_csv(text.replace(",M=501", ",M=501,ext_left=zero,ext_right=hold"))
+    assert old.to_csv() == text
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -203,12 +217,12 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
        data=st.data())
 def test_csv_round_trip_exact_and_rows_required(m, lo, width, data):
     vals = np.array(data.draw(st.lists(_finite | st.just(-0.0), min_size=m, max_size=m)))
-    g = GridFunction(lo, lo + width, vals, extend_right_hold=True)
+    g = GridFunction(lo, lo + width, vals)
     text = g.to_csv()
     back = GridFunction.from_csv(text)
     assert (back.lo, back.hi, back.m) == (g.lo, g.hi, g.m)
     assert np.array_equal(bits(back.values), bits(g.values))   # -0.0 included
-    assert back.extend_right_hold and not back.extend_left_zero
+    assert back.to_csv() == text
     # one dropped row leaves an even node count; two leave an odd count that
     # only the header's M catches
     lines = text.splitlines()

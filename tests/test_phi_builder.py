@@ -21,21 +21,20 @@ def test_kernel_support():
     assert bump_kernel(np.array([0.0]))[0] > 0
 
 
-def extended(lo, fn, m=1001):
+def on_support(lo, fn, m=1001):
     x = np.linspace(lo, 1.0, m)
-    return GridFunction(lo, 1.0, fn(x), extend_left_zero=True,
-                        extend_right_hold=True)
+    return GridFunction(lo, 1.0, fn(x))
 
 
 def test_mollify_zero_function():
-    f = extended(0.46, lambda x: np.zeros_like(x), m=501)
+    f = on_support(0.46, lambda x: np.zeros_like(x), m=501)
     out = mollify(f, 0.05)
     assert np.array_equal(out.values, np.zeros(501))
 
 
 def test_mollify_constant_away_from_jump():
     tau = 0.46
-    f = extended(tau, lambda x: np.ones_like(x), m=1001)
+    f = on_support(tau, lambda x: np.ones_like(x), m=1001)
     t = 0.02
     out = mollify(f, t)
     assert out(tau + 2 * t) == pytest.approx(1.0, abs=1e-8)
@@ -45,7 +44,7 @@ def test_mollify_constant_away_from_jump():
 def test_mollify_vanishes_left_of_support():
     tau = 0.46
     t = 0.03
-    f = extended(tau, lambda x: 1 + x, m=501)
+    f = on_support(tau, lambda x: 1 + x, m=501)
     out = mollify(f, t)
     nodes = out.nodes
     assert np.array_equal(out.values[nodes < tau - t],
@@ -58,7 +57,7 @@ def test_mollify_ramp_against_fine_quadrature(coarse_solution):
     # Compared at output grid nodes: off-node evaluation adds interpolation
     # error on the steep ramp, which is not the quadrature's contract.
     beta, tau, _, rep = coarse_solution
-    f = rep.converged_f.with_extension(left_zero=True, right_hold=True)
+    f = rep.converged_f
     t = 0.01
     out = mollify(f, t)
     nodes = out.nodes
@@ -70,19 +69,34 @@ def test_mollify_ramp_against_fine_quadrature(coarse_solution):
             expected = 0.0
         else:
             uu = np.linspace(-1.0, u_hi, 200001)
-            expected = np.trapezoid(bump_kernel(uu) * f(x - t * uu), uu)
+            # u <= u_hi keeps x - t u >= tau; above 1 the profile holds f(1)
+            expected = np.trapezoid(bump_kernel(uu) * f(np.minimum(x - t * uu, 1.0)), uu)
         assert out.values[i] == pytest.approx(expected, abs=1e-8)
     # mid-ramp value is strictly between 0 and the jump height
     i_mid = int(np.argmin(np.abs(nodes - tau)))
     assert 0.0 < out.values[i_mid] < float(rep.converged_f(tau))
 
 
-def test_mollify_requires_extension_and_valid_width():
-    tau = 0.46
-    bare = GridFunction(tau, 1.0, np.ones(501))
-    with pytest.raises(ValueError):
-        mollify(bare, 0.01)
-    f = extended(tau, lambda x: np.ones_like(x), m=501)
+def test_mollify_extends_by_zero_and_hold_and_requires_valid_width():
+    # the bump reaches t past both ends of [tau, 1]: below tau the profile
+    # is zero, above 1 it holds f(1), which a plain evaluation refuses
+    tau, t = 0.46, 0.01
+    f = on_support(tau, lambda x: 2.0 - x, m=501)
+    with pytest.raises(ValueError, match="outside the grid interval"):
+        f(1.0 + t)
+    with pytest.raises(ValueError, match="outside the grid interval"):
+        f(tau - t)
+    out = mollify(f, t)
+    uu = np.linspace(0.0, 1.0, 200001)
+    m1 = np.trapezoid(uu * bump_kernel(uu), uu)  # first moment of the bump's right half
+    nodes = out.nodes
+    i = int(np.argmin(np.abs(nodes - tau)))
+    # zero below tau removes the window's left half; a held f(1) lifts the
+    # right end above the linear continuation's value 1
+    assert out.values[i] == pytest.approx((2.0 - nodes[i]) / 2 - t * m1, abs=1e-6)
+    assert out.values[-1] == pytest.approx(1.0 + t * m1, abs=1e-6)
+    j = int(np.argmin(np.abs(nodes - (tau + 2 * t))))
+    assert out.values[j] == pytest.approx(2.0 - nodes[j], abs=1e-9)
     with pytest.raises(ValueError):
         mollify(f, tau)
     with pytest.raises(ValueError):
@@ -105,7 +119,7 @@ def test_scale_root_degenerate():
 
 def test_normalize_restores_mass_identity(coarse_solution):
     beta, tau, _, rep = coarse_solution
-    f = rep.converged_f.with_extension(left_zero=True, right_hold=True)
+    f = rep.converged_f
     c_t, phi = normalize(mollify(f, 0.01), beta)
     target = beta / (1 - 2 * beta)
     assert abs(weighted_mass(phi) - target) <= 1e-8
@@ -114,7 +128,7 @@ def test_normalize_restores_mass_identity(coarse_solution):
 
 def test_normalize_trend_toward_one(coarse_solution):
     beta, tau, _, rep = coarse_solution
-    f = rep.converged_f.with_extension(left_zero=True, right_hold=True)
+    f = rep.converged_f
     gaps = []
     for t in (0.02, 0.01, 0.005):
         c_t, _ = normalize(mollify(f, t), beta)
@@ -168,7 +182,7 @@ def test_build_profile_certificate(profile05, op_point):
 
 def test_phi_conditions_stable_under_grid_doubling(coarse_solution):
     beta, tau, _, rep = coarse_solution
-    f = rep.converged_f.with_extension(left_zero=True, right_hold=True)
+    f = rep.converged_f
     _, phi = normalize(mollify(f, 0.05), beta)
     r1 = check_conditions(phi, beta, tau, "phi_form", a_points=1000)
     r2 = check_conditions(phi.refined(2), beta, tau, "phi_form", a_points=1000)
@@ -200,6 +214,6 @@ def test_build_profile_fallback_exhaustion(coarse_solution):
     # a beta far above the admissible one inflates the mass target so the
     # sup conditions fail at every width in the schedule
     beta, tau, _, rep = coarse_solution
-    fext = rep.converged_f.with_extension(left_zero=True, right_hold=True)
+    fbar = rep.converged_f
     with pytest.raises(NumericFailure, match="fallback"):
-        build_profile(fext, 0.45, tau, t=0.02, t_min=0.009)
+        build_profile(fbar, 0.45, tau, t=0.02, t_min=0.009)
