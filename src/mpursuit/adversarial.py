@@ -29,7 +29,7 @@ from .phi_builder import PhiProfile
 
 __all__ = [
     "ConstructionParams", "ConstructionState", "AdversarialInstance",
-    "VerificationReport", "q_of", "init_state", "step", "advance",
+    "VerificationReport", "check_sizes", "q_of", "init_state", "step", "advance",
     "choose_epsilon", "finalize", "verify",
     "build_instance",
 ]
@@ -77,14 +77,19 @@ class ConstructionParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise ValueError("beta must lie in (0, 1/2)")
-        if self.K < 2:
-            raise ValueError("K must be at least 2")
-        if self.N < self.K:
-            raise ValueError("N must be at least K")
-        if self.n_max <= self.N:
-            raise ValueError("n_max must exceed N")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        check_sizes(self.K, self.N, self.n_max, self.epsilon)
+
+
+def check_sizes(K: int, N: int, n_max: int, epsilon: float | None) -> None:
+    """Raise ValueError unless 2 <= K <= N < n_max and epsilon is None or in (0, 1)."""
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    if N < K:
+        raise ValueError("N must be at least K")
+    if n_max <= N:
+        raise ValueError("n_max must exceed N")
+    if epsilon is not None and not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
 
 
 class ConstructionState:
@@ -306,9 +311,11 @@ class OracleTables:
 
     Reconstructs residual components via the component formula, atom
     components from the inductive definition, and then serves
-    <r_{n-1}, d_k> for every pair through the forward recursion (k < n),
-    the base equality (k = n) and the two-term recursion (k > n).  Nothing
-    here reads the construction's stored vectors.
+    <r_{n-1}, d_k> for a block of steps n at once (`rows`) through the
+    forward recursion (k < n), the base equality (k = n) and the two-term
+    recursion (k > n) in scan form; `pair_value` and `tilde_pair_value`
+    follow the recursions literally, one pair at a time.  Nothing here
+    reads the construction's stored vectors.
     """
 
     def __init__(self, state: ConstructionState, phi: PhiProfile, epsilon: float):
@@ -366,13 +373,11 @@ class OracleTables:
                + np.sqrt(1.0 - self.epsilon ** 2) * dhat[0])
         self.dtil_hat = til[:N].copy()
 
-        # k < n: cumulative sums over i of <h_i, d_hat_k>
-        w_mat = h_all[N + 1 - K: n_max - K] @ dhat.T   # i = N+1..n_max-1
-        np.cumsum(w_mat, axis=0, out=w_mat)
-        self.cw = w_mat                                 # cw[m-(N+1), k-N]
-        kk = np.arange(N + 1, n_max + 1)
-        self.cw_diag = np.concatenate(
-            [[0.0], w_mat[kk[:-1] - (N + 1), kk[:-1] - N]])
+        # k < n: cumulative sums over i = N+1..m of <h_i, d_hat_k>, row m - N;
+        # row 0 (m = N) is the empty sum
+        self.cw = cw = np.zeros((n_max - N, n_max - N + 1))   # cw[m-N, k-N]
+        np.matmul(h_all[N + 1 - K: n_max - K], dhat.T, out=cw[1:])
+        np.cumsum(cw[1:], axis=0, out=cw[1:])
 
         # blended-atom sums
         wtil = h_all[N + 1 - K: n_max - K, :N] @ self.dtil_hat
@@ -395,35 +400,31 @@ class OracleTables:
         self.cg = cg
         del h_all, rh
 
-    # -- assembled rows ----------------------------------------------------
+    # -- assembled blocks --------------------------------------------------
 
-    def row(self, n: int) -> np.ndarray:
-        """Oracle <r_{n-1}, d_k> for k = N..n_max (index k - N)."""
-        N, n_max = self.N, self.n_max
-        if not N < n <= n_max:
-            raise IndexError("n out of range")
-        q = self.q
-        out = np.empty(n_max - N + 1)
-        if n - 1 >= N + 1:
-            out[: n - N] = -(q[n - 1]) * (self.cw[n - 1 - (N + 1), : n - N]
-                                          - self.cw_diag[: n - N])
-        else:
-            out[: n - N] = 0.0  # n = N+1: single k = N term, empty i-sum
-        out[n - N] = q[n]
-        if n < n_max:
-            nn = n - (N + 1)
-            ks = slice(n - N + 1, n_max - N + 1)
-            kcols = slice(n - N, n_max - N)
-            out[ks] = self.p[kcols] * (q[n] / self.p[nn]
-                                       + self.cg[nn, kcols] - self.cg[nn, nn])
-        return out
+    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(pairs, tilde) for the steps n = lo..hi, one row per n.
 
-    def tilde_value(self, n: int) -> float:
-        N = self.N
-        if not N < n <= self.n_max:
+        pairs[n - lo, k - N] = <r_{n-1}, d_k> for k = N..n_max, each entry by
+        the formula of its case (k < n, k = n, k > n); tilde[n - lo] is
+        <r_{n-1}, d_tilde>.
+        """
+        N, n_max, q, p = self.N, self.n_max, self.q, self.p
+        if not N < lo <= hi <= n_max:
             raise IndexError("n out of range")
-        tail = self.ct[n - 1 - N]
-        return float(-(self.q[n - 1]) * (tail - self.epsilon * self.rn_norm / self.q[N]))
+        ns = np.arange(lo, hi + 1)
+        below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
+        pairs = np.empty((hi - lo + 1, n_max - N + 1))
+        pairs[:, :below] = -(q[ns - 1])[:, None] * (self.cw[lo - 1 - N: hi - N, :below]
+                                                    - np.diagonal(self.cw)[:below])
+        cg = self.cg[lo - (N + 1): hi - N]    # rows n, cols k = N+1..n_max
+        upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
+                             - cg[ns - lo, ns - (N + 1)][:, None])
+        np.copyto(pairs[:, above + 1:], upper, where=ns[:, None] < np.arange(lo + 1, n_max + 1))
+        pairs[ns - lo, ns - N] = q[ns]
+        tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N]
+                                - self.epsilon * self.rn_norm / q[N])
+        return pairs, tilde
 
     def pair_value(self, n: int, k: int) -> float:
         """Per-pair recursion, following the inductive formulas literally."""
@@ -509,61 +510,54 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     disagreement, the diagonal equality error, and the norm-schedule
     deviation over the whole residual history; a non-finite direct or
     oracle value fails the check and the notes name its first n.
+
+    Each block of `_VERIFY_BLOCK` steps is reduced by whole-array
+    operations.  A row holding a NaN margin never sets `min_margin` (ties go
+    to the first pair in row order); the blended margin takes the oracle
+    value only where its magnitude is strictly larger, as `max` does.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
+    width = n_max - N + 1
     tables = instance.oracle_tables()
-    atoms_mat = st.atoms[1:]                   # rows d_N..d_n_max
-    dtil = st.atoms[0]                         # the blended atom
-    q = st.q
-
-    min_margin = np.inf
-    min_pair = (-1, -1)
-    min_margin_o = np.inf
-    til_min = np.inf
-    til_arg = -1
-    dual_max = 0.0
-    diag_max = 0.0
-    n_pairs = 0
-    first_nonfinite = None
-
+    min_margin, min_pair, til_min, til_arg = np.inf, (-1, -1), np.inf, -1
+    min_margin_o, dual_max, diag_max, first_nonfinite = np.inf, 0.0, 0.0, None
     for lo in range(N + 1, n_max + 1, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK - 1, n_max)
+        ns = np.arange(lo, hi + 1)
+        on_diag = (ns - lo, ns - N)
+        qn = st.q[ns]
         rows = st.r_hist[lo - 1 - N: hi - N]   # r_{n-1} for n in [lo, hi]
-        direct = rows @ atoms_mat.T
-        til_direct = rows @ dtil
-        for n in range(lo, hi + 1):
-            drow = direct[n - lo]
-            orow = tables.row(n)
-            dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
-            qn = q[n]
-            diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
-            margins = (qn - np.abs(drow)) / qn
-            margins[n - N] = np.inf
-            jmin = int(np.argmin(margins))
-            if margins[jmin] < min_margin:
-                min_margin = float(margins[jmin])
-                min_pair = (n, N + jmin)
-            omargins = (qn - np.abs(orow)) / qn
-            omargins[n - N] = np.inf
-            min_margin_o = np.minimum(min_margin_o, np.min(omargins))
-            tval = float(til_direct[n - lo])
-            oval = tables.tilde_value(n)
-            dual_max = np.maximum(dual_max, abs(tval - oval))
-            # any non-finite value of row n makes dual_max non-finite; np.maximum keeps it
-            if first_nonfinite is None and not np.isfinite(dual_max):
-                first_nonfinite = n
-            tmarg = (qn - max(abs(tval), abs(oval))) / qn
-            if tmarg < til_min:
-                til_min = tmarg
-                til_arg = n
-            n_pairs += n_max - N + 1
+        direct = rows @ st.atoms[1:].T          # against d_N..d_n_max
+        til_direct = rows @ st.atoms[0]         # against the blended atom
+        pairs, tilde = tables.rows(lo, hi)
+        gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1),
+                          np.abs(til_direct - tilde))
+        dual_max = np.maximum(dual_max, np.max(gaps))
+        if first_nonfinite is None and not np.all(np.isfinite(gaps)):
+            first_nonfinite = lo + int(np.argmin(np.isfinite(gaps)))
+        diag_max = np.maximum(diag_max, np.max(np.abs(direct[on_diag] - qn) / qn))
+        margins, omargins = np.abs(direct), np.abs(pairs)
+        for m in (margins, omargins):        # (q_n - |value|) / q_n, in place
+            np.divide(np.subtract(qn[:, None], m, out=m), qn[:, None], out=m)
+            m[on_diag] = np.inf
+        margins[np.isnan(margins).any(axis=1)] = np.inf
+        j = int(np.argmin(margins))
+        if margins.flat[j] < min_margin:
+            min_margin, min_pair = float(margins.flat[j]), (lo + j // width, N + j % width)
+        min_margin_o = np.minimum(min_margin_o, np.min(omargins))
+        t_abs, o_abs = np.abs(til_direct), np.abs(tilde)
+        tmarg = (qn - np.where(o_abs > t_abs, o_abs, t_abs)) / qn
+        tmarg[np.isnan(tmarg)] = np.inf
+        j = int(np.argmin(tmarg))
+        if tmarg[j] < til_min:
+            til_min, til_arg = tmarg[j], lo + j
     sched = _schedule(np.arange(N, n_max + 1), st.beta)
     hist_norms = np.linalg.norm(st.r_hist, axis=1)
     sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
 
     return VerificationReport(
-        n_pairs=n_pairs,
+        n_pairs=(n_max - N) * width,
         all_strict=bool(first_nonfinite is None and min_margin > 0.0
                         and min_margin_o > 0.0 and til_min > 0.0),
         min_margin=float(min_margin), min_margin_pair=min_pair,

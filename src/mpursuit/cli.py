@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__
-from .adversarial import build_instance, verify
+from .adversarial import build_instance, check_sizes, verify
 from .analysis import check_bounds, fit_decay
 from .constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from .errors import NumericFailure
@@ -193,8 +193,9 @@ def cmd_make_phi(cfg) -> int:
 def cmd_build(cfg) -> int:
     if not cfg["epsilon"] >= 0.0:
         raise ValueError("epsilon must be >= 0 (0 chooses it)")
-    beta, tau, profile, cond_report = _phi_profile(cfg)
     eps = cfg["epsilon"] if cfg["epsilon"] > 0.0 else None
+    check_sizes(cfg["k"], cfg["n"], cfg["n_max"], eps)  # before the profile is solved
+    beta, tau, profile, cond_report = _phi_profile(cfg)
     instance, vreport = build_instance(profile, K=cfg["k"], N=cfg["n"],
                                        n_max=cfg["n_max"], epsilon=eps)
     head = _header("build", cfg)

@@ -121,20 +121,21 @@ def load_instance(path: str) -> AdversarialInstance:
     params = ConstructionParams(beta=beta, K=k_par, N=n_par, n_max=n_max,
                                 epsilon=epsilon, phi=profile)
 
+    # check the rows against [K-1, n_max] before anything sized by n_max exists
     seed = k_par - 1
-    table = np.zeros((4, n_max + 1))
-    seen = np.zeros(n_max + 1, dtype=bool)
-    for n, *vals in seq_rows:
+    seq_rows.sort(key=lambda row: row[0])
+    for want, (n, *_) in enumerate(seq_rows, start=seed):
         if not seed <= n <= n_max:
             raise InstanceFormatError(f"sequence row {n} outside [K-1, n_max] = "
                                       f"[{seed}, {n_max}]")
-        if seen[n]:
+        if n < want:
             raise InstanceFormatError(f"sequence row {n} appears twice")
-        seen[n] = True
-        table[:, n] = vals
-    if not seen[seed:].all():
-        raise InstanceFormatError(
-            f"sequence row {seed + int(np.argmin(seen[seed:]))} is missing")
+        if n > want:
+            raise InstanceFormatError(f"sequence row {want} is missing")
+    if len(seq_rows) < n_max - seed + 1:
+        raise InstanceFormatError(f"sequence row {seed + len(seq_rows)} is missing")
+    table = np.zeros((4, n_max + 1))
+    table[:, seed:] = np.array([vals for _, *vals in seq_rows]).T
     # replay reads only the seed row's q; the writer leaves the rest zero
     if not np.all(table[1:, seed] == 0.0):
         raise InstanceFormatError(f"seed row {seed} must have gamma, alpha and xi 0")

@@ -133,6 +133,8 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     rg = numeric_rg(G)
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")

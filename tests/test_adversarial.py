@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mpursuit.adversarial import (ConstructionParams, advance, build_instance,
-                                  choose_epsilon, finalize, init_state, q_of, step,
-                                  verify)
+from mpursuit import adversarial
+from mpursuit.adversarial import (ConstructionParams, VerificationReport, _schedule,
+                                  advance, build_instance, choose_epsilon, finalize,
+                                  init_state, q_of, step, verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text
@@ -239,7 +243,7 @@ def test_oracle_selected_index_is_q(small_instance):
     tables = small_instance.oracle_tables()
     for n in (st.N + 2, st.n_max):
         assert tables.pair_value(n, n) == st.q[n]
-        assert tables.row(n)[n - st.N] == st.q[n]
+        assert tables.rows(n, n)[0][0, n - st.N] == st.q[n]
         direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
         assert direct == pytest.approx(st.q[n], rel=1e-9)
 
@@ -259,9 +263,11 @@ def test_oracle_range_checks(small_instance):
         with pytest.raises(IndexError):
             tables.tilde_pair_value(n)
         with pytest.raises(IndexError):
-            tables.tilde_value(n)
-        with pytest.raises(IndexError):
-            tables.row(n)
+            tables.rows(n, n)
+    with pytest.raises(IndexError):
+        tables.rows(p.N + 2, p.N + 1)
+    with pytest.raises(IndexError):
+        tables.rows(p.N + 1, p.n_max + 1)
 
 
 def test_oracle_vs_direct_random_pairs(small_instance, rng):
@@ -298,10 +304,21 @@ def test_bulk_rows_match_pair_values(small_instance, rng):
     tables = small_instance.oracle_tables()
     st = small_instance.state
     for n in (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max):
-        row = tables.row(n)
+        row = tables.rows(n, n)[0][0]
         for k in sorted(set(int(x) for x in rng.integers(st.N, st.n_max + 1, 12))):
             expected = st.q[n] if k == n else tables.pair_value(n, k)
             assert row[k - st.N] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+
+def test_rows_block_equals_its_single_rows(small_instance):
+    # a block evaluates each entry by the formula of its case, as rows(n, n) does
+    tables = small_instance.oracle_tables()
+    p = small_instance.params
+    for lo, hi in ((p.N + 1, p.n_max), (p.N + 5, p.N + 40), (p.n_max, p.n_max)):
+        pairs, tilde = tables.rows(lo, hi)
+        singles = [tables.rows(n, n) for n in range(lo, hi + 1)]
+        assert np.array_equal(pairs, np.vstack([row for row, _ in singles]))
+        assert np.array_equal(tilde, np.concatenate([t for _, t in singles]))
 
 
 def test_verify_dual_paths_agree_even_without_margins(small_instance):
@@ -339,3 +356,123 @@ def test_build_instance_doubling_success(profile05):
 def test_build_instance_doubling_exhaustion(profile05):
     with pytest.raises(ConstructionError):
         build_instance(profile05, K=50, N=100, n_max=420, max_doublings=1)
+
+
+def reference_verify(instance):
+    """verify's fold as it was before it reduced whole blocks: one row at a time.
+
+    It takes the same block products of the direct route and the same
+    oracle values, so every figure of its report must equal verify's.
+    """
+    st = instance.state
+    N, n_max = st.N, st.n_max
+    tables = instance.oracle_tables()
+    atoms_mat = st.atoms[1:]
+    dtil = st.atoms[0]
+    q = st.q
+
+    min_margin = np.inf
+    min_pair = (-1, -1)
+    min_margin_o = np.inf
+    til_min = np.inf
+    til_arg = -1
+    dual_max = 0.0
+    diag_max = 0.0
+    n_pairs = 0
+    first_nonfinite = None
+
+    for lo in range(N + 1, n_max + 1, adversarial._VERIFY_BLOCK):
+        hi = min(lo + adversarial._VERIFY_BLOCK - 1, n_max)
+        rows = st.r_hist[lo - 1 - N: hi - N]
+        direct = rows @ atoms_mat.T
+        til_direct = rows @ dtil
+        for n in range(lo, hi + 1):
+            drow = direct[n - lo]
+            pairs, tilde = tables.rows(n, n)
+            orow = pairs[0]
+            dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
+            qn = q[n]
+            diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
+            margins = (qn - np.abs(drow)) / qn
+            margins[n - N] = np.inf
+            jmin = int(np.argmin(margins))
+            if margins[jmin] < min_margin:
+                min_margin = float(margins[jmin])
+                min_pair = (n, N + jmin)
+            omargins = (qn - np.abs(orow)) / qn
+            omargins[n - N] = np.inf
+            min_margin_o = np.minimum(min_margin_o, np.min(omargins))
+            tval = float(til_direct[n - lo])
+            oval = float(tilde[0])
+            dual_max = np.maximum(dual_max, abs(tval - oval))
+            if first_nonfinite is None and not np.isfinite(dual_max):
+                first_nonfinite = n
+            tmarg = (qn - max(abs(tval), abs(oval))) / qn
+            if tmarg < til_min:
+                til_min = tmarg
+                til_arg = n
+            n_pairs += n_max - N + 1
+    sched = _schedule(np.arange(N, n_max + 1), st.beta)
+    hist_norms = np.linalg.norm(st.r_hist, axis=1)
+    sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
+
+    return VerificationReport(
+        n_pairs=n_pairs,
+        all_strict=bool(first_nonfinite is None and min_margin > 0.0
+                        and min_margin_o > 0.0 and til_min > 0.0),
+        min_margin=float(min_margin), min_margin_pair=min_pair,
+        min_margin_oracle=float(min_margin_o),
+        tilde_min_margin=float(til_min), tilde_argmin=til_arg,
+        dual_max_diff=float(dual_max), diag_max_rel_err=float(diag_max),
+        schedule_max_rel_err=sched_err,
+        notes="" if first_nonfinite is None
+        else f"non-finite inner product at n={first_nonfinite}")
+
+
+def corrupted(instance, target, value):
+    """A copy of instance with one value planted at step n = N + 95.
+
+    Offset 94 from the first step lies inside a block for every block size
+    tested (position 30 of 64, 3 of 7).  The targets are the direct route's
+    residual r_{n-1}, atom d_n and blended atom, and the oracle's forward
+    sums (cw, one entry) and blended-atom sums (ct, step n on, so that the
+    oracle's blended value is NaN at the smallest blended margin of
+    mid_instance); the copy shares nothing it changes.
+    """
+    st = copy.copy(instance.state)
+    tables = copy.copy(instance.oracle_tables())
+    n = st.N + 95
+    if target == "residual":
+        st.r_hist = st.r_hist.copy()
+        st.residual_row(n - 1)[(n - 1) // 2] = value
+    elif target in ("atom", "blended"):
+        st.atoms = st.atoms.copy()
+        row = st.atom_row(n) if target == "atom" else st.atoms[0]
+        row[st.N // 2] = value
+    elif target == "cw":
+        tables.cw = tables.cw.copy()
+        tables.cw[n - 1 - st.N, 3] = value
+    else:
+        tables.ct = tables.ct.copy()
+        tables.ct[n - 1 - st.N:] = value
+    return dataclasses.replace(instance, state=st, _tables=tables)
+
+
+CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
+                for value in (np.nan, np.inf, -np.inf, 1e300)]
+               + [("cw", np.nan), ("ct", np.nan)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+@pytest.mark.parametrize("block", [512, 64, 7])
+@pytest.mark.parametrize("corruption", [None, *CORRUPTIONS],
+                         ids=["clean", *(f"{t}-{v!r}" for t, v in CORRUPTIONS)])
+def test_verify_matches_row_by_row_reference(small_instance, mid_instance, monkeypatch,
+                                             block, corruption):
+    monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
+    for inst in (small_instance, mid_instance[0]):
+        if corruption is not None:
+            inst = corrupted(inst, *corruption)
+        report = verify(inst)
+        assert report.to_text() == reference_verify(inst).to_text()
+        assert (corruption is None) or not report.passed

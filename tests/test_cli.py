@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpursuit
+from mpursuit import cli
 from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
@@ -326,26 +327,36 @@ def edit_rows(text, edit):
     return head + _SEQ_HEADER + "\n".join(edit(body.splitlines())) + "\n"
 
 
+def on_rows(edit):
+    """An edit of the whole instance text that passes its rows through edit."""
+    return lambda text: edit_rows(text, edit)
+
+
 # mid_instance: K=200, N=400, n_max=900, so the seed row is 199
 ROW_EDITS = {
-    "seed_fields": (lambda rows: [",".join(rows[0].split(",")[:2] + ["nan", "-inf", "nan"])]
-                    + rows[1:], "seed row 199 must have gamma, alpha and xi 0"),
-    "extra_row": (lambda rows: rows[:1] + ["5,nan,nan,nan,nan"] + rows[1:],
+    "seed_fields": (on_rows(lambda rows: [",".join(rows[0].split(",")[:2]
+                                                   + ["nan", "-inf", "nan"])] + rows[1:]),
+                    "seed row 199 must have gamma, alpha and xi 0"),
+    "extra_row": (on_rows(lambda rows: rows[:1] + ["5,nan,nan,nan,nan"] + rows[1:]),
                   "sequence row 5 outside [K-1, n_max] = [199, 900]"),
-    "duplicate_row": (lambda rows: rows + [rows[650 - 199]], "sequence row 650 appears twice"),
-    "missing_row": (lambda rows: [r for r in rows if not r.startswith("650,")],
+    "duplicate_row": (on_rows(lambda rows: rows + [rows[650 - 199]]),
+                      "sequence row 650 appears twice"),
+    "missing_row": (on_rows(lambda rows: [r for r in rows if not r.startswith("650,")]),
                     "sequence row 650 is missing"),
+    # rejected before an array of n_max + 1 entries is allocated
+    "n_max_beyond_rows": (lambda text: text.replace("n_max=900\n", "n_max=1000000000000\n"),
+                          "sequence row 901 is missing"),
 }
 
 
 @pytest.mark.parametrize("case", list(ROW_EDITS))
 def test_instance_needs_one_row_per_step_and_a_zero_seed_row(tmp_path, saved_instance,
                                                              capsys, case):
-    # each of these loaded, or failed only in replay, before the row check
+    # each of these loaded, or failed only in replay or allocation, before the row check
     _, path = saved_instance
     edit, message = ROW_EDITS[case]
     bad = tmp_path / "bad.txt"
-    bad.write_text(edit_rows(read(path), edit))
+    bad.write_text(edit(read(path)))
     with pytest.raises(InstanceFormatError, match=re.escape(message)):
         load_instance(str(bad))
     capsys.readouterr()
@@ -401,6 +412,35 @@ def test_negative_steps_or_epsilon_is_a_usage_error(tmp_path, saved_instance, ca
         assert main(["build", "--epsilon", value, "--n-max", "900",
                      "--outdir", str(outdir)]) == 1
         assert error_line(capsys) == "error: epsilon must be >= 0 (0 chooses it)"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-f", "make-phi", "build"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    outdir = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--max-iter", value, "--grid-m", "201",
+                 "--outdir", str(outdir)]) == 1
+    assert error_line(capsys) == "error: max_iter must be at least 1"
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epsilon", "1.5"], "epsilon must lie in (0, 1)"),
+    (["--k", "1"], "K must be at least 2"),
+    (["--n", "100", "--k", "200"], "N must be at least K"),
+    (["--n-max", "400"], "n_max must exceed N"),
+])
+def test_build_rejects_bad_sizes_before_solving(tmp_path, capsys, monkeypatch, flags,
+                                                message):
+    def solve_f(*args, **kwargs):
+        raise AssertionError("build solved the profile before checking its sizes")
+    monkeypatch.setattr(cli, "solve_f", solve_f)
+    outdir = tmp_path / "b"
+    capsys.readouterr()
+    assert main(["build", *flags, "--outdir", str(outdir)]) == 1
+    assert error_line(capsys) == f"error: {message}"
     assert not outdir.exists()
 
 

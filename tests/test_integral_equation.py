@@ -144,3 +144,12 @@ def test_solve_tol_validation(op_point):
     g = bundle(beta, tau).g_grid(501)
     with pytest.raises(ValueError):
         solve_f(g, tau, tol=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_solve_max_iter_validation(op_point, max_iter):
+    # a usage error, not a bracket that "did not close within -5 sweeps"
+    beta, tau = op_point
+    g = bundle(beta, tau).g_grid(501)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        solve_f(g, tau, max_iter=max_iter)
