@@ -282,7 +282,10 @@ class AdversarialInstance:
 
 
 def finalize(state: ConstructionState, params: ConstructionParams) -> AdversarialInstance:
-    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary."""
+    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary.
+
+    f is a copy of r_N's N entries, so it does not pin the residual history.
+    """
     if state.n != state.n_max:
         raise ValueError("advance the construction to n_max before finalizing")
     if params.epsilon is None:
@@ -302,7 +305,7 @@ def finalize(state: ConstructionState, params: ConstructionParams) -> Adversaria
                             [f"dt{N}", *(f"d{k}" for k in ks)])
     variation = (r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps))
     return AdversarialInstance(
-        params=params, f=CoeffVector(r_n), d_tilde=dictionary.atoms[0],
+        params=params, f=CoeffVector(r_n.copy()), d_tilde=dictionary.atoms[0],
         dictionary=dictionary, variation_bound=float(variation), state=state)
 
 

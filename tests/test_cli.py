@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -604,13 +605,77 @@ def test_oga_single_pass_keeps_the_output_contract_of_cgs2(instance_2500):
     assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
 
 
+def direct_pga(f, dictionary, steps, shrinkage):
+    """PGA as it ran before selection from running inner products: each step
+    multiplies the dictionary by the residual's 64-aligned live prefix.
+    Returns the (atom index, sign) picks, coefficients and residual norms."""
+    mat = dictionary.matrix()
+    r = f.padded(max(dictionary.width, f.active_len))
+    live, picks, coeffs, norms = f.active_len, [], [], []
+    for _ in range(steps):
+        cols = min(mat.shape[1], -(-live // 64) * 64)
+        vals = mat[:, :cols] @ r[:cols]
+        j = int(np.argmax(np.abs(vals)))
+        v = float(vals[j])
+        sign = 1 if v >= 0.0 else -1
+        live = max(live, dictionary.atoms[j].active_len)
+        coeff = shrinkage * abs(v)
+        r[: mat.shape[1]] -= coeff * (sign * mat[j])
+        picks.append((j, sign))
+        coeffs.append(coeff)
+        norms.append(float(np.linalg.norm(r)))
+    return picks, np.array(coeffs), np.array(norms)
+
+
+@pytest.mark.parametrize("alg, shrinkage", [("pga", 1.0), ("pga_shrink", 0.5)])
+def test_gram_selection_keeps_the_output_contract_of_direct_selection(
+        instance_2500, alg, shrinkage):
+    """The output contract of DECISIONS.md between selection from running
+    inner products and the direct selection it replaced: the same atoms and
+    signs at all 2100 steps, and each residual norm within 4 ulps.  The
+    coefficients, which the contract leaves free, agree to 1e-12 relative."""
+    inst = load_instance(instance_2500)
+    steps = inst.params.n_max - inst.params.N
+    trace = run(alg, inst.f, inst.dictionary, steps, shrinkage=shrinkage)
+    picks, coeffs, ref = direct_pga(inst.f, inst.dictionary, steps, shrinkage)
+    assert len(trace.steps) == steps == 2100
+    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
+    got = np.array([s.coefficient for s in trace.steps])
+    assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
+
+
+def test_run_frees_the_construction_history_before_the_run(tmp_path, monkeypatch,
+                                                           saved_instance):
+    """`run` allocates the Gram matrix, so the command must have let go of the
+    loaded construction state and its residual history by then."""
+    _, path = saved_instance
+    states, alive = [], []
+
+    def load_and_watch(p):
+        inst = load_instance(p)
+        assert not np.shares_memory(inst.f.coeffs, inst.state.r_hist)
+        states.append(weakref.ref(inst.state))
+        return inst
+
+    def watched_run(*args, **kwargs):
+        alive.append(states[0]() is not None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_instance", load_and_watch)
+    monkeypatch.setattr(cli, "run", watched_run)
+    assert main(["run", "--instance", path, "--steps", "5",
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert alive == [False]
+
+
 @pytest.mark.parametrize("alg", ["pga", "oga"])
 def test_run_output_contract_across_blas_threads(tmp_path, instance_2500, alg):
     """The output contract of DECISIONS.md: at 1 and 2 BLAS threads a run
     picks the same atoms with the same signs, and each residual norm agrees
     to 4 ulps.  With OpenBLAS at n_max=2500 the two traces part in their
-    last bits (PGA from step 1047 or later, OGA from step 793), so the
-    bound is exercised; at n_max=900 they are bit-identical."""
+    last bits (PGA from step 1213, OGA from step 793), so the bound is
+    exercised; at n_max=900 they are bit-identical."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
     traces = []
     for threads in ("1", "2"):

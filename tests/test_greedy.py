@@ -64,6 +64,25 @@ def test_dictionary_rejects_non_unit_atoms():
         Dictionary.from_atoms([CoeffVector(np.eye(200)[0]), CoeffVector(nan_atom)])
 
 
+def test_dictionary_rejects_rows_beyond_their_length():
+    # selection reads only the residual's live prefix; a row nonzero past
+    # its declared length made run("pga") pick a0 twice, raising the norm
+    rows = np.zeros((2, 200))
+    rows[0, [0, 150]] = 0.6, 0.8
+    rows[1, 150] = 1.0
+    with pytest.raises(ValueError, match="atom a0 is nonzero beyond its length 1"):
+        Dictionary(rows, [1, 200])
+    trace = run("pga", vec(1.0), Dictionary(rows, [200, 200]), 2)
+    assert [(s.atom_id, s.sign) for s in trace.steps] == [("a0", 1), ("a1", -1)]
+    assert trace.steps[1].residual_norm == pytest.approx(0.64)
+    nan_tail = np.eye(3)[:1].copy()
+    nan_tail[0, 2] = np.nan
+    with pytest.raises(ValueError, match="atom a0"):
+        Dictionary(nan_tail, [1])
+    with pytest.raises(ValueError, match=r"atom a0 has length 9, outside \[0, 4\]"):
+        Dictionary(np.ones((1, 4)) / 2, [9])
+
+
 def test_pga_exact_recovery_orthonormal():
     trace = run("pga", vec(0.6, 0.8), ortho_dict(2), 2)
     assert [s.atom_id for s in trace.steps] == ["e2", "e1"]
