@@ -38,6 +38,7 @@ CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
 _VERIFY_BLOCK = 512  # residual rows per direct-route matmul in verify
+_H_BLOCK = 32        # correction vectors per phi evaluation in OracleTables
 
 
 def q_of(n, beta: float):
@@ -339,6 +340,16 @@ class OracleTables:
         i = np.arange(1, l)
         return (self.alpha[l] / l) * self._phi(i / l)
 
+    def _h_rows(self, ls: np.ndarray) -> np.ndarray:
+        """h_l for the consecutive l in ls, one row each, zero from column l - 1 on.
+
+        One phi evaluation serves the block; each entry equals h_row's.
+        """
+        i = np.arange(1, ls[-1])
+        inside = i < ls[:, None]
+        x = np.where(inside, i / ls[:, None], 0.0)
+        return np.where(inside, (self.alpha[ls] / ls)[:, None] * self._phi(x), 0.0)
+
     def _build(self):
         K, N, n_max = self.K, self.N, self.n_max
         beta = self.beta
@@ -350,8 +361,9 @@ class OracleTables:
         b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
         b[K - 1:] = xi[K:n_max + 1]
         h_all = np.zeros((n_max - K + 1, n_max))
-        for l in range(K, n_max + 1):
-            h_all[l - K, : l - 1] = self.h_row(l)
+        for l0 in range(K, n_max + 1, _H_BLOCK):
+            ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
+            h_all[ls - K, : ls[-1] - 1] = self._h_rows(ls)
         run = np.zeros(n_max)
         rhat = np.zeros((n_max - N + 1, n_max))  # rows m = N-1 .. n_max-1
         if N == K:  # seed row r_{K-1} has an empty correction sum

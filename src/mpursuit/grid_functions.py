@@ -10,14 +10,15 @@ a^{-1} * integral_tau^a f(x) f(x/a) dx.
 from __future__ import annotations
 
 import operator
-from functools import cached_property, lru_cache, reduce
+import os
+from functools import cached_property, reduce
 
 import numpy as np
 
-__all__ = ["GridFunction", "scaled_selfconv", "selfconv_on_nodes"]
+__all__ = ["GridFunction", "SelfConvPlan", "scaled_selfconv", "selfconv_on_nodes"]
 
 _EDGE_SLACK = 1e-12
-_BLOCK = 1 << 16  # points per block of a self-convolution sweep
+_BLOCK = 1 << 16  # points per block of whole rows of a self-convolution sweep
 
 
 def _hermite_slopes(values: np.ndarray, h: float) -> np.ndarray:
@@ -195,9 +196,7 @@ class GridFunction:
 
     def integrate(self) -> float:
         """Composite Simpson over the nodes; exact for cubics."""
-        y = self.values
-        s = y[0] + y[-1] + 4.0 * np.add.reduce(y[1:-1:2]) + 2.0 * np.add.reduce(y[2:-1:2])
-        return float(s * self.h / 3.0)
+        return float(_simpson(self.values, self.h))
 
     def integral_between(self, u, v):
         """integral_u^v of g via the antiderivative of the interpolant."""
@@ -251,6 +250,16 @@ class GridFunction:
 
 
 # -- module-level operations ----------------------------------------------
+
+
+def _simpson(y: np.ndarray, h: float):
+    """Composite Simpson of samples y with spacing h along the last axis.
+
+    No finiteness check: a non-finite sample gives a non-finite result.
+    """
+    s = (y[..., 0] + y[..., -1] + 4.0 * np.add.reduce(y[..., 1:-1:2], axis=-1)
+         + 2.0 * np.add.reduce(y[..., 2:-1:2], axis=-1))
+    return s * h / 3.0
 
 
 def _corrected_trapezoid(p: np.ndarray, h: float) -> float:
@@ -318,75 +327,148 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
     return total / a
 
 
-# -- bulk self-convolution kernel -------------------------------------------
+# -- bulk self-convolution plan ---------------------------------------------
 
 
-class _SelfConvKernel:
-    """Evaluates the scaled self-convolution at every grid node at once.
+class SelfConvPlan:
+    """Evaluates the scaled self-convolution at every node of one grid at once.
 
-    The query points x_j / x_i (j <= i) never change, so the kernel keeps
-    each one's interpolant piece and offset, and a sweep costs one
-    polynomial evaluation over ~M^2/2 points, in blocks of _BLOCK, plus
-    row reductions.  Quadrature is the end-corrected trapezoid used by
-    ``scaled_selfconv`` (degenerate rows fall back to plain trapezoid).
+    Row i of the plan holds the query points x_j / x_i, j <= i.  They never
+    change, so the plan keeps each one's interpolant piece and offset s,
+    with s^2 and s^3, and a sweep costs one cubic over ~M^2/2 points plus
+    a quadrature per row.  Quadrature is the end-corrected trapezoid used
+    by ``scaled_selfconv`` (degenerate rows fall back to plain trapezoid).
+
+    The rows are cut into blocks of whole rows, about _BLOCK points each,
+    and the blocks are split across one worker thread per CPU this
+    process may run on.  A row's points and its quadrature take the same
+    operations whichever thread computes them, so a sweep's bits do not
+    depend on the worker count.  The plan is a context manager: leaving
+    it stops the workers and frees the tables.
     """
 
-    def __init__(self, lo: float, hi: float, m: int):
-        self.lo, self.hi, self.m = lo, hi, m
-        nodes = np.linspace(lo, hi, m)
-        self.nodes = nodes
-        self.h = (hi - lo) / (m - 1)
-        counts = np.arange(1, m + 1)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        self.row_ends = self.offsets + np.arange(m)
-        rows = np.repeat(np.arange(m, dtype=np.int32), counts)
-        self.cols = np.concatenate([np.arange(i + 1, dtype=np.int32) for i in range(m)])
-        self.piece = np.empty(rows.size, dtype=np.int32)
-        self.offset = np.empty(rows.size)
-        for blk in self._blocks():
-            queries = np.minimum(nodes[self.cols[blk]] / nodes[rows[blk]], hi)
-            self.piece[blk], self.offset[blk] = _locate(nodes, queries)
+    def __init__(self, grid: GridFunction):
+        self.lo, self.hi, self.m, self.h = grid.lo, grid.hi, grid.m, grid.h
+        self.nodes = grid.nodes
+        counts = np.arange(1, self.m + 1)
+        self.offsets = np.cumsum(counts) - counts
+        self.row_ends = self.offsets + counts - 1
+        size = int(self.row_ends[-1]) + 1
+        self.cols = np.empty(size, dtype=np.int32)
+        self.piece = np.empty(size, dtype=np.int32)
+        self.s, self.s2, self.s3 = np.empty(size), np.empty(size), np.empty(size)
+        # a block starts at the row holding each multiple of _BLOCK
+        firsts = np.unique(np.searchsorted(self.offsets, np.arange(0, size, _BLOCK), "right") - 1)
+        blocks = list(zip(firsts.tolist(), [*firsts[1:].tolist(), self.m]))
+        self._longest = max(int(self.row_ends[b - 1] + 1 - self.offsets[a]) for a, b in blocks)
+        n = min(len(os.sched_getaffinity(0)), len(blocks))
+        self._chunks = [blocks[w * len(blocks) // n:(w + 1) * len(blocks) // n]
+                        for w in range(n)]
+        self._pool = None
+        if n > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(n - 1)
+        self._run(self._locate)
 
-    def _blocks(self):
-        return (slice(k, k + _BLOCK) for k in range(0, self.cols.size, _BLOCK))
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Stop the worker threads and drop the tables."""
+        if self._pool is not None:
+            self._pool.shutdown()
+        self._pool = self.cols = self.piece = self.s = self.s2 = self.s3 = None
+
+    def _run(self, task, *args) -> None:
+        """task(blocks, *args) on every chunk of blocks, the first in this thread."""
+        pending = [self._pool.submit(task, chunk, *args) for chunk in self._chunks[1:]]
+        try:
+            task(self._chunks[0], *args)
+        finally:
+            for fut in pending:
+                fut.result()
+
+    def _points(self, first: int, stop: int) -> slice:
+        """The plan's points of the rows first .. stop - 1."""
+        return slice(int(self.offsets[first]), int(self.row_ends[stop - 1]) + 1)
+
+    def _locate(self, blocks) -> None:
+        nodes = self.nodes
+        for first, stop in blocks:
+            pts = self._points(first, stop)
+            rows = np.repeat(np.arange(first, stop), np.arange(first + 1, stop + 1))
+            cols = np.arange(pts.stop - pts.start) - (self.offsets[rows] - pts.start)
+            self.cols[pts] = cols
+            queries = np.minimum(nodes[cols] / nodes[rows], self.hi)
+            self.piece[pts], s = _locate(nodes, queries)
+            self.s[pts] = s
+            np.multiply(s, s, out=self.s2[pts])           # z * s, as _terms forms it
+            np.multiply(self.s2[pts], s, out=self.s3[pts])
+
+    def _fill(self, blocks, c, values, nonneg, mid, out) -> None:
+        """out[i] = the quadrature of row i over the blocks, c f's piece table.
+
+        mid is 4 f(x_m) f(x_m / x_1), the midpoint term of row 1.
+        """
+        size = self._longest
+        p, t, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+        powers = ((c[2], self.s), (c[1], self.s2), (c[0], self.s3))
+        for first, stop in blocks:
+            pts = self._points(first, stop)
+            n = pts.stop - pts.start
+            q, tt, i = p[:n], t[:n], idx[:n]
+            # clamped f(x_j / x_i) f(x_j), the cubic summed left to right as
+            # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3
+            i[...] = self.piece[pts]
+            np.take(c[3], i, out=q, mode="clip")
+            for row, power in powers:
+                np.take(row, i, out=tt, mode="clip")
+                tt *= power[pts]
+                q += tt
+            if nonneg:
+                np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
+            i[...] = self.cols[pts]
+            np.take(values, i, out=tt, mode="clip")
+            q *= tt
+            o = self.offsets[first:stop] - pts.start
+            e = self.row_ends[first:stop] - pts.start
+            rows = out[first:stop]
+            rows[:] = self.h * (np.add.reduceat(q, o) - 0.5 * (q[o] + q[e]))
+            # cubic-exact end correction, rows with at least three samples
+            k = max(2 - first, 0)
+            o, e = o[k:], e[k:]
+            rows[k:] += self.h / 24.0 * (-3.0 * q[o] + 4.0 * q[o + 1] - q[o + 2]
+                                         - 3.0 * q[e] + 4.0 * q[e - 1] - q[e - 2])
+            if first == 0:
+                # row 0 is the single point a = tau; the two-sample row 1
+                # gets a midpoint Simpson instead of a bare trapezoid
+                rows[0] = 0.0
+                rows[1] = self.h / 6.0 * (q[1] + mid + q[2])
 
     def sweep(self, f: GridFunction) -> np.ndarray:
         if f.m != self.m or abs(f.lo - self.lo) > 1e-14 or abs(f.hi - self.hi) > 1e-14:
-            raise ValueError("grid mismatch with kernel")
+            raise ValueError("grid mismatch with plan")
         nonneg = float(np.min(f.values)) >= 0.0
-        p = np.empty(self.cols.size)
-        for blk in self._blocks():
-            q = _value(f.pieces, self.piece[blk], self.offset[blk])
-            if nonneg:
-                np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
-            np.multiply(q, f.values[self.cols[blk]], out=p[blk])
-        sums = np.add.reduceat(p, self.offsets)
-        first = p[self.offsets]
-        last = p[self.row_ends]
-        out = np.zeros(self.m)
-        trap = self.h * (sums - 0.5 * (first + last))
-        out[1:] = trap[1:]
-        # cubic-exact end correction, rows with at least three samples
-        o = self.offsets[2:]
-        e = self.row_ends[2:]
-        corr = self.h / 24.0 * (-3.0 * p[o] + 4.0 * p[o + 1] - p[o + 2]
-                                - 3.0 * p[e] + 4.0 * p[e - 1] - p[e - 2])
-        out[2:] += corr
-        # the two-sample row gets a midpoint Simpson instead of a bare trapezoid
         x_mid = 0.5 * (self.nodes[0] + self.nodes[1])
         f1 = float(f.interpolant(x_mid))
         f2 = float(f.interpolant(min(x_mid / self.nodes[1], self.hi)))
         if nonneg:
             f1, f2 = max(f1, 0.0), max(f2, 0.0)
-        o1 = self.offsets[1]
-        out[1] = self.h / 6.0 * (p[o1] + 4.0 * f1 * f2 + p[o1 + 1])
+        out = np.empty(self.m)
+        self._run(self._fill, f.pieces, f.values, nonneg, 4.0 * f1 * f2, out)
         return out / self.nodes
 
 
-# a solve sweeps one grid many times: keep the plans of the last few grids
-_kernel = lru_cache(maxsize=5)(_SelfConvKernel)
+def selfconv_on_nodes(f: GridFunction, plan: SelfConvPlan | None = None) -> np.ndarray:
+    """Scaled self-convolution evaluated at every node of f's own grid.
 
-
-def selfconv_on_nodes(f: GridFunction) -> np.ndarray:
-    """Scaled self-convolution evaluated at every node of f's own grid."""
-    return _kernel(f.lo, f.hi, f.m).sweep(f)
+    plan is a SelfConvPlan for that grid; without one, a plan is built
+    for this call alone.
+    """
+    if plan is not None:
+        return plan.sweep(f)
+    with SelfConvPlan(f) as plan:
+        return plan.sweep(f)

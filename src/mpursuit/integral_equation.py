@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .grid_functions import GridFunction, selfconv_on_nodes
+from .grid_functions import GridFunction, SelfConvPlan, selfconv_on_nodes
 
 __all__ = ["IterationReport", "apply_T", "numeric_rg", "bracket_sequence",
            "solve_f", "residual_values"]
@@ -40,10 +40,12 @@ class IterationReport:
     sandwiched: bool = False  # solve_f: the average lies between its even and odd iterates
 
 
-def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True) -> GridFunction:
+def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True,
+            plan: SelfConvPlan | None = None) -> GridFunction:
     """One sweep: a |-> G(a) - a^{-1} int_tau^a f(x) f(x/a) dx, clamped at 0.
 
-    G and f must share the grid, whose left endpoint is tau.
+    G and f must share the grid, whose left endpoint is tau; plan is a
+    self-convolution plan for that grid (one is built when not given).
     """
     if (G.m != f.m) or abs(G.lo - f.lo) > 1e-14 or abs(G.hi - f.hi) > 1e-14:
         raise ValueError("G and f must share one grid")
@@ -51,7 +53,7 @@ def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True) ->
         raise ValueError("tau must be the grid's left endpoint")
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("f must be non-negative")
-    vals = G.values - selfconv_on_nodes(f)
+    vals = G.values - selfconv_on_nodes(f, plan)
     if clamp:
         vals = np.maximum(vals, 0.0)
     return GridFunction(G.lo, G.hi, vals)
@@ -64,12 +66,13 @@ def numeric_rg(G: GridFunction) -> float:
     return float(np.max(tails / nodes))
 
 
-def residual_values(G: GridFunction, f: GridFunction) -> np.ndarray:
+def residual_values(G: GridFunction, f: GridFunction,
+                    plan: SelfConvPlan | None = None) -> np.ndarray:
     """Pointwise defect f + selfconv(f) - G on the shared grid."""
-    return f.values + selfconv_on_nodes(f) - G.values
+    return f.values + selfconv_on_nodes(f, plan) - G.values
 
 
-def _sweeps(G: GridFunction, tau: float, max_sweeps: int,
+def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
             tol: float = 0.0) -> list[GridFunction]:
     """Iterates [G, T G, T^2 G, ...] of the clamped sweep map, which must interleave.
 
@@ -79,7 +82,7 @@ def _sweeps(G: GridFunction, tau: float, max_sweeps: int,
     fs = [G]
     widths = [np.inf, np.inf]
     for j in range(1, max_sweeps + 1):
-        fs.append(apply_T(G, fs[-1], tau, clamp=True))
+        fs.append(apply_T(G, fs[-1], tau, clamp=True, plan=plan))
         if j >= 2:
             widths[j % 2] = float(np.max(np.abs(fs[j].values - fs[j - 2].values)))
         if j >= 4 and max(widths) < tol:
@@ -108,14 +111,15 @@ def bracket_sequence(G: GridFunction, tau: float, k: int = 4) -> IterationReport
     """
     if k < 4:
         raise ValueError("need at least four iterates")
-    fs = _sweeps(G, tau, k)
-    f3_min = float(np.min(fs[3].values))
-    certified = False
-    if f3_min > 0.0:
-        up = apply_T(G, fs[3], tau, clamp=False)
-        dn = apply_T(G, fs[2], tau, clamp=False)
-        certified = (float(np.max(up.values - fs[2].values)) <= _MONO_SLACK
-                     and float(np.min(dn.values - fs[3].values)) >= -_MONO_SLACK)
+    with SelfConvPlan(G) as plan:
+        fs = _sweeps(G, tau, plan, k)
+        f3_min = float(np.min(fs[3].values))
+        certified = False
+        if f3_min > 0.0:
+            up = apply_T(G, fs[3], tau, clamp=False, plan=plan)
+            dn = apply_T(G, fs[2], tau, clamp=False, plan=plan)
+            certified = (float(np.max(up.values - fs[2].values)) <= _MONO_SLACK
+                         and float(np.min(dn.values - fs[3].values)) >= -_MONO_SLACK)
     width = float(np.max(np.abs(fs[-1].values - fs[-2].values)))
     return IterationReport(iterates=fs, bracket_width=width, converged_f=None,
                            residual_sup=np.nan, f3_min=f3_min, iterations=k,
@@ -138,12 +142,13 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     rg = numeric_rg(G)
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")
-    fs = _sweeps(G, tau, max_iter, tol)
-    even, odd = fs[-1], fs[-2]
-    if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
-        even, odd = fs[-2], fs[-1]
-    fbar = GridFunction(G.lo, G.hi, 0.5 * (even.values + odd.values))
-    res = residual_values(G, fbar)
+    with SelfConvPlan(G) as plan:  # the solve's sweeps share one plan, freed on return
+        fs = _sweeps(G, tau, plan, max_iter, tol)
+        even, odd = fs[-1], fs[-2]
+        if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
+            even, odd = fs[-2], fs[-1]
+        fbar = GridFunction(G.lo, G.hi, 0.5 * (even.values + odd.values))
+        res = residual_values(G, fbar, plan)
     width = float(np.max(np.abs(even.values - odd.values)))
 
     # Sanity on the derivative bound of the fixed-point argument: the

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericFailure
-from .grid_functions import _EDGE_SLACK, GridFunction, _corrected_trapezoid
+from .grid_functions import _EDGE_SLACK, GridFunction, _simpson
 
 __all__ = ["PhiProfile", "ConditionEntry", "ConditionReport", "bump_kernel",
            "mollify", "scale_root", "normalize", "weighted_mass",
@@ -26,6 +26,8 @@ BUMP_MASS = 0.44399381616807944
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 _GL_PIECE_NODES, _GL_PIECE_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MOLLIFY_CUTS = 4096  # cuts per run of output nodes that mollify evaluates at once
+_A_BLOCK = 32         # a values evaluated together by check_conditions
 
 
 def bump_kernel(u):
@@ -55,6 +57,11 @@ def _extended(f: GridFunction, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def mollify(f: GridFunction, t: float) -> GridFunction:
     """Convolve the extended f with the width-t bump; result lives on [0, 1].
 
@@ -69,45 +76,72 @@ def mollify(f: GridFunction, t: float) -> GridFunction:
     if not 0.0 < t < tau:
         raise ValueError("mollification width must satisfy 0 < t < tau")
     xs = np.linspace(0.0, 1.0, f.m)
+    # f(x - t u) vanishes for u above (x - tau)/t
+    u_hi = np.minimum(1.0, (xs - tau) / t)
+    live = np.flatnonzero(u_hi > -1.0)
+    x, u_hi = xs[live], u_hi[live]
+    # the grid nodes z in (x - t u_hi, x + t) give the cuts (x - z)/t
+    j0 = np.searchsorted(f.nodes, x - t * u_hi, side="right")
+    near = np.maximum(np.searchsorted(f.nodes, x + t, side="left") - j0, 0)
+    # runs of whole output nodes with about _MOLLIFY_CUTS cuts each
+    ends = np.cumsum(near + 1)
+    edges = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _MOLLIFY_CUTS),
+                                      side="right"))
     out = np.zeros(f.m)
-    f_nodes = f.nodes
-    for i, x in enumerate(xs):
-        # f(x - t u) vanishes for u above (x - tau)/t
-        u_hi = min(1.0, (x - tau) / t)
-        if u_hi <= -1.0:
-            continue
-        inner = [(x - 1.0) / t]  # slope kink where the hold extension starts
-        z_lo, z_hi = x - t * u_hi, x + t
-        j0 = int(np.searchsorted(f_nodes, z_lo, side="right"))
-        j1 = int(np.searchsorted(f_nodes, z_hi, side="left"))
-        inner.extend((x - f_nodes[j0:j1]) / t)
-        cuts = np.concatenate([[-1.0],
-                               np.sort([u for u in inner if -1.0 < u < u_hi]),
-                               [u_hi]])
-        # cap the piece width: the 12-point rule needs short panels for the
-        # kernel's flat ends
-        refined = [cuts[0]]
-        for c in cuts[1:]:
-            w = c - refined[-1]
-            if w > 0.05:
-                parts = int(np.ceil(w / 0.05))
-                refined.extend(refined[-1] + w * np.arange(1, parts) / parts)
-            refined.append(c)
-        cuts = np.asarray(refined)
-        mid = 0.5 * (cuts[1:] + cuts[:-1])
-        half = 0.5 * (cuts[1:] - cuts[:-1])
-        uu = (mid[:, None] + half[:, None] * _GL_PIECE_NODES).ravel()
-        ww = (half[:, None] * _GL_PIECE_WEIGHTS).ravel()
-        out[i] = float((ww * bump_kernel(uu)) @ _extended(f, x - t * uu))
+    for a, b in zip(edges, [*edges[1:], live.size]):
+        out[live[a:b]] = _mollified(f, t, x[a:b], u_hi[a:b], j0[a:b], near[a:b])
     return GridFunction(0.0, 1.0, out)
+
+
+def _mollified(f: GridFunction, t: float, x: np.ndarray, u_hi: np.ndarray,
+               j0: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """The mollified f at the points x, one dot product per point.
+
+    Point i's cuts are -1, the kink (x - 1)/t where the hold extension
+    starts and the grid-node cuts (x - f.nodes[j0 + r])/t, r < near[i],
+    that fall in (-1, u_hi), and u_hi; all points' cuts sit in one flat
+    array ordered by point.
+    """
+    point = np.arange(x.size)
+    by_node = np.repeat(point, near)
+    owner = np.concatenate([point, by_node])
+    inner = np.concatenate([(x - 1.0) / t,
+                            (x[by_node] - f.nodes[j0[by_node] + _ranks(near)]) / t])
+    keep = (-1.0 < inner) & (inner < u_hi[owner])
+    owner = np.concatenate([point, owner[keep], point])
+    rank = np.repeat([0, 1, 2], [x.size, int(keep.sum()), x.size])
+    cuts = np.concatenate([np.full(x.size, -1.0), inner[keep], u_hi])
+    order = np.lexsort((cuts, rank, owner))
+    owner, cuts = owner[order], cuts[order]
+    # cap the piece width: the 12-point rule needs short panels for the
+    # kernel's flat ends.  A gap of width w > 0.05 from cut c is split at
+    # c + w k / parts, k = 1 .. parts - 1.
+    right = np.flatnonzero(owner[1:] == owner[:-1]) + 1   # right cut of each gap
+    w = cuts[right] - cuts[right - 1]
+    parts = np.where(w > 0.05, np.ceil(w / 0.05), 1.0).astype(np.intp)
+    k = _ranks(parts) + 1
+    gap = np.repeat(np.arange(right.size), parts)
+    hi = cuts[right[gap]]
+    split = k < parts[gap]
+    hi[split] = cuts[right[gap[split]] - 1] + w[gap[split]] * k[split] / parts[gap[split]]
+    lo = np.roll(hi, 1)
+    first = k == 1
+    lo[first] = cuts[right[gap[first]] - 1]
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
+    uu = (mid[:, None] + half[:, None] * _GL_PIECE_NODES).ravel()
+    ww = (half[:, None] * _GL_PIECE_WEIGHTS).ravel()
+    piece_owner = owner[right[gap]]
+    weighted = ww * bump_kernel(uu)
+    values = _extended(f, np.repeat(x[piece_owner], _GL_PIECE_NODES.size) - t * uu)
+    bounds = np.searchsorted(piece_owner, np.arange(x.size + 1)) * _GL_PIECE_NODES.size
+    return np.array([weighted[i:j] @ values[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
 
 
 def weighted_mass(fn: GridFunction) -> float:
     """integral fn(x) (1 + integral_x^1 fn(z) dz/z) dx over fn's interval."""
-    nodes = fn.nodes
-    tails = fn.log_between(nodes, fn.hi)
-    prod = GridFunction(fn.lo, fn.hi, fn.values * (1.0 + tails))
-    return prod.integrate()
+    tails = fn.log_between(fn.nodes, fn.hi)
+    return float(_simpson(fn.values * (1.0 + tails), fn.h))
 
 
 def scale_root(b_mass: float, c_mass: float, target: float) -> float:
@@ -176,15 +210,6 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _prefix_integral(g_prefix: np.ndarray, h: float, rem: float,
-                     tail_val: float) -> float:
-    """Grid-prefix quadrature plus a sub-grid trapezoid tail panel."""
-    total = _corrected_trapezoid(g_prefix, h)
-    if rem > 1e-13:
-        total += rem * 0.5 * (g_prefix[-1] + tail_val)
-    return total
-
-
 def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
                      a_points: int = 2000, extra_points=None) -> ConditionReport:
     """Evaluate the construction's integral (in)equalities for fn.
@@ -194,13 +219,33 @@ def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
     mode "f_form": fn is the raw profile on [tau, 1]; the boundary term
     fn(tau) tau (1 + tail) joins the first inequality, and the
     weighted-mass identity is reported as well.  Never raises: the report
-    carries a pass flag per condition.
+    carries a pass flag per condition, and a non-finite value fails its
+    condition.
     """
     if mode not in ("phi_form", "f_form"):
         raise ValueError("mode must be phi_form or f_form")
-    lo = fn.lo
+    with np.errstate(all="ignore"):  # a non-finite value propagates and fails below
+        growth, tail = _condition_values(fn, beta, tau, mode, a_points, extra_points)
+        sup1 = float(np.max(np.abs(growth), initial=0.0))
+        sup2 = float(np.max(np.abs(tail), initial=0.0))
+        target = beta / (1.0 - 2.0 * beta)
+        resid = abs(weighted_mass(fn) - target)
+    mass_tol = 1e-6 if mode == "f_form" else 1e-8
+    entries = [
+        ConditionEntry("weighted_mass_residual", resid, mass_tol, resid <= mass_tol),
+        ConditionEntry("growth_bound_sup", sup1, 1.0, sup1 < 1.0),
+        ConditionEntry("tail_bound_sup", sup2, 1.0, sup2 < 1.0),
+    ]
+    return ConditionReport(mode=mode, entries=tuple(entries))
+
+
+def _condition_values(fn: GridFunction, beta: float, tau: float, mode: str,
+                      a_points: int, extra_points) -> tuple[np.ndarray, np.ndarray]:
+    """The two inequalities' expressions at each a of the check, ascending.
+
+    The a values are evaluated in blocks of _A_BLOCK.
+    """
     nodes = fn.nodes
-    h = fn.h
     vals = fn.values
     dvals = fn.derivative(nodes)
     tails = fn.log_between(nodes, fn.hi)  # integral_x^1 fn/z dz at nodes
@@ -216,46 +261,66 @@ def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
         a_grid.append(pts[(pts >= a_lo) & (pts <= 1.0)])
     a_all = np.unique(np.concatenate(a_grid))
 
-    # first inequality: prefix integral of (fn'(x) x - (beta-1) fn(x)) paired
-    # with the rescaled tail 1 + integral_{x/a}^1 fn/z
+    # first inequality: prefix integral of core = fn'(x) x - (beta-1) fn(x)
+    # paired with the rescaled tail 1 + integral_{x/a}^1 fn/z; second:
+    # full-grid pairing of base with integral_{a x}^x fn/z plus the log tail
+    # from a
     core = dvals * nodes - (beta - 1.0) * vals
-    sup1 = 0.0
-    for a in a_all:
-        if a <= lo + 1e-15:
-            if mode == "f_form":
-                # at a = tau the whole expression collapses to tau * fn(tau)
-                sup1 = max(sup1, abs(vals[0] * tau))
-            continue
-        j = min(int(np.floor((a - lo) / h + 1e-12)), fn.m - 1)
-        xs = nodes[: j + 1]
-        inner = 1.0 + fn.log_between(np.minimum(xs / a, fn.hi), fn.hi)
-        g = core[: j + 1] * inner
-        tail_val = float(fn.derivative(a)) * a - (beta - 1.0) * float(fn(a))
-        v = _prefix_integral(g, h, a - nodes[j], tail_val)
-        if mode == "f_form":
-            v += vals[0] * tau * (1.0 + float(fn.log_between(min(tau / a, fn.hi), fn.hi)))
-        sup1 = max(sup1, abs(v))
-
-    # second inequality: full-grid pairing with integral_{a x}^x fn/z plus the
-    # log tail from a; clipping the lower limit at lo realizes the zero
-    # extension below the support
     base = (beta - 1.0) * (1.0 + tails) + vals
-    sup2 = 0.0
-    for a in a_all:
-        between = fn.log_between(np.clip(a * nodes, lo, fn.hi), nodes)
-        v = GridFunction(lo, fn.hi, base * between).integrate()
-        v += float(fn.log_between(np.clip(a, lo, fn.hi), fn.hi))
-        sup2 = max(sup2, abs(v))
+    blocks = [a_all[k:k + _A_BLOCK] for k in range(0, a_all.size, _A_BLOCK)]
+    return (np.concatenate([_growth_values(fn, core, a, beta, tau, mode) for a in blocks]),
+            np.concatenate([_tail_values(fn, base, a) for a in blocks]))
 
-    target = beta / (1.0 - 2.0 * beta)
-    resid = abs(weighted_mass(fn) - target)
-    mass_tol = 1e-6 if mode == "f_form" else 1e-8
-    entries = [
-        ConditionEntry("weighted_mass_residual", resid, mass_tol, resid <= mass_tol),
-        ConditionEntry("growth_bound_sup", sup1, 1.0, sup1 < 1.0),
-        ConditionEntry("tail_bound_sup", sup2, 1.0, sup2 < 1.0),
-    ]
-    return ConditionReport(mode=mode, entries=tuple(entries))
+
+def _growth_values(fn: GridFunction, core: np.ndarray, a: np.ndarray, beta: float,
+                   tau: float, mode: str) -> np.ndarray:
+    """The first inequality's expression at each a (sorted ascending).
+
+    Below the support it collapses to tau fn(tau) in f_form and is 0 in
+    phi_form.  Above it, the prefix of core times the rescaled tail up to
+    the last node j below a takes the end-corrected trapezoid, plus a
+    sub-grid trapezoid tail panel to a.
+    """
+    lo, h, nodes, vals = fn.lo, fn.h, fn.nodes, fn.values
+    out = np.full(a.size, vals[0] * tau if mode == "f_form" else 0.0)
+    live = a > lo + 1e-15
+    a = a[live]
+    if not a.size:
+        return out
+    j = np.minimum(np.floor((a - lo) / h + 1e-12).astype(np.intp), fn.m - 1)
+    width = int(j.max()) + 1
+    inner = 1.0 + fn.log_between(np.minimum(nodes[:width] / a[:, None], fn.hi), fn.hi)
+    g = core[:width] * inner  # row r is valid up to column j[r]
+    row = np.arange(a.size)
+    # numpy sums pairwise in an order set by the length, so each ragged row
+    # takes its own reduce
+    sums = np.array([np.add.reduce(gr[:n]) for gr, n in zip(g, j + 1)])
+
+    def at(col):
+        return g[row, np.clip(col, 0, j)]
+
+    trap = h * (sums - 0.5 * (g[:, 0] + at(j)))
+    corr = h / 24.0 * (-3.0 * g[:, 0] + 4.0 * at(1) - at(2)
+                       - 3.0 * at(j) + 4.0 * at(j - 1) - at(j - 2))
+    total = np.where(j >= 2, trap + corr, np.where(j >= 1, trap, 0.0))
+    tail_val = fn.derivative(a) * a - (beta - 1.0) * fn(a)
+    rem = a - nodes[j]
+    v = np.where(rem > 1e-13, total + rem * 0.5 * (at(j) + tail_val), total)
+    if mode == "f_form":
+        v = v + vals[0] * tau * (1.0 + fn.log_between(np.minimum(tau / a, fn.hi), fn.hi))
+    out[live] = v
+    return out
+
+
+def _tail_values(fn: GridFunction, base: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The second inequality's expression at each a.
+
+    Clipping the lower limit a x at lo realizes the zero extension below
+    the support.
+    """
+    lo, hi, nodes = fn.lo, fn.hi, fn.nodes
+    between = fn.log_between(np.clip(a[:, None] * nodes, lo, hi), nodes)
+    return _simpson(base * between, fn.h) + fn.log_between(np.clip(a, lo, hi), hi)
 
 
 @dataclass(frozen=True)
