@@ -21,7 +21,7 @@ from .constants import (ClosedFormBundle, RateConstants, bundle,
                         operating_point, solve_beta_star, solve_gamma,
                         tau_star)
 from .grid_functions import GridFunction, scaled_selfconv
-from .integral_equation import apply_T, bracket_sequence, solve_f
+from .integral_equation import apply_T, solve_f
 from .phi_builder import PhiProfile, build_profile, check_conditions, mollify, normalize
 from .adversarial import (AdversarialInstance, ConstructionParams, build_instance,
                           choose_epsilon, finalize, init_state, q_of, step, verify)
@@ -35,7 +35,7 @@ __all__ = [
     "ClosedFormBundle", "RateConstants", "bundle", "operating_point",
     "solve_beta_star", "solve_gamma", "tau_star",
     "GridFunction", "scaled_selfconv",
-    "apply_T", "bracket_sequence", "solve_f",
+    "apply_T", "solve_f",
     "PhiProfile", "build_profile", "check_conditions", "mollify", "normalize",
     "AdversarialInstance", "ConstructionParams", "build_instance",
     "choose_epsilon", "finalize", "init_state", "q_of", "step", "verify",

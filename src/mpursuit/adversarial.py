@@ -14,6 +14,9 @@ by two independent routes:
 
 Every quantity the oracle needs is reconstructed from the residual
 component formula <r_m, e_j> = -q_m (xi_j + sum_{l>j}^m <h_l, e_j>).
+The dense reconstructions (correction vectors, residual and atom
+components) live only while `OracleTables` forms its sum tables; the
+tables keep those sums and the scalars `rows` reads.
 """
 
 from __future__ import annotations
@@ -133,7 +136,7 @@ def init_state(params: ConstructionParams) -> ConstructionState:
     st = ConstructionState(params)
     K, beta = params.K, params.beta
     st.r[: K - 1] = -(K ** (-0.5 + beta)) / np.sqrt(K - 1.0)
-    st.q[K - 1] = q_of(K - 1, beta) if K >= 2 else np.nan
+    st.q[K - 1] = q_of(K - 1, beta)
     st.norms[K - 1] = float(np.linalg.norm(st.r[: K - 1]))
     target = K ** (-0.5 + beta)
     if abs(st.norms[K - 1] - target) > 1e-12 * target:
@@ -310,98 +313,91 @@ def finalize(state: ConstructionState, params: ConstructionParams) -> Adversaria
         dictionary=dictionary, variation_bound=float(variation), state=state)
 
 
+def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray) -> np.ndarray:
+    """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
+    consecutive l in ls: one row each, zero from column l - 1 on, from one
+    phi evaluation."""
+    i = np.arange(1, ls[-1])
+    inside = i < ls[:, None]
+    x = np.where(inside, i / ls[:, None], 0.0)
+    return np.where(inside, (alpha[ls] / ls)[:, None] * phi(x), 0.0)
+
+
+def _residual_components(state: ConstructionState,
+                         phi: PhiProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(h, rhat) from the scalar sequences and phi alone.
+
+    h[l - K] is the correction vector h_l for l = K..n_max.  rhat[m - (N-1)]
+    holds the residual components <r_m, e_j> for m = N-1..n_max-1, by the
+    cumulative component formula; b_j covers the seed block j < K.
+    """
+    K, N, n_max, beta = state.K, state.N, state.n_max, state.beta
+    q, xi = state.q, state.xi
+    b = np.empty(n_max)
+    b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
+    b[K - 1:] = xi[K:n_max + 1]
+    h = np.zeros((n_max - K + 1, n_max))
+    for l0 in range(K, n_max + 1, _H_BLOCK):
+        ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
+        h[ls - K, : ls[-1] - 1] = _h_rows(state.alpha, phi, ls)
+    run = np.zeros(n_max)
+    rhat = np.zeros((n_max - N + 1, n_max))
+    if N == K:  # seed row r_{K-1} has an empty correction sum
+        rhat[0, : K - 1] = -(q[K - 1]) * b[: K - 1]
+    for m in range(K, n_max):
+        run[: m - 1] += h[m - K, : m - 1]
+        if m >= N - 1:
+            rhat[m - (N - 1), :m] = -(q[m]) * (b[:m] + run[:m])
+    return h, rhat
+
+
 class OracleTables:
     """Closed-form inner products from scalar sequences alone.
 
-    Reconstructs residual components via the component formula, atom
-    components from the inductive definition, and then serves
-    <r_{n-1}, d_k> for a block of steps n at once (`rows`) through the
-    forward recursion (k < n), the base equality (k = n) and the two-term
-    recursion (k > n) in scan form; `pair_value` and `tilde_pair_value`
-    follow the recursions literally, one pair at a time.  Nothing here
-    reads the construction's stored vectors.
+    Reconstructs residual components via the component formula
+    (`_residual_components`) and atom components from the inductive
+    definition, and keeps only the tables that serve <r_{n-1}, d_k> for a
+    block of steps n at once (`rows`): the forward sums `cw` (k < n), the
+    blended-atom sums `ct`, and the scan form `p`, `cg` of the two-term
+    recursion (k > n); the base equality gives k = n.  The dense
+    reconstructions are freed once their last table is formed.  Nothing
+    here reads the construction's stored vectors.
     """
 
     def __init__(self, state: ConstructionState, phi: PhiProfile, epsilon: float):
-        self.beta = state.beta
-        self.K, self.N, self.n_max = state.K, state.N, state.n_max
-        self.q = state.q.copy()
-        self.gamma = state.gamma.copy()
-        self.alpha = state.alpha.copy()
-        self.xi = state.xi.copy()
-        self.epsilon = epsilon
-        self._phi = phi
-        self._build()
-
-    # -- formula-level pieces -------------------------------------------
-
-    def h_row(self, l: int) -> np.ndarray:
-        """Components of the correction vector h_l (length l-1)."""
-        i = np.arange(1, l)
-        return (self.alpha[l] / l) * self._phi(i / l)
-
-    def _h_rows(self, ls: np.ndarray) -> np.ndarray:
-        """h_l for the consecutive l in ls, one row each, zero from column l - 1 on.
-
-        One phi evaluation serves the block; each entry equals h_row's.
-        """
-        i = np.arange(1, ls[-1])
-        inside = i < ls[:, None]
-        x = np.where(inside, i / ls[:, None], 0.0)
-        return np.where(inside, (self.alpha[ls] / ls)[:, None] * self._phi(x), 0.0)
-
-    def _build(self):
-        K, N, n_max = self.K, self.N, self.n_max
-        beta = self.beta
-        q, gamma, xi = self.q, self.gamma, self.xi
-
-        # residual components r_hat[m, j] for m in [N-1, n_max-1] via the
-        # cumulative component formula; b_j covers the seed block j < K
-        b = np.empty(n_max)
-        b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
-        b[K - 1:] = xi[K:n_max + 1]
-        h_all = np.zeros((n_max - K + 1, n_max))
-        for l0 in range(K, n_max + 1, _H_BLOCK):
-            ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
-            h_all[ls - K, : ls[-1] - 1] = self._h_rows(ls)
-        run = np.zeros(n_max)
-        rhat = np.zeros((n_max - N + 1, n_max))  # rows m = N-1 .. n_max-1
-        if N == K:  # seed row r_{K-1} has an empty correction sum
-            rhat[0, : K - 1] = -(q[K - 1]) * b[: K - 1]
-        for m in range(K, n_max):
-            run[: m - 1] += h_all[m - K, : m - 1]
-            if m >= N - 1:
-                rhat[m - (N - 1), :m] = -(q[m]) * (b[:m] + run[:m])
-        self.rhat = rhat
-        self.rn_norm = float(_schedule(N, beta))
+        K, N, n_max = state.K, state.N, state.n_max
+        gamma, xi = state.gamma, state.xi
+        self.N, self.n_max, self.epsilon = N, n_max, epsilon
+        self.q = q = state.q.copy()
+        self.rn_norm = float(_schedule(N, state.beta))
+        h, rhat = _residual_components(state, phi)
 
         # atom components d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k
         dhat = np.zeros((n_max - N + 1, n_max))
         for k in range(N, n_max + 1):
             row = dhat[k - N]
-            row[: k - 1] = self.gamma[k] * rhat[k - 1 - (N - 1), : k - 1]
-            row[: k - 1] += h_all[k - K, : k - 1]
+            row[: k - 1] = gamma[k] * rhat[k - 1 - (N - 1), : k - 1]
+            row[: k - 1] += h[k - K, : k - 1]
             row[k - 1] = xi[k]
-        self.dhat = dhat
-
-        til = (self.epsilon * rhat[1] / self.rn_norm
-               + np.sqrt(1.0 - self.epsilon ** 2) * dhat[0])
-        self.dtil_hat = til[:N].copy()
+        dtil = (epsilon * rhat[1] / self.rn_norm
+                + np.sqrt(1.0 - epsilon ** 2) * dhat[0])[:N]
 
         # k < n: cumulative sums over i = N+1..m of <h_i, d_hat_k>, row m - N;
         # row 0 (m = N) is the empty sum
         self.cw = cw = np.zeros((n_max - N, n_max - N + 1))   # cw[m-N, k-N]
-        np.matmul(h_all[N + 1 - K: n_max - K], dhat.T, out=cw[1:])
+        np.matmul(h[N + 1 - K: n_max - K], dhat.T, out=cw[1:])
         np.cumsum(cw[1:], axis=0, out=cw[1:])
+        del dhat
 
         # blended-atom sums
-        wtil = h_all[N + 1 - K: n_max - K, :N] @ self.dtil_hat
+        wtil = h[N + 1 - K: n_max - K, :N] @ dtil
         self.ct = np.concatenate([[0.0], np.cumsum(wtil)])  # ct[m-N]
 
         # k > n: scan representation of the two-term recursion.  Dividing
         # the recursion value(k) = A_k value(k-1) + g(k) by the running
         # product P_k = prod A_j turns it into a cumulative sum.
-        rh = rhat[1:] @ h_all[N + 1 - K:].T   # rows m = N..n_max-1, cols k = N+1..n_max
+        rh = rhat[1:] @ h[N + 1 - K:].T   # rows m = N..n_max-1, cols k = N+1..n_max
+        del rhat, h
         karr = np.arange(N + 1, n_max + 1)
         a_fac = (1.0 / gamma[karr - 1] - q[karr - 1]) * gamma[karr]
         p = np.empty(n_max - N)                # p[k-(N+1)], base p[N+1] = 1
@@ -410,12 +406,10 @@ class OracleTables:
         self.p = p
         ratio = gamma[karr[1:]] / gamma[karr[1:] - 1]
         g2 = (rh[:, 1:] - ratio * rh[:, :-1]) / p[1:]
-        cg = np.zeros((n_max - N, n_max - N))  # rows n = N+1..n_max, cols k = N+1..n_max
+        del rh
+        # rows n = N+1..n_max, cols k = N+1..n_max
+        self.cg = cg = np.zeros((n_max - N, n_max - N))
         np.cumsum(g2, axis=1, out=cg[:, 1:])
-        self.cg = cg
-        del h_all, rh
-
-    # -- assembled blocks --------------------------------------------------
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(pairs, tilde) for the steps n = lo..hi, one row per n.
@@ -440,39 +434,6 @@ class OracleTables:
         tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N]
                                 - self.epsilon * self.rn_norm / q[N])
         return pairs, tilde
-
-    def pair_value(self, n: int, k: int) -> float:
-        """Per-pair recursion, following the inductive formulas literally."""
-        N, n_max = self.N, self.n_max
-        if not (N < n <= n_max and N <= k <= n_max):
-            raise IndexError("pair out of range")
-        q, gamma = self.q, self.gamma
-        if k == n:
-            return float(q[n])
-        if k < n:
-            dk = self.dhat[k - N, :k]
-            acc = 0.0
-            for i in range(k + 1, n):
-                acc += float(self.h_row(i)[:k] @ dk)
-            return -float(q[n - 1]) * acc
-        rrow = self.rhat[n - 1 - (N - 1), : n - 1]
-        val = float(q[n])
-        for kk in range(n + 1, k + 1):
-            a_fac = (1.0 / gamma[kk - 1] - q[kk - 1]) * gamma[kk]
-            hk = self.h_row(kk)[: n - 1]
-            hk1 = self.h_row(kk - 1)[: n - 1]
-            val = a_fac * val + float(rrow @ (hk - (gamma[kk] / gamma[kk - 1]) * hk1))
-        return val
-
-    def tilde_pair_value(self, n: int) -> float:
-        """Per-pair recursion for the blended atom."""
-        N = self.N
-        if not N < n <= self.n_max:
-            raise IndexError("n out of range")
-        acc = 0.0
-        for i in range(N + 1, n):
-            acc += float(self.h_row(i)[:N] @ self.dtil_hat)
-        return -float(self.q[n - 1]) * (acc - self.epsilon * self.rn_norm / self.q[N])
 
 
 @dataclass

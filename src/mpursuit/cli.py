@@ -164,6 +164,7 @@ def cmd_solve_f(cfg) -> int:
         f"residual_sup={report.residual_sup:.6e}",
         f"residual_sup_refined={refined:.6e}",
         f"f3_min={_fmt(report.f3_min)}",
+        f"bracket_certified={'true' if report.bracket_certified else 'false'}",
         f"R_G={_fmt(report.rg)}",
         f"deriv_sup={_fmt(report.deriv_sup)}",
         f"deriv_bound={_fmt(report.deriv_bound)}",

@@ -224,7 +224,8 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     trace = GreedyTrace(algorithm=algorithm, shrinkage=s)
 
     if algorithm == "oga":
-        basis = np.zeros((steps, width))
+        # at most `width` orthonormal rows, plus the row the next candidate is written into
+        basis = np.zeros((min(steps, width + 1), width))
         nbasis = 0
         live = f.active_len
     else:

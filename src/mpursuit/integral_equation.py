@@ -2,9 +2,10 @@
 
 The clamped sweep map f -> max(0, G - selfconv(f)) produces interleaved
 monotone iterates: even iterates decrease, odd iterates increase, and the
-solution is bracketed between them.  Positivity of the third iterate is
-the certificate that the bracketing pair exists; plain alternation with a
-final even/odd average solves the equation itself.
+solution is bracketed between them.  Positivity of the third iterate,
+with the fourth iterate below the second, is the certificate that the
+bracketing pair exists; plain alternation with a final even/odd average
+solves the equation itself.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .errors import NumericFailure
 from .grid_functions import GridFunction, SelfConvPlan, selfconv_on_nodes
 
-__all__ = ["IterationReport", "apply_T", "numeric_rg", "bracket_sequence",
-           "solve_f", "residual_values"]
+__all__ = ["IterationReport", "apply_T", "numeric_rg", "solve_f", "residual_values"]
 
 _MONO_SLACK = 1e-12
 _MONO_FAIL = 1e-9
@@ -25,22 +25,22 @@ _MONO_FAIL = 1e-9
 
 @dataclass
 class IterationReport:
-    """Outcome of a bracket or solve run of the clamped sweep map."""
+    """Outcome of solve_f."""
 
     iterates: list[GridFunction]
     bracket_width: float
-    converged_f: GridFunction | None
+    converged_f: GridFunction
     residual_sup: float
     f3_min: float
     iterations: int
     rg: float
-    bracket_certified: bool = False
-    deriv_sup: float = np.nan
-    deriv_bound: float = np.nan
-    sandwiched: bool = False  # solve_f: the average lies between its even and odd iterates
+    bracket_certified: bool
+    deriv_sup: float
+    deriv_bound: float
+    sandwiched: bool  # the average lies between its even and odd iterates
 
 
-def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True,
+def apply_T(G: GridFunction, f: GridFunction, tau: float,
             plan: SelfConvPlan | None = None) -> GridFunction:
     """One sweep: a |-> G(a) - a^{-1} int_tau^a f(x) f(x/a) dx, clamped at 0.
 
@@ -53,10 +53,7 @@ def apply_T(G: GridFunction, f: GridFunction, tau: float, clamp: bool = True,
         raise ValueError("tau must be the grid's left endpoint")
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("f must be non-negative")
-    vals = G.values - selfconv_on_nodes(f, plan)
-    if clamp:
-        vals = np.maximum(vals, 0.0)
-    return GridFunction(G.lo, G.hi, vals)
+    return GridFunction(G.lo, G.hi, np.maximum(G.values - selfconv_on_nodes(f, plan), 0.0))
 
 
 def numeric_rg(G: GridFunction) -> float:
@@ -73,26 +70,25 @@ def residual_values(G: GridFunction, f: GridFunction,
 
 
 def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
-            tol: float = 0.0) -> list[GridFunction]:
+            tol: float) -> list[GridFunction]:
     """Iterates [G, T G, T^2 G, ...] of the clamped sweep map, which must interleave.
 
-    Stops once sup|f_j - f_{j-2}| < tol for both parities (j >= 4); a zero
-    tol runs all max_sweeps sweeps, a positive one raises if it needs more.
+    Stops once sup|f_j - f_{j-2}| < tol for both parities (j >= 4); raises
+    if that needs more than max_sweeps sweeps.
     """
     fs = [G]
     widths = [np.inf, np.inf]
     for j in range(1, max_sweeps + 1):
-        fs.append(apply_T(G, fs[-1], tau, clamp=True, plan=plan))
+        fs.append(apply_T(G, fs[-1], tau, plan=plan))
         if j >= 2:
             widths[j % 2] = float(np.max(np.abs(fs[j].values - fs[j - 2].values)))
         if j >= 4 and max(widths) < tol:
             break
     else:
-        if tol > 0.0:
-            err = NumericFailure(f"bracket did not close within {max_sweeps} sweeps "
-                                 f"(last width {max(widths):.3e})")
-            err.bracket_width = max(widths)
-            raise err
+        err = NumericFailure(f"bracket did not close within {max_sweeps} sweeps "
+                             f"(last width {max(widths):.3e})")
+        err.bracket_width = max(widths)
+        raise err
     for j in range(2, len(fs)):
         diff = fs[j].values - fs[j - 2].values
         worst = float(np.max(diff)) if j % 2 == 0 else -float(np.min(diff))
@@ -100,30 +96,6 @@ def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
             raise NumericFailure(f"grid too coarse: monotone interleaving violated "
                                  f"by {worst:.3e} at iterate {j}")
     return fs
-
-
-def bracket_sequence(G: GridFunction, tau: float, k: int = 4) -> IterationReport:
-    """Iterate the clamped map k times from f0 = G and certify the bracket.
-
-    When min f3 > 0, the pair (g1, g2) = (f3, f2) is checked against the
-    two bracket inequalities directly: the unclamped sweep of g1 must stay
-    below g2 and the unclamped sweep of g2 must stay above g1.
-    """
-    if k < 4:
-        raise ValueError("need at least four iterates")
-    with SelfConvPlan(G) as plan:
-        fs = _sweeps(G, tau, plan, k)
-        f3_min = float(np.min(fs[3].values))
-        certified = False
-        if f3_min > 0.0:
-            up = apply_T(G, fs[3], tau, clamp=False, plan=plan)
-            dn = apply_T(G, fs[2], tau, clamp=False, plan=plan)
-            certified = (float(np.max(up.values - fs[2].values)) <= _MONO_SLACK
-                         and float(np.min(dn.values - fs[3].values)) >= -_MONO_SLACK)
-    width = float(np.max(np.abs(fs[-1].values - fs[-2].values)))
-    return IterationReport(iterates=fs, bracket_width=width, converged_f=None,
-                           residual_sup=np.nan, f3_min=f3_min, iterations=k,
-                           rg=numeric_rg(G), bracket_certified=certified)
 
 
 def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
@@ -134,6 +106,11 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     the average of the final even and odd iterates.  Raises when the
     contraction constant is >= 1 or the bracket fails to close within
     max_iter sweeps (the exception carries the last bracket width).
+
+    The bracket is certified when min f3 > 0 and f4 <= f2 + _MONO_SLACK.
+    Then f3 = G - S f2 exactly, and since f4 = max(0, G - S f3) and
+    f2 >= 0, f4 <= f2 + slack holds exactly when G - S f3 <= f2 + slack:
+    the pair (f3, f2) satisfies both bracket inequalities (DECISIONS.md).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -150,6 +127,8 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
         fbar = GridFunction(G.lo, G.hi, 0.5 * (even.values + odd.values))
         res = residual_values(G, fbar, plan)
     width = float(np.max(np.abs(even.values - odd.values)))
+    f3_min = float(np.min(fs[3].values))
+    certified = f3_min > 0.0 and float(np.max(fs[4].values - fs[2].values)) <= _MONO_SLACK
 
     # Sanity on the derivative bound of the fixed-point argument: the
     # solution's slope must stay below K/(1 - R_G) for a K driven by G.
@@ -157,17 +136,14 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     g_slope = float(np.max(np.abs(G.derivative(G.nodes))))
     g_sup = float(np.max(np.abs(G.values)))
     kconst = g_slope + 3.0 * g_sup * g_sup / G.lo
-    report = IterationReport(
-        iterates=fs, bracket_width=width, converged_f=fbar,
-        residual_sup=float(np.max(np.abs(res))),
-        f3_min=float(np.min(fs[3].values)) if len(fs) > 3 else np.nan,
-        iterations=len(fs) - 1, rg=rg,
-        deriv_sup=float(np.max(np.abs(dnodes))),
-        deriv_bound=kconst / (1.0 - rg))
     between = ((fbar.values <= np.maximum(even.values, odd.values) + _MONO_SLACK)
                & (fbar.values >= np.minimum(even.values, odd.values) - _MONO_SLACK))
-    report.sandwiched = bool(between.all())
-    return report
+    return IterationReport(
+        iterates=fs, bracket_width=width, converged_f=fbar,
+        residual_sup=float(np.max(np.abs(res))), f3_min=f3_min,
+        iterations=len(fs) - 1, rg=rg, bracket_certified=certified,
+        deriv_sup=float(np.max(np.abs(dnodes))),
+        deriv_bound=kconst / (1.0 - rg), sandwiched=bool(between.all()))
 
 
 def residual_on_refined(G: GridFunction, f: GridFunction) -> float:

@@ -36,6 +36,14 @@ def _ticks(lo: float, hi: float, log: bool):
     return out or [lo, hi]
 
 
+def _widened(lo: float, hi: float, log: bool):
+    """A degenerate range lo == hi widened by 0.5 each side, or on a log
+    axis by a factor of 10 each side, which keeps it positive."""
+    if lo != hi:
+        return lo, hi
+    return (lo / 10.0, hi * 10.0) if log else (lo - 0.5, hi + 0.5)
+
+
 def line_plot(curves, labels, out_path: str, log_x: bool = False,
               log_y: bool = False, title: str = "",
               header_lines=()) -> None:
@@ -56,10 +64,8 @@ def line_plot(curves, labels, out_path: str, log_x: bool = False,
         raise ValueError("nothing to plot")
     x0, x1 = min(allx), max(allx)
     y0, y1 = min(ally), max(ally)
-    if x0 == x1:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y0 == y1:
-        y0, y1 = y0 - 0.5, y1 + 0.5
+    x0, x1 = _widened(x0, x1, log_x)
+    y0, y1 = _widened(y0, y1, log_y)
 
     def sx(x):
         t = ((math.log10(x) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))

@@ -10,12 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from mpursuit.adversarial import (ConstructionParams, advance, choose_epsilon,
-                                  finalize, init_state, verify)
+from mpursuit.adversarial import (ConstructionParams, _residual_components, advance,
+                                  choose_epsilon, finalize, init_state, verify)
 from mpursuit.analysis import check_bounds, fit_decay
 from mpursuit.constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from mpursuit.greedy_algorithms import run
-from mpursuit.integral_equation import bracket_sequence, residual_on_refined, solve_f
+from mpursuit.integral_equation import residual_on_refined, solve_f
 from mpursuit.phi_builder import build_profile, check_conditions, mollify, normalize, weighted_mass
 
 
@@ -115,13 +115,13 @@ def test_criterion_5_integral_equation(solved):
     base = max(rep.residual_sup, 1e-12)
     stable = refined <= 5 * base and base <= 5 * max(refined, 1e-12)
     bs = solve_beta_star()
-    crit = bracket_sequence(bundle(bs, tau_star(bs)).g_grid(2001), tau_star(bs))
-    here = bracket_sequence(g, tau)
+    crit = solve_f(bundle(bs, tau_star(bs)).g_grid(2001), tau_star(bs))
     ok = (rep.residual_sup <= 1e-6 and stable and crit.f3_min > 0.0
-          and here.f3_min > 0.0 and seconds < 30.0)
+          and rep.f3_min > 0.0 and crit.bracket_certified and rep.bracket_certified
+          and seconds < 30.0)
     assert _line("5 integral equation",
                  ok, f"residual={rep.residual_sup:.2e} refined={refined:.2e} "
-                     f"f3_min(crit)={crit.f3_min:.4f} f3_min(op)={here.f3_min:.4f} "
+                     f"f3_min(crit)={crit.f3_min:.4f} f3_min(op)={rep.f3_min:.4f} "
                      f"time={seconds:.1f}s")
 
 
@@ -256,12 +256,13 @@ def test_criterion_10_property_suites(full_instance, rng):
     pairs_ok = worst_pair <= 1e-9
 
     # component formula vs direct on 100 random (n, k)
+    rhat = _residual_components(st, p.phi)[1]
     worst_comp = 0.0
     for _ in range(100):
         n = int(rng.integers(p.N, p.n_max))
         k = int(rng.integers(1, n + 1))
         worst_comp = max(worst_comp, abs(st.r_hist[n - p.N][k - 1]
-                                         - tables.rhat[n - (p.N - 1)][k - 1]))
+                                         - rhat[n - (p.N - 1)][k - 1]))
     comp_ok = worst_comp <= 1e-10
 
     # asymptotic bands

@@ -5,13 +5,84 @@ import numpy as np
 import pytest
 
 from mpursuit import adversarial
-from mpursuit.adversarial import (ConstructionParams, VerificationReport, _schedule,
-                                  advance, build_instance, choose_epsilon, finalize,
-                                  init_state, q_of, step, verify)
+from mpursuit.adversarial import (ConstructionParams, OracleTables, VerificationReport,
+                                  _residual_components, _schedule, advance,
+                                  build_instance, choose_epsilon, finalize, init_state,
+                                  q_of, step, verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text
 from mpursuit.phi_builder import PhiProfile
+
+
+class ReferenceOracle:
+    """The per-pair recursions, one pair at a time, as the inductive formulas state them.
+
+    This is the literal route the block formulas of `OracleTables.rows` are
+    checked against: residual components by the component formula, atom
+    components by the inductive definition, and each <r_{n-1}, d_k> by the
+    forward sum (k < n), the base equality (k = n) or the two-term
+    recursion (k > n).
+    """
+
+    def __init__(self, instance):
+        st, p = instance.state, instance.params
+        self.N, self.n_max, self.epsilon = st.N, st.n_max, p.epsilon
+        self.q, self.gamma, self.alpha, self.xi = st.q, st.gamma, st.alpha, st.xi
+        self._phi = p.phi
+        _, self.rhat = _residual_components(st, p.phi)
+        self.rn_norm = float(_schedule(st.N, st.beta))
+        N = self.N
+        self.dhat = np.zeros((self.n_max - N + 1, self.n_max))
+        for k in range(N, self.n_max + 1):
+            row = self.dhat[k - N]
+            row[: k - 1] = self.gamma[k] * self.rhat[k - 1 - (N - 1), : k - 1]
+            row[: k - 1] += self.h_row(k)
+            row[k - 1] = self.xi[k]
+        til = (self.epsilon * self.rhat[1] / self.rn_norm
+               + np.sqrt(1.0 - self.epsilon ** 2) * self.dhat[0])
+        self.dtil_hat = til[:N].copy()
+
+    def h_row(self, l: int) -> np.ndarray:
+        """Components of the correction vector h_l (length l-1)."""
+        i = np.arange(1, l)
+        return (self.alpha[l] / l) * self._phi(i / l)
+
+    def pair_value(self, n: int, k: int) -> float:
+        N, n_max = self.N, self.n_max
+        if not (N < n <= n_max and N <= k <= n_max):
+            raise IndexError("pair out of range")
+        q, gamma = self.q, self.gamma
+        if k == n:
+            return float(q[n])
+        if k < n:
+            dk = self.dhat[k - N, :k]
+            acc = 0.0
+            for i in range(k + 1, n):
+                acc += float(self.h_row(i)[:k] @ dk)
+            return -float(q[n - 1]) * acc
+        rrow = self.rhat[n - 1 - (N - 1), : n - 1]
+        val = float(q[n])
+        for kk in range(n + 1, k + 1):
+            a_fac = (1.0 / gamma[kk - 1] - q[kk - 1]) * gamma[kk]
+            hk = self.h_row(kk)[: n - 1]
+            hk1 = self.h_row(kk - 1)[: n - 1]
+            val = a_fac * val + float(rrow @ (hk - (gamma[kk] / gamma[kk - 1]) * hk1))
+        return val
+
+    def tilde_pair_value(self, n: int) -> float:
+        N = self.N
+        if not N < n <= self.n_max:
+            raise IndexError("n out of range")
+        acc = 0.0
+        for i in range(N + 1, n):
+            acc += float(self.h_row(i)[:N] @ self.dtil_hat)
+        return -float(self.q[n - 1]) * (acc - self.epsilon * self.rn_norm / self.q[N])
+
+
+@pytest.fixture(scope="module")
+def reference(small_instance):
+    return ReferenceOracle(small_instance)
 
 
 def test_q_of_hand_value():
@@ -101,13 +172,13 @@ def test_residual_components_nonpositive(small_instance):
 
 def test_lemma_component_formula_vs_direct(small_instance, rng):
     st = small_instance.state
-    tables = small_instance.oracle_tables()
+    _, rhat = _residual_components(st, small_instance.params.phi)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(st.N, st.n_max))        # stored residual rows
         k = int(rng.integers(1, n + 1))
         direct = st.r_hist[n - st.N][k - 1]
-        formula = tables.rhat[n - (st.N - 1)][k - 1]
+        formula = rhat[n - (st.N - 1)][k - 1]
         worst = max(worst, abs(direct - formula))
     assert worst <= 1e-10
 
@@ -228,40 +299,39 @@ def test_one_atom_store(small_instance, load_text, source):
     assert not inst.dictionary.atoms[1].coeffs.flags.writeable
 
 
-def test_oracle_base_case_previous_atom(small_instance):
+def test_oracle_base_case_previous_atom(small_instance, reference):
     st = small_instance.state
-    tables = small_instance.oracle_tables()
     for n in (st.N + 1, st.N + 5, st.n_max):
-        assert tables.pair_value(n, n - 1) == 0.0
+        assert reference.pair_value(n, n - 1) == 0.0
         direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n - 1))
         assert abs(direct) <= 1e-10
 
 
-def test_oracle_selected_index_is_q(small_instance):
+def test_oracle_selected_index_is_q(small_instance, reference):
     # the selected atom's value is q_n by construction, on both routes
     st = small_instance.state
     tables = small_instance.oracle_tables()
     for n in (st.N + 2, st.n_max):
-        assert tables.pair_value(n, n) == st.q[n]
+        assert reference.pair_value(n, n) == st.q[n]
         assert tables.rows(n, n)[0][0, n - st.N] == st.q[n]
         direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
         assert direct == pytest.approx(st.q[n], rel=1e-9)
 
 
-def test_oracle_range_checks(small_instance):
+def test_oracle_range_checks(small_instance, reference):
     p = small_instance.params
     tables = small_instance.oracle_tables()
     with pytest.raises(IndexError):
-        tables.pair_value(p.N, p.N + 1)
+        reference.pair_value(p.N, p.N + 1)
     with pytest.raises(IndexError):
-        tables.pair_value(p.n_max + 1, p.N)
+        reference.pair_value(p.n_max + 1, p.N)
     with pytest.raises(IndexError):
-        tables.pair_value(p.N + 1, p.n_max + 1)
+        reference.pair_value(p.N + 1, p.n_max + 1)
     with pytest.raises(IndexError):
-        tables.pair_value(p.N + 1, p.N - 1)
+        reference.pair_value(p.N + 1, p.N - 1)
     for n in (p.N, p.n_max + 1):
         with pytest.raises(IndexError):
-            tables.tilde_pair_value(n)
+            reference.tilde_pair_value(n)
         with pytest.raises(IndexError):
             tables.rows(n, n)
     with pytest.raises(IndexError):
@@ -270,44 +340,67 @@ def test_oracle_range_checks(small_instance):
         tables.rows(p.N + 1, p.n_max + 1)
 
 
-def test_oracle_vs_direct_random_pairs(small_instance, rng):
+def test_oracle_vs_direct_random_pairs(small_instance, reference, rng):
     st = small_instance.state
-    tables = small_instance.oracle_tables()
     worst = 0.0
     for _ in range(150):
         n = int(rng.integers(st.N + 1, st.n_max + 1))
         k = int(rng.integers(st.N, st.n_max + 1))
         if k == n:
             continue
-        o = tables.pair_value(n, k)
+        o = reference.pair_value(n, k)
         d = float(st.r_hist[n - 1 - st.N] @ st.atom_row(k))
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
 
 
-def test_oracle_tilde_path(small_instance, rng):
+def test_oracle_tilde_path(small_instance, reference, rng):
     st = small_instance.state
     eps = small_instance.params.epsilon
     dtil = small_instance.d_tilde.padded(st.n_max)
-    tables = small_instance.oracle_tables()
-    base = tables.tilde_pair_value(st.N + 1)
+    base = reference.tilde_pair_value(st.N + 1)
     assert base == pytest.approx(eps * st.norms[st.N], rel=1e-12)
     worst = 0.0
     for n in rng.integers(st.N + 1, st.n_max + 1, 40):
-        o = tables.tilde_pair_value(int(n))
+        o = reference.tilde_pair_value(int(n))
         d = float(st.r_hist[int(n) - 1 - st.N] @ dtil)
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
 
 
-def test_bulk_rows_match_pair_values(small_instance, rng):
+def test_bulk_rows_match_pair_values(small_instance, reference, rng):
     tables = small_instance.oracle_tables()
     st = small_instance.state
     for n in (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max):
-        row = tables.rows(n, n)[0][0]
+        pairs, tilde = tables.rows(n, n)
+        row = pairs[0]
         for k in sorted(set(int(x) for x in rng.integers(st.N, st.n_max + 1, 12))):
-            expected = st.q[n] if k == n else tables.pair_value(n, k)
+            expected = st.q[n] if k == n else reference.pair_value(n, k)
             assert row[k - st.N] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert tilde[0] == pytest.approx(reference.tilde_pair_value(n), rel=1e-9, abs=1e-15)
+
+
+def test_oracle_tables_keep_only_what_rows_reads(small_instance):
+    arrays = {name for name, value in vars(small_instance.oracle_tables()).items()
+              if isinstance(value, np.ndarray)}
+    assert arrays == {"q", "p", "cw", "ct", "cg"}
+
+
+def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
+    """Tables built from a state whose atoms, residual history and working
+    residual are NaN serve every block bit for bit as the clean state's."""
+    for inst in (small_instance, mid_instance[0]):
+        st, p = inst.state, inst.params
+        blind = copy.copy(st)
+        blind.atoms = np.full_like(st.atoms, np.nan)
+        blind.r_hist = np.full_like(st.r_hist, np.nan)
+        blind.r = np.full_like(st.r, np.nan)
+        clean = OracleTables(st, p.phi, p.epsilon)
+        tables = OracleTables(blind, p.phi, p.epsilon)
+        for lo in range(p.N + 1, p.n_max + 1, 64):
+            hi = min(lo + 63, p.n_max)
+            for got, want in zip(tables.rows(lo, hi), clean.rows(lo, hi)):
+                assert np.array_equal(got, want)
 
 
 def test_rows_block_equals_its_single_rows(small_instance):

@@ -210,6 +210,16 @@ def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
     assert not svg.exists()
 
 
+def test_plot_log_log_flat_trace(tmp_path):
+    # one row: both ranges are degenerate, and widening by +-0.5 would leave log10(<= 0)
+    trace = tmp_path / "flat.csv"
+    trace.write_text(TRACE_HEAD + "1,0.1,d401,1,0.1\n")
+    svg = tmp_path / "flat.svg"
+    assert main(["plot", str(trace), "--log-log", "--out", str(svg)]) == 0
+    body = read(svg)
+    assert body.startswith("<svg") and "<polyline" in body
+
+
 def test_rate_short_trace_row_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(TRACE_HEAD + "1,0.5,d401,1,0.1\n2,0.4,d402,1\n")

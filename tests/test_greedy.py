@@ -106,6 +106,17 @@ def test_oga_exact_on_full_span(rng):
     assert trace.residual_norms[-1] <= 1e-12
 
 
+def test_oga_step_budget_beyond_width_allocates_by_width(rng):
+    # the basis never holds more than `width` rows, so a huge budget costs nothing
+    d = random_dict(rng, 6, 6)
+    f = CoeffVector(rng.standard_normal(6))
+    short = run("oga", f, d, 7)
+    assert len(short.steps) <= 6  # halted on a vanishing residual
+    huge = run("oga", f, d, 10 ** 12)
+    assert huge.to_csv() == short.to_csv()
+    assert huge.atom_indices == short.atom_indices
+
+
 def test_run_validation():
     d = ortho_dict(2)
     f = vec(1.0, 0.0)

@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mpursuit import cli, integral_equation, phi_builder
+from mpursuit import adversarial, cli, integral_equation, phi_builder
 from mpursuit.constants import bundle
 from mpursuit.grid_functions import (GridFunction, SelfConvPlan, _corrected_trapezoid,
                                      _locate, _value, selfconv_on_nodes)
@@ -306,9 +306,10 @@ def test_the_benchmark_tracer_names_resolve():
 
 
 def test_oracle_h_rows_equal_h_row(small_instance):
-    tables = small_instance.oracle_tables()
-    ls = np.arange(tables.K, tables.n_max + 1)
-    block = tables._h_rows(ls)
+    st, phi = small_instance.state, small_instance.params.phi
+    ls = np.arange(st.K, st.n_max + 1)
+    block = adversarial._h_rows(st.alpha, phi, ls)
     for l, row in zip(ls, block):
-        assert np.array_equal(row[: l - 1], tables.h_row(l))
+        h_row = (st.alpha[l] / l) * phi(np.arange(1, l) / l)  # h_l, one row at a time
+        assert np.array_equal(row[: l - 1], h_row)
         assert not row[l - 1:].any()
