@@ -8,7 +8,9 @@ both signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +31,8 @@ UNIT_NORM_TOL = 1e-9
 # tail handling and with it the last bit of some products.
 _PREFIX_ALIGN = 64
 _REORTHOGONALIZE = 2.0 ** -0.5  # DGKS: Daniel, Gragg, Kaufman & Stewart, 1976
+_LOOKAHEAD = 64  # most oga steps one block guesses and checks
+_TILE = 512      # oga basis rows per tile
 
 
 class Dictionary:
@@ -36,7 +40,8 @@ class Dictionary:
 
     The atoms are the rows of one matrix, held without a copy when it is
     C-order float64: atom i is a read-only view of the first lengths[i]
-    entries of row i, and the rest of the row must be zero.
+    entries of row i, and the rest of the row must be zero.  `lengths` is
+    kept as a read-only int array.
     """
 
     def __init__(self, rows: np.ndarray, lengths: Sequence[int],
@@ -63,6 +68,8 @@ class Dictionary:
             if row[n:].any():
                 raise ValueError(f"atom {label} is nonzero beyond its length {n}")
         self._matrix = rows
+        self.lengths = np.array(lengths, dtype=np.intp)
+        self.lengths.flags.writeable = False
         self.atoms = [CoeffVector(row[:n]) for row, n in zip(rows, lengths)]
         self.labels = labels
 
@@ -176,6 +183,132 @@ def check_algorithm(algorithm: str) -> None:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
+class _Basis:
+    """OGA's orthonormal rows, packed in tiles of _TILE rows.
+
+    A tile is as wide as the live prefix of its rows needs, with _TILE
+    columns to spare when it opens: on a run whose live prefix grows by one
+    entry a step the tile never has to widen.  Products read no zero corner
+    outside a tile, and the rows of the open tile not yet filled are never
+    written.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.tiles: list[tuple] = []  # (array (_TILE, room), rows filled, live columns)
+        self.size = 0
+
+    def views(self) -> list[np.ndarray]:
+        return [t[:rows, :cols] for t, rows, cols in self.tiles]
+
+    def append(self, rows: np.ndarray) -> None:
+        """Add orthonormal rows, each zero beyond its own live prefix."""
+        cols = rows.shape[1]
+        while len(rows):
+            if not self.tiles or self.tiles[-1][1] == _TILE:
+                self.tiles.append((np.zeros((_TILE, 0)), 0, 0))
+            tile, filled, live = self.tiles[-1]
+            if tile.shape[1] < cols:  # the live prefix outgrew the tile
+                wide = np.zeros((_TILE, min(self.width, cols + _TILE)))
+                wide[:filled, :live] = tile[:filled, :live]
+                tile = wide
+            k = min(_TILE - filled, len(rows))
+            tile[filled:filled + k, :cols] = rows[:k]
+            self.tiles[-1] = (tile, filled + k, max(live, cols))
+            self.size += k
+            rows = rows[k:]
+
+
+def _project(x: np.ndarray, views: list[np.ndarray]) -> None:
+    """Classical Gram-Schmidt in place: x -= x V^T V for every view V, whose
+    rows are orthonormal and no wider than x.  Every view's coefficients are
+    formed before any subtraction."""
+    coefs = [x[:, :v.shape[1]] @ v.T for v in views]
+    for v, w in zip(views, coefs):
+        x[:, :v.shape[1]] -= w @ v
+
+
+def _oga(f: CoeffVector, dictionary: Dictionary, steps: int):
+    """The orthogonal greedy algorithm in verified look-ahead blocks.
+
+    Returns the trace and the final residual.  A block's first atom is the
+    exact selection j; atoms j+1 .. j+m-1 are guesses.  The block projects
+    all m atoms against the basis at once, then finishes them row by row
+    (the rows of the block before it, the DGKS re-check, the 1e-12 rule),
+    keeping the residual after every row.  One product of the dictionary
+    with those residuals then gives each row's next selection, and a guess
+    is kept only while it equals that selection: the first miss drops the
+    rows after it, and the selection that missed is the next exact one.
+    The projection of -d is that of d negated, bit for bit, and the
+    residual update is the same for both, so the guesses need no sign.
+    """
+    mat, lengths = dictionary.matrix(), dictionary.lengths
+    width = max(dictionary.width, f.active_len)
+    r = f.padded(width)
+    trace = GreedyTrace(algorithm="oga", shrinkage=1.0)
+    basis = _Basis(mat.shape[1])
+    live = f.active_len
+    c = _prefix_cols(mat, live)
+    j, sign, value = _best(mat[:, :c] @ r[:c])
+    m = 1
+    while True:
+        n = len(trace.steps)
+        m = min(m, steps - n, len(mat) - j, max(1, mat.shape[1] - basis.size))
+        lives = list(accumulate(lengths[j:j + m].tolist(), max, initial=live))[1:]
+        cols = [_prefix_cols(mat, lv) for lv in lives]
+        block = mat[j:j + m, :cols[-1]].copy()
+        _project(block, basis.views())
+        resid = np.empty((m, cols[-1]))
+        norms, kept = [], []  # kept[i]: the block's rows in the basis after row i
+        nkept = 0
+        for i, c in enumerate(cols):
+            if nkept < i:  # an earlier row was dependent: its slot takes this row
+                block[nkept] = block[i]
+            q = block[nkept:nkept + 1, :c]
+            if nkept:
+                _project(q, [block[:nkept, :c]])
+            nb = float(np.linalg.norm(q))
+            if not nb >= _REORTHOGONALIZE:  # of a unit atom; or NaN
+                _project(q, basis.views() + ([block[:nkept, :c]] if nkept else []))
+                nb = float(np.linalg.norm(q))
+            if nb > 1e-12:
+                q /= nb
+                nkept += 1
+                q = q[0]
+                r[:c] -= (r[:c] @ q) * q
+            kept.append(nkept)
+            resid[i] = r[:cols[-1]]
+            norms.append(float(np.linalg.norm(r)))
+            if norms[-1] < RESIDUAL_HALT:
+                m = i + 1
+                break
+        # each row's next selection, except after the run's last step
+        last = n + m == steps or norms[-1] < RESIDUAL_HALT
+        nsel = m - 1 if last else m
+        sel = resid[:nsel, :cols[m - 1]] @ mat[:, :cols[m - 1]].T
+        picks, acc = [(j, sign, value)], 1  # acc: rows whose atom is the selection
+        while acc <= nsel:  # sel[acc-1] selects after row acc-1
+            nxt = _best(sel[acc - 1])
+            if acc == m or nxt[0] != j + acc:
+                break
+            picks.append(nxt)
+            acc += 1
+        for i, (jj, ss, vv) in enumerate(picks):
+            if not (math.isfinite(norms[i]) and math.isfinite(vv)):
+                raise RuntimeError(f"numeric breakdown at step {n + i + 1}")
+            trace.steps.append(TraceStep(n + i + 1, dictionary.labels[jj], ss, vv, norms[i]))
+            trace.atom_indices.append(jj)
+        if kept[acc - 1]:
+            basis.append(block[:kept[acc - 1], :cols[acc - 1]])
+        live = lives[acc - 1]
+        if acc < m:  # a miss: back to the residual after the last accepted row
+            r[:cols[-1]] = resid[acc - 1]
+        elif last:
+            return trace, r
+        m = min(2 * m, _LOOKAHEAD) if acc == m and nxt[0] == j + m else 1
+        j, sign, value = nxt
+
+
 def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         shrinkage: float = 1.0, variation_bound: float | None = None) -> GreedyTrace:
     """Run a greedy algorithm for up to `steps` iterations.
@@ -200,9 +333,17 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     updates c in O(#atoms) from the selected atom's row of G, where a
     direct selection multiplies the whole dictionary by r.  The residual
     is still updated explicitly, so every residual norm comes from r.
-    oga keeps direct selection: its update is a projection onto the
-    span, not a multiple of one atom, so c would need the product of D
-    with the new basis vector, which costs as much as the selection.
+
+    oga cannot update c that way: its update is a projection onto the
+    span, so c would need D times each new basis vector.  It advances in
+    blocks instead (_oga): the block's first atom is the exact selection,
+    the next up to _LOOKAHEAD - 1 atoms in storage order are guesses, and
+    one product of D with the residuals after every row checks them.  A
+    guess is kept only while it is the atom the check selects, so the run
+    picks what a step-by-step run picks.  The block size doubles while the
+    picks run on in storage order and falls back to 1 on a miss.  The
+    basis is packed in tiles of _TILE rows that read only their rows' live
+    prefix.
     """
     check_algorithm(algorithm)
     if len(dictionary) == 0:
@@ -217,48 +358,27 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         s = 1.0
     if algorithm == "rga" and (variation_bound is None or variation_bound <= 0.0):
         raise ValueError("rga requires a positive variation_bound")
+    if algorithm == "oga":
+        return _oga(f, dictionary, steps)[0]
 
     mat = dictionary.matrix()
     width = max(dictionary.width, f.active_len)
     r = f.padded(width)
     trace = GreedyTrace(algorithm=algorithm, shrinkage=s)
 
-    if algorithm == "oga":
-        # at most `width` orthonormal rows, plus the row the next candidate is written into
-        basis = np.zeros((min(steps, width + 1), width))
-        nbasis = 0
-        live = f.active_len
-    else:
-        gram = mat @ mat.T  # A @ A.T: numpy hands it to BLAS syrk
-        cols = _prefix_cols(mat, f.active_len)
-        c = mat[:, :cols] @ r[:cols]  # <r, d_i> for every atom, kept current below
-        if algorithm == "rga":
-            c_f, approx = c.copy(), np.zeros(width)
+    gram = mat @ mat.T  # A @ A.T: numpy hands it to BLAS syrk
+    cols = _prefix_cols(mat, f.active_len)
+    c = mat[:, :cols] @ r[:cols]  # <r, d_i> for every atom, kept current below
+    if algorithm == "rga":
+        c_f, approx = c.copy(), np.zeros(width)
 
     for n in range(1, steps + 1):
-        if algorithm == "oga":
-            j, sign, value = _select(mat, r, live)
-            live = max(live, dictionary.atoms[j].active_len)
-        else:
-            j, sign, value = _best(c)
+        j, sign, value = _best(c)
         atom = sign * mat[j]
         if algorithm in ("pga", "pga_shrink"):
             coeff = s * value
             r[: mat.shape[1]] -= coeff * atom
             c -= (sign * coeff) * gram[j]
-        elif algorithm == "oga":
-            coeff = value  # selection inner product; the update is a projection
-            cols = _prefix_cols(mat, live)
-            span, q = basis[:nbasis, :cols], basis[nbasis, :cols]  # q: the next row
-            q[:] = atom[:cols]
-            q -= span.T @ (span @ q)
-            if not float(np.linalg.norm(q)) >= _REORTHOGONALIZE:  # of a unit atom; or NaN
-                q -= span.T @ (span @ q)
-            nb = float(np.linalg.norm(q))
-            if nb > 1e-12:
-                q /= nb
-                nbasis += 1
-                r[:cols] -= (r[:cols] @ q) * q
         else:  # rga
             coeff = variation_bound if n == 1 else 2.0 * variation_bound / n
             if n == 1:

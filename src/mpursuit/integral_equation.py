@@ -105,7 +105,8 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     Stops once sup|f_{j+2} - f_j| < tol for both parities; the solution is
     the average of the final even and odd iterates.  Raises when the
     contraction constant is >= 1 or the bracket fails to close within
-    max_iter sweeps (the exception carries the last bracket width).
+    max_iter sweeps (the exception carries the last bracket width); max_iter
+    must be at least 4, since the certificate reads the fourth iterate.
 
     The bracket is certified when min f3 > 0 and f4 <= f2 + _MONO_SLACK.
     Then f3 = G - S f2 exactly, and since f4 = max(0, G - S f3) and
@@ -114,8 +115,9 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if max_iter < 4:
+        raise ValueError("max_iter must be at least 4: the bracket certificate "
+                         "reads the fourth iterate")
     rg = numeric_rg(G)
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")

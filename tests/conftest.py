@@ -1,4 +1,5 @@
-"""Shared fixtures: the operating point, a solved profile, and instances.
+"""Shared fixtures: the operating point, a solved profile, instances, and
+the reference OGA loop.
 
 The expensive pieces (integral-equation solve, mollified profile, built
 instances) are session-scoped; unit tests share them.  The full
@@ -73,3 +74,48 @@ def load_text(tmp_path_factory):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+def _single_pass_oga(f, dictionary, steps):
+    """run("oga") as it was before look-ahead blocks, a literal copy of its
+    loop: each step selects by one product of the dictionary with the
+    residual's 64-aligned live prefix, and projects the atom by one pass of
+    classical Gram-Schmidt against a full-width basis, with the DGKS
+    re-check.  Returns the (atom index, sign) picks and the residual norms."""
+    mat = dictionary.matrix()
+    width = max(dictionary.width, f.active_len)
+    r = f.padded(width)
+    basis = np.zeros((min(steps, width + 1), width))
+    nbasis = 0
+    live = f.active_len
+    picks, norms = [], []
+    for _ in range(steps):
+        cols = min(mat.shape[1], -(-live // 64) * 64)
+        vals = mat[:, :cols] @ r[:cols]
+        j = int(np.argmax(np.abs(vals)))
+        sign = 1 if float(vals[j]) >= 0.0 else -1
+        live = max(live, dictionary.atoms[j].active_len)
+        atom = sign * mat[j]
+        cols = min(mat.shape[1], -(-live // 64) * 64)
+        span, q = basis[:nbasis, :cols], basis[nbasis, :cols]  # q: the next row
+        q[:] = atom[:cols]
+        q -= span.T @ (span @ q)
+        if not float(np.linalg.norm(q)) >= 2.0 ** -0.5:  # of a unit atom; or NaN
+            q -= span.T @ (span @ q)
+        nb = float(np.linalg.norm(q))
+        if nb > 1e-12:
+            q /= nb
+            nbasis += 1
+            r[:cols] -= (r[:cols] @ q) * q
+        rnorm = float(np.linalg.norm(r))
+        picks.append((j, sign))
+        norms.append(rnorm)
+        if rnorm < 1e-14:
+            break
+    return picks, np.array(norms)
+
+
+@pytest.fixture(scope="session")
+def single_pass_oga():
+    """The reference OGA loop the look-ahead blocks are held to."""
+    return _single_pass_oga

@@ -427,13 +427,15 @@ def test_negative_steps_or_epsilon_is_a_usage_error(tmp_path, saved_instance, ca
 
 
 @pytest.mark.parametrize("command", ["solve-f", "make-phi", "build"])
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", "1", "2", "3"])
 def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, command, value):
+    # below 4 too: the bracket certificate reads the fourth iterate
     outdir = tmp_path / "o"
     capsys.readouterr()
     assert main([command, "--max-iter", value, "--grid-m", "201",
                  "--outdir", str(outdir)]) == 1
-    assert error_line(capsys) == "error: max_iter must be at least 1"
+    assert error_line(capsys) == ("error: max_iter must be at least 4: the bracket "
+                                  "certificate reads the fourth iterate")
     assert not outdir.exists()
 
 
@@ -612,6 +614,22 @@ def test_oga_single_pass_keeps_the_output_contract_of_cgs2(instance_2500):
     picks, ref = cgs2_oga(inst.f, inst.dictionary, steps)
     assert len(trace.steps) == steps == 2100
     assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
+
+
+def test_oga_blocks_keep_the_output_contract_of_the_single_pass(tmp_path, instance_2500,
+                                                                single_pass_oga):
+    """The output contract of DECISIONS.md between `run --alg oga` in
+    look-ahead blocks and the single-pass loop it replaced: the same atoms
+    and signs at all 2100 steps, and each residual norm within 4 ulps."""
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--instance", instance_2500, "--alg", "oga", "--out", str(out)]) == 0
+    trace = GreedyTrace.from_csv(read(out))[0]
+    inst = load_instance(instance_2500)
+    picks, ref = single_pass_oga(inst.f, inst.dictionary, 2100)
+    labels = inst.dictionary.labels
+    assert len(trace.steps) == len(picks) == 2100
+    assert [(s.atom_id, s.sign) for s in trace.steps] == [(labels[j], sign) for j, sign in picks]
     assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mpursuit.greedy_algorithms import Dictionary, GreedyTrace, run, select_atom
+from mpursuit import greedy_algorithms
+from mpursuit.greedy_algorithms import (RESIDUAL_HALT, Dictionary, GreedyTrace, _oga, run,
+                                        select_atom)
 from mpursuit.linear_core import CoeffVector
 
 
@@ -338,3 +340,106 @@ def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():
         assert got[:k] == [(j, sign) for j, sign, _ in ref]
         assert np.allclose(trace.residual_norms[:k], [rn for _, _, rn in ref],
                            rtol=0.0, atol=1e-12)
+
+
+def assert_oga_contract(trace, picks, norms):
+    """The output contract of DECISIONS.md against the single-pass loop: the
+    same atoms and signs at every step, and residual norms within 4 ulps."""
+    assert len(trace.steps) == len(picks)
+    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - norms) <= 4 * np.spacing(norms))
+
+
+def test_dictionary_keeps_lengths_as_a_read_only_int_array():
+    d = Dictionary(np.eye(3), [1, 2, 3])
+    assert d.lengths.dtype == np.intp and d.lengths.tolist() == [1, 2, 3]
+    assert not d.lengths.flags.writeable
+
+
+def test_oga_block_breaks_where_consecutive_picks_break(mid_instance, single_pass_oga):
+    # two planned atoms swap rows (and lengths and labels), so the run of
+    # consecutive picks breaks at step 100, inside a block of 64: the guess
+    # there misses, and the run must drop the rows after it
+    instance, _ = mid_instance
+    d, steps = instance.dictionary, instance.params.n_max - instance.params.N
+    rows, lengths, labels = d.matrix().copy(), d.lengths.copy(), list(d.labels)
+    a, b = 101, 102  # the atoms of steps 100 and 101
+    rows[[a, b]], lengths[[a, b]] = rows[[b, a]], lengths[[b, a]]
+    labels[a], labels[b] = labels[b], labels[a]
+    swapped = Dictionary(rows, lengths, labels)
+    trace, r = _oga(instance.f, swapped, steps)
+    assert_oga_contract(trace, *single_pass_oga(instance.f, swapped, steps))
+    assert [s.atom_id for s in trace.steps] == instance.planned_labels
+    assert trace.atom_indices[98:102] == [a - 1, b, a, b + 1]
+    selected = rows[trace.atom_indices]
+    assert np.max(np.abs(selected @ r[:rows.shape[1]])) <= 1e-12
+
+
+def test_oga_halts_inside_a_block(single_pass_oga):
+    # e1..e12 are picked in order, in blocks of 1, 2, 4 and 8 atoms; the
+    # residual vanishes at e12, the fifth row of the block e8..e15
+    d = ortho_dict(30)
+    f = CoeffVector(np.concatenate([np.arange(12.0, 0.0, -1.0), np.zeros(18)]))
+    trace = run("oga", f, d, 30)
+    picks, norms = single_pass_oga(f, d, 30)
+    assert_oga_contract(trace, picks, norms)
+    assert trace.atom_indices == list(range(12))
+    assert trace.steps[-1].residual_norm < RESIDUAL_HALT <= trace.steps[-2].residual_norm
+
+
+def near_collinear_in_pick_order(k, dim):
+    """Atoms e0 + 1e-7 e_{i+1}, stored in the order OGA picks them for a
+    target on decreasing coefficients."""
+    rows = np.zeros((k, dim))
+    rows[:, 0] = 1.0
+    rows[np.arange(k), np.arange(1, k + 1)] = 1e-7
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    f = np.zeros(dim)
+    f[0], f[1:k + 1] = 1.0, np.linspace(1.0, 0.5, k)
+    f = CoeffVector(f)
+    order = run("oga", f, Dictionary(rows, [dim] * k), k).atom_indices
+    return Dictionary(rows[order], [dim] * k), f
+
+
+@pytest.mark.parametrize("tile", [512, 3])
+def test_oga_recheck_fires_on_guessed_rows(monkeypatch, single_pass_oga, tile):
+    # every atom after the first keeps about 1e-7 of its norm after one
+    # pass, so each takes the DGKS second pass, and all but the first of
+    # each block are guesses; with tiles of 3 rows the passes span tiles.
+    # One pass leaves the residual orthogonal to the atoms to only ~6e-10
+    monkeypatch.setattr(greedy_algorithms, "_TILE", tile)
+    k, dim = 20, 24
+    d, f = near_collinear_in_pick_order(k, dim)
+    trace, r = _oga(f, d, k)
+    assert trace.atom_indices == list(range(k))  # blocks of 1, 2, 4, 8 and 5
+    assert_oga_contract(trace, *single_pass_oga(f, d, k))
+    assert np.max(np.abs(d.matrix() @ r)) <= 1e-12
+
+
+def test_project_forms_every_coefficient_before_subtracting(rng):
+    # classical Gram-Schmidt across tiles: with two views that are not
+    # orthogonal to each other, subtracting view by view would differ by
+    # the product of the two projections
+    x = rng.standard_normal((3, 4))
+    v1 = np.array([[1.0, 0.0, 0.0, 0.0]])
+    v2 = np.array([[1.0, 1.0, 0.0, 0.0]]) / np.sqrt(2.0)
+    want = x - (x @ v1.T) @ v1 - (x @ v2.T) @ v2
+    got = x.copy()
+    greedy_algorithms._project(got, [v1, v2[:, :2]])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [100, 501])
+def test_oga_blocks_end_at_the_budget_and_at_the_last_atom(mid_instance, single_pass_oga,
+                                                           steps):
+    # blocks of 1, 2, ..., 32 atoms take 63 steps, then blocks of 64: a
+    # budget of 100 cuts the seventh block to 37 rows.  The planned atoms
+    # end at the dictionary's last row at step 500, so with 501 steps the
+    # last block stops at that row and one more step selects afresh
+    instance, _ = mid_instance
+    d = instance.dictionary
+    trace = run("oga", instance.f, d, steps)
+    assert_oga_contract(trace, *single_pass_oga(instance.f, d, steps))
+    assert len(trace.steps) == steps
+    if steps == 501:
+        assert trace.atom_indices[499] == len(d) - 1

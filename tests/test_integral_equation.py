@@ -97,11 +97,13 @@ def test_bracket_zero_g_all_zero():
 
 
 def test_bracket_needs_four_iterates(op_point):
-    # the certificate reads f4, so even a closed bracket needs four sweeps
+    # the certificate reads f4, so a budget below four sweeps is a usage
+    # error even when the bracket would close at once
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    with pytest.raises(NumericFailure, match="within 3 sweeps"):
+    with pytest.raises(ValueError, match="reads the fourth iterate"):
         solve_f(g, tau, tol=1e9, max_iter=3)
+    assert solve_f(g, tau, tol=1e9, max_iter=4).iterations == 4
     with pytest.raises(ValueError):
         reference_bracket_sequence(g, tau, 3)
 
@@ -198,10 +200,11 @@ def test_solve_tol_validation(op_point):
         solve_f(g, tau, tol=0.0)
 
 
-@pytest.mark.parametrize("max_iter", [0, -5])
+@pytest.mark.parametrize("max_iter", [0, -5, 1, 2, 3])
 def test_solve_max_iter_validation(op_point, max_iter):
-    # a usage error, not a bracket that "did not close within -5 sweeps"
+    # a usage error, not a bracket that "did not close within 3 sweeps"
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+    with pytest.raises(ValueError, match="max_iter must be at least 4: the bracket "
+                                         "certificate reads the fourth iterate"):
         solve_f(g, tau, max_iter=max_iter)
