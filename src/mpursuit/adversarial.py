@@ -14,13 +14,16 @@ by two independent routes:
 
 Every quantity the oracle needs is reconstructed from the residual
 component formula <r_m, e_j> = -q_m (xi_j + sum_{l>j}^m <h_l, e_j>).
-The dense reconstructions (correction vectors, residual and atom
-components) live only while `OracleTables` forms its sum tables; the
-tables keep those sums and the scalars `rows` reads.
+`OracleTables` keeps two dense reconstructions, the correction vectors
+and the atom components, and streams the rest: `verify` asks for one
+block of steps at a time, in ascending order, and the oracle forms that
+block's inner products from running sums and the block's residual
+components, regenerated by a running correction sum.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
 CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
-_VERIFY_BLOCK = 512  # residual rows per direct-route matmul in verify
+_VERIFY_BLOCK = 128  # steps per block of verify and of the oracle's walk
 _H_BLOCK = 32        # correction vectors per phi evaluation in OracleTables
 
 
@@ -325,13 +328,13 @@ def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray) -> np.ndarray:
 
 def _residual_components(state: ConstructionState,
                          phi: PhiProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(h, rhat) from the scalar sequences and phi alone.
+    """(h, b) from the scalar sequences and phi alone.
 
-    h[l - K] is the correction vector h_l for l = K..n_max.  rhat[m - (N-1)]
-    holds the residual components <r_m, e_j> for m = N-1..n_max-1, by the
-    cumulative component formula; b_j covers the seed block j < K.
+    h[l - K] is the correction vector h_l for l = K..n_max; b holds the
+    base components of the component formula, b_j = xi_{j+1} past the seed
+    block j < K.  `_residual_rows` turns them into residual components.
     """
-    K, N, n_max, beta = state.K, state.N, state.n_max, state.beta
+    K, n_max, beta = state.K, state.n_max, state.beta
     q, xi = state.q, state.xi
     b = np.empty(n_max)
     b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
@@ -340,97 +343,157 @@ def _residual_components(state: ConstructionState,
     for l0 in range(K, n_max + 1, _H_BLOCK):
         ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
         h[ls - K, : ls[-1] - 1] = _h_rows(state.alpha, phi, ls)
-    run = np.zeros(n_max)
-    rhat = np.zeros((n_max - N + 1, n_max))
+    return h, b
+
+
+def _residual_rows(q: np.ndarray, b: np.ndarray, h: np.ndarray, K: int,
+                   N: int) -> Iterator[np.ndarray]:
+    """Yield the residual components <r_m, e_j>, j = 1..m, for m = N-1, N, ...,
+    n_max-1 in turn, by the cumulative component formula
+    r_m = -q_m (b + sum_{l=K}^m h_l) over one running correction sum."""
+    run = np.zeros(len(b))
     if N == K:  # seed row r_{K-1} has an empty correction sum
-        rhat[0, : K - 1] = -(q[K - 1]) * b[: K - 1]
-    for m in range(K, n_max):
+        yield -(q[K - 1]) * b[: K - 1]
+    for m in range(K, len(b)):
         run[: m - 1] += h[m - K, : m - 1]
         if m >= N - 1:
-            rhat[m - (N - 1), :m] = -(q[m]) * (b[:m] + run[:m])
-    return h, rhat
+            yield -(q[m]) * (b[:m] + run[:m])
 
 
 class OracleTables:
     """Closed-form inner products from scalar sequences alone.
 
-    Reconstructs residual components via the component formula
-    (`_residual_components`) and atom components from the inductive
-    definition, and keeps only the tables that serve <r_{n-1}, d_k> for a
-    block of steps n at once (`rows`): the forward sums `cw` (k < n), the
-    blended-atom sums `ct`, and the scan form `p`, `cg` of the two-term
-    recursion (k > n); the base equality gives k = n.  The dense
-    reconstructions are freed once their last table is formed.  Nothing
-    here reads the construction's stored vectors.
+    Keeps two dense arrays, the correction vectors `h` (`_residual_components`)
+    and the atom components `dhat`, built in one forward pass over the
+    residual components by the inductive definition.  `rows` serves
+    <r_{n-1}, d_k> for a block of steps n at once from a cursor that walks
+    n upward in aligned blocks of `block` steps:
+
+    * k < n: the forward sums C_m = C_{m-1} + (<h_m, d_hat_k>)_k, carried as
+      one running row and its diagonal C_k[k], one product `h @ dhat.T`
+      per block;
+    * k > n: the scan form of the two-term recursion, each block's rows from
+      that block's residual rows, which the running correction sum of
+      `_residual_rows` regenerates;
+    * k = n: the base equality; the blended atom: the vector `ct`.
+
+    A block's products do not depend on which rows a caller asks for, so
+    every call returns the same bits for the same pair.  Nothing here reads
+    the construction's stored vectors.
     """
 
     def __init__(self, state: ConstructionState, phi: PhiProfile, epsilon: float):
         K, N, n_max = state.K, state.N, state.n_max
         gamma, xi = state.gamma, state.xi
-        self.N, self.n_max, self.epsilon = N, n_max, epsilon
+        self.K, self.N, self.n_max, self.epsilon = K, N, n_max, epsilon
+        self.block = _VERIFY_BLOCK
         self.q = q = state.q.copy()
         self.rn_norm = float(_schedule(N, state.beta))
-        h, rhat = _residual_components(state, phi)
+        self.h, self.b = h, b = _residual_components(state, phi)
 
         # atom components d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k
-        dhat = np.zeros((n_max - N + 1, n_max))
+        self.dhat = dhat = np.zeros((n_max - N + 1, n_max))
+        walk = _residual_rows(q, b, h, K, N)
         for k in range(N, n_max + 1):
+            rrow = next(walk)                 # r_hat[k-1]
+            if k == N + 1:
+                r_n = rrow
             row = dhat[k - N]
-            row[: k - 1] = gamma[k] * rhat[k - 1 - (N - 1), : k - 1]
+            row[: k - 1] = gamma[k] * rrow[: k - 1]
             row[: k - 1] += h[k - K, : k - 1]
             row[k - 1] = xi[k]
-        dtil = (epsilon * rhat[1] / self.rn_norm
-                + np.sqrt(1.0 - epsilon ** 2) * dhat[0])[:N]
-
-        # k < n: cumulative sums over i = N+1..m of <h_i, d_hat_k>, row m - N;
-        # row 0 (m = N) is the empty sum
-        self.cw = cw = np.zeros((n_max - N, n_max - N + 1))   # cw[m-N, k-N]
-        np.matmul(h[N + 1 - K: n_max - K], dhat.T, out=cw[1:])
-        np.cumsum(cw[1:], axis=0, out=cw[1:])
-        del dhat
+        dtil = epsilon * r_n / self.rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]
 
         # blended-atom sums
         wtil = h[N + 1 - K: n_max - K, :N] @ dtil
         self.ct = np.concatenate([[0.0], np.cumsum(wtil)])  # ct[m-N]
 
-        # k > n: scan representation of the two-term recursion.  Dividing
-        # the recursion value(k) = A_k value(k-1) + g(k) by the running
-        # product P_k = prod A_j turns it into a cumulative sum.
-        rh = rhat[1:] @ h[N + 1 - K:].T   # rows m = N..n_max-1, cols k = N+1..n_max
-        del rhat, h
+        # k > n: dividing the recursion value(k) = A_k value(k-1) + g(k) by
+        # the running product P_k = prod A_j turns it into a cumulative sum
         karr = np.arange(N + 1, n_max + 1)
         a_fac = (1.0 / gamma[karr - 1] - q[karr - 1]) * gamma[karr]
         p = np.empty(n_max - N)                # p[k-(N+1)], base p[N+1] = 1
         p[0] = 1.0
         p[1:] = np.cumprod(a_fac[1:])
         self.p = p
-        ratio = gamma[karr[1:]] / gamma[karr[1:] - 1]
-        g2 = (rh[:, 1:] - ratio * rh[:, :-1]) / p[1:]
+        self.ratio = gamma[karr[1:]] / gamma[karr[1:] - 1]
+        self._restart()
+
+    def _restart(self) -> None:
+        """Put the cursor before the first block, n = N+1."""
+        N = self.N
+        self._next = N + 1                      # first step of the next block
+        self._pairs = None                      # pairs of the block before it
+        self._walk = _residual_rows(self.q, self.b, self.h, self.K, N)
+        next(self._walk)                        # r_hat[N-1] only shapes d_hat[N]
+        self._cw = np.zeros(self.n_max - N + 1)  # C_{next-1}, C_N the empty sum
+        self._cw_diag = np.zeros(self.n_max - N + 1)  # C_k[k-N], k < next
+
+    def _advance(self) -> np.ndarray:
+        """Pairs of the block of steps that starts at the cursor, which moves past it."""
+        K, N, n_max, q, p, h = self.K, self.N, self.n_max, self.q, self.p, self.h
+        lo = self._next
+        hi = min(lo + self.block - 1, n_max)
+        self._next = hi + 1
+        ns = np.arange(lo, hi + 1)
+        below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
+        pairs = np.empty((hi - lo + 1, n_max - N + 1))
+
+        # k < n: rows C_{lo-1}..C_top of the forward sums; C_{n_max} is never
+        # read.  Products stop at the rows' live prefix: h_i, i <= top, is
+        # zero from column top on, r_hat[m], m < hi, from column hi - 1 on.
+        top = min(hi, n_max - 1)
+        cw = np.empty((top - lo + 2, n_max - N + 1))
+        cw[0] = self._cw
+        np.matmul(h[lo - K: top + 1 - K, :top], self.dhat[:, :top].T, out=cw[1:])
+        np.cumsum(cw, axis=0, out=cw)
+        m = np.arange(lo - 1, top + 1)
+        self._cw_diag[m - N] = cw[m - (lo - 1), m - N]
+        self._cw = cw[-1].copy()
+        pairs[:, :below] = -(q[ns - 1])[:, None] * (cw[: hi - lo + 1, :below]
+                                                    - self._cw_diag[:below])
+        del cw
+
+        # k > n: residual rows r_hat[n-1] against h_k, k = N+1..n_max
+        rhat = np.zeros((hi - lo + 1, hi - 1))
+        for row, rrow in zip(rhat, self._walk):
+            row[: len(rrow)] = rrow
+        rh = rhat @ h[N + 1 - K:, : hi - 1].T
+        del rhat
+        cg = np.zeros((hi - lo + 1, n_max - N))  # cols k = N+1..n_max
+        g2 = cg[:, 1:]                           # (rh_k - ratio_k rh_{k-1}) / p_k
+        np.multiply(self.ratio, rh[:, :-1], out=g2)
+        np.subtract(rh[:, 1:], g2, out=g2)
+        np.divide(g2, p[1:], out=g2)
         del rh
-        # rows n = N+1..n_max, cols k = N+1..n_max
-        self.cg = cg = np.zeros((n_max - N, n_max - N))
-        np.cumsum(g2, axis=1, out=cg[:, 1:])
+        np.cumsum(g2, axis=1, out=g2)
+        upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
+                             - cg[ns - lo, ns - (N + 1)][:, None])
+        np.copyto(pairs[:, above + 1:], upper, where=ns[:, None] < np.arange(lo + 1, n_max + 1))
+        pairs[ns - lo, ns - N] = q[ns]
+        return pairs
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """(pairs, tilde) for the steps n = lo..hi, one row per n.
 
         pairs[n - lo, k - N] = <r_{n-1}, d_k> for k = N..n_max, each entry by
         the formula of its case (k < n, k = n, k > n); tilde[n - lo] is
-        <r_{n-1}, d_tilde>.
+        <r_{n-1}, d_tilde>.  Calls in ascending order of lo walk forward; a
+        call behind the cursor walks again from N+1.
         """
-        N, n_max, q, p = self.N, self.n_max, self.q, self.p
+        N, n_max, q, block = self.N, self.n_max, self.q, self.block
         if not N < lo <= hi <= n_max:
             raise IndexError("n out of range")
-        ns = np.arange(lo, hi + 1)
-        below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
         pairs = np.empty((hi - lo + 1, n_max - N + 1))
-        pairs[:, :below] = -(q[ns - 1])[:, None] * (self.cw[lo - 1 - N: hi - N, :below]
-                                                    - np.diagonal(self.cw)[:below])
-        cg = self.cg[lo - (N + 1): hi - N]    # rows n, cols k = N+1..n_max
-        upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
-                             - cg[ns - lo, ns - (N + 1)][:, None])
-        np.copyto(pairs[:, above + 1:], upper, where=ns[:, None] < np.arange(lo + 1, n_max + 1))
-        pairs[ns - lo, ns - N] = q[ns]
+        for start in range(lo - (lo - N - 1) % block, hi + 1, block):  # aligned blocks
+            if start < self._next - block:    # behind the cursor: walk again from N+1
+                self._restart()
+            while self._next <= start:
+                self._pairs = None            # freed before the next block is formed
+                self._pairs = self._advance()
+            a, z = max(lo, start), min(hi, start + block - 1)
+            pairs[a - lo: z - lo + 1] = self._pairs[a - start: z - start + 1]
+        ns = np.arange(lo, hi + 1)
         tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N]
                                 - self.epsilon * self.rn_norm / q[N])
         return pairs, tilde
@@ -445,6 +508,7 @@ class VerificationReport:
     min_margin: float
     min_margin_pair: tuple[int, int]
     min_margin_oracle: float
+    min_abs_margin: float
     tilde_min_margin: float
     tilde_argmin: int
     dual_max_diff: float
@@ -456,6 +520,7 @@ class VerificationReport:
     def passed(self) -> bool:
         return (self.all_strict
                 and self.dual_max_diff <= DUAL_PATH_TOL
+                and self.dual_max_diff < self.min_abs_margin
                 and self.diag_max_rel_err <= DIAG_RTOL
                 and self.schedule_max_rel_err <= CONDITION_RTOL)
 
@@ -466,6 +531,7 @@ class VerificationReport:
             f"min_margin={self.min_margin:.12g}",
             f"min_margin_pair={self.min_margin_pair[0]},{self.min_margin_pair[1]}",
             f"min_margin_oracle={self.min_margin_oracle:.12g}",
+            f"min_abs_margin={self.min_abs_margin:.12g}",
             f"tilde_min_margin={self.tilde_min_margin:.12g}",
             f"tilde_argmin={self.tilde_argmin}",
             f"dual_max_diff={self.dual_max_diff:.12g}",
@@ -478,19 +544,30 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _schedule_error(rows: np.ndarray, m0: int, beta: float):
+    """Largest relative deviation of |r_m| from its schedule, for the
+    residual rows r_m, m = m0, m0 + 1, ..."""
+    sched = _schedule(np.arange(m0, m0 + len(rows)), beta)
+    return np.max(np.abs(np.linalg.norm(rows, axis=1) / sched - 1.0))
+
+
 def verify(instance: AdversarialInstance) -> VerificationReport:
     """Check every selection inequality by both routes and compare them.
 
     Reports (never raises): minimum normalized margin over all pairs
-    (n, k), k != n, the blended-atom margins, the worst oracle/direct
-    disagreement, the diagonal equality error, and the norm-schedule
-    deviation over the whole residual history; a non-finite direct or
-    oracle value fails the check and the notes name its first n.
+    (n, k), k != n, the smallest absolute direct margin q_n - |<r_{n-1}, d>|
+    over every atom d but d_n, the blended-atom margins, the worst
+    oracle/direct disagreement, the diagonal equality error, and the
+    norm-schedule deviation over the whole residual history; a non-finite
+    direct or oracle value fails the check and the notes name its first n.
+    The check also fails unless the disagreement is below the smallest
+    absolute margin, so no selection can flip between the two routes.
 
     Each block of `_VERIFY_BLOCK` steps is reduced by whole-array
-    operations.  A row holding a NaN margin never sets `min_margin` (ties go
-    to the first pair in row order); the blended margin takes the oracle
-    value only where its magnitude is strictly larger, as `max` does.
+    operations, in ascending order, as the oracle streams its rows.  A row
+    holding a NaN margin never sets `min_margin` (ties go to the first pair
+    in row order); the blended margin takes the oracle value only where its
+    magnitude is strictly larger, as `max` does.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
@@ -498,49 +575,55 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     tables = instance.oracle_tables()
     min_margin, min_pair, til_min, til_arg = np.inf, (-1, -1), np.inf, -1
     min_margin_o, dual_max, diag_max, first_nonfinite = np.inf, 0.0, 0.0, None
+    min_abs = np.inf
+    sched_err = _schedule_error(st.r_hist[-1:], n_max, st.beta)   # r_{n_max}
     for lo in range(N + 1, n_max + 1, _VERIFY_BLOCK):
         hi = min(lo + _VERIFY_BLOCK - 1, n_max)
         ns = np.arange(lo, hi + 1)
         on_diag = (ns - lo, ns - N)
         qn = st.q[ns]
         rows = st.r_hist[lo - 1 - N: hi - N]   # r_{n-1} for n in [lo, hi]
+        sched_err = np.maximum(sched_err, _schedule_error(rows, lo - 1, st.beta))
+        pairs, tilde = tables.rows(lo, hi)
         direct = rows @ st.atoms[1:].T          # against d_N..d_n_max
         til_direct = rows @ st.atoms[0]         # against the blended atom
-        pairs, tilde = tables.rows(lo, hi)
         gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1),
                           np.abs(til_direct - tilde))
         dual_max = np.maximum(dual_max, np.max(gaps))
         if first_nonfinite is None and not np.all(np.isfinite(gaps)):
             first_nonfinite = lo + int(np.argmin(np.isfinite(gaps)))
         diag_max = np.maximum(diag_max, np.max(np.abs(direct[on_diag] - qn) / qn))
-        margins, omargins = np.abs(direct), np.abs(pairs)
-        for m in (margins, omargins):        # (q_n - |value|) / q_n, in place
-            np.divide(np.subtract(qn[:, None], m, out=m), qn[:, None], out=m)
-            m[on_diag] = np.inf
+        t_abs = np.abs(til_direct)
+        min_abs = np.minimum(min_abs, np.min(qn - t_abs))
+        # q_n - |value| in the blocks' own buffers, then divided by q_n
+        margins = np.subtract(qn[:, None], np.abs(direct, out=direct), out=direct)
+        omargins = np.subtract(qn[:, None], np.abs(pairs, out=pairs), out=pairs)
+        margins[on_diag] = omargins[on_diag] = np.inf
+        min_abs = np.minimum(min_abs, np.min(margins))
+        margins /= qn[:, None]
+        omargins /= qn[:, None]
         margins[np.isnan(margins).any(axis=1)] = np.inf
         j = int(np.argmin(margins))
         if margins.flat[j] < min_margin:
             min_margin, min_pair = float(margins.flat[j]), (lo + j // width, N + j % width)
         min_margin_o = np.minimum(min_margin_o, np.min(omargins))
-        t_abs, o_abs = np.abs(til_direct), np.abs(tilde)
+        o_abs = np.abs(tilde)
         tmarg = (qn - np.where(o_abs > t_abs, o_abs, t_abs)) / qn
         tmarg[np.isnan(tmarg)] = np.inf
         j = int(np.argmin(tmarg))
         if tmarg[j] < til_min:
             til_min, til_arg = tmarg[j], lo + j
-    sched = _schedule(np.arange(N, n_max + 1), st.beta)
-    hist_norms = np.linalg.norm(st.r_hist, axis=1)
-    sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
+        del direct, pairs, margins, omargins   # before the next block is formed
 
     return VerificationReport(
         n_pairs=(n_max - N) * width,
         all_strict=bool(first_nonfinite is None and min_margin > 0.0
                         and min_margin_o > 0.0 and til_min > 0.0),
         min_margin=float(min_margin), min_margin_pair=min_pair,
-        min_margin_oracle=float(min_margin_o),
+        min_margin_oracle=float(min_margin_o), min_abs_margin=float(min_abs),
         tilde_min_margin=float(til_min), tilde_argmin=til_arg,
         dual_max_diff=float(dual_max), diag_max_rel_err=float(diag_max),
-        schedule_max_rel_err=sched_err,
+        schedule_max_rel_err=float(sched_err),
         notes="" if first_nonfinite is None
         else f"non-finite inner product at n={first_nonfinite}")
 

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from mpursuit.adversarial import (ConstructionParams, _residual_components, advance,
-                                  choose_epsilon, finalize, init_state, verify)
+from mpursuit.adversarial import (ConstructionParams, _residual_components, _residual_rows,
+                                  advance, choose_epsilon, finalize, init_state, verify)
 from mpursuit.analysis import check_bounds, fit_decay
 from mpursuit.constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from mpursuit.greedy_algorithms import run
@@ -240,29 +240,36 @@ def test_criterion_10_property_suites(full_instance, rng):
     tables = instance.oracle_tables()
     p = instance.params
 
-    # oracle vs direct on 1e4 random pairs (bulk rows vs stored vectors)
+    # oracle vs direct on 1e4 random pairs (bulk rows vs stored vectors),
+    # visited in ascending n so that the oracle walks its blocks once
     ns = rng.integers(p.N + 1, p.n_max + 1, 10_000)
     ks = rng.integers(p.N, p.n_max + 1, 10_000)
     worst_pair = 0.0
-    row_cache = {}
-    for n, k in zip(ns, ks):
+    row_n = None
+    for n, k in sorted(zip(ns, ks), key=lambda nk: nk[0]):
         n, k = int(n), int(k)
         if k == n:
             continue
-        if n not in row_cache:
-            row_cache[n] = tables.rows(n, n)[0][0]
+        if n != row_n:
+            row_n, row = n, tables.rows(n, n)[0][0]
         direct = float(st.r_hist[n - 1 - p.N] @ st.atom_row(k))
-        worst_pair = max(worst_pair, abs(row_cache[n][k - p.N] - direct))
+        worst_pair = max(worst_pair, abs(row[k - p.N] - direct))
     pairs_ok = worst_pair <= 1e-9
 
-    # component formula vs direct on 100 random (n, k)
-    rhat = _residual_components(st, p.phi)[1]
-    worst_comp = 0.0
+    # component formula vs direct on 100 random (n, k), from the residual
+    # rows the oracle walks, m = N-1, N, ...
+    draws = []
     for _ in range(100):
         n = int(rng.integers(p.N, p.n_max))
-        k = int(rng.integers(1, n + 1))
-        worst_comp = max(worst_comp, abs(st.r_hist[n - p.N][k - 1]
-                                         - rhat[n - (p.N - 1)][k - 1]))
+        draws.append((n, int(rng.integers(1, n + 1))))
+    wanted = {n for n, _ in draws}
+    h, b = _residual_components(st, p.phi)
+    rhat = {m: rrow for m, rrow in zip(range(p.N - 1, p.n_max),
+                                      _residual_rows(st.q, b, h, p.K, p.N)) if m in wanted}
+    worst_comp = 0.0
+    for n, k in draws:
+        worst_comp = max(worst_comp, abs(st.r_hist[n - p.N][k - 1] - rhat[n][k - 1]))
+    del h, rhat
     comp_ok = worst_comp <= 1e-10
 
     # asymptotic bands

@@ -1,18 +1,29 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mpursuit import adversarial
 from mpursuit.adversarial import (ConstructionParams, OracleTables, VerificationReport,
-                                  _residual_components, _schedule, advance,
-                                  build_instance, choose_epsilon, finalize, init_state,
-                                  q_of, step, verify)
+                                  _residual_components, _residual_rows, _schedule,
+                                  advance, build_instance, choose_epsilon, finalize,
+                                  init_state, q_of, step, verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text
 from mpursuit.phi_builder import PhiProfile
+
+
+def residual_matrix(state, phi):
+    """rhat[m - (N-1)] = <r_m, e_j>, j = 1..m, zero-padded, for m = N-1..n_max-1:
+    the rows `_residual_rows` yields, stacked."""
+    h, b = _residual_components(state, phi)
+    rhat = np.zeros((state.n_max - state.N + 1, state.n_max))
+    for row, rrow in zip(rhat, _residual_rows(state.q, b, h, state.K, state.N)):
+        row[: len(rrow)] = rrow
+    return rhat
 
 
 class ReferenceOracle:
@@ -30,7 +41,7 @@ class ReferenceOracle:
         self.N, self.n_max, self.epsilon = st.N, st.n_max, p.epsilon
         self.q, self.gamma, self.alpha, self.xi = st.q, st.gamma, st.alpha, st.xi
         self._phi = p.phi
-        _, self.rhat = _residual_components(st, p.phi)
+        self.rhat = residual_matrix(st, p.phi)
         self.rn_norm = float(_schedule(st.N, st.beta))
         N = self.N
         self.dhat = np.zeros((self.n_max - N + 1, self.n_max))
@@ -172,7 +183,7 @@ def test_residual_components_nonpositive(small_instance):
 
 def test_lemma_component_formula_vs_direct(small_instance, rng):
     st = small_instance.state
-    _, rhat = _residual_components(st, small_instance.params.phi)
+    rhat = residual_matrix(st, small_instance.params.phi)
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(st.N, st.n_max))        # stored residual rows
@@ -381,9 +392,22 @@ def test_bulk_rows_match_pair_values(small_instance, reference, rng):
 
 
 def test_oracle_tables_keep_only_what_rows_reads(small_instance):
-    arrays = {name for name, value in vars(small_instance.oracle_tables()).items()
-              if isinstance(value, np.ndarray)}
-    assert arrays == {"q", "p", "cw", "ct", "cg"}
+    # two dense arrays, h and dhat; the rest are vectors, and the one block
+    # of pairs the cursor holds once it has walked
+    p = small_instance.params
+    tables = OracleTables(small_instance.state, p.phi, p.epsilon)
+    for walked in (False, True):
+        if walked:
+            tables.rows(p.N + 1, p.N + 1)
+        arrays = {name: value for name, value in vars(tables).items()
+                  if isinstance(value, np.ndarray)}
+        dense = {name for name, value in arrays.items() if value.ndim == 2}
+        assert dense == ({"h", "dhat", "_pairs"} if walked else {"h", "dhat"})
+        assert set(arrays) - dense == {"q", "b", "ct", "p", "ratio", "_cw", "_cw_diag"}
+        assert tables.h.shape == (p.n_max - p.K + 1, p.n_max)
+        assert tables.dhat.shape == (p.n_max - p.N + 1, p.n_max)
+        if walked:
+            assert tables._pairs.shape == (tables.block, p.n_max - p.N + 1)
 
 
 def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
@@ -414,6 +438,93 @@ def test_rows_block_equals_its_single_rows(small_instance):
         assert np.array_equal(tilde, np.concatenate([t for _, t in singles]))
 
 
+def walk_rows(tables, size):
+    """Every row of the tables, asked for in ascending blocks of `size` steps."""
+    N, n_max = tables.N, tables.n_max
+    got = [tables.rows(lo, min(lo + size - 1, n_max)) for lo in range(N + 1, n_max + 1, size)]
+    return np.vstack([pairs for pairs, _ in got]), np.concatenate([t for _, t in got])
+
+
+def test_rows_are_the_same_bits_whatever_blocks_the_caller_asks_for(small_instance,
+                                                                     mid_instance):
+    for inst in (small_instance, mid_instance[0]):
+        p = inst.params
+        tables = OracleTables(inst.state, p.phi, p.epsilon)
+        want = walk_rows(tables, adversarial._VERIFY_BLOCK)
+        for size in (1, 7, 64):
+            got = walk_rows(tables, size)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_rows_behind_the_cursor_walk_again_to_the_same_bits(mid_instance):
+    inst = mid_instance[0]
+    p = inst.params
+    tables = OracleTables(inst.state, p.phi, p.epsilon)
+    forward, _ = walk_rows(tables, 64)
+    assert tables._next == p.n_max + 1          # the walk ended past the last step
+    for lo, hi in ((p.N + 300, p.N + 330), (p.N + 1, p.N + 3), (p.N + 200, p.N + 200)):
+        pairs, _ = tables.rows(lo, hi)
+        assert np.array_equal(pairs, forward[lo - (p.N + 1): hi - p.N])
+    # a call ahead of the cursor walks forward through the blocks it skips
+    pairs, _ = tables.rows(p.n_max - 2, p.n_max)
+    assert np.array_equal(pairs, forward[-3:])
+
+
+def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
+                                                                  monkeypatch):
+    """An oracle value moved by more than the smallest absolute margin fails
+    the check even while the disagreement is within DUAL_PATH_TOL and every
+    margin stays positive on both routes.
+
+    On mid_instance the smallest absolute margin, 3.9e-7 at n = 899, is far
+    above the 1e-9 tolerance; the margins fall about like n^-1.65, and the
+    tolerance only passes them near n = 3e4.  Raising the tolerance above
+    the margin puts this instance in that regime.
+    """
+    inst, report = mid_instance
+    assert report.dual_max_diff < adversarial.DUAL_PATH_TOL < report.min_abs_margin
+    shift = 2.0 * report.min_abs_margin
+    monkeypatch.setattr(adversarial, "DUAL_PATH_TOL", 2.0 * shift)
+    st, p = inst.state, inst.params
+    tables = OracleTables(st, p.phi, p.epsilon)
+    n0, k0 = p.N + 95, p.N          # <r_{n0-1}, d_N> is far from q_{n0}
+    rows = tables.rows
+
+    def shifted(lo, hi):
+        pairs, tilde = rows(lo, hi)
+        if lo <= n0 <= hi:
+            pairs[n0 - lo, k0 - p.N] += shift
+        return pairs, tilde
+
+    tables.rows = shifted
+    moved = verify(dataclasses.replace(inst, _tables=tables))
+    assert moved.all_strict and moved.min_margin_oracle > 0.0
+    assert moved.dual_max_diff == pytest.approx(shift, rel=1e-6)
+    assert moved.dual_max_diff <= adversarial.DUAL_PATH_TOL
+    assert moved.min_abs_margin == report.min_abs_margin
+    assert not moved.passed and "passed=false" in moved.to_text()
+    # the comparison is NaN-proof on either side
+    for field in ("min_abs_margin", "dual_max_diff"):
+        assert not dataclasses.replace(report, **{field: np.nan}).passed
+
+
+def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
+    # everything verify allocates past the two dense arrays of the oracle is
+    # a few arrays of one block of steps each (the parent's dense tables
+    # needed about 15 such blocks more here)
+    inst = dataclasses.replace(mid_instance[0], _tables=None)
+    p = inst.params
+    tracemalloc.start()
+    try:
+        verify(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = inst.oracle_tables()
+    block_bytes = adversarial._VERIFY_BLOCK * (p.n_max - p.N + 1) * 8
+    assert peak <= tables.h.nbytes + tables.dhat.nbytes + 8 * block_bytes
+
+
 def test_verify_dual_paths_agree_even_without_margins(small_instance):
     # at this tiny scale some selection margins are genuinely negative, but
     # the two computation routes must still agree
@@ -433,8 +544,10 @@ def test_verify_mid_instance_passes(mid_instance):
     assert report.min_margin_oracle > 0.0
     assert report.tilde_min_margin > 0.0
     assert report.dual_max_diff <= 1e-9
+    assert report.dual_max_diff < report.min_abs_margin
     text = report.to_text()
     assert "passed=true" in text
+    assert f"min_abs_margin={report.min_abs_margin:.12g}" in text
 
 
 def test_build_instance_doubling_success(profile05):
@@ -471,6 +584,7 @@ def reference_verify(instance):
     til_arg = -1
     dual_max = 0.0
     diag_max = 0.0
+    min_abs = np.inf
     n_pairs = 0
     first_nonfinite = None
 
@@ -486,6 +600,9 @@ def reference_verify(instance):
             dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
             qn = q[n]
             diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
+            abs_margins = qn - np.abs(drow)
+            abs_margins[n - N] = np.inf
+            min_abs = np.minimum(min_abs, np.min(abs_margins))
             margins = (qn - np.abs(drow)) / qn
             margins[n - N] = np.inf
             jmin = int(np.argmin(margins))
@@ -498,6 +615,7 @@ def reference_verify(instance):
             tval = float(til_direct[n - lo])
             oval = float(tilde[0])
             dual_max = np.maximum(dual_max, abs(tval - oval))
+            min_abs = np.minimum(min_abs, qn - abs(tval))
             if first_nonfinite is None and not np.isfinite(dual_max):
                 first_nonfinite = n
             tmarg = (qn - max(abs(tval), abs(oval))) / qn
@@ -514,7 +632,7 @@ def reference_verify(instance):
         all_strict=bool(first_nonfinite is None and min_margin > 0.0
                         and min_margin_o > 0.0 and til_min > 0.0),
         min_margin=float(min_margin), min_margin_pair=min_pair,
-        min_margin_oracle=float(min_margin_o),
+        min_margin_oracle=float(min_margin_o), min_abs_margin=float(min_abs),
         tilde_min_margin=float(til_min), tilde_argmin=til_arg,
         dual_max_diff=float(dual_max), diag_max_rel_err=float(diag_max),
         schedule_max_rel_err=sched_err,
@@ -528,12 +646,14 @@ def corrupted(instance, target, value):
     Offset 94 from the first step lies inside a block for every block size
     tested (position 30 of 64, 3 of 7).  The targets are the direct route's
     residual r_{n-1}, atom d_n and blended atom, and the oracle's forward
-    sums (cw, one entry) and blended-atom sums (ct, step n on, so that the
-    oracle's blended value is NaN at the smallest blended margin of
-    mid_instance); the copy shares nothing it changes.
+    sums (cw: one entry of the atom components d_hat[n-1], which the sums of
+    column n-1 carry into every step from n on) and blended-atom sums (ct,
+    step n on, so that the oracle's blended value is NaN at the smallest
+    blended margin of mid_instance).  The oracle targets get tables of
+    their own; the copy shares nothing it changes.
     """
     st = copy.copy(instance.state)
-    tables = copy.copy(instance.oracle_tables())
+    tables = instance.oracle_tables()
     n = st.N + 95
     if target == "residual":
         st.r_hist = st.r_hist.copy()
@@ -542,12 +662,13 @@ def corrupted(instance, target, value):
         st.atoms = st.atoms.copy()
         row = st.atom_row(n) if target == "atom" else st.atoms[0]
         row[st.N // 2] = value
-    elif target == "cw":
-        tables.cw = tables.cw.copy()
-        tables.cw[n - 1 - st.N, 3] = value
     else:
-        tables.ct = tables.ct.copy()
-        tables.ct[n - 1 - st.N:] = value
+        p = instance.params
+        tables = OracleTables(st, p.phi, p.epsilon)
+        if target == "cw":
+            tables.dhat[n - 1 - st.N, st.N // 2] = value
+        else:
+            tables.ct[n - 1 - st.N:] = value
     return dataclasses.replace(instance, state=st, _tables=tables)
 
 
