@@ -15,10 +15,10 @@ by two independent routes:
 Every quantity the oracle needs is reconstructed from the residual
 component formula <r_m, e_j> = -q_m (xi_j + sum_{l>j}^m <h_l, e_j>).
 `OracleTables` keeps two dense reconstructions, the correction vectors
-and the atom components, and streams the rest: `verify` asks for one
-block of steps at a time, in ascending order, and the oracle forms that
-block's inner products from running sums and the block's residual
-components, regenerated by a running correction sum.
+and the atom components, and streams the rest in one forward walk over
+blocks of steps, from running sums and the block's residual components,
+which a running correction sum regenerates; `verify` folds each block as
+the walk yields it and drops the tables when the walk ends.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
 CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
-_VERIFY_BLOCK = 128  # steps per block of verify and of the oracle's walk
+_VERIFY_BLOCK = 128  # steps per block of the oracle's walk, read when a walk starts
 _H_BLOCK = 32        # correction vectors per phi evaluation in OracleTables
 
 
@@ -275,17 +275,13 @@ class AdversarialInstance:
     dictionary: Dictionary
     variation_bound: float
     state: ConstructionState = field(repr=False)
-    _tables: "OracleTables | None" = field(default=None, repr=False)
 
     @property
     def planned_labels(self) -> list[str]:
         return [f"d{n}" for n in range(self.params.N + 1, self.params.n_max + 1)]
 
-    def oracle_tables(self) -> "OracleTables":
-        if self._tables is None:
-            self._tables = OracleTables(self.state, self.params.phi,
-                                        self.params.epsilon)
-        return self._tables
+    def oracle_tables(self) -> "OracleTables":  # fresh tables on every call
+        return OracleTables(self.state, self.params.phi, self.params.epsilon)
 
 
 def finalize(state: ConstructionState, params: ConstructionParams) -> AdversarialInstance:
@@ -365,9 +361,9 @@ class OracleTables:
 
     Keeps two dense arrays, the correction vectors `h` (`_residual_components`)
     and the atom components `dhat`, built in one forward pass over the
-    residual components by the inductive definition.  `rows` serves
-    <r_{n-1}, d_k> for a block of steps n at once from a cursor that walks
-    n upward in aligned blocks of `block` steps:
+    residual components by the inductive definition.  `blocks` walks the
+    steps n upward in blocks of `_VERIFY_BLOCK` steps and yields
+    <r_{n-1}, d_k> for each block at once:
 
     * k < n: the forward sums C_m = C_{m-1} + (<h_m, d_hat_k>)_k, carried as
       one running row and its diagonal C_k[k], one product `h @ dhat.T`
@@ -377,16 +373,15 @@ class OracleTables:
       `_residual_rows` regenerates;
     * k = n: the base equality; the blended atom: the vector `ct`.
 
-    A block's products do not depend on which rows a caller asks for, so
-    every call returns the same bits for the same pair.  Nothing here reads
-    the construction's stored vectors.
+    Each walk starts afresh at N+1 from running state of its own, so every
+    walk of the same tables yields the same bits.  Nothing here reads the
+    construction's stored vectors.
     """
 
     def __init__(self, state: ConstructionState, phi: PhiProfile, epsilon: float):
         K, N, n_max = state.K, state.N, state.n_max
         gamma, xi = state.gamma, state.xi
         self.K, self.N, self.n_max, self.epsilon = K, N, n_max, epsilon
-        self.block = _VERIFY_BLOCK
         self.q = q = state.q.copy()
         self.rn_norm = float(_schedule(N, state.beta))
         self.h, self.b = h, b = _residual_components(state, phi)
@@ -417,86 +412,62 @@ class OracleTables:
         p[1:] = np.cumprod(a_fac[1:])
         self.p = p
         self.ratio = gamma[karr[1:]] / gamma[karr[1:] - 1]
-        self._restart()
 
-    def _restart(self) -> None:
-        """Put the cursor before the first block, n = N+1."""
-        N = self.N
-        self._next = N + 1                      # first step of the next block
-        self._pairs = None                      # pairs of the block before it
-        self._walk = _residual_rows(self.q, self.b, self.h, self.K, N)
-        next(self._walk)                        # r_hat[N-1] only shapes d_hat[N]
-        self._cw = np.zeros(self.n_max - N + 1)  # C_{next-1}, C_N the empty sum
-        self._cw_diag = np.zeros(self.n_max - N + 1)  # C_k[k-N], k < next
-
-    def _advance(self) -> np.ndarray:
-        """Pairs of the block of steps that starts at the cursor, which moves past it."""
-        K, N, n_max, q, p, h = self.K, self.N, self.n_max, self.q, self.p, self.h
-        lo = self._next
-        hi = min(lo + self.block - 1, n_max)
-        self._next = hi + 1
-        ns = np.arange(lo, hi + 1)
-        below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
-        pairs = np.empty((hi - lo + 1, n_max - N + 1))
-
-        # k < n: rows C_{lo-1}..C_top of the forward sums; C_{n_max} is never
-        # read.  Products stop at the rows' live prefix: h_i, i <= top, is
-        # zero from column top on, r_hat[m], m < hi, from column hi - 1 on.
-        top = min(hi, n_max - 1)
-        cw = np.empty((top - lo + 2, n_max - N + 1))
-        cw[0] = self._cw
-        np.matmul(h[lo - K: top + 1 - K, :top], self.dhat[:, :top].T, out=cw[1:])
-        np.cumsum(cw, axis=0, out=cw)
-        m = np.arange(lo - 1, top + 1)
-        self._cw_diag[m - N] = cw[m - (lo - 1), m - N]
-        self._cw = cw[-1].copy()
-        pairs[:, :below] = -(q[ns - 1])[:, None] * (cw[: hi - lo + 1, :below]
-                                                    - self._cw_diag[:below])
-        del cw
-
-        # k > n: residual rows r_hat[n-1] against h_k, k = N+1..n_max
-        rhat = np.zeros((hi - lo + 1, hi - 1))
-        for row, rrow in zip(rhat, self._walk):
-            row[: len(rrow)] = rrow
-        rh = rhat @ h[N + 1 - K:, : hi - 1].T
-        del rhat
-        cg = np.zeros((hi - lo + 1, n_max - N))  # cols k = N+1..n_max
-        g2 = cg[:, 1:]                           # (rh_k - ratio_k rh_{k-1}) / p_k
-        np.multiply(self.ratio, rh[:, :-1], out=g2)
-        np.subtract(rh[:, 1:], g2, out=g2)
-        np.divide(g2, p[1:], out=g2)
-        del rh
-        np.cumsum(g2, axis=1, out=g2)
-        upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
-                             - cg[ns - lo, ns - (N + 1)][:, None])
-        np.copyto(pairs[:, above + 1:], upper, where=ns[:, None] < np.arange(lo + 1, n_max + 1))
-        pairs[ns - lo, ns - N] = q[ns]
-        return pairs
-
-    def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """(pairs, tilde) for the steps n = lo..hi, one row per n.
-
-        pairs[n - lo, k - N] = <r_{n-1}, d_k> for k = N..n_max, each entry by
-        the formula of its case (k < n, k = n, k > n); tilde[n - lo] is
-        <r_{n-1}, d_tilde>.  Calls in ascending order of lo walk forward; a
-        call behind the cursor walks again from N+1.
+    def blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+        """Yield (lo, hi, pairs, tilde) for each block of `_VERIFY_BLOCK` steps
+        n = lo..hi, from n = N+1 up to n_max: pairs[n - lo, k - N] is
+        <r_{n-1}, d_k>, k = N..n_max, by the formula of its case (k < n, k = n,
+        k > n), and tilde[n - lo] is <r_{n-1}, d_tilde>.  The caller owns both.
         """
-        N, n_max, q, block = self.N, self.n_max, self.q, self.block
-        if not N < lo <= hi <= n_max:
-            raise IndexError("n out of range")
-        pairs = np.empty((hi - lo + 1, n_max - N + 1))
-        for start in range(lo - (lo - N - 1) % block, hi + 1, block):  # aligned blocks
-            if start < self._next - block:    # behind the cursor: walk again from N+1
-                self._restart()
-            while self._next <= start:
-                self._pairs = None            # freed before the next block is formed
-                self._pairs = self._advance()
-            a, z = max(lo, start), min(hi, start + block - 1)
-            pairs[a - lo: z - lo + 1] = self._pairs[a - start: z - start + 1]
-        ns = np.arange(lo, hi + 1)
-        tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N]
-                                - self.epsilon * self.rn_norm / q[N])
-        return pairs, tilde
+        K, N, n_max, q, p, h = self.K, self.N, self.n_max, self.q, self.p, self.h
+        block = _VERIFY_BLOCK
+        walk = _residual_rows(q, self.b, h, K, N)
+        next(walk)                              # r_hat[N-1] only shapes d_hat[N]
+        cw_run = np.zeros(n_max - N + 1)        # C_{lo-1}, C_N the empty sum
+        cw_diag = np.zeros(n_max - N + 1)       # C_k[k-N], k < lo
+        for lo in range(N + 1, n_max + 1, block):
+            hi = min(lo + block - 1, n_max)
+            ns = np.arange(lo, hi + 1)
+            below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
+            pairs = np.empty((hi - lo + 1, n_max - N + 1))
+
+            # k < n: rows C_{lo-1}..C_top of the forward sums (C_{n_max} is never
+            # read), over the rows' live prefix: h_i, i <= top, is zero from
+            # column top on, r_hat[m], m < hi, from column hi - 1 on.
+            top = min(hi, n_max - 1)
+            cw = np.empty((top - lo + 2, n_max - N + 1))
+            cw[0] = cw_run
+            np.matmul(h[lo - K: top + 1 - K, :top], self.dhat[:, :top].T, out=cw[1:])
+            np.cumsum(cw, axis=0, out=cw)
+            m = np.arange(lo - 1, top + 1)
+            cw_diag[m - N] = cw[m - (lo - 1), m - N]
+            cw_run = cw[-1].copy()
+            pairs[:, :below] = -(q[ns - 1])[:, None] * (cw[: hi - lo + 1, :below]
+                                                        - cw_diag[:below])
+            del cw
+
+            # k > n: residual rows r_hat[n-1] against h_k, k = N+1..n_max
+            rhat = np.zeros((hi - lo + 1, hi - 1))
+            for row, rrow in zip(rhat, walk):
+                row[: len(rrow)] = rrow
+            rh = rhat @ h[N + 1 - K:, : hi - 1].T
+            del rhat, row, rrow
+            cg = np.zeros((hi - lo + 1, n_max - N))  # cols k = N+1..n_max
+            g2 = cg[:, 1:]                           # (rh_k - ratio_k rh_{k-1}) / p_k
+            np.multiply(self.ratio, rh[:, :-1], out=g2)
+            np.subtract(rh[:, 1:], g2, out=g2)
+            np.divide(g2, p[1:], out=g2)
+            del rh
+            np.cumsum(g2, axis=1, out=g2)
+            upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
+                                 - cg[ns - lo, ns - (N + 1)][:, None])
+            np.copyto(pairs[:, above + 1:], upper,
+                      where=ns[:, None] < np.arange(lo + 1, n_max + 1))
+            del cg, g2, upper
+            pairs[ns - lo, ns - N] = q[ns]
+            tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N] - self.epsilon * self.rn_norm / q[N])
+            yield lo, hi, pairs, tilde
+            del pairs, tilde   # a generator's locals outlive the yield
 
 
 @dataclass
@@ -563,28 +534,26 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     The check also fails unless the disagreement is below the smallest
     absolute margin, so no selection can flip between the two routes.
 
-    Each block of `_VERIFY_BLOCK` steps is reduced by whole-array
-    operations, in ascending order, as the oracle streams its rows.  A row
-    holding a NaN margin never sets `min_margin` (ties go to the first pair
-    in row order); the blended margin takes the oracle value only where its
-    magnitude is strictly larger, as `max` does.
+    One walk of fresh oracle tables yields the blocks of steps, each reduced
+    with the direct products of its steps by whole-array operations; the
+    tables are freed when the walk ends.  A row holding a NaN margin never
+    sets `min_margin` (ties go to the first pair in row order); the blended
+    margin takes the oracle value only where its magnitude is strictly
+    larger, as `max` does.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
     width = n_max - N + 1
-    tables = instance.oracle_tables()
     min_margin, min_pair, til_min, til_arg = np.inf, (-1, -1), np.inf, -1
     min_margin_o, dual_max, diag_max, first_nonfinite = np.inf, 0.0, 0.0, None
     min_abs = np.inf
     sched_err = _schedule_error(st.r_hist[-1:], n_max, st.beta)   # r_{n_max}
-    for lo in range(N + 1, n_max + 1, _VERIFY_BLOCK):
-        hi = min(lo + _VERIFY_BLOCK - 1, n_max)
+    for lo, hi, pairs, tilde in instance.oracle_tables().blocks():
         ns = np.arange(lo, hi + 1)
         on_diag = (ns - lo, ns - N)
         qn = st.q[ns]
         rows = st.r_hist[lo - 1 - N: hi - N]   # r_{n-1} for n in [lo, hi]
         sched_err = np.maximum(sched_err, _schedule_error(rows, lo - 1, st.beta))
-        pairs, tilde = tables.rows(lo, hi)
         direct = rows @ st.atoms[1:].T          # against d_N..d_n_max
         til_direct = rows @ st.atoms[0]         # against the blended atom
         gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1),
@@ -613,7 +582,7 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
         j = int(np.argmin(tmarg))
         if tmarg[j] < til_min:
             til_min, til_arg = tmarg[j], lo + j
-        del direct, pairs, margins, omargins   # before the next block is formed
+        del direct, pairs, tilde, margins, omargins   # before the next block is formed
 
     return VerificationReport(
         n_pairs=(n_max - N) * width,

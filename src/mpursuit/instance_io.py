@@ -114,6 +114,9 @@ def load_instance(path: str) -> AdversarialInstance:
     n_max = _header_value(scalars, "n_max", int)
     epsilon = _header_value(scalars, "epsilon", float)
     phi_grid = GridFunction.from_csv("\n".join(phi_lines))
+    if _header_value(scalars, "grid_m", int) != phi_grid.m:
+        raise InstanceFormatError(f"instance header grid_m={scalars['grid_m']} does "
+                                  f"not match the {phi_grid.m} nodes of [phi]")
     profile = PhiProfile(phi=phi_grid, t=_header_value(scalars, "t", float),
                          c_t=_header_value(scalars, "c_t", float),
                          delta=_header_value(scalars, "delta", float),

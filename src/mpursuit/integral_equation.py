@@ -37,7 +37,6 @@ class IterationReport:
     bracket_certified: bool
     deriv_sup: float
     deriv_bound: float
-    sandwiched: bool  # the average lies between its even and odd iterates
 
 
 def apply_T(G: GridFunction, f: GridFunction, tau: float,
@@ -138,14 +137,12 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     g_slope = float(np.max(np.abs(G.derivative(G.nodes))))
     g_sup = float(np.max(np.abs(G.values)))
     kconst = g_slope + 3.0 * g_sup * g_sup / G.lo
-    between = ((fbar.values <= np.maximum(even.values, odd.values) + _MONO_SLACK)
-               & (fbar.values >= np.minimum(even.values, odd.values) - _MONO_SLACK))
     return IterationReport(
         iterates=fs, bracket_width=width, converged_f=fbar,
         residual_sup=float(np.max(np.abs(res))), f3_min=f3_min,
         iterations=len(fs) - 1, rg=rg, bracket_certified=certified,
         deriv_sup=float(np.max(np.abs(dnodes))),
-        deriv_bound=kconst / (1.0 - rg), sandwiched=bool(between.all()))
+        deriv_bound=kconst / (1.0 - rg))
 
 
 def residual_on_refined(G: GridFunction, f: GridFunction) -> float:

@@ -26,10 +26,24 @@ def residual_matrix(state, phi):
     return rhat
 
 
+def walk_tables(tables):
+    """One walk of the tables' blocks stacked into the dense table: row n - (N+1)
+    of pairs and of tilde for the step n = N+1..n_max."""
+    got = [(pairs, tilde) for _, _, pairs, tilde in tables.blocks()]
+    return np.vstack([pairs for pairs, _ in got]), np.concatenate([t for _, t in got])
+
+
+def with_tables(instance, tables, **changes):
+    """A copy of instance, with changes, whose oracle_tables() returns tables."""
+    copy_ = dataclasses.replace(instance, **changes)
+    copy_.oracle_tables = lambda: tables
+    return copy_
+
+
 class ReferenceOracle:
     """The per-pair recursions, one pair at a time, as the inductive formulas state them.
 
-    This is the literal route the block formulas of `OracleTables.rows` are
+    This is the literal route the block formulas of `OracleTables.blocks` are
     checked against: residual components by the component formula, atom
     components by the inductive definition, and each <r_{n-1}, d_k> by the
     forward sum (k < n), the base equality (k = n) or the two-term
@@ -321,17 +335,16 @@ def test_oracle_base_case_previous_atom(small_instance, reference):
 def test_oracle_selected_index_is_q(small_instance, reference):
     # the selected atom's value is q_n by construction, on both routes
     st = small_instance.state
-    tables = small_instance.oracle_tables()
+    pairs, _ = walk_tables(small_instance.oracle_tables())
     for n in (st.N + 2, st.n_max):
         assert reference.pair_value(n, n) == st.q[n]
-        assert tables.rows(n, n)[0][0, n - st.N] == st.q[n]
+        assert pairs[n - st.N - 1, n - st.N] == st.q[n]
         direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
         assert direct == pytest.approx(st.q[n], rel=1e-9)
 
 
 def test_oracle_range_checks(small_instance, reference):
     p = small_instance.params
-    tables = small_instance.oracle_tables()
     with pytest.raises(IndexError):
         reference.pair_value(p.N, p.N + 1)
     with pytest.raises(IndexError):
@@ -343,12 +356,6 @@ def test_oracle_range_checks(small_instance, reference):
     for n in (p.N, p.n_max + 1):
         with pytest.raises(IndexError):
             reference.tilde_pair_value(n)
-        with pytest.raises(IndexError):
-            tables.rows(n, n)
-    with pytest.raises(IndexError):
-        tables.rows(p.N + 2, p.N + 1)
-    with pytest.raises(IndexError):
-        tables.rows(p.N + 1, p.n_max + 1)
 
 
 def test_oracle_vs_direct_random_pairs(small_instance, reference, rng):
@@ -380,39 +387,42 @@ def test_oracle_tilde_path(small_instance, reference, rng):
 
 
 def test_bulk_rows_match_pair_values(small_instance, reference, rng):
-    tables = small_instance.oracle_tables()
+    pairs, tilde = walk_tables(small_instance.oracle_tables())
     st = small_instance.state
+    assert pairs.shape == (160, 161) and tilde.shape == (160,)
     for n in (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max):
-        pairs, tilde = tables.rows(n, n)
-        row = pairs[0]
+        row = pairs[n - st.N - 1]
         for k in sorted(set(int(x) for x in rng.integers(st.N, st.n_max + 1, 12))):
             expected = st.q[n] if k == n else reference.pair_value(n, k)
             assert row[k - st.N] == pytest.approx(expected, rel=1e-9, abs=1e-15)
-        assert tilde[0] == pytest.approx(reference.tilde_pair_value(n), rel=1e-9, abs=1e-15)
+        assert tilde[n - st.N - 1] == pytest.approx(reference.tilde_pair_value(n),
+                                                    rel=1e-9, abs=1e-15)
 
 
 def test_oracle_tables_keep_only_what_rows_reads(small_instance):
-    # two dense arrays, h and dhat; the rest are vectors, and the one block
-    # of pairs the cursor holds once it has walked
+    # two dense arrays, h and dhat; the rest are vectors and scalars, before
+    # and after walks: the running state of a walk is the walk's own
     p = small_instance.params
     tables = OracleTables(small_instance.state, p.phi, p.epsilon)
-    for walked in (False, True):
-        if walked:
-            tables.rows(p.N + 1, p.N + 1)
+    open_walk = tables.blocks()
+    for stage in ("built", "one walk open", "walked through"):
         arrays = {name: value for name, value in vars(tables).items()
                   if isinstance(value, np.ndarray)}
         dense = {name for name, value in arrays.items() if value.ndim == 2}
-        assert dense == ({"h", "dhat", "_pairs"} if walked else {"h", "dhat"})
-        assert set(arrays) - dense == {"q", "b", "ct", "p", "ratio", "_cw", "_cw_diag"}
+        assert dense == {"h", "dhat"}
+        assert set(arrays) - dense == {"q", "b", "ct", "p", "ratio"}
+        assert set(vars(tables)) - set(arrays) == {"K", "N", "n_max", "epsilon", "rn_norm"}
         assert tables.h.shape == (p.n_max - p.K + 1, p.n_max)
         assert tables.dhat.shape == (p.n_max - p.N + 1, p.n_max)
-        if walked:
-            assert tables._pairs.shape == (tables.block, p.n_max - p.N + 1)
+        if stage == "built":
+            next(open_walk)             # an open walk holds its running state itself
+        elif stage == "one walk open":
+            walk_tables(tables)
 
 
 def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
     """Tables built from a state whose atoms, residual history and working
-    residual are NaN serve every block bit for bit as the clean state's."""
+    residual are NaN yield every block bit for bit as the clean state's."""
     for inst in (small_instance, mid_instance[0]):
         st, p = inst.state, inst.params
         blind = copy.copy(st)
@@ -421,53 +431,38 @@ def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
         blind.r = np.full_like(st.r, np.nan)
         clean = OracleTables(st, p.phi, p.epsilon)
         tables = OracleTables(blind, p.phi, p.epsilon)
-        for lo in range(p.N + 1, p.n_max + 1, 64):
-            hi = min(lo + 63, p.n_max)
-            for got, want in zip(tables.rows(lo, hi), clean.rows(lo, hi)):
-                assert np.array_equal(got, want)
+        for got, want in zip(tables.blocks(), clean.blocks(), strict=True):
+            assert got[:2] == want[:2]
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
 
 
-def test_rows_block_equals_its_single_rows(small_instance):
-    # a block evaluates each entry by the formula of its case, as rows(n, n) does
-    tables = small_instance.oracle_tables()
-    p = small_instance.params
-    for lo, hi in ((p.N + 1, p.n_max), (p.N + 5, p.N + 40), (p.n_max, p.n_max)):
-        pairs, tilde = tables.rows(lo, hi)
-        singles = [tables.rows(n, n) for n in range(lo, hi + 1)]
-        assert np.array_equal(pairs, np.vstack([row for row, _ in singles]))
-        assert np.array_equal(tilde, np.concatenate([t for _, t in singles]))
-
-
-def walk_rows(tables, size):
-    """Every row of the tables, asked for in ascending blocks of `size` steps."""
-    N, n_max = tables.N, tables.n_max
-    got = [tables.rows(lo, min(lo + size - 1, n_max)) for lo in range(N + 1, n_max + 1, size)]
-    return np.vstack([pairs for pairs, _ in got]), np.concatenate([t for _, t in got])
-
-
-def test_rows_are_the_same_bits_whatever_blocks_the_caller_asks_for(small_instance,
-                                                                     mid_instance):
+@pytest.mark.parametrize("block", [1, 7, 64, 128])
+def test_blocks_cover_every_step_once_in_ascending_order(small_instance, mid_instance,
+                                                         monkeypatch, block):
+    monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
     for inst in (small_instance, mid_instance[0]):
         p = inst.params
-        tables = OracleTables(inst.state, p.phi, p.epsilon)
-        want = walk_rows(tables, adversarial._VERIFY_BLOCK)
-        for size in (1, 7, 64):
-            got = walk_rows(tables, size)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        width = p.n_max - p.N + 1
+        bounds = []
+        for lo, hi, pairs, tilde in inst.oracle_tables().blocks():
+            assert pairs.shape == (hi - lo + 1, width) and tilde.shape == (hi - lo + 1,)
+            bounds.append((lo, hi))
+        assert len(bounds) == -(-(p.n_max - p.N) // block)
+        assert bounds[0][0] == p.N + 1 and bounds[-1][1] == p.n_max
+        assert all(hi - lo + 1 == block for lo, hi in bounds[:-1])
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
 
 
-def test_rows_behind_the_cursor_walk_again_to_the_same_bits(mid_instance):
+def test_two_walks_of_the_same_tables_yield_the_same_bits(mid_instance):
+    # two walks in lockstep, then a third alone: no walk reads another's state
     inst = mid_instance[0]
-    p = inst.params
-    tables = OracleTables(inst.state, p.phi, p.epsilon)
-    forward, _ = walk_rows(tables, 64)
-    assert tables._next == p.n_max + 1          # the walk ended past the last step
-    for lo, hi in ((p.N + 300, p.N + 330), (p.N + 1, p.N + 3), (p.N + 200, p.N + 200)):
-        pairs, _ = tables.rows(lo, hi)
-        assert np.array_equal(pairs, forward[lo - (p.N + 1): hi - p.N])
-    # a call ahead of the cursor walks forward through the blocks it skips
-    pairs, _ = tables.rows(p.n_max - 2, p.n_max)
-    assert np.array_equal(pairs, forward[-3:])
+    tables = inst.oracle_tables()
+    for a, b in zip(tables.blocks(), tables.blocks(), strict=True):
+        assert a[:2] == b[:2]
+        assert np.array_equal(a[2], b[2]) and np.array_equal(a[3], b[3])
+    first, again = walk_tables(tables), walk_tables(tables)
+    assert first[0].shape == (500, 501)
+    assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
 
 def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
@@ -488,16 +483,16 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
     st, p = inst.state, inst.params
     tables = OracleTables(st, p.phi, p.epsilon)
     n0, k0 = p.N + 95, p.N          # <r_{n0-1}, d_N> is far from q_{n0}
-    rows = tables.rows
+    blocks = tables.blocks
 
-    def shifted(lo, hi):
-        pairs, tilde = rows(lo, hi)
-        if lo <= n0 <= hi:
-            pairs[n0 - lo, k0 - p.N] += shift
-        return pairs, tilde
+    def shifted():
+        for lo, hi, pairs, tilde in blocks():
+            if lo <= n0 <= hi:
+                pairs[n0 - lo, k0 - p.N] += shift
+            yield lo, hi, pairs, tilde
 
-    tables.rows = shifted
-    moved = verify(dataclasses.replace(inst, _tables=tables))
+    tables.blocks = shifted
+    moved = verify(with_tables(inst, tables))
     assert moved.all_strict and moved.min_margin_oracle > 0.0
     assert moved.dual_max_diff == pytest.approx(shift, rel=1e-6)
     assert moved.dual_max_diff <= adversarial.DUAL_PATH_TOL
@@ -512,7 +507,7 @@ def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
     # everything verify allocates past the two dense arrays of the oracle is
     # a few arrays of one block of steps each (the parent's dense tables
     # needed about 15 such blocks more here)
-    inst = dataclasses.replace(mid_instance[0], _tables=None)
+    inst = mid_instance[0]
     p = inst.params
     tracemalloc.start()
     try:
@@ -572,7 +567,6 @@ def reference_verify(instance):
     """
     st = instance.state
     N, n_max = st.N, st.n_max
-    tables = instance.oracle_tables()
     atoms_mat = st.atoms[1:]
     dtil = st.atoms[0]
     q = st.q
@@ -588,15 +582,13 @@ def reference_verify(instance):
     n_pairs = 0
     first_nonfinite = None
 
-    for lo in range(N + 1, n_max + 1, adversarial._VERIFY_BLOCK):
-        hi = min(lo + adversarial._VERIFY_BLOCK - 1, n_max)
+    for lo, hi, pairs, tilde in instance.oracle_tables().blocks():
         rows = st.r_hist[lo - 1 - N: hi - N]
         direct = rows @ atoms_mat.T
         til_direct = rows @ dtil
         for n in range(lo, hi + 1):
             drow = direct[n - lo]
-            pairs, tilde = tables.rows(n, n)
-            orow = pairs[0]
+            orow = pairs[n - lo]
             dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
             qn = q[n]
             diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
@@ -613,7 +605,7 @@ def reference_verify(instance):
             omargins[n - N] = np.inf
             min_margin_o = np.minimum(min_margin_o, np.min(omargins))
             tval = float(til_direct[n - lo])
-            oval = float(tilde[0])
+            oval = float(tilde[n - lo])
             dual_max = np.maximum(dual_max, abs(tval - oval))
             min_abs = np.minimum(min_abs, qn - abs(tval))
             if first_nonfinite is None and not np.isfinite(dual_max):
@@ -653,7 +645,6 @@ def corrupted(instance, target, value):
     their own; the copy shares nothing it changes.
     """
     st = copy.copy(instance.state)
-    tables = instance.oracle_tables()
     n = st.N + 95
     if target == "residual":
         st.r_hist = st.r_hist.copy()
@@ -669,7 +660,8 @@ def corrupted(instance, target, value):
             tables.dhat[n - 1 - st.N, st.N // 2] = value
         else:
             tables.ct[n - 1 - st.N:] = value
-    return dataclasses.replace(instance, state=st, _tables=tables)
+        return with_tables(instance, tables, state=st)
+    return dataclasses.replace(instance, state=st)
 
 
 CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")

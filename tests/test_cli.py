@@ -297,7 +297,6 @@ def test_verify_names_first_non_finite_row(saved_instance, route):
     else:
         st.residual_row(st.N + 50)[10] = np.nan
         first = st.N + 51
-    inst._tables = None
     report = verify(inst)
     assert not report.passed and not report.all_strict
     assert report.notes == f"non-finite inner product at n={first}"
@@ -318,8 +317,13 @@ def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, 
     x, value = lines[row].split(",")
     cut_phi = "".join(lines[:row] + [x + "\n"] + lines[row + 1:])
     moved_x = "".join(lines[:row] + [f"{float(x) + 1e-6!r},{value}"] + lines[row + 1:])
+    # a grid_m that does not count the [phi] nodes
+    grid_m = next(line for line in lines if line.startswith("grid_m="))
+    wrong_m = "".join(lines).replace(grid_m, "grid_m=7\n", 1)
+    with pytest.raises(InstanceFormatError, match="grid_m=7 does not match"):
+        load_text(wrong_m)
     for text, key in ((no_epsilon, "epsilon="), (cut_phi, "not two numbers"),
-                      (moved_x, "is not grid node 1")):
+                      (moved_x, "is not grid node 1"), (wrong_m, "grid_m=7 does not match")):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
         capsys.readouterr()

@@ -135,7 +135,6 @@ def test_solve_residual_and_certificates(coarse_solution):
     beta, tau, g, rep = coarse_solution
     assert rep.residual_sup <= 1e-6
     assert rep.f3_min > 0.0
-    assert rep.sandwiched
     assert rep.rg < 1.0
     assert np.isfinite(rep.deriv_sup) and rep.deriv_sup <= rep.deriv_bound
 
