@@ -148,10 +148,10 @@ def init_state(params: ConstructionParams) -> ConstructionState:
 
 
 def step(state: ConstructionState, params: ConstructionParams,
-         given: dict | None = None) -> ConstructionState:
+         given: np.ndarray | None = None) -> ConstructionState:
     """Advance one index: build d_n and r_n, then assert the step conditions.
 
-    `given` replays a stored step (keys q, gamma, alpha, xi) with the same
+    `given` replays a stored step, its (q, gamma, alpha, xi), with the same
     vector arithmetic as the solving path; the condition assertions still
     run, so a corrupted sequence is caught here.
     """
@@ -159,22 +159,18 @@ def step(state: ConstructionState, params: ConstructionParams,
     if n > state.n_max:
         raise ValueError("state already at n_max")
     beta = state.beta
-    if given is None:
-        qn = q_of(n, beta)
-        gn = 1.0 / qn - 1.0 / state.q[n - 1]
-    else:
-        qn = given["q"]
-        gn = given["gamma"]
     i = np.arange(1, n)
     w = params.phi(i / n) / n
     r = state.r
-    s_n = float(w @ r[: n - 1])
     if given is None:
+        qn = q_of(n, beta)
+        gn = 1.0 / qn - 1.0 / state.q[n - 1]
+        s_n = float(w @ r[: n - 1])
         if s_n == 0.0:
             raise ConstructionError(f"phi support misses residual at step {n}")
         an = (qn - gn * n ** (2.0 * beta - 1.0)) / s_n
     else:
-        an = given["alpha"]
+        qn, gn, an, xin = given
     v = gn * r[:n]
     v[: n - 1] += an * w
     nv2 = float(v @ v)
@@ -182,8 +178,6 @@ def step(state: ConstructionState, params: ConstructionParams,
         if nv2 > 1.0:
             raise ConstructionError(f"xi imaginary at step {n} -- increase K")
         xin = float(np.sqrt(1.0 - nv2))
-    else:
-        xin = given["xi"]
     d = v
     d[n - 1] += xin
 
@@ -224,16 +218,12 @@ def step(state: ConstructionState, params: ConstructionParams,
 
 
 def advance(state: ConstructionState, params: ConstructionParams,
-            to_n: int | None = None,
-            given_rows: dict | None = None) -> ConstructionState:
-    """Run steps up to `to_n` (default n_max)."""
-    stop = state.n_max if to_n is None else to_n
-    while state.n < stop:
-        g = None
-        if given_rows is not None:
-            m = state.n + 1
-            g = {key: given_rows[key][m] for key in ("q", "gamma", "alpha", "xi")}
-        step(state, params, given=g)
+            given_rows: np.ndarray | None = None) -> ConstructionState:
+    """Run steps up to n_max; column n of `given_rows`, a (4, n_max + 1)
+    table of q, gamma, alpha and xi, replays step n."""
+    while state.n < state.n_max:
+        given = None if given_rows is None else given_rows[:, state.n + 1]
+        step(state, params, given=given)
     return state
 
 
@@ -271,14 +261,9 @@ class AdversarialInstance:
 
     params: ConstructionParams
     f: CoeffVector
-    d_tilde: CoeffVector
     dictionary: Dictionary
     variation_bound: float
     state: ConstructionState = field(repr=False)
-
-    @property
-    def planned_labels(self) -> list[str]:
-        return [f"d{n}" for n in range(self.params.N + 1, self.params.n_max + 1)]
 
     def oracle_tables(self) -> "OracleTables":  # fresh tables on every call
         return OracleTables(self.state, self.params.phi, self.params.epsilon)
@@ -308,8 +293,8 @@ def finalize(state: ConstructionState, params: ConstructionParams) -> Adversaria
                             [f"dt{N}", *(f"d{k}" for k in ks)])
     variation = (r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps))
     return AdversarialInstance(
-        params=params, f=CoeffVector(r_n.copy()), d_tilde=dictionary.atoms[0],
-        dictionary=dictionary, variation_bound=float(variation), state=state)
+        params=params, f=CoeffVector(r_n.copy()), dictionary=dictionary,
+        variation_bound=float(variation), state=state)
 
 
 def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray) -> np.ndarray:
@@ -417,7 +402,8 @@ class OracleTables:
         """Yield (lo, hi, pairs, tilde) for each block of `_VERIFY_BLOCK` steps
         n = lo..hi, from n = N+1 up to n_max: pairs[n - lo, k - N] is
         <r_{n-1}, d_k>, k = N..n_max, by the formula of its case (k < n, k = n,
-        k > n), and tilde[n - lo] is <r_{n-1}, d_tilde>.  The caller owns both.
+        k > n), and tilde[n - lo] is <r_{n-1}, dt_N> for the blended atom dt_N.
+        The caller owns both.
         """
         K, N, n_max, q, p, h = self.K, self.N, self.n_max, self.q, self.p, self.h
         block = _VERIFY_BLOCK

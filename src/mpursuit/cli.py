@@ -256,8 +256,7 @@ def cmd_run(cfg) -> int:
 
 
 def cmd_rate(cfg) -> int:
-    trace, file_offset = GreedyTrace.from_csv(_read(cfg["trace"]))
-    offset = cfg["offset"] if cfg["offset"] >= 0 else file_offset
+    trace, offset = GreedyTrace.from_csv(_read(cfg["trace"]))
     fit = fit_decay(trace, cfg["n_min"], cfg["n_max"], index_offset=offset)
     lines = [
         f"slope={_fmt(fit.slope)}",
@@ -322,7 +321,7 @@ COMMANDS = {
             {"instance": "instance.txt", "alg": "pga", "steps": 0,
              "shrinkage": 1.0, "out": ""}),
     "rate": (cmd_rate, "fit a decay exponent to a trace CSV",
-             {"trace": "trace_pga.csv", "n_min": 500, "n_max": 5000, "offset": -1,
+             {"trace": "trace_pga.csv", "n_min": 500, "n_max": 5000,
               "alpha": 0.0, "variation_bound": 0.0, "out": "rate_report.txt"}),
     "plot": (cmd_plot, "render grid/trace CSVs to a static SVG",
              {"out": "plot.svg", "log_log": False, "title": ""}),

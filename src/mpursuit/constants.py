@@ -142,7 +142,6 @@ class ClosedFormBundle:
     c: float
     rg: float               # closed-form maximizer value
     rg_scan: float          # grid-scan value (independent route)
-    rg_argmax: float
     F: Callable = field(repr=False)
     G: Callable = field(repr=False)
     condition_margins: tuple[ConditionMargin, ...] = ()
@@ -204,7 +203,7 @@ def bundle(beta: float, tau: float) -> ClosedFormBundle:
         ConditionMargin("beta_admissibility", crit, 1.0, "<", crit < 1.0),
     )
     return ClosedFormBundle(beta=beta, tau=tau, c=c, rg=rg, rg_scan=rg_scan,
-                            rg_argmax=a_star, F=F, G=G, condition_margins=margins)
+                            F=F, G=G, condition_margins=margins)
 
 
 def operating_point(beta_margin: float = 0.002, tau_factor: float = 0.98):

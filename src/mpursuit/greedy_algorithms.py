@@ -73,16 +73,6 @@ class Dictionary:
         self.atoms = [CoeffVector(row[:n]) for row, n in zip(rows, lengths)]
         self.labels = labels
 
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[CoeffVector],
-                   labels: Sequence[str] | None = None) -> "Dictionary":
-        """Stack the atoms as rows, zero-padded to the longest."""
-        lengths = [a.active_len for a in atoms]
-        rows = np.zeros((len(lengths), max(lengths, default=0)))
-        for row, a in zip(rows, atoms):
-            row[: a.active_len] = a.coeffs
-        return cls(rows, lengths, labels)
-
     def __len__(self) -> int:
         return len(self.atoms)
 
@@ -128,12 +118,16 @@ class GreedyTrace:
     @classmethod
     def from_csv(cls, text: str) -> tuple["GreedyTrace", int]:
         """Parse `to_csv` output and the `# index_offset=` line `mpursuit run` writes
-        above it: (trace, offset), the offset 0 when the line is absent."""
+        above it: (trace, offset), the offset 0 when the line is absent.  An
+        offset that is not an integer >= 0 raises ValueError."""
         trace, offset = cls(algorithm="file", shrinkage=1.0), 0
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("# index_offset="):
-                offset = int(line.partition("=")[2])
+                value = line.partition("=")[2]
+                if not value.isdecimal():
+                    raise ValueError(f"trace line {line!r} is not an index offset >= 0")
+                offset = int(value)
             elif line and not line.startswith("#") and line != cls.CSV_HEADER:
                 try:
                     n, rn, atom, sign, coeff = line.split(",")
@@ -158,22 +152,14 @@ def _prefix_cols(matrix: np.ndarray, live: int) -> int:
     return min(matrix.shape[1], -(-live // _PREFIX_ALIGN) * _PREFIX_ALIGN)
 
 
-def _select(matrix: np.ndarray, r: np.ndarray, live: int):
-    """Index, sign and value of the best signed atom for residual r.
-
-    r must be zero beyond its first `live` entries; only the columns of
-    the matrix under that prefix enter the products.
-    """
-    cols = _prefix_cols(matrix, live)
-    return _best(matrix[:, :cols] @ r[:cols])
-
-
 def select_atom(residual: CoeffVector, dictionary: Dictionary):
     """Best signed atom: (atom_id, sign, value) with value = max <r, +/-d> >= 0."""
     if len(dictionary) == 0:
         raise ValueError("empty dictionary")
+    mat = dictionary.matrix()
     r = residual.padded(max(dictionary.width, residual.active_len))
-    j, sign, value = _select(dictionary.matrix(), r, residual.active_len)
+    cols = _prefix_cols(mat, residual.active_len)
+    j, sign, value = _best(mat[:, :cols] @ r[:cols])
     return dictionary.labels[j], sign, value
 
 

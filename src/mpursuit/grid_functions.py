@@ -161,13 +161,6 @@ class GridFunction:
         """A piece table at x clipped to [lo, hi]."""
         return _value(table, *_locate(self.nodes, np.clip(x, self.lo, self.hi)))
 
-    def interpolant(self, x: np.ndarray) -> np.ndarray:
-        """Cubic Hermite interpolant at the points x; the end cubics extrapolate.
-
-        Equals scipy's ``CubicHermiteSpline`` with the same slopes bit for bit.
-        """
-        return _value(self.pieces, *_locate(self.nodes, x))
-
     def _inside(self, x, what: str) -> np.ndarray:
         """x as an array, checked to lie in [lo, hi] up to the edge slack."""
         x = np.asarray(x, dtype=np.float64)
@@ -177,6 +170,8 @@ class GridFunction:
         return x
 
     def __call__(self, x):
+        """Cubic Hermite interpolant at the points x; equals scipy's
+        ``CubicHermiteSpline`` with the same slopes bit for bit inside [lo, hi]."""
         x = self._inside(x, "evaluation")
         out = self._at(self.pieces, x)
         return float(out) if x.ndim == 0 else out
@@ -189,8 +184,7 @@ class GridFunction:
     def refined(self, factor: int = 2) -> "GridFunction":
         """Resample onto a grid with (M-1)*factor + 1 nodes."""
         mm = (self.m - 1) * factor + 1
-        return GridFunction(self.lo, self.hi,
-                            self.interpolant(np.linspace(self.lo, self.hi, mm)))
+        return GridFunction(self.lo, self.hi, self(np.linspace(self.lo, self.hi, mm)))
 
     # -- quadrature -------------------------------------------------------
 
@@ -300,11 +294,11 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
     nonneg = float(np.min(f.values)) >= 0.0
 
     def second_factor(x):
-        out = f.interpolant(np.minimum(x / a, f.hi))
+        out = f(np.minimum(x / a, f.hi))
         return np.maximum(out, 0.0) if nonneg else out
 
     def first_factor(x):
-        out = f.interpolant(x)
+        out = f(x)
         return np.maximum(out, 0.0) if nonneg else out
 
     j = int(np.searchsorted(nodes, a + slack) - 1)
@@ -453,8 +447,8 @@ class SelfConvPlan:
             raise ValueError("grid mismatch with plan")
         nonneg = float(np.min(f.values)) >= 0.0
         x_mid = 0.5 * (self.nodes[0] + self.nodes[1])
-        f1 = float(f.interpolant(x_mid))
-        f2 = float(f.interpolant(min(x_mid / self.nodes[1], self.hi)))
+        f1 = f(x_mid)
+        f2 = f(min(x_mid / self.nodes[1], self.hi))
         if nonneg:
             f1, f2 = max(f1, 0.0), max(f2, 0.0)
         out = np.empty(self.m)

@@ -142,13 +142,12 @@ def load_instance(path: str) -> AdversarialInstance:
     # replay reads only the seed row's q; the writer leaves the rest zero
     if not np.all(table[1:, seed] == 0.0):
         raise InstanceFormatError(f"seed row {seed} must have gamma, alpha and xi 0")
-    given = dict(zip(("q", "gamma", "alpha", "xi"), table))
 
     state = init_state(params)
     # no step condition reads the seed row's q, so check it against q_of here
-    seed_q, want = float(given["q"][seed]), float(state.q[seed])
+    seed_q, want = float(table[0, seed]), float(state.q[seed])
     if not abs(seed_q - want) <= CONDITION_RTOL * want:
         raise ConstructionError(f"step {seed} seed q={seed_q!r} vs schedule {want!r}")
     state.q[seed] = seed_q
-    advance(state, params, given_rows=given)
+    advance(state, params, given_rows=table)
     return finalize(state, params)

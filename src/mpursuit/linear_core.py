@@ -8,7 +8,7 @@ the dictionary's atom matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,21 +17,20 @@ __all__ = ["CoeffVector"]
 
 @dataclass(frozen=True)
 class CoeffVector:
-    """Immutable dense vector; ``coeffs`` has length exactly ``active_len``."""
+    """Immutable dense vector; ``active_len`` is the length of ``coeffs``."""
 
     coeffs: np.ndarray
-    active_len: int = field(default=-1)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.float64))
         if arr.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
         object.__setattr__(self, "coeffs", arr)
-        if self.active_len < 0:
-            object.__setattr__(self, "active_len", arr.size)
-        elif self.active_len != arr.size:
-            raise ValueError("active_len must equal the stored length")
         arr.flags.writeable = False
+
+    @property
+    def active_len(self) -> int:
+        return self.coeffs.size
 
     def padded(self, n: int) -> np.ndarray:
         """Coefficients extended with zeros to length n (a fresh array)."""

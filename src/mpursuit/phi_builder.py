@@ -24,7 +24,6 @@ __all__ = ["PhiProfile", "ConditionEntry", "ConditionReport", "bump_kernel",
 # integral of exp(-1/(1-u^2)) over (-1, 1); normalizes the bump to unit mass
 BUMP_MASS = 0.44399381616807944
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 _GL_PIECE_NODES, _GL_PIECE_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MOLLIFY_CUTS = 4096  # cuts per run of output nodes that mollify evaluates at once
 _A_BLOCK = 32         # a values evaluated together by check_conditions
@@ -39,11 +38,6 @@ def bump_kernel(u):
     return out
 
 
-def kernel_mass() -> float:
-    """Quadrature mass of the bump kernel (should be 1); scaling keeps it."""
-    return float(_GL_WEIGHTS @ bump_kernel(_GL_NODES))
-
-
 def _extended(f: GridFunction, z: np.ndarray) -> np.ndarray:
     """f at the points z under the construction's extension rules.
 
@@ -51,7 +45,7 @@ def _extended(f: GridFunction, z: np.ndarray) -> np.ndarray:
     edge slack; points inside the slack are clipped onto the grid.
     """
     slack = _EDGE_SLACK * (f.hi - f.lo)
-    out = f.interpolant(np.clip(z, f.lo, f.hi))
+    out = f(np.clip(z, f.lo, f.hi))
     out[z < f.lo - slack] = 0.0
     out[z > f.hi + slack] = f.values[-1]
     return out

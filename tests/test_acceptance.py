@@ -168,7 +168,7 @@ def test_criterion_7_construction_soundness(full_instance):
 def test_criterion_8_selection_theorem(full_instance, pga_trace):
     instance, vreport, _ = full_instance
     p = instance.params
-    planned = instance.planned_labels
+    planned = instance.dictionary.labels[2:]
     got = [s.atom_id for s in pga_trace.steps]
     ns = p.N + 1 + np.arange(len(pga_trace.steps))
     sched_err = float(np.max(np.abs(
@@ -217,7 +217,7 @@ def test_criterion_9_oga_separation(full_instance, pga_trace):
     instance, _, _ = full_instance
     p = instance.params
     oga_trace = run("oga", instance.f, instance.dictionary, p.n_max - p.N)
-    same_atoms = [s.atom_id for s in oga_trace.steps] == instance.planned_labels
+    same_atoms = [s.atom_id for s in oga_trace.steps] == instance.dictionary.labels[2:]
     rp, ro = pga_trace.residual_norms, oga_trace.residual_norms
     excess = float(np.max((ro - rp) / rp)) if same_atoms else np.inf
     final_ratio = float(ro[-1] / rp[-1])

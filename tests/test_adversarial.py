@@ -241,7 +241,8 @@ def test_choose_epsilon_requires_full_state(profile05):
     params = ConstructionParams(beta=profile05.beta, K=40, N=80, n_max=120,
                                 epsilon=None, phi=profile05)
     st = init_state(params)
-    advance(st, params, to_n=100)
+    while st.n < 100:
+        step(st, params)
     with pytest.raises(ValueError):
         choose_epsilon(st, params)
 
@@ -269,9 +270,10 @@ def test_finalize_blended_atom(small_instance):
     inst = small_instance
     st = inst.state
     eps = inst.params.epsilon
-    assert np.linalg.norm(inst.d_tilde.coeffs) == pytest.approx(1.0, abs=1e-12)
-    assert inst.f.coeffs @ inst.d_tilde.coeffs == pytest.approx(eps * st.norms[st.N],
-                                                                abs=1e-10)
+    d_tilde = inst.dictionary.atoms[0]
+    assert np.linalg.norm(d_tilde.coeffs) == pytest.approx(1.0, abs=1e-12)
+    assert inst.f.coeffs @ d_tilde.coeffs == pytest.approx(eps * st.norms[st.N],
+                                                           abs=1e-10)
     # <f, d_N> = 0 by the step conditions
     assert abs(st.r_hist[0] @ st.atom_row(st.N)) <= 1e-9
 
@@ -280,7 +282,7 @@ def test_variation_bound_matches_two_atom_expansion(small_instance):
     inst = small_instance
     st = inst.state
     n_pad = st.n_max
-    mat = np.vstack([inst.d_tilde.padded(n_pad),
+    mat = np.vstack([inst.dictionary.atoms[0].padded(n_pad),
                      st.atom_row(st.N)])
     coef, res, *_ = np.linalg.lstsq(mat.T, inst.f.padded(n_pad), rcond=None)
     reconstruction = mat.T @ coef
@@ -315,7 +317,7 @@ def test_one_atom_store(small_instance, load_text, source):
     assert store is st.atoms
     assert st.atoms.shape == (p.n_max - p.N + 2, p.n_max)
     assert all(np.shares_memory(a.coeffs, store) for a in inst.dictionary.atoms)
-    assert np.shares_memory(inst.d_tilde.coeffs, st.atoms[0])
+    assert np.shares_memory(inst.dictionary.atoms[0].coeffs, st.atoms[0])
     for i, k in ((1, p.N), (2, p.N + 1), (len(store) - 1, p.n_max)):
         assert np.shares_memory(inst.dictionary.atoms[i].coeffs, st.atom_row(k))
         assert inst.dictionary.labels[i] == f"d{k}"
@@ -375,7 +377,7 @@ def test_oracle_vs_direct_random_pairs(small_instance, reference, rng):
 def test_oracle_tilde_path(small_instance, reference, rng):
     st = small_instance.state
     eps = small_instance.params.epsilon
-    dtil = small_instance.d_tilde.padded(st.n_max)
+    dtil = small_instance.dictionary.atoms[0].padded(st.n_max)
     base = reference.tilde_pair_value(st.N + 1)
     assert base == pytest.approx(eps * st.norms[st.N], rel=1e-12)
     worst = 0.0

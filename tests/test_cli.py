@@ -230,6 +230,22 @@ def test_rate_short_trace_row_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "", "-50"])
+@pytest.mark.parametrize("command", ["rate", "plot"])
+def test_malformed_index_offset_is_a_usage_error(tmp_path, capsys, command, value):
+    # the trace's own line is the only source of the offset; a negative one
+    # would give step indices <= 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(TRACE_HEAD.replace("=400", "=" + value) + "1,0.5,d401,1,0.1\n")
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([command, str(bad), "--out", str(out)] if command == "plot"
+                else ["rate", "--trace", str(bad), "--out", str(out)]) == 1
+    assert error_line(capsys) == (f"error: trace line '# index_offset={value}' "
+                                  "is not an index offset >= 0")
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def saved_instance(tmp_path_factory, mid_instance):
     inst, _ = mid_instance
@@ -526,6 +542,32 @@ def test_run_and_rate_commands(tmp_path, saved_instance):
     svg = tmp_path / "trace.svg"
     assert main(["plot", str(trace_path), "--log-log", "--out", str(svg)]) == 0
     assert "<polyline" in read(svg)
+
+
+def test_rate_witnesses_need_alpha_and_variation_bound(tmp_path, saved_instance):
+    inst, path = saved_instance
+    trace_path = tmp_path / "trace.csv"
+    assert main(["run", "--instance", path, "--out", str(trace_path)]) == 0
+    rate_path = tmp_path / "rate.txt"
+
+    def rate(alpha, vb):
+        assert main(["rate", "--trace", str(trace_path), "--n-min", "500", "--n-max", "900",
+                     "--alpha", repr(alpha), "--variation-bound", repr(vb),
+                     "--out", str(rate_path)]) == 0
+        return read(rate_path)
+
+    # |r_n| follows (n+1)^(beta-1/2) from n = N+1 on, so with the trace's
+    # offset both witnesses are (n/(n+1))^alpha / V, just below 1 / V
+    alpha, vb = 0.5 - inst.params.beta, inst.variation_bound
+    text = rate(alpha, vb)
+    upper = float(value_of(text, "upper_witness"))
+    lower = float(value_of(text, "lower_witness"))
+    assert np.isfinite(upper) and 0.0 < lower <= upper
+    assert 1.0 - 1e-3 < lower * vb <= upper * vb < 1.0
+    for a, v in ((0.0, vb), (alpha, 0.0)):
+        text = rate(a, v)
+        assert "upper_witness=" not in text and "lower_witness=" not in text
+        assert value_of(text, "index_offset") == "400"
 
 
 def test_rate_missing_file(tmp_path):

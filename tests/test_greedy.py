@@ -17,12 +17,21 @@ def ortho_dict(dim, n_atoms=None):
                       [f"e{k + 1}" for k in range(n_atoms)])
 
 
+def stacked(atoms, labels=None):
+    """The Dictionary of these atom arrays: one row each, zero-padded to the longest."""
+    lengths = [a.size for a in atoms]
+    rows = np.zeros((len(atoms), max(lengths, default=0)))
+    for row, a in zip(rows, atoms):
+        row[:a.size] = a
+    return Dictionary(rows, lengths, labels)
+
+
 def random_dict(rng, dim, n_atoms):
     atoms = []
     for _ in range(n_atoms):
         v = rng.standard_normal(dim)
-        atoms.append(CoeffVector(v / np.linalg.norm(v)))
-    return Dictionary.from_atoms(atoms)
+        atoms.append(v / np.linalg.norm(v))
+    return stacked(atoms)
 
 
 def test_select_axis_aligned():
@@ -44,13 +53,13 @@ def test_select_zero_residual_tie_rule():
 
 def test_select_empty_dictionary():
     with pytest.raises(ValueError, match="empty dictionary"):
-        select_atom(vec(1.0), Dictionary.from_atoms([]))
+        select_atom(vec(1.0), stacked([]))
 
 
 def test_select_negated_dictionary_invariance(rng):
     for _ in range(20):
         d = random_dict(rng, 6, 9)
-        neg = Dictionary.from_atoms([CoeffVector(-a.coeffs) for a in d.atoms], d.labels)
+        neg = stacked([-a.coeffs for a in d.atoms], d.labels)
         r = CoeffVector(rng.standard_normal(6))
         l1, s1, v1 = select_atom(r, d)
         l2, s2, v2 = select_atom(r, neg)
@@ -59,11 +68,11 @@ def test_select_negated_dictionary_invariance(rng):
 
 def test_dictionary_rejects_non_unit_atoms():
     with pytest.raises(ValueError, match="norm"):
-        Dictionary.from_atoms([vec(1.0, 1.0)])
+        stacked([np.array([1.0, 1.0])])
     nan_atom = np.zeros(200)
     nan_atom[0], nan_atom[150] = 1.0, np.nan
     with pytest.raises(ValueError, match="norm nan"):
-        Dictionary.from_atoms([CoeffVector(np.eye(200)[0]), CoeffVector(nan_atom)])
+        stacked([np.eye(200)[0], nan_atom])
 
 
 def test_dictionary_rejects_rows_beyond_their_length():
@@ -221,8 +230,8 @@ def test_oga_beats_pga_on_same_selections(rng, mid_instance):
     steps = instance.params.n_max - instance.params.N
     pga = run("pga", instance.f, instance.dictionary, steps)
     oga = run("oga", instance.f, instance.dictionary, steps)
-    assert [s.atom_id for s in oga.steps] == instance.planned_labels
-    assert [s.atom_id for s in pga.steps] == instance.planned_labels
+    assert [s.atom_id for s in oga.steps] == instance.dictionary.labels[2:]
+    assert [s.atom_id for s in pga.steps] == instance.dictionary.labels[2:]
     rp, ro = pga.residual_norms, oga.residual_norms
     assert np.all(ro <= rp * (1.0 + 1e-12))
     assert ro[-1] < rp[-1]
@@ -301,8 +310,8 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
         atoms = []
         for n in rng.permutation(lens):
             v = rng.standard_normal(int(n))
-            atoms.append(CoeffVector(v / np.linalg.norm(v)))
-        d = Dictionary.from_atoms(atoms)
+            atoms.append(v / np.linalg.norm(v))
+        d = stacked(atoms)
         f = CoeffVector(rng.standard_normal(int(rng.integers(5, 60))))
         vb = 2.0 * float(np.linalg.norm(f.coeffs))
         trace = run(algorithm, f, d, 25, shrinkage=shrinkage, variation_bound=vb)
@@ -325,8 +334,8 @@ def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():
         for j in range(k):
             v = np.zeros(dim)
             v[0], v[j + 1] = 1.0, 1e-5 * (1.0 + rng.random())
-            atoms.append(CoeffVector(v / np.linalg.norm(v)))
-        d = Dictionary.from_atoms(atoms)
+            atoms.append(v / np.linalg.norm(v))
+        d = stacked(atoms)
         mat = d.matrix()
         assert np.min(mat @ mat.T) > 2.0 ** -0.5
         f = CoeffVector(rng.standard_normal(dim))
@@ -369,7 +378,7 @@ def test_oga_block_breaks_where_consecutive_picks_break(mid_instance, single_pas
     swapped = Dictionary(rows, lengths, labels)
     trace, r = _oga(instance.f, swapped, steps)
     assert_oga_contract(trace, *single_pass_oga(instance.f, swapped, steps))
-    assert [s.atom_id for s in trace.steps] == instance.planned_labels
+    assert [s.atom_id for s in trace.steps] == instance.dictionary.labels[2:]
     assert trace.atom_indices[98:102] == [a - 1, b, a, b + 1]
     selected = rows[trace.atom_indices]
     assert np.max(np.abs(selected @ r[:rows.shape[1]])) <= 1e-12

@@ -150,8 +150,8 @@ def reference_selfconv(f):
     out[2:] += h / 24.0 * (-3.0 * p[o] + 4.0 * p[o + 1] - p[o + 2]
                            - 3.0 * p[e] + 4.0 * p[e - 1] - p[e - 2])
     x_mid = 0.5 * (nodes[0] + nodes[1])
-    f1 = float(f.interpolant(x_mid))
-    f2 = float(f.interpolant(min(x_mid / nodes[1], f.hi)))
+    f1 = f(x_mid)
+    f2 = f(min(x_mid / nodes[1], f.hi))
     if nonneg:
         f1, f2 = max(f1, 0.0), max(f2, 0.0)
     out[1] = h / 6.0 * (p[offsets[1]] + 4.0 * f1 * f2 + p[offsets[1] + 1])
