@@ -6,8 +6,8 @@ plus the planned atoms), picks the blending weight epsilon, and verifies
 the strict selection inequalities |<r_{n-1}, d_k>| < q_n = <r_{n-1}, d_n>
 by two independent routes:
 
-* direct: inner products of the stored residual history against the
-  stored atoms;
+* direct: inner products of the residuals, walked forward from the one
+  stored residual r_N, against the stored atoms;
 * oracle: the closed-form recursions driven purely by the scalar
   sequences (q, gamma, alpha, xi), the weight profile phi and epsilon --
   no vector accumulated during the construction enters this route.
@@ -53,10 +53,8 @@ def q_of(n, beta: float):
     Evaluated in cancellation-free form; defined for every n >= 1 and in
     particular at n = K-1 where the component formulas need it.
     """
-    if beta >= 0.5:
-        raise ValueError("q is undefined for beta >= 1/2")
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not 0.0 < beta < 0.5:
+        raise ValueError("beta must lie in (0, 1/2)")
     n = np.asarray(n, dtype=np.float64)
     if np.any(n < 1):
         raise ValueError("q_of needs n >= 1")
@@ -104,15 +102,14 @@ class ConstructionState:
 
     Scalar sequences are indexed by the step number n directly.  `atoms` is
     the only atom store: row 0 the blended atom, then d_N..d_n, zero-padded;
-    the residual history keeps r_m for m >= N (verify needs r_{n-1}, n > N).
+    `r_hist` (a name the benchmark's tracer reads) is one row, r_N.
     """
 
     def __init__(self, params: ConstructionParams):
         self.beta = params.beta
         self.K = params.K
         self.N = params.N
-        self.n_max = params.n_max
-        n_max = params.n_max
+        self.n_max = n_max = params.n_max
         self.q = np.zeros(n_max + 1)
         self.gamma = np.zeros(n_max + 1)
         self.alpha = np.zeros(n_max + 1)
@@ -120,18 +117,13 @@ class ConstructionState:
         self.norms = np.zeros(n_max + 1)
         self.r = np.zeros(n_max)
         self.atoms = np.zeros((n_max - params.N + 2, n_max))
-        self.r_hist = np.zeros((n_max - params.N + 1, n_max))
+        self.r_hist = np.zeros((1, n_max))
         self.n = params.K - 1
 
     def atom_row(self, k: int) -> np.ndarray:
         if not self.N <= k <= self.n:
             raise IndexError(f"atom {k} not stored")
         return self.atoms[k - self.N + 1]
-
-    def residual_row(self, m: int) -> np.ndarray:
-        if not self.N <= m <= self.n:
-            raise IndexError(f"residual {m} not stored")
-        return self.r_hist[m - self.N]
 
 
 def init_state(params: ConstructionParams) -> ConstructionState:
@@ -213,7 +205,8 @@ def step(state: ConstructionState, params: ConstructionParams,
     state.n = n
     if n >= state.N:
         state.atom_row(n)[:n] = d
-        state.residual_row(n)[:n] = r[:n]
+    if n == state.N:
+        state.r_hist[0, :n] = r[:n]
     return state
 
 
@@ -225,6 +218,21 @@ def advance(state: ConstructionState, params: ConstructionParams,
         given = None if given_rows is None else given_rows[:, state.n + 1]
         step(state, params, given=given)
     return state
+
+
+def _residual_blocks(state: ConstructionState) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (rows, r) per block of `_VERIFY_BLOCK` steps n = lo..hi, N < n <= n_max:
+    rows[n - lo] = r_{n-1} in a fresh block, walked from r_N by `step`'s own
+    elementwise update, so bit for bit at any thread count; r is r_hi."""
+    N, n_max, q, block = state.N, state.n_max, state.q, _VERIFY_BLOCK
+    r = state.r_hist[0].copy()
+    for lo in range(N + 1, n_max + 1, block):
+        rows = np.empty((min(block, n_max + 1 - lo), n_max))
+        for n, row in enumerate(rows, start=lo):
+            row[:] = r
+            r[:n] -= q[n] * state.atom_row(n)[:n]
+        yield rows, r
+        del rows   # a generator's locals outlive the yield
 
 
 def choose_epsilon(state: ConstructionState, params: ConstructionParams) -> float:
@@ -240,9 +248,8 @@ def choose_epsilon(state: ConstructionState, params: ConstructionParams) -> floa
     N, n_max = state.N, state.n_max
     r_n_norm = state.norms[N]
     cap = 0.5 * state.q[N + 1] / r_n_norm
-    hist = state.r_hist[: n_max - N]          # rows r_{n-1}, n = N+1..n_max
-    u = hist @ (state.r_hist[0] / r_n_norm)   # against r_N / |r_N|
-    w = hist @ state.atom_row(N)              # against d_N
+    ref = np.stack([state.r_hist[0] / r_n_norm, state.atom_row(N)])   # r_N / |r_N|, d_N
+    u, w = np.hstack([ref @ rows.T for rows, _ in _residual_blocks(state)])   # n > N
     q_col = state.q[N + 1: n_max + 1]
     j = int(np.ceil(-np.log2(cap)))
     while 2.0 ** -j > cap:
@@ -270,17 +277,14 @@ class AdversarialInstance:
 
 
 def finalize(state: ConstructionState, params: ConstructionParams) -> AdversarialInstance:
-    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary.
-
-    f is a copy of r_N's N entries, so it does not pin the residual history.
-    """
+    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary."""
     if state.n != state.n_max:
         raise ValueError("advance the construction to n_max before finalizing")
     if params.epsilon is None:
         raise ValueError("epsilon not chosen")
     eps = params.epsilon
     N = state.N
-    r_n = state.residual_row(N)[:N]
+    r_n = state.r_hist[0, :N]
     r_n_norm = state.norms[N]
     d_n = state.atom_row(N)[:N]
     d_til = state.atoms[0, :N]
@@ -501,13 +505,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _schedule_error(rows: np.ndarray, m0: int, beta: float):
-    """Largest relative deviation of |r_m| from its schedule, for the
-    residual rows r_m, m = m0, m0 + 1, ..."""
-    sched = _schedule(np.arange(m0, m0 + len(rows)), beta)
-    return np.max(np.abs(np.linalg.norm(rows, axis=1) / sched - 1.0))
-
-
 def verify(instance: AdversarialInstance) -> VerificationReport:
     """Check every selection inequality by both routes and compare them.
 
@@ -515,14 +512,14 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     (n, k), k != n, the smallest absolute direct margin q_n - |<r_{n-1}, d>|
     over every atom d but d_n, the blended-atom margins, the worst
     oracle/direct disagreement, the diagonal equality error, and the
-    norm-schedule deviation over the whole residual history; a non-finite
+    norm-schedule deviation over r_N..r_{n_max}; a non-finite
     direct or oracle value fails the check and the notes name its first n.
     The check also fails unless the disagreement is below the smallest
     absolute margin, so no selection can flip between the two routes.
 
-    One walk of fresh oracle tables yields the blocks of steps, each reduced
-    with the direct products of its steps by whole-array operations; the
-    tables are freed when the walk ends.  A row holding a NaN margin never
+    One walk of fresh oracle tables and one of the residuals from r_N yield
+    the blocks of steps in lockstep, each reduced by whole-array operations;
+    the tables live only while verify runs.  A row holding a NaN margin never
     sets `min_margin` (ties go to the first pair in row order); the blended
     margin takes the oracle value only where its magnitude is strictly
     larger, as `max` does.
@@ -532,14 +529,14 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     width = n_max - N + 1
     min_margin, min_pair, til_min, til_arg = np.inf, (-1, -1), np.inf, -1
     min_margin_o, dual_max, diag_max, first_nonfinite = np.inf, 0.0, 0.0, None
-    min_abs = np.inf
-    sched_err = _schedule_error(st.r_hist[-1:], n_max, st.beta)   # r_{n_max}
-    for lo, hi, pairs, tilde in instance.oracle_tables().blocks():
+    min_abs, norms = np.inf, np.empty(width)   # norms[m - N] = |r_m|
+    blocks = instance.oracle_tables().blocks()
+    for rows, r in _residual_blocks(st):   # rows[n - lo] = r_{n-1}
+        lo, hi, pairs, tilde = next(blocks)   # zip would keep the last blocks alive
         ns = np.arange(lo, hi + 1)
         on_diag = (ns - lo, ns - N)
         qn = st.q[ns]
-        rows = st.r_hist[lo - 1 - N: hi - N]   # r_{n-1} for n in [lo, hi]
-        sched_err = np.maximum(sched_err, _schedule_error(rows, lo - 1, st.beta))
+        norms[lo - 1 - N: hi - N] = np.linalg.norm(rows, axis=1)
         direct = rows @ st.atoms[1:].T          # against d_N..d_n_max
         til_direct = rows @ st.atoms[0]         # against the blended atom
         gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1),
@@ -568,7 +565,9 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
         j = int(np.argmin(tmarg))
         if tmarg[j] < til_min:
             til_min, til_arg = tmarg[j], lo + j
-        del direct, pairs, tilde, margins, omargins   # before the next block is formed
+        del direct, pairs, tilde, margins, omargins, rows   # before the next block
+    norms[-1:] = np.linalg.norm(r[None], axis=1)   # r_{n_max}, in the rows' own arithmetic
+    sched_err = np.max(np.abs(norms / _schedule(np.arange(N, n_max + 1), st.beta) - 1.0))
 
     return VerificationReport(
         n_pairs=(n_max - N) * width,

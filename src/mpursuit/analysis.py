@@ -66,7 +66,7 @@ class BoundReport:
 def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
                  index_offset: int = 0) -> BoundReport:
     """Constant witnesses for the n^-alpha upper and lower rate bounds."""
-    if variation_bound <= 0.0:
+    if not 0.0 < variation_bound:
         raise ValueError("variation_bound must be positive")
     norms = trace.residual_norms
     ns = index_offset + np.arange(1, norms.size + 1)

@@ -243,12 +243,10 @@ def cmd_run(cfg) -> int:
     if cfg["steps"] < 0:
         raise ValueError("steps must be >= 0 (0 runs n_max - N steps)")
     instance = load_instance(cfg["instance"])
-    p, f, dictionary, vb = (instance.params, instance.f, instance.dictionary,
-                            instance.variation_bound)
-    del instance  # frees the construction's residual history before run's Gram matrix
+    p = instance.params
     steps = cfg["steps"] if cfg["steps"] > 0 else p.n_max - p.N
-    trace = run(cfg["alg"], f, dictionary, steps, shrinkage=cfg["shrinkage"],
-                variation_bound=vb)
+    trace = run(cfg["alg"], instance.f, instance.dictionary, steps,
+                shrinkage=cfg["shrinkage"], variation_bound=instance.variation_bound)
     out = cfg["out"] or f"trace_{cfg['alg']}.csv"
     head = _header("run", cfg) + f"# index_offset={p.N}\n"
     _write(out, head + trace.to_csv())

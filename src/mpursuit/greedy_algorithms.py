@@ -342,7 +342,7 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         s = shrinkage
     else:
         s = 1.0
-    if algorithm == "rga" and (variation_bound is None or variation_bound <= 0.0):
+    if algorithm == "rga" and (variation_bound is None or not 0.0 < variation_bound):
         raise ValueError("rga requires a positive variation_bound")
     if algorithm == "oga":
         return _oga(f, dictionary, steps)[0]

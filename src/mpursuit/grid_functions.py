@@ -338,10 +338,13 @@ class SelfConvPlan:
     process may run on.  A row's points and its quadrature take the same
     operations whichever thread computes them, so a sweep's bits do not
     depend on the worker count.  The plan is a context manager: leaving
-    it stops the workers and frees the tables.
+    it stops the workers and frees the tables.  The grid needs 0 < lo and
+    hi <= 1, so that no query x_j / x_i falls below lo, where f counts as 0.
     """
 
     def __init__(self, grid: GridFunction):
+        if not (0.0 < grid.lo and grid.hi <= 1.0):
+            raise ValueError("a self-convolution plan needs a grid with 0 < lo and hi <= 1")
         self.lo, self.hi, self.m, self.h = grid.lo, grid.hi, grid.m, grid.h
         self.nodes = grid.nodes
         counts = np.arange(1, self.m + 1)

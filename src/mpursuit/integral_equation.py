@@ -112,8 +112,8 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     f2 >= 0, f4 <= f2 + slack holds exactly when G - S f3 <= f2 + slack:
     the pair (f3, f2) satisfies both bracket inequalities (DECISIONS.md).
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if max_iter < 4:
         raise ValueError("max_iter must be at least 4: the bracket certificate "
                          "reads the fourth iterate")

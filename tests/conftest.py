@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mpursuit import bundle, operating_point, solve_f
-from mpursuit.adversarial import (ConstructionParams, advance, build_instance,
-                                  choose_epsilon, finalize, init_state)
+from mpursuit.adversarial import (ConstructionParams, _residual_blocks, advance,
+                                  build_instance, choose_epsilon, finalize, init_state)
 from mpursuit.instance_io import load_instance
 from mpursuit.phi_builder import build_profile
 
@@ -58,6 +58,21 @@ def mid_instance(profile05):
     """Smallest scale with strict selection margins (K=200, N=400)."""
     instance, report = build_instance(profile05, K=200, N=400, n_max=900)
     return instance, report
+
+
+def _residual_history(state):
+    """r_m for m = N..n_max, stacked as rows m - N: the blocks of one walk
+    of `_residual_blocks` from the stored r_N, then its last residual."""
+    rows = []
+    for block, r in _residual_blocks(state):
+        rows.append(block)
+    return np.vstack([*rows, r[None]])
+
+
+@pytest.fixture(scope="session")
+def residual_history():
+    """The residual history a construction no longer stores, from its walk."""
+    return _residual_history
 
 
 @pytest.fixture(scope="session")

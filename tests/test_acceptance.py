@@ -145,12 +145,12 @@ def test_criterion_6_phi_certification(solved):
                      f"|C_t-1| trend={[f'{g:.2e}' for g in gaps]}")
 
 
-def test_criterion_7_construction_soundness(full_instance):
+def test_criterion_7_construction_soundness(full_instance, residual_history):
     instance, _, seconds = full_instance
     st = instance.state
     a_seq = st.alpha[st.K: st.n_max + 1]
     x_seq = st.xi[st.K: st.n_max + 1]
-    sched = np.abs(np.linalg.norm(st.r_hist, axis=1)
+    sched = np.abs(np.linalg.norm(residual_history(st), axis=1)
                    / (np.arange(st.N, st.n_max + 1) + 1.0) ** (st.beta - 0.5) - 1.0)
     ok = (instance.params.K == 200 and instance.params.N == 400
           and float(sched.max()) <= 1e-9
@@ -234,11 +234,12 @@ def test_criterion_9_oga_separation(full_instance, pga_trace):
     assert ok, f"OGA does not beat PGA on the same atoms: {detail}; see DECISIONS.md"
 
 
-def test_criterion_10_property_suites(full_instance, rng):
+def test_criterion_10_property_suites(full_instance, rng, residual_history):
     instance, vreport, _ = full_instance
     st = instance.state
     tables = instance.oracle_tables()
     p = instance.params
+    hist = residual_history(st)     # hist[m - N] = r_m
 
     # oracle vs direct on 1e4 random pairs (bulk rows vs stored vectors),
     # visited in ascending n as one walk of the oracle yields its blocks
@@ -252,7 +253,7 @@ def test_criterion_10_property_suites(full_instance, rng):
             continue
         while n > hi:
             lo, hi, pairs, _ = next(walk)
-        direct = float(st.r_hist[n - 1 - p.N] @ st.atom_row(k))
+        direct = float(hist[n - 1 - p.N] @ st.atom_row(k))
         worst_pair = max(worst_pair, abs(pairs[n - lo, k - p.N] - direct))
     del walk, pairs
     pairs_ok = worst_pair <= 1e-9
@@ -269,7 +270,7 @@ def test_criterion_10_property_suites(full_instance, rng):
                                       _residual_rows(st.q, b, h, p.K, p.N)) if m in wanted}
     worst_comp = 0.0
     for n, k in draws:
-        worst_comp = max(worst_comp, abs(st.r_hist[n - p.N][k - 1] - rhat[n][k - 1]))
+        worst_comp = max(worst_comp, abs(hist[n - p.N][k - 1] - rhat[n][k - 1]))
     del h, rhat
     comp_ok = worst_comp <= 1e-10
 
@@ -281,7 +282,7 @@ def test_criterion_10_property_suites(full_instance, rng):
     phi = p.phi
     coeff_ok = True
     for n, k in ((4800, 3000), (5000, 2600), (4999, 4500), (4600, 2400)):
-        lhs = -st.r_hist[n - p.N][k - 1] / st.q[n]
+        lhs = -hist[n - p.N][k - 1] / st.q[n]
         tail = 1.0 + float(phi.phi.log_between(k / n, 1.0))
         coeff_ok = coeff_ok and 0.9 * tail <= lhs <= 1.1 * tail
 

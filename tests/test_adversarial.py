@@ -133,6 +133,8 @@ def test_q_of_domain():
     with pytest.raises(ValueError):
         q_of(1, -0.1)
     with pytest.raises(ValueError):
+        q_of(5, np.nan)
+    with pytest.raises(ValueError):
         q_of(0, 0.3)
 
 
@@ -175,10 +177,11 @@ def test_step_energy_identity(small_instance):
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_step_selected_inner_product(small_instance):
+def test_step_selected_inner_product(small_instance, residual_history):
     st = small_instance.state
+    hist = residual_history(st)
     for n in range(st.N + 1, st.n_max + 1):
-        ip = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
+        ip = float(hist[n - 1 - st.N] @ st.atom_row(n))
         assert ip == pytest.approx(st.q[n], rel=1e-10)
 
 
@@ -190,30 +193,32 @@ def test_step_sequences_in_range(small_instance):
     assert np.all((x > 0.0) & (x <= 1.0))
 
 
-def test_residual_components_nonpositive(small_instance):
+def test_residual_components_nonpositive(small_instance, residual_history):
     st = small_instance.state
-    assert float(st.r_hist.max()) <= 1e-12
+    assert float(residual_history(st).max()) <= 1e-12
 
 
-def test_lemma_component_formula_vs_direct(small_instance, rng):
+def test_lemma_component_formula_vs_direct(small_instance, rng, residual_history):
     st = small_instance.state
+    hist = residual_history(st)
     rhat = residual_matrix(st, small_instance.params.phi)
     worst = 0.0
     for _ in range(100):
-        n = int(rng.integers(st.N, st.n_max))        # stored residual rows
+        n = int(rng.integers(st.N, st.n_max))        # walked residual rows
         k = int(rng.integers(1, n + 1))
-        direct = st.r_hist[n - st.N][k - 1]
+        direct = hist[n - st.N][k - 1]
         formula = rhat[n - (st.N - 1)][k - 1]
         worst = max(worst, abs(direct - formula))
     assert worst <= 1e-10
 
 
-def test_residual_coefficient_asymptotics(mid_instance):
+def test_residual_coefficient_asymptotics(mid_instance, residual_history):
     inst, _ = mid_instance
     st = inst.state
     phi = inst.params.phi
+    hist = residual_history(st)
     for n, k in ((880, 600), (900, 500), (860, 700), (900, 889)):
-        lhs = -st.r_hist[n - st.N][k - 1] / st.q[n]
+        lhs = -hist[n - st.N][k - 1] / st.q[n]
         tail = 1.0 + float(phi.phi.log_between(k / n, 1.0))
         assert 0.9 * tail <= lhs <= 1.1 * tail
 
@@ -326,22 +331,24 @@ def test_one_atom_store(small_instance, load_text, source):
     assert not inst.dictionary.atoms[1].coeffs.flags.writeable
 
 
-def test_oracle_base_case_previous_atom(small_instance, reference):
+def test_oracle_base_case_previous_atom(small_instance, reference, residual_history):
     st = small_instance.state
+    hist = residual_history(st)
     for n in (st.N + 1, st.N + 5, st.n_max):
         assert reference.pair_value(n, n - 1) == 0.0
-        direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n - 1))
+        direct = float(hist[n - 1 - st.N] @ st.atom_row(n - 1))
         assert abs(direct) <= 1e-10
 
 
-def test_oracle_selected_index_is_q(small_instance, reference):
+def test_oracle_selected_index_is_q(small_instance, reference, residual_history):
     # the selected atom's value is q_n by construction, on both routes
     st = small_instance.state
+    hist = residual_history(st)
     pairs, _ = walk_tables(small_instance.oracle_tables())
     for n in (st.N + 2, st.n_max):
         assert reference.pair_value(n, n) == st.q[n]
         assert pairs[n - st.N - 1, n - st.N] == st.q[n]
-        direct = float(st.r_hist[n - 1 - st.N] @ st.atom_row(n))
+        direct = float(hist[n - 1 - st.N] @ st.atom_row(n))
         assert direct == pytest.approx(st.q[n], rel=1e-9)
 
 
@@ -360,8 +367,9 @@ def test_oracle_range_checks(small_instance, reference):
             reference.tilde_pair_value(n)
 
 
-def test_oracle_vs_direct_random_pairs(small_instance, reference, rng):
+def test_oracle_vs_direct_random_pairs(small_instance, reference, rng, residual_history):
     st = small_instance.state
+    hist = residual_history(st)
     worst = 0.0
     for _ in range(150):
         n = int(rng.integers(st.N + 1, st.n_max + 1))
@@ -369,13 +377,14 @@ def test_oracle_vs_direct_random_pairs(small_instance, reference, rng):
         if k == n:
             continue
         o = reference.pair_value(n, k)
-        d = float(st.r_hist[n - 1 - st.N] @ st.atom_row(k))
+        d = float(hist[n - 1 - st.N] @ st.atom_row(k))
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
 
 
-def test_oracle_tilde_path(small_instance, reference, rng):
+def test_oracle_tilde_path(small_instance, reference, rng, residual_history):
     st = small_instance.state
+    hist = residual_history(st)
     eps = small_instance.params.epsilon
     dtil = small_instance.dictionary.atoms[0].padded(st.n_max)
     base = reference.tilde_pair_value(st.N + 1)
@@ -383,7 +392,7 @@ def test_oracle_tilde_path(small_instance, reference, rng):
     worst = 0.0
     for n in rng.integers(st.N + 1, st.n_max + 1, 40):
         o = reference.tilde_pair_value(int(n))
-        d = float(st.r_hist[int(n) - 1 - st.N] @ dtil)
+        d = float(hist[int(n) - 1 - st.N] @ dtil)
         worst = max(worst, abs(o - d))
     assert worst <= 1e-9
 
@@ -423,7 +432,7 @@ def test_oracle_tables_keep_only_what_rows_reads(small_instance):
 
 
 def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
-    """Tables built from a state whose atoms, residual history and working
+    """Tables built from a state whose atoms, stored residual r_N and working
     residual are NaN yield every block bit for bit as the clean state's."""
     for inst in (small_instance, mid_instance[0]):
         st, p = inst.state, inst.params
@@ -453,6 +462,30 @@ def test_blocks_cover_every_step_once_in_ascending_order(small_instance, mid_ins
         assert bounds[0][0] == p.N + 1 and bounds[-1][1] == p.n_max
         assert all(hi - lo + 1 == block for lo, hi in bounds[:-1])
         assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("block", [1, 7, 128])
+def test_walk_reproduces_every_step_residual_bit_for_bit(small_instance, mid_instance,
+                                                         monkeypatch, block):
+    """Each row the walk from r_N yields is the r_{n-1} a hand-stepped copy of
+    the construction held after step n - 1, and the walk ends at r_{n_max}."""
+    monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
+    for inst in (small_instance, mid_instance[0]):
+        p = inst.params
+        st = init_state(p)
+        kept = {}
+        while st.n < p.n_max:
+            step(st, p)
+            if st.n >= p.N:
+                kept[st.n] = st.r.copy()
+        n = p.N + 1
+        for rows, r in adversarial._residual_blocks(inst.state):
+            assert rows.flags.c_contiguous and rows.shape[1] == p.n_max
+            for row in rows:
+                assert np.array_equal(row, kept[n - 1])
+                n += 1
+        assert n == p.n_max + 1
+        assert np.array_equal(r, kept[p.n_max]) and np.array_equal(r, st.r)
 
 
 def test_two_walks_of_the_same_tables_yield_the_same_bits(mid_instance):
@@ -565,13 +598,20 @@ def reference_verify(instance):
     """verify's fold as it was before it reduced whole blocks: one row at a time.
 
     It takes the same block products of the direct route and the same
-    oracle values, so every figure of its report must equal verify's.
+    oracle values, so every figure of its report must equal verify's.  The
+    residual history it reads is its own: r_N walked forward one step at a
+    time by step's update r[:n] -= q_n d_n.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
     atoms_mat = st.atoms[1:]
     dtil = st.atoms[0]
     q = st.q
+    hist = np.empty((n_max - N + 1, n_max))   # hist[m - N] = r_m
+    hist[0] = st.r_hist[0]
+    for n in range(N + 1, n_max + 1):
+        hist[n - N] = hist[n - 1 - N]
+        hist[n - N, :n] -= q[n] * st.atom_row(n)[:n]
 
     min_margin = np.inf
     min_pair = (-1, -1)
@@ -585,7 +625,7 @@ def reference_verify(instance):
     first_nonfinite = None
 
     for lo, hi, pairs, tilde in instance.oracle_tables().blocks():
-        rows = st.r_hist[lo - 1 - N: hi - N]
+        rows = hist[lo - 1 - N: hi - N]
         direct = rows @ atoms_mat.T
         til_direct = rows @ dtil
         for n in range(lo, hi + 1):
@@ -618,7 +658,7 @@ def reference_verify(instance):
                 til_arg = n
             n_pairs += n_max - N + 1
     sched = _schedule(np.arange(N, n_max + 1), st.beta)
-    hist_norms = np.linalg.norm(st.r_hist, axis=1)
+    hist_norms = np.linalg.norm(hist, axis=1)
     sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
 
     return VerificationReport(
@@ -635,11 +675,12 @@ def reference_verify(instance):
 
 
 def corrupted(instance, target, value):
-    """A copy of instance with one value planted at step n = N + 95.
+    """A copy of instance with one value planted, at step n = N + 95 but for
+    the stored residual r_N, which the walk carries into every step.
 
     Offset 94 from the first step lies inside a block for every block size
     tested (position 30 of 64, 3 of 7).  The targets are the direct route's
-    residual r_{n-1}, atom d_n and blended atom, and the oracle's forward
+    residual r_N, atom d_n and blended atom, and the oracle's forward
     sums (cw: one entry of the atom components d_hat[n-1], which the sums of
     column n-1 carry into every step from n on) and blended-atom sums (ct,
     step n on, so that the oracle's blended value is NaN at the smallest
@@ -650,7 +691,7 @@ def corrupted(instance, target, value):
     n = st.N + 95
     if target == "residual":
         st.r_hist = st.r_hist.copy()
-        st.residual_row(n - 1)[(n - 1) // 2] = value
+        st.r_hist[0, st.N // 2] = value
     elif target in ("atom", "blended"):
         st.atoms = st.atoms.copy()
         row = st.atom_row(n) if target == "atom" else st.atoms[0]

@@ -73,6 +73,8 @@ def test_check_bounds_vacuous_after_zero():
 def test_check_bounds_validation():
     with pytest.raises(ValueError):
         check_bounds(synthetic_trace([1.0] * 20), 0.2, 0.0)
+    with pytest.raises(ValueError):
+        check_bounds(synthetic_trace([1.0] * 20), 0.18, np.nan)
 
 
 def test_compare_orthonormal_dictionary(rng):

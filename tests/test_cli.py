@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -303,7 +302,8 @@ def test_verify_command_nan_sequence_fails_replay(tmp_path, saved_instance, row)
 @pytest.mark.parametrize("route", ["oracle", "direct"])
 def test_verify_names_first_non_finite_row(saved_instance, route):
     # non-finite values reaching verify by a path other than replay: the
-    # seed q feeds every oracle row, r_{N+50} the direct row of n = N+51
+    # seed q feeds every oracle row; q_{N+50} feeds the walk from r_{N+50}
+    # on, the direct row of n = N+51, and the oracle keeps clean tables
     _, path = saved_instance
     inst = load_instance(path)
     st = inst.state
@@ -311,7 +311,9 @@ def test_verify_names_first_non_finite_row(saved_instance, route):
         st.q[st.K - 1] = np.nan
         first = st.N + 1
     else:
-        st.residual_row(st.N + 50)[10] = np.nan
+        tables = inst.oracle_tables()
+        inst.oracle_tables = lambda: tables
+        st.q[st.N + 50] = np.nan
         first = st.N + 51
     report = verify(inst)
     assert not report.passed and not report.all_strict
@@ -456,6 +458,17 @@ def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, command, value):
                  "--outdir", str(outdir)]) == 1
     assert error_line(capsys) == ("error: max_iter must be at least 4: the bracket "
                                   "certificate reads the fourth iterate")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve-f", "build"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tol_is_a_usage_error(tmp_path, capsys, command, value):
+    # a NaN tol never closes the bracket, an infinite one stops unconverged
+    outdir = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--tol", value, "--grid-m", "201", "--outdir", str(outdir)]) == 1
+    assert error_line(capsys) == "error: tol must be positive and finite"
     assert not outdir.exists()
 
 
@@ -605,13 +618,13 @@ def test_build_pipeline_reduced_scale(tmp_path):
     assert abs(slope + (0.5 - beta)) < 0.005
 
 
-def test_instance_text_round_trip(saved_instance, load_text):
+def test_instance_text_round_trip(saved_instance, load_text, residual_history):
     inst, path = saved_instance
     text = read(path)
     body = text[text.index("# mpursuit-instance"):]
     inst2 = load_text(body)
     assert np.array_equal(inst.state.atoms, inst2.state.atoms)
-    assert np.array_equal(inst.state.r_hist, inst2.state.r_hist)
+    assert np.array_equal(residual_history(inst.state), residual_history(inst2.state))
     assert instance_to_text(inst2) == body
 
 
@@ -719,28 +732,32 @@ def test_gram_selection_keeps_the_output_contract_of_direct_selection(
     assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
 
 
-def test_run_frees_the_construction_history_before_the_run(tmp_path, monkeypatch,
-                                                           saved_instance):
-    """`run` allocates the Gram matrix, so the command must have let go of the
-    loaded construction state and its residual history by then."""
+def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
+                                                         saved_instance):
+    """`run` allocates the Gram matrix while the loaded construction state is
+    alive, so that state must hold no n_max x n_max array but the atom store,
+    and the run must read that store, not a copy."""
     _, path = saved_instance
-    states, alive = [], []
+    states, shared = [], []
 
     def load_and_watch(p):
         inst = load_instance(p)
-        assert not np.shares_memory(inst.f.coeffs, inst.state.r_hist)
-        states.append(weakref.ref(inst.state))
+        wide = {name for name, value in vars(inst.state).items()
+                if isinstance(value, np.ndarray) and value.ndim == 2 and len(value) > 1}
+        assert wide == {"atoms"}
+        assert inst.state.r_hist.shape == (1, inst.params.n_max)
+        states.append(inst.state)
         return inst
 
-    def watched_run(*args, **kwargs):
-        alive.append(states[0]() is not None)
-        return run(*args, **kwargs)
+    def watched_run(alg, f, dictionary, *args, **kwargs):
+        shared.append(np.shares_memory(states[0].atoms, dictionary.matrix()))
+        return run(alg, f, dictionary, *args, **kwargs)
 
     monkeypatch.setattr(cli, "load_instance", load_and_watch)
     monkeypatch.setattr(cli, "run", watched_run)
     assert main(["run", "--instance", path, "--steps", "5",
                  "--out", str(tmp_path / "t.csv")]) == 0
-    assert alive == [False]
+    assert shared == [True]
 
 
 @pytest.mark.parametrize("alg", ["pga", "oga"])

@@ -139,6 +139,8 @@ def test_run_validation():
         run("pga_shrink", f, d, 1, shrinkage=0.0)
     with pytest.raises(ValueError):
         run("rga", f, d, 1)
+    with pytest.raises(ValueError):
+        run("rga", f, d, 1, variation_bound=np.nan)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")

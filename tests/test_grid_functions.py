@@ -187,6 +187,15 @@ def test_selfconv_on_nodes_matches_pointwise():
                                         rel=1e-11, abs=1e-13)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.5, 2.0), (0.0, 1.0)])
+def test_selfconv_on_nodes_rejects_queries_below_the_grid(lo, hi):
+    # on [0.5, 2] the last node's queries x_j / 2 reach 0.25 < lo, where f
+    # counts as 0: f = 1 gives 0.5 there, but the end cubic would give 0.75
+    g = grid(lo, hi, lambda x: np.ones_like(x), m=101)
+    with pytest.raises(ValueError, match="0 < lo and hi <= 1"):
+        selfconv_on_nodes(g)
+
+
 def test_integral_between():
     g = grid(0, 1, lambda x: x ** 2, m=1001)
     assert g.integral_between(0.2, 0.8) == pytest.approx((0.8 ** 3 - 0.2 ** 3) / 3,

@@ -195,8 +195,9 @@ def test_solve_max_iter_error_carries_width(op_point):
 def test_solve_tol_validation(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    with pytest.raises(ValueError):
-        solve_f(g, tau, tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            solve_f(g, tau, tol=tol)
 
 
 @pytest.mark.parametrize("max_iter", [0, -5, 1, 2, 3])

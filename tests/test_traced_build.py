@@ -31,6 +31,8 @@ def test_traced_build_records_every_stage(tmp_path):
                                    {"greedy_algorithms.select_atom_ms": (1.0, "ms")})
     assert metrics["adversarial.pairs"][0] == 500 * 501
     assert metrics["adversarial.oracle_tables_s"][0] > 0.0
+    # the construction's state is the atom store, (n_max - N + 2) rows, and r_N
+    assert metrics["adversarial.state_bytes"] == (502 * 900 * 8 + 900 * 8, "bytes")
 
     # the probe reaches the library by names of its own: select_atom on the
     # instance's target, GridFunction.from_csv, selfconv_on_nodes without a
