@@ -151,8 +151,9 @@ def step(state: ConstructionState, params: ConstructionParams,
     if n > state.n_max:
         raise ValueError("state already at n_max")
     beta = state.beta
-    i = np.arange(1, n)
-    w = params.phi(i / n) / n
+    i0 = params.phi.first_live(n)  # phi(i / n) is +0.0 below i0
+    w = np.zeros(n - 1)
+    w[i0 - 1:] = params.phi(np.arange(i0, n) / n) / n
     r = state.r
     if given is None:
         qn = q_of(n, beta)
@@ -301,14 +302,22 @@ def finalize(state: ConstructionState, params: ConstructionParams) -> Adversaria
         variation_bound=float(variation), state=state)
 
 
-def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray) -> np.ndarray:
+def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
-    consecutive l in ls: one row each, zero from column l - 1 on, from one
-    phi evaluation."""
-    i = np.arange(1, ls[-1])
+    consecutive l in ls: one row each, zero from column l - 1 on.  One phi
+    evaluation covers the columns from the first row's support edge on;
+    phi is +0.0 below it in every row.  The rows go into out, a zero
+    len(ls) x (ls[-1] - 1) block, made when not given."""
+    if out is None:
+        out = np.zeros((ls.size, ls[-1] - 1))
+    i0 = phi.first_live(int(ls[0]))
+    i = np.arange(i0, ls[-1])
     inside = i < ls[:, None]
-    x = np.where(inside, i / ls[:, None], 0.0)
-    return np.where(inside, (alpha[ls] / ls)[:, None] * phi(x), 0.0)
+    vals = phi(np.where(inside, i / ls[:, None], 0.0))
+    vals *= (alpha[ls] / ls)[:, None]
+    np.copyto(out[:, i0 - 1:], vals, where=inside)
+    return out
 
 
 def _residual_components(state: ConstructionState,
@@ -327,7 +336,7 @@ def _residual_components(state: ConstructionState,
     h = np.zeros((n_max - K + 1, n_max))
     for l0 in range(K, n_max + 1, _H_BLOCK):
         ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
-        h[ls - K, : ls[-1] - 1] = _h_rows(state.alpha, phi, ls)
+        _h_rows(state.alpha, phi, ls, out=h[l0 - K:ls[-1] - K + 1, : ls[-1] - 1])
     return h, b
 
 

@@ -66,8 +66,10 @@ class BoundReport:
 def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
                  index_offset: int = 0) -> BoundReport:
     """Constant witnesses for the n^-alpha upper and lower rate bounds."""
-    if not 0.0 < variation_bound:
-        raise ValueError("variation_bound must be positive")
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not 0.0 < variation_bound < np.inf:
+        raise ValueError("variation_bound must be positive and finite")
     norms = trace.residual_norms
     ns = index_offset + np.arange(1, norms.size + 1)
     scaled = norms * ns.astype(np.float64) ** alpha / variation_bound

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -254,6 +255,9 @@ def cmd_run(cfg) -> int:
 
 
 def cmd_rate(cfg) -> int:
+    for key in ("alpha", "variation_bound"):  # a value <= 0 writes no witnesses
+        if not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} must be finite")
     trace, offset = GreedyTrace.from_csv(_read(cfg["trace"]))
     fit = fit_decay(trace, cfg["n_min"], cfg["n_max"], index_offset=offset)
     lines = [

@@ -33,6 +33,8 @@ _PREFIX_ALIGN = 64
 _REORTHOGONALIZE = 2.0 ** -0.5  # DGKS: Daniel, Gragg, Kaufman & Stewart, 1976
 _LOOKAHEAD = 64  # most oga steps one block guesses and checks
 _TILE = 512      # oga basis rows per tile
+_GRAM_BLOCK = 256  # most Gram rows one block product forms
+_GRAM_STREAMS = 3  # Gram blocks kept, one per stream of picks
 
 
 class Dictionary:
@@ -295,6 +297,38 @@ def _oga(f: CoeffVector, dictionary: Dictionary, steps: int):
         j, sign, value = nxt
 
 
+class _GramRows:
+    """Rows of the Gram matrix G = D D^T, formed in blocks when a pick needs them.
+
+    A block is the rows j .. j+m-1, one product D[j:j+m, :L] @ D[:, :L].T
+    with L the 64-aligned prefix of the block's longest atom: the columns it
+    drops are exact zeros of those atoms.  _GRAM_STREAMS blocks are kept.
+    A row outside them that comes right after one of them opens a block of
+    twice that one's rows, at most _GRAM_BLOCK, in its place; any other row
+    opens a block of one in place of the oldest.  So each stream of picks
+    that runs on in storage order doubles its own blocks.
+    """
+
+    def __init__(self, mat: np.ndarray, lengths: np.ndarray):
+        self.mat, self.lengths = mat, lengths
+        self.blocks: list[tuple[int, np.ndarray]] = []  # (first row, rows), oldest first
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        blocks = self.blocks
+        m, kept = 1, blocks[1 - _GRAM_STREAMS:]  # a new stream drops the oldest
+        for b, (lo, rows) in enumerate(blocks):
+            if lo <= j < lo + len(rows):
+                return rows[j - lo]
+            if j == lo + len(rows):  # the stream of block b runs on: it replaces b
+                m, kept = min(2 * len(rows), _GRAM_BLOCK), blocks[:b] + blocks[b + 1:]
+        mat = self.mat
+        m = min(m, len(mat) - j)
+        cols = _prefix_cols(mat, int(self.lengths[j:j + m].max()))
+        rows = mat[j:j + m, :cols] @ mat[:, :cols].T
+        self.blocks = [*kept, (j, rows)]
+        return rows[0]
+
+
 def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         shrinkage: float = 1.0, variation_bound: float | None = None) -> GreedyTrace:
     """Run a greedy algorithm for up to `steps` iterations.
@@ -313,11 +347,11 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     and the oga projection read only that live prefix.
 
     pga, pga_shrink and rga select from running inner products c = D r
-    (Mallat & Zhang, 1993).  The Gram matrix G = D D^T is formed once per
-    run, #atoms^2 floats (35 MB for the 2101 atoms of an n_max=2500
-    instance), and c starts as D f over the live prefix.  Each step then
-    updates c in O(#atoms) from the selected atom's row of G, where a
-    direct selection multiplies the whole dictionary by r.  The residual
+    (Mallat & Zhang, 1993).  c starts as D f over the live prefix, and each
+    step updates it in O(#atoms) from the selected atom's row of the Gram
+    matrix G = D D^T, where a direct selection multiplies the whole
+    dictionary by r.  The rows of G are formed in blocks as the picks need
+    them (_GramRows), so a run never holds the whole of G.  The residual
     is still updated explicitly, so every residual norm comes from r.
 
     oga cannot update c that way: its update is a projection onto the
@@ -352,7 +386,7 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     r = f.padded(width)
     trace = GreedyTrace(algorithm=algorithm, shrinkage=s)
 
-    gram = mat @ mat.T  # A @ A.T: numpy hands it to BLAS syrk
+    gram = _GramRows(mat, dictionary.lengths)
     cols = _prefix_cols(mat, f.active_len)
     c = mat[:, :cols] @ r[:cols]  # <r, d_i> for every atom, kept current below
     if algorithm == "rga":

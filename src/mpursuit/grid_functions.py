@@ -337,12 +337,15 @@ class SelfConvPlan:
     and the blocks are split across one worker thread per CPU this
     process may run on.  A row's points and its quadrature take the same
     operations whichever thread computes them, so a sweep's bits do not
-    depend on the worker count.  The plan is a context manager: leaving
-    it stops the workers and frees the tables.  The grid needs 0 < lo and
-    hi <= 1, so that no query x_j / x_i falls below lo, where f counts as 0.
+    depend on the worker count.  With tables=False the plan keeps no
+    tables: a sweep locates each block's points as it fills the block, by
+    the same code, so its bits are those of a plan with tables.  The plan
+    is a context manager: leaving it stops the workers and frees the
+    tables.  The grid needs 0 < lo and hi <= 1, so that no query x_j / x_i
+    falls below lo, where f counts as 0.
     """
 
-    def __init__(self, grid: GridFunction):
+    def __init__(self, grid: GridFunction, tables: bool = True):
         if not (0.0 < grid.lo and grid.hi <= 1.0):
             raise ValueError("a self-convolution plan needs a grid with 0 < lo and hi <= 1")
         self.lo, self.hi, self.m, self.h = grid.lo, grid.hi, grid.m, grid.h
@@ -351,9 +354,6 @@ class SelfConvPlan:
         self.offsets = np.cumsum(counts) - counts
         self.row_ends = self.offsets + counts - 1
         size = int(self.row_ends[-1]) + 1
-        self.cols = np.empty(size, dtype=np.int32)
-        self.piece = np.empty(size, dtype=np.int32)
-        self.s, self.s2, self.s3 = np.empty(size), np.empty(size), np.empty(size)
         # a block starts at the row holding each multiple of _BLOCK
         firsts = np.unique(np.searchsorted(self.offsets, np.arange(0, size, _BLOCK), "right") - 1)
         blocks = list(zip(firsts.tolist(), [*firsts[1:].tolist(), self.m]))
@@ -365,7 +365,11 @@ class SelfConvPlan:
         if n > 1:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(n - 1)
-        self._run(self._locate)
+        self._tables = None
+        if tables:
+            self._tables = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32),
+                            np.empty(size), np.empty(size), np.empty(size))
+            self._run(self._store)
 
     def __enter__(self):
         return self
@@ -377,7 +381,7 @@ class SelfConvPlan:
         """Stop the worker threads and drop the tables."""
         if self._pool is not None:
             self._pool.shutdown()
-        self._pool = self.cols = self.piece = self.s = self.s2 = self.s3 = None
+        self._pool = self._tables = None
 
     def _run(self, task, *args) -> None:
         """task(blocks, *args) on every chunk of blocks, the first in this thread."""
@@ -392,18 +396,28 @@ class SelfConvPlan:
         """The plan's points of the rows first .. stop - 1."""
         return slice(int(self.offsets[first]), int(self.row_ends[stop - 1]) + 1)
 
-    def _locate(self, blocks) -> None:
+    def _located(self, first: int, stop: int) -> tuple:
+        """(column, piece, s, s^2, s^3) of each point of the rows first .. stop - 1."""
         nodes = self.nodes
+        pts = self._points(first, stop)
+        rows = np.repeat(np.arange(first, stop), np.arange(first + 1, stop + 1))
+        cols = np.arange(pts.stop - pts.start) - (self.offsets[rows] - pts.start)
+        piece, s = _locate(nodes, np.minimum(nodes[cols] / nodes[rows], self.hi))
+        s2 = s * s           # z * s, as _terms forms it
+        return cols, piece, s, s2, s2 * s
+
+    def _store(self, blocks) -> None:
         for first, stop in blocks:
             pts = self._points(first, stop)
-            rows = np.repeat(np.arange(first, stop), np.arange(first + 1, stop + 1))
-            cols = np.arange(pts.stop - pts.start) - (self.offsets[rows] - pts.start)
-            self.cols[pts] = cols
-            queries = np.minimum(nodes[cols] / nodes[rows], self.hi)
-            self.piece[pts], s = _locate(nodes, queries)
-            self.s[pts] = s
-            np.multiply(s, s, out=self.s2[pts])           # z * s, as _terms forms it
-            np.multiply(self.s2[pts], s, out=self.s3[pts])
+            for table, column in zip(self._tables, self._located(first, stop)):
+                table[pts] = column
+
+    def _block(self, first: int, stop: int) -> tuple:
+        """The rows' points as _located gives them, from the tables if kept."""
+        if self._tables is None:
+            return self._located(first, stop)
+        pts = self._points(first, stop)
+        return tuple(table[pts] for table in self._tables)
 
     def _fill(self, blocks, c, values, nonneg, mid, out) -> None:
         """out[i] = the quadrature of row i over the blocks, c f's piece table.
@@ -412,22 +426,22 @@ class SelfConvPlan:
         """
         size = self._longest
         p, t, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
-        powers = ((c[2], self.s), (c[1], self.s2), (c[0], self.s3))
         for first, stop in blocks:
             pts = self._points(first, stop)
             n = pts.stop - pts.start
             q, tt, i = p[:n], t[:n], idx[:n]
+            cols, piece, s, s2, s3 = self._block(first, stop)
             # clamped f(x_j / x_i) f(x_j), the cubic summed left to right as
             # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3
-            i[...] = self.piece[pts]
+            i[...] = piece
             np.take(c[3], i, out=q, mode="clip")
-            for row, power in powers:
+            for row, power in ((c[2], s), (c[1], s2), (c[0], s3)):
                 np.take(row, i, out=tt, mode="clip")
-                tt *= power[pts]
+                tt *= power
                 q += tt
             if nonneg:
                 np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
-            i[...] = self.cols[pts]
+            i[...] = cols
             np.take(values, i, out=tt, mode="clip")
             q *= tt
             o = self.offsets[first:stop] - pts.start
@@ -462,10 +476,10 @@ class SelfConvPlan:
 def selfconv_on_nodes(f: GridFunction, plan: SelfConvPlan | None = None) -> np.ndarray:
     """Scaled self-convolution evaluated at every node of f's own grid.
 
-    plan is a SelfConvPlan for that grid; without one, a plan is built
-    for this call alone.
+    plan is a SelfConvPlan for that grid; without one, a plan that keeps
+    no tables sweeps for this call alone, block by block.
     """
     if plan is not None:
         return plan.sweep(f)
-    with SelfConvPlan(f) as plan:
+    with SelfConvPlan(f, tables=False) as plan:
         return plan.sweep(f)

@@ -11,6 +11,7 @@ for the raw f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -330,6 +331,22 @@ class PhiProfile:
 
     def __call__(self, x):
         return self.phi(x)
+
+    @cached_property
+    def support_lo(self) -> float:
+        """Left edge of phi's support: the left node of the first piece of
+        phi's piece table with a nonzero coefficient, phi's upper end when
+        there is none.  Every piece below it is zero, so phi is +0.0 there."""
+        live = np.flatnonzero(self.phi.pieces.any(axis=0))
+        return float(self.phi.nodes[live[0]]) if live.size else self.phi.hi
+
+    def first_live(self, n: int) -> int:
+        """An index i0 >= 1 with phi(i / n) = +0.0 for every 1 <= i < i0.
+
+        One below the floor of support_lo * n, so the rounding of that
+        product or of i / n cannot put a point of the support below i0.
+        """
+        return max(1, int(self.support_lo * n) - 1)
 
 
 def build_profile(f: GridFunction, beta: float, tau: float, t: float = 0.01,

@@ -1,5 +1,5 @@
 """Shared fixtures: the operating point, a solved profile, instances, and
-the reference OGA loop.
+the reference OGA and full-Gram loops.
 
 The expensive pieces (integral-equation solve, mollified profile, built
 instances) are session-scoped; unit tests share them.  The full
@@ -134,3 +134,53 @@ def _single_pass_oga(f, dictionary, steps):
 def single_pass_oga():
     """The reference OGA loop the look-ahead blocks are held to."""
     return _single_pass_oga
+
+
+def _full_gram_run(algorithm, f, dictionary, steps, shrinkage=1.0, variation_bound=None):
+    """run("pga" | "pga_shrink" | "rga") as it was before Gram rows were formed
+    on demand, a literal copy of its loop: the whole Gram matrix is formed
+    once, and each step updates the running inner products from its row.
+    Returns the (atom index, sign) picks, coefficients and residual norms."""
+    mat = dictionary.matrix()
+    width = max(dictionary.width, f.active_len)
+    r = f.padded(width)
+    s = shrinkage if algorithm == "pga_shrink" else 1.0
+    picks, coeffs, norms = [], [], []
+
+    gram = mat @ mat.T  # A @ A.T: numpy hands it to BLAS syrk
+    cols = min(mat.shape[1], -(-f.active_len // 64) * 64)
+    c = mat[:, :cols] @ r[:cols]  # <r, d_i> for every atom, kept current below
+    if algorithm == "rga":
+        c_f, approx = c.copy(), np.zeros(width)
+
+    for n in range(1, steps + 1):
+        j = int(np.argmax(np.abs(c)))
+        v = float(c[j])
+        sign, value = (1 if v >= 0.0 else -1), abs(v)
+        atom = sign * mat[j]
+        if algorithm in ("pga", "pga_shrink"):
+            coeff = s * value
+            r[: mat.shape[1]] -= coeff * atom
+            c -= (sign * coeff) * gram[j]
+        else:  # rga
+            coeff = variation_bound if n == 1 else 2.0 * variation_bound / n
+            if n == 1:
+                approx[: mat.shape[1]] = coeff * atom
+            else:
+                approx *= 1.0 - 2.0 / n
+                approx[: mat.shape[1]] += coeff * atom
+            r = f.padded(width) - approx
+            c = (2.0 / n) * c_f + (1.0 - 2.0 / n) * c - (sign * coeff) * gram[j]
+        rnorm = float(np.linalg.norm(r))
+        picks.append((j, sign))
+        coeffs.append(coeff)
+        norms.append(rnorm)
+        if rnorm < 1e-14:
+            break
+    return picks, np.array(coeffs), np.array(norms)
+
+
+@pytest.fixture(scope="session")
+def full_gram_run():
+    """The reference loop that Gram rows on demand are held to."""
+    return _full_gram_run

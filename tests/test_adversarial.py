@@ -258,8 +258,30 @@ def test_step_zero_profile_error():
     params = ConstructionParams(beta=0.31, K=5, N=6, n_max=10, epsilon=None,
                                 phi=dead)
     st = init_state(params)
+    assert dead.support_lo == 1.0  # no piece is nonzero: phi is evaluated at (n-1)/n only
     with pytest.raises(ConstructionError, match="phi support misses residual"):
         step(st, params)
+
+
+def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
+    # step and _h_rows evaluate phi only from its support edge on; a profile
+    # whose edge reads 0 evaluates it everywhere, and both give the same bytes
+    inst, _ = mid_instance
+    phi, st = inst.params.phi, inst.state
+    assert phi.first_live(st.n_max) > st.n_max // 3
+    everywhere = dataclasses.replace(phi)
+    vars(everywhere)["support_lo"] = 0.0
+    assert everywhere.first_live(st.n_max) == 1
+    params = dataclasses.replace(inst.params, phi=everywhere)
+    full = finalize(advance(init_state(params), params,
+                            given_rows=np.stack([st.q, st.gamma, st.alpha, st.xi])),
+                    params).state
+    replayed = load_text(instance_to_text(inst)).state
+    assert replayed.atoms.tobytes() == full.atoms.tobytes() == st.atoms.tobytes()
+    assert replayed.r_hist.tobytes() == full.r_hist.tobytes()
+    h_band, _ = adversarial._residual_components(replayed, phi)
+    h_full, _ = adversarial._residual_components(replayed, everywhere)
+    assert h_band.tobytes() == h_full.tobytes()
 
 
 def test_step_xi_imaginary_error(profile05):

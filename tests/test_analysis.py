@@ -75,6 +75,9 @@ def test_check_bounds_validation():
         check_bounds(synthetic_trace([1.0] * 20), 0.2, 0.0)
     with pytest.raises(ValueError):
         check_bounds(synthetic_trace([1.0] * 20), 0.18, np.nan)
+    for alpha, vb in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.18, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            check_bounds(synthetic_trace([1.0] * 20), alpha, vb)
 
 
 def test_compare_orthonormal_dictionary(rng):

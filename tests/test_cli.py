@@ -583,6 +583,24 @@ def test_rate_witnesses_need_alpha_and_variation_bound(tmp_path, saved_instance)
         assert value_of(text, "index_offset") == "400"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-inf"),
+    ("variation-bound", "nan"), ("variation-bound", "inf"), ("variation-bound", "-inf")])
+def test_non_finite_rate_bound_is_a_usage_error(tmp_path, capsys, flag, value):
+    # each used to exit 0: nan dropped the witness lines, alpha=inf wrote inf
+    # witnesses and variation_bound=inf wrote 0
+    trace = tmp_path / "t.csv"
+    trace.write_text(TRACE_HEAD + "".join(f"{n},{n ** -0.2!r},d{400 + n},1,0.1\n"
+                                          for n in range(1, 40)))
+    other = "--variation-bound" if flag == "alpha" else "--alpha"
+    out = tmp_path / "r.txt"
+    capsys.readouterr()
+    assert main(["rate", "--trace", str(trace), "--n-min", "410", "--n-max", "439",
+                 f"--{flag}={value}", other, "1.0", "--out", str(out)]) == 1
+    assert error_line(capsys) == f"error: {flag.replace('-', '_')} must be finite"
+    assert not out.exists()
+
+
 def test_rate_missing_file(tmp_path):
     assert main(["rate", "--trace", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "r.txt")]) == 1
@@ -732,11 +750,31 @@ def test_gram_selection_keeps_the_output_contract_of_direct_selection(
     assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
 
 
+@pytest.mark.parametrize("alg, shrinkage", [("pga", 1.0), ("pga_shrink", 0.5), ("rga", 1.0)])
+def test_gram_rows_on_demand_keep_the_output_contract_of_the_full_gram(
+        instance_2500, full_gram_run, alg, shrinkage):
+    """The output contract of DECISIONS.md between Gram rows formed in blocks
+    as the picks need them and the whole Gram matrix formed once: the same
+    atoms and signs at all 2100 steps, and each residual norm within 4 ulps.
+    The coefficients, which the contract leaves free, agree to 1e-12
+    relative."""
+    inst = load_instance(instance_2500)
+    steps = inst.params.n_max - inst.params.N
+    vb = inst.variation_bound
+    trace = run(alg, inst.f, inst.dictionary, steps, shrinkage=shrinkage, variation_bound=vb)
+    picks, coeffs, ref = full_gram_run(alg, inst.f, inst.dictionary, steps, shrinkage, vb)
+    assert len(trace.steps) == steps == 2100
+    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
+    got = np.array([s.coefficient for s in trace.steps])
+    assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
+
+
 def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
                                                          saved_instance):
-    """`run` allocates the Gram matrix while the loaded construction state is
-    alive, so that state must hold no n_max x n_max array but the atom store,
-    and the run must read that store, not a copy."""
+    """The loaded construction state stays alive through the run, so it must
+    hold no n_max x n_max array but the atom store, and the run must read
+    that store, not a copy."""
     _, path = saved_instance
     states, shared = [], []
 
@@ -765,8 +803,8 @@ def test_run_output_contract_across_blas_threads(tmp_path, instance_2500, alg):
     """The output contract of DECISIONS.md: at 1 and 2 BLAS threads a run
     picks the same atoms with the same signs, and each residual norm agrees
     to 4 ulps.  With OpenBLAS at n_max=2500 the two traces part in their
-    last bits (PGA from step 1213, OGA from step 793), so the bound is
-    exercised; at n_max=900 they are bit-identical."""
+    last bits (PGA from step 1072, OGA from step 271 on a 2-core Xeon), so
+    the bound is exercised; at n_max=900 they are bit-identical."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
     traces = []
     for threads in ("1", "2"):

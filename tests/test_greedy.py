@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -454,3 +456,88 @@ def test_oga_blocks_end_at_the_budget_and_at_the_last_atom(mid_instance, single_
     assert len(trace.steps) == steps
     if steps == 501:
         assert trace.atom_indices[499] == len(d) - 1
+
+
+def assert_gram_contract(trace, picks, coeffs, norms):
+    """Points 3 and 4 of the output contract against the full-Gram loop."""
+    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert np.all(np.abs(trace.residual_norms - norms) <= 4 * np.spacing(norms))
+    got = np.array([s.coefficient for s in trace.steps])
+    assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
+
+
+@pytest.mark.parametrize("order", ["stored", "reversed", "shuffled"])
+@pytest.mark.parametrize("algorithm, shrinkage", [("pga", 1.0), ("pga_shrink", 0.5),
+                                                  ("rga", 1.0)])
+def test_gram_rows_keep_the_contract_in_any_storage_order(mid_instance, full_gram_run,
+                                                         algorithm, shrinkage, order):
+    # reversed, no pick is the row after a block, so every row is formed on
+    # its own; shuffled, the picks leave storage order at random
+    instance, _ = mid_instance
+    d, f, vb = instance.dictionary, instance.f, instance.variation_bound
+    perm = np.arange(len(d))
+    if order == "reversed":
+        perm = perm[::-1]
+    elif order == "shuffled":
+        perm = np.random.default_rng(5).permutation(perm)
+    moved = Dictionary(d.matrix()[perm], d.lengths[perm], [d.labels[k] for k in perm])
+    steps = instance.params.n_max - instance.params.N
+    trace = run(algorithm, f, moved, steps, shrinkage=shrinkage, variation_bound=vb)
+    assert len(trace.steps) == steps
+    assert_gram_contract(trace, *full_gram_run(algorithm, f, moved, steps, shrinkage, vb))
+    stored = run(algorithm, f, d, steps, shrinkage=shrinkage, variation_bound=vb)
+    assert [s.atom_id for s in trace.steps] == [s.atom_id for s in stored.steps]
+
+
+def test_pga_halts_inside_a_gram_block(full_gram_run):
+    # e1..e12 are picked in order, their Gram rows formed in blocks of 1, 2,
+    # 4 and 8 rows; the residual vanishes at e12, the fifth row of e8..e15
+    d = ortho_dict(30)
+    f = CoeffVector(np.concatenate([np.arange(12.0, 0.0, -1.0), np.zeros(18)]))
+    trace = run("pga", f, d, 30)
+    assert_gram_contract(trace, *full_gram_run("pga", f, d, 30))
+    assert trace.atom_indices == list(range(12))
+    assert trace.steps[-1].residual_norm < RESIDUAL_HALT <= trace.steps[-2].residual_norm
+
+
+def test_gram_rows_double_per_stream_and_keep_one_block_a_stream(monkeypatch, rng):
+    # three interleaved streams of picks, each in storage order: each doubles
+    # its own blocks up to the cap, a pick elsewhere forms one row in place
+    # of the oldest block, and every row read equals that row of D D^T,
+    # whose atoms' lengths vary inside every block
+    monkeypatch.setattr(greedy_algorithms, "_GRAM_BLOCK", 4)
+    atoms = []
+    for n in rng.integers(1, 150, size=80):
+        v = rng.standard_normal(int(n))
+        atoms.append(v / np.linalg.norm(v))
+    d = stacked(atoms)
+    mat = d.matrix()
+    gram = greedy_algorithms._GramRows(mat, d.lengths)
+    formed = []
+    picks = [j for k in range(12) for j in (k, 30 + k, 60 + k)] + [15, 50, 51, 16, 41]
+    for j in picks:
+        before = [lo for lo, _ in gram.blocks]
+        row = gram[j]
+        assert np.allclose(row, mat @ mat[j], rtol=0.0, atol=1e-15)
+        assert len(gram.blocks) <= 3
+        if [lo for lo, _ in gram.blocks] != before:
+            formed.append((gram.blocks[-1][0], len(gram.blocks[-1][1])))
+    assert formed == [(0, 1), (30, 1), (60, 1), (1, 2), (31, 2), (61, 2), (3, 4), (33, 4),
+                      (63, 4), (7, 4), (37, 4), (67, 4), (11, 4), (41, 4), (71, 4),
+                      (15, 4), (50, 1), (51, 2), (41, 1)]
+    assert [lo for lo, _ in gram.blocks] == [15, 51, 41]
+
+
+@pytest.mark.parametrize("algorithm", ["pga", "pga_shrink", "rga"])
+def test_short_run_holds_no_gram_matrix(mid_instance, algorithm):
+    # the whole Gram matrix of the 502 atoms would be 2.0 MB
+    instance, _ = mid_instance
+    d = instance.dictionary
+    tracemalloc.start()
+    try:
+        run(algorithm, instance.f, d, 20, shrinkage=0.5,
+            variation_bound=instance.variation_bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(d) ** 2 * 8 / 4

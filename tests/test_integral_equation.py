@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,26 @@ def test_solve_max_iter_validation(op_point, max_iter):
     with pytest.raises(ValueError, match="max_iter must be at least 4: the bracket "
                                          "certificate reads the fourth iterate"):
         solve_f(g, tau, max_iter=max_iter)
+
+
+def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
+    """On the 2001 and 4001 grids, of solve_f and of residual_on_refined,
+    the sweep that keeps no tables gives the plan's bits.  Its memory is
+    that of a block, the same on both grids, where a plan's tables take
+    32 bytes a point: 64 MB and 256 MB."""
+    _, _, g, rep = coarse_solution
+    peaks = []
+    for factor in (2, 4):
+        for fn in (rep.converged_f.refined(factor), g.refined(factor)):
+            with SelfConvPlan(fn) as plan:
+                want = plan.sweep(fn)
+            tracemalloc.start()
+            try:
+                got = selfconv_on_nodes(fn)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == want.tobytes()
+            peaks.append(peak)
+    points = 4001 * 4002 // 2
+    assert max(peaks[2:]) < 1.5 * min(peaks[:2]) and max(peaks) < 32 * points / 8

@@ -176,6 +176,17 @@ def test_build_profile_certificate(profile05, op_point):
     assert np.array_equal(phi.values[nodes <= prof.delta],
                           np.zeros(int((nodes <= prof.delta).sum())))
     assert prof.delta < prof.tau - prof.t
+    # phi's support starts at the first nonzero piece, at or above delta;
+    # below it every evaluation is +0.0
+    edge = prof.support_lo
+    k = int(np.flatnonzero(nodes == edge)[0])
+    assert prof.delta <= edge < prof.tau and phi.pieces[:, k].any()
+    assert not phi.pieces[:, :k].any()
+    below = phi(np.linspace(0.0, edge, 4001)[:-1])
+    assert not below.any() and not np.signbit(below).any()
+    for n in (500, 900, 2500, 5000):
+        i0 = prof.first_live(n)
+        assert not phi(np.arange(1, i0) / n).any() and i0 / n <= edge
     target = beta / (1 - 2 * beta)
     assert abs(weighted_mass(phi) - target) <= 1e-8
 
