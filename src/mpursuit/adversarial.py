@@ -70,14 +70,17 @@ def _schedule(n, beta: float):
 
 @dataclass
 class ConstructionParams:
-    """Fundamental parameters: beta plus (K, N, n_max, epsilon, phi)."""
+    """Fundamental parameters (K, N, n_max, epsilon, phi); beta is phi's."""
 
-    beta: float
     K: int
     N: int
     n_max: int
     epsilon: float | None
     phi: PhiProfile
+
+    @property
+    def beta(self) -> float:  # the exponent phi is normalized for
+        return self.phi.beta
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -236,7 +239,7 @@ def _residual_blocks(state: ConstructionState) -> Iterator[tuple[np.ndarray, np.
         del rows   # a generator's locals outlive the yield
 
 
-def choose_epsilon(state: ConstructionState, params: ConstructionParams) -> float:
+def choose_epsilon(state: ConstructionState) -> float:
     """Largest epsilon = 2^-j passing the blended-atom inequalities.
 
     Candidates start at the cap epsilon |r_N| <= q_{N+1} / 2.  Only the
@@ -604,13 +607,12 @@ def build_instance(phi: PhiProfile, K: int = 200, N: int = 400,
         kk, nn = K << attempt, N << attempt
         if nn >= n_max:
             break
-        params = ConstructionParams(beta=phi.beta, K=kk, N=nn, n_max=n_max,
-                                    epsilon=epsilon, phi=phi)
+        params = ConstructionParams(K=kk, N=nn, n_max=n_max, epsilon=epsilon, phi=phi)
         try:
             state = init_state(params)
             advance(state, params)
             if params.epsilon is None:
-                params.epsilon = choose_epsilon(state, params)
+                params.epsilon = choose_epsilon(state)
             inst = finalize(state, params)
             report = verify(inst)
             if not report.passed:

@@ -131,26 +131,26 @@ def cmd_constants(cfg) -> int:
 
 def _solve_profile(cfg):
     beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
-    bun = bundle(beta, tau)
-    g = bun.g_grid(cfg["grid_m"])
-    report = solve_f(g, tau, tol=cfg["tol"], max_iter=cfg["max_iter"])
-    return beta, tau, g, report
+    g = bundle(beta, tau).g_grid(cfg["grid_m"])
+    return beta, g, solve_f(g, tol=cfg["tol"], max_iter=cfg["max_iter"])
 
 
 def _phi_profile(cfg):
-    """(beta, tau, profile, condition report) from --f-csv or a fresh solve."""
+    """(profile, condition report) from a solve, or from --f-csv at the operating tau."""
     if cfg["f_csv"]:
         fbar = GridFunction.from_csv(_read(cfg["f_csv"]))
         beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
+        if not abs(fbar.lo - tau) <= 1e-12 * tau:
+            raise ValueError(f"the --f-csv grid starts at {fbar.lo!r}, not at the "
+                             f"operating tau={tau!r}")
     else:
-        beta, tau, _, report = _solve_profile(cfg)
+        beta, _, report = _solve_profile(cfg)
         fbar = report.converged_f
-    profile, report = build_profile(fbar, beta, tau, t=cfg["t"])
-    return beta, tau, profile, report
+    return build_profile(fbar, beta, t=cfg["t"])
 
 
 def cmd_solve_f(cfg) -> int:
-    beta, tau, g, report = _solve_profile(cfg)
+    beta, g, report = _solve_profile(cfg)
     head = _header("solve-f", cfg)
     for j, it in enumerate(report.iterates[:4]):
         _write(os.path.join(cfg["outdir"], f"iterate_{j}.csv"), head + it.to_csv())
@@ -159,7 +159,7 @@ def cmd_solve_f(cfg) -> int:
     refined = residual_on_refined(g, fbar)
     lines = [
         f"beta={_fmt(beta)}",
-        f"tau={_fmt(tau)}",
+        f"tau={_fmt(g.lo)}",
         f"iterations={report.iterations}",
         f"bracket_width={report.bracket_width:.6e}",
         f"residual_sup={report.residual_sup:.6e}",
@@ -176,12 +176,12 @@ def cmd_solve_f(cfg) -> int:
 
 
 def cmd_make_phi(cfg) -> int:
-    beta, tau, profile, report = _phi_profile(cfg)
+    profile, report = _phi_profile(cfg)
     head = _header("make-phi", cfg)
     _write(os.path.join(cfg["outdir"], "phi.csv"), head + profile.phi.to_csv())
     lines = [
-        f"beta={_fmt(beta)}",
-        f"tau={_fmt(tau)}",
+        f"beta={_fmt(profile.beta)}",
+        f"tau={_fmt(profile.tau)}",
         f"t={_fmt(profile.t)}",
         f"c_t={_fmt(profile.c_t)}",
         f"delta={_fmt(profile.delta)}",
@@ -197,7 +197,7 @@ def cmd_build(cfg) -> int:
         raise ValueError("epsilon must be >= 0 (0 chooses it)")
     eps = cfg["epsilon"] if cfg["epsilon"] > 0.0 else None
     check_sizes(cfg["k"], cfg["n"], cfg["n_max"], eps)  # before the profile is solved
-    beta, tau, profile, cond_report = _phi_profile(cfg)
+    profile, cond_report = _phi_profile(cfg)
     instance, vreport = build_instance(profile, K=cfg["k"], N=cfg["n"],
                                        n_max=cfg["n_max"], epsilon=eps)
     head = _header("build", cfg)
@@ -205,8 +205,8 @@ def cmd_build(cfg) -> int:
     save_instance(instance, os.path.join(cfg["outdir"], "instance.txt"), header=head)
     st = instance.state
     lines = [
-        f"beta={_fmt(beta)}",
-        f"tau={_fmt(tau)}",
+        f"beta={_fmt(profile.beta)}",
+        f"tau={_fmt(profile.tau)}",
         f"t={_fmt(profile.t)}",
         f"K={instance.params.K}",
         f"N={instance.params.N}",

@@ -274,16 +274,15 @@ def _corrected_trapezoid(p: np.ndarray, h: float) -> float:
     return float(trap + corr)
 
 
-def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
-    """a^{-1} * integral_tau^a f(x) f(x/a) dx with f treated as 0 below tau.
+def scaled_selfconv(f: GridFunction, a: float) -> float:
+    """a^{-1} * integral_tau^a f(x) f(x/a) dx, tau = f.lo, with f treated as 0 below tau.
 
-    ``tau`` must be the left endpoint of f's grid.  Returns 0 for a <= tau.
-    For non-negative samples the interpolated factor is clamped at zero:
-    cubic undershoot at a clamp kink is an artifact, and without the clamp
-    the monotone sweep iteration loses its ordering at coarse grids.
+    Returns 0 for a <= tau.  For non-negative samples the interpolated
+    factor is clamped at zero: cubic undershoot at a clamp kink is an
+    artifact, and without the clamp the monotone sweep iteration loses its
+    ordering at coarse grids.
     """
-    if abs(tau - f.lo) > _EDGE_SLACK * max(1.0, abs(tau)):
-        raise ValueError("tau must coincide with the grid's left endpoint")
+    tau = f.lo
     if a <= tau:
         return 0.0
     slack = _EDGE_SLACK * (f.hi - f.lo)
@@ -293,21 +292,17 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
     nodes = f.nodes
     nonneg = float(np.min(f.values)) >= 0.0
 
-    def second_factor(x):
-        out = f(np.minimum(x / a, f.hi))
-        return np.maximum(out, 0.0) if nonneg else out
-
-    def first_factor(x):
-        out = f(x)
+    def factor(x, scale=1.0):  # f(x / scale), held at f(hi) above hi
+        out = f(np.minimum(x / scale, f.hi))
         return np.maximum(out, 0.0) if nonneg else out
 
     j = int(np.searchsorted(nodes, a + slack) - 1)
     xs = nodes[: j + 1]
-    p = f.values[: j + 1] * second_factor(xs)
+    p = f.values[: j + 1] * factor(xs, a)
     if j == 1:
         # single panel: Simpson with a midpoint sample
         x_mid = 0.5 * (nodes[0] + nodes[1])
-        p_mid = float(first_factor(x_mid)) * float(second_factor(x_mid))
+        p_mid = float(factor(x_mid)) * float(factor(x_mid, a))
         total = f.h / 6.0 * (p[0] + 4.0 * p_mid + p[1])
     else:
         total = _corrected_trapezoid(p, f.h)
@@ -315,8 +310,8 @@ def scaled_selfconv(f: GridFunction, a: float, tau: float) -> float:
     if rem > slack:
         # sub-grid tail panel, Simpson with a midpoint sample
         x_mid = nodes[j] + 0.5 * rem
-        p_mid = float(first_factor(x_mid)) * float(second_factor(x_mid))
-        p_end = float(first_factor(a)) * float(second_factor(a))
+        p_mid = float(factor(x_mid)) * float(factor(x_mid, a))
+        p_end = float(factor(a)) * float(factor(a, a))
         total += rem / 6.0 * (p[-1] + 4.0 * p_mid + p_end)
     return total / a
 
@@ -337,15 +332,15 @@ class SelfConvPlan:
     and the blocks are split across one worker thread per CPU this
     process may run on.  A row's points and its quadrature take the same
     operations whichever thread computes them, so a sweep's bits do not
-    depend on the worker count.  With tables=False the plan keeps no
-    tables: a sweep locates each block's points as it fills the block, by
-    the same code, so its bits are those of a plan with tables.  The plan
-    is a context manager: leaving it stops the workers and frees the
-    tables.  The grid needs 0 < lo and hi <= 1, so that no query x_j / x_i
-    falls below lo, where f counts as 0.
+    depend on the worker count.  A new plan has no tables: its first sweep
+    locates each block's points as it fills the block, and it stores them
+    by the same code before its second, so a plan swept once keeps none.
+    The plan is a context manager: leaving it stops the workers and frees
+    the tables.  The grid needs 0 < lo and hi <= 1, so that no query
+    x_j / x_i falls below lo, where f counts as 0.
     """
 
-    def __init__(self, grid: GridFunction, tables: bool = True):
+    def __init__(self, grid: GridFunction):
         if not (0.0 < grid.lo and grid.hi <= 1.0):
             raise ValueError("a self-convolution plan needs a grid with 0 < lo and hi <= 1")
         self.lo, self.hi, self.m, self.h = grid.lo, grid.hi, grid.m, grid.h
@@ -366,10 +361,7 @@ class SelfConvPlan:
             from concurrent.futures import ThreadPoolExecutor
             self._pool = ThreadPoolExecutor(n - 1)
         self._tables = None
-        if tables:
-            self._tables = (np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32),
-                            np.empty(size), np.empty(size), np.empty(size))
-            self._run(self._store)
+        self._swept = False
 
     def __enter__(self):
         return self
@@ -468,6 +460,11 @@ class SelfConvPlan:
         f2 = f(min(x_mid / self.nodes[1], self.hi))
         if nonneg:
             f1, f2 = max(f1, 0.0), max(f2, 0.0)
+        if self._swept and self._tables is None:  # a second sweep: the tables pay
+            size = int(self.row_ends[-1]) + 1
+            self._tables = tuple(np.empty(size, t) for t in (np.int32,) * 2 + (float,) * 3)
+            self._run(self._store)
+        self._swept = True
         out = np.empty(self.m)
         self._run(self._fill, f.pieces, f.values, nonneg, 4.0 * f1 * f2, out)
         return out / self.nodes
@@ -476,10 +473,10 @@ class SelfConvPlan:
 def selfconv_on_nodes(f: GridFunction, plan: SelfConvPlan | None = None) -> np.ndarray:
     """Scaled self-convolution evaluated at every node of f's own grid.
 
-    plan is a SelfConvPlan for that grid; without one, a plan that keeps
-    no tables sweeps for this call alone, block by block.
+    plan is a SelfConvPlan for that grid; without one, a plan sweeps once
+    for this call alone, so it keeps no tables.
     """
     if plan is not None:
         return plan.sweep(f)
-    with SelfConvPlan(f, tables=False) as plan:
+    with SelfConvPlan(f) as plan:
         return plan.sweep(f)

@@ -121,8 +121,8 @@ def load_instance(path: str) -> AdversarialInstance:
                          c_t=_header_value(scalars, "c_t", float),
                          delta=_header_value(scalars, "delta", float),
                          beta=beta, tau=_header_value(scalars, "tau", float))
-    params = ConstructionParams(beta=beta, K=k_par, N=n_par, n_max=n_max,
-                                epsilon=epsilon, phi=profile)
+    params = ConstructionParams(K=k_par, N=n_par, n_max=n_max, epsilon=epsilon,
+                                phi=profile)
 
     # check the rows against [K-1, n_max] before anything sized by n_max exists
     seed = k_par - 1

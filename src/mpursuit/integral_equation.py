@@ -39,7 +39,7 @@ class IterationReport:
     deriv_bound: float
 
 
-def apply_T(G: GridFunction, f: GridFunction, tau: float,
+def apply_T(G: GridFunction, f: GridFunction, *,
             plan: SelfConvPlan | None = None) -> GridFunction:
     """One sweep: a |-> G(a) - a^{-1} int_tau^a f(x) f(x/a) dx, clamped at 0.
 
@@ -48,8 +48,6 @@ def apply_T(G: GridFunction, f: GridFunction, tau: float,
     """
     if (G.m != f.m) or abs(G.lo - f.lo) > 1e-14 or abs(G.hi - f.hi) > 1e-14:
         raise ValueError("G and f must share one grid")
-    if abs(tau - f.lo) > 1e-12 * max(1.0, abs(tau)):
-        raise ValueError("tau must be the grid's left endpoint")
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("f must be non-negative")
     return GridFunction(G.lo, G.hi, np.maximum(G.values - selfconv_on_nodes(f, plan), 0.0))
@@ -68,7 +66,7 @@ def residual_values(G: GridFunction, f: GridFunction,
     return f.values + selfconv_on_nodes(f, plan) - G.values
 
 
-def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
+def _sweeps(G: GridFunction, plan: SelfConvPlan, max_sweeps: int,
             tol: float) -> list[GridFunction]:
     """Iterates [G, T G, T^2 G, ...] of the clamped sweep map, which must interleave.
 
@@ -78,7 +76,7 @@ def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
     fs = [G]
     widths = [np.inf, np.inf]
     for j in range(1, max_sweeps + 1):
-        fs.append(apply_T(G, fs[-1], tau, plan=plan))
+        fs.append(apply_T(G, fs[-1], plan=plan))
         if j >= 2:
             widths[j % 2] = float(np.max(np.abs(fs[j].values - fs[j - 2].values)))
         if j >= 4 and max(widths) < tol:
@@ -97,10 +95,11 @@ def _sweeps(G: GridFunction, tau: float, plan: SelfConvPlan, max_sweeps: int,
     return fs
 
 
-def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
+def solve_f(G: GridFunction, *, tol: float = 1e-8,
             max_iter: int = 500) -> IterationReport:
     """Alternate the clamped sweep until the even/odd bracket closes.
 
+    G is the right side sampled on [tau, 1]; its grid's left endpoint is tau.
     Stops once sup|f_{j+2} - f_j| < tol for both parities; the solution is
     the average of the final even and odd iterates.  Raises when the
     contraction constant is >= 1 or the bracket fails to close within
@@ -121,7 +120,7 @@ def solve_f(G: GridFunction, tau: float, tol: float = 1e-8,
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")
     with SelfConvPlan(G) as plan:  # the solve's sweeps share one plan, freed on return
-        fs = _sweeps(G, tau, plan, max_iter, tol)
+        fs = _sweeps(G, plan, max_iter, tol)
         even, odd = fs[-1], fs[-2]
         if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
             even, odd = fs[-2], fs[-1]

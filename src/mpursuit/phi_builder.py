@@ -349,13 +349,15 @@ class PhiProfile:
         return max(1, int(self.support_lo * n) - 1)
 
 
-def build_profile(f: GridFunction, beta: float, tau: float, t: float = 0.01,
+def build_profile(f: GridFunction, beta: float, *, t: float = 0.01,
                   t_min: float = 1e-4):
     """Mollify, normalize and certify; halve t until certification passes.
 
-    Returns (PhiProfile, ConditionReport).  Raises once t drops below
-    t_min without a passing certificate.
+    f is the solved profile on [tau, 1], so tau is f.lo; beta is the
+    exponent phi is normalized for.  Returns (PhiProfile, ConditionReport).
+    Raises once t drops below t_min without a passing certificate.
     """
+    tau = f.lo
     t_cur = t
     while True:
         phi_bar = mollify(f, t_cur)

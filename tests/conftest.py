@@ -27,7 +27,7 @@ def coarse_solution(op_point):
     """Integral-equation solve at M=1001 (fast, accurate enough for units)."""
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(1001)
-    report = solve_f(g, tau, tol=1e-9)
+    report = solve_f(g, tol=1e-9)
     return beta, tau, g, report
 
 
@@ -36,7 +36,7 @@ def profile05(coarse_solution):
     """Mollified weight at t=0.05, the construction-friendly width."""
     beta, tau, _, report = coarse_solution
     fbar = report.converged_f
-    profile, cert = build_profile(fbar, beta, tau, t=0.05)
+    profile, cert = build_profile(fbar, beta, t=0.05)
     assert cert.all_pass
     return profile
 
@@ -45,11 +45,10 @@ def profile05(coarse_solution):
 def small_instance(profile05):
     """Tiny instance (K=40, N=80): step conditions and oracles hold, but the
     selection margins are allowed to be negative at this scale."""
-    params = ConstructionParams(beta=profile05.beta, K=40, N=80, n_max=240,
-                                epsilon=None, phi=profile05)
+    params = ConstructionParams(K=40, N=80, n_max=240, epsilon=None, phi=profile05)
     state = init_state(params)
     advance(state, params)
-    params.epsilon = choose_epsilon(state, params)
+    params.epsilon = choose_epsilon(state)
     return finalize(state, params)
 
 

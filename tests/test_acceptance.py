@@ -38,7 +38,7 @@ def solved(op_pair):
     beta, tau = op_pair
     g = bundle(beta, tau).g_grid(2001)
     t0 = time.perf_counter()
-    report = solve_f(g, tau, tol=1e-8)
+    report = solve_f(g, tol=1e-8)
     return beta, tau, g, report, time.perf_counter() - t0
 
 
@@ -46,14 +46,13 @@ def solved(op_pair):
 def full_instance(solved):
     beta, tau, _, rep, _ = solved
     fbar = rep.converged_f
-    profile, cert = build_profile(fbar, beta, tau, t=0.05)
+    profile, cert = build_profile(fbar, beta, t=0.05)
     assert cert.all_pass
-    params = ConstructionParams(beta=beta, K=200, N=400, n_max=5000,
-                                epsilon=None, phi=profile)
+    params = ConstructionParams(K=200, N=400, n_max=5000, epsilon=None, phi=profile)
     t0 = time.perf_counter()
     state = init_state(params)
     advance(state, params)
-    params.epsilon = choose_epsilon(state, params)
+    params.epsilon = choose_epsilon(state)
     instance = finalize(state, params)
     construct_seconds = time.perf_counter() - t0
     vreport = verify(instance)
@@ -115,7 +114,7 @@ def test_criterion_5_integral_equation(solved):
     base = max(rep.residual_sup, 1e-12)
     stable = refined <= 5 * base and base <= 5 * max(refined, 1e-12)
     bs = solve_beta_star()
-    crit = solve_f(bundle(bs, tau_star(bs)).g_grid(2001), tau_star(bs))
+    crit = solve_f(bundle(bs, tau_star(bs)).g_grid(2001))
     ok = (rep.residual_sup <= 1e-6 and stable and crit.f3_min > 0.0
           and rep.f3_min > 0.0 and crit.bracket_certified and rep.bracket_certified
           and seconds < 30.0)
@@ -128,7 +127,7 @@ def test_criterion_5_integral_equation(solved):
 def test_criterion_6_phi_certification(solved):
     beta, tau, _, rep, _ = solved
     fbar = rep.converged_f
-    profile, report = build_profile(fbar, beta, tau, t=0.01)
+    profile, report = build_profile(fbar, beta, t=0.01)
     mass = report.entry("weighted_mass_residual")
     s1 = report.entry("growth_bound_sup")
     s2 = report.entry("tail_bound_sup")

@@ -139,8 +139,8 @@ def test_q_of_domain():
 
 
 def test_init_state_seed_values(profile05):
-    params = ConstructionParams(beta=0.3, K=5, N=6, n_max=10, epsilon=None,
-                                phi=profile05)
+    params = ConstructionParams(K=5, N=6, n_max=10, epsilon=None,
+                                phi=dataclasses.replace(profile05, beta=0.3))
     st = init_state(params)
     coeff = -(5.0 ** -0.2) / 2.0
     assert np.allclose(st.r[:4], coeff, rtol=1e-15)
@@ -148,24 +148,26 @@ def test_init_state_seed_values(profile05):
 
 
 def test_init_state_k2_single_coefficient(profile05):
-    params = ConstructionParams(beta=0.3, K=2, N=3, n_max=6, epsilon=None,
-                                phi=profile05)
+    params = ConstructionParams(K=2, N=3, n_max=6, epsilon=None,
+                                phi=dataclasses.replace(profile05, beta=0.3))
     st = init_state(params)
     assert st.r[0] == pytest.approx(-(2.0 ** (0.3 - 0.5)), rel=1e-15)
     assert st.norms[1] == pytest.approx(2.0 ** (0.3 - 0.5), rel=1e-12)
 
 
 def test_params_validation(profile05):
+    phi = dataclasses.replace(profile05, beta=0.3)
     with pytest.raises(ValueError):
-        ConstructionParams(beta=0.6, K=5, N=6, n_max=9, epsilon=None, phi=profile05)
+        ConstructionParams(K=5, N=6, n_max=9, epsilon=None,
+                           phi=dataclasses.replace(profile05, beta=0.6))
     with pytest.raises(ValueError):
-        ConstructionParams(beta=0.3, K=1, N=6, n_max=9, epsilon=None, phi=profile05)
+        ConstructionParams(K=1, N=6, n_max=9, epsilon=None, phi=phi)
     with pytest.raises(ValueError):
-        ConstructionParams(beta=0.3, K=5, N=4, n_max=9, epsilon=None, phi=profile05)
+        ConstructionParams(K=5, N=4, n_max=9, epsilon=None, phi=phi)
     with pytest.raises(ValueError):
-        ConstructionParams(beta=0.3, K=5, N=6, n_max=6, epsilon=None, phi=profile05)
+        ConstructionParams(K=5, N=6, n_max=6, epsilon=None, phi=phi)
     with pytest.raises(ValueError):
-        ConstructionParams(beta=0.3, K=5, N=6, n_max=9, epsilon=1.5, phi=profile05)
+        ConstructionParams(K=5, N=6, n_max=9, epsilon=1.5, phi=phi)
 
 
 def test_step_energy_identity(small_instance):
@@ -243,20 +245,18 @@ def test_choose_epsilon_cap_and_positivity(small_instance):
 
 
 def test_choose_epsilon_requires_full_state(profile05):
-    params = ConstructionParams(beta=profile05.beta, K=40, N=80, n_max=120,
-                                epsilon=None, phi=profile05)
+    params = ConstructionParams(K=40, N=80, n_max=120, epsilon=None, phi=profile05)
     st = init_state(params)
     while st.n < 100:
         step(st, params)
     with pytest.raises(ValueError):
-        choose_epsilon(st, params)
+        choose_epsilon(st)
 
 
 def test_step_zero_profile_error():
     dead = PhiProfile(phi=GridFunction(0.0, 1.0, np.zeros(501)), t=0.01,
                       c_t=1.0, delta=0.4, beta=0.31, tau=0.46)
-    params = ConstructionParams(beta=0.31, K=5, N=6, n_max=10, epsilon=None,
-                                phi=dead)
+    params = ConstructionParams(K=5, N=6, n_max=10, epsilon=None, phi=dead)
     st = init_state(params)
     assert dead.support_lo == 1.0  # no piece is nonzero: phi is evaluated at (n-1)/n only
     with pytest.raises(ConstructionError, match="phi support misses residual"):
@@ -286,8 +286,8 @@ def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
 
 def test_step_xi_imaginary_error(profile05):
     # beta near 1/2 blows up gamma_n |r_{n-1}| past one
-    params = ConstructionParams(beta=0.49, K=4, N=5, n_max=9, epsilon=None,
-                                phi=profile05)
+    params = ConstructionParams(K=4, N=5, n_max=9, epsilon=None,
+                                phi=dataclasses.replace(profile05, beta=0.49))
     st = init_state(params)
     with pytest.raises(ConstructionError, match="increase K"):
         advance(st, params)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mpursuit
-from mpursuit import cli
+from mpursuit import cli, phi_builder
 from mpursuit.adversarial import verify
 from mpursuit.cli import main
 from mpursuit.errors import ConstructionError, InstanceFormatError
@@ -172,6 +172,12 @@ def test_solve_and_phi_pipeline(tmp_path):
     assert "all_pass=true" in rep
     assert float(value_of(rep, "growth_bound_sup.value")) < 1.0
     assert float(value_of(rep, "tail_bound_sup.value")) < 1.0
+    # the CSV route and a fresh solve give one profile
+    fresh = tmp_path / "fresh"
+    assert main(["make-phi", "--grid-m", "501", "--t", "0.01",
+                 "--outdir", str(fresh)]) == 0
+    for name in ("phi.csv", "phi_report.txt"):
+        assert read(fresh / name).split("\n", 2)[2] == read(ph / name).split("\n", 2)[2]
 
     svg = tmp_path / "iterates.svg"
     assert main(["plot"] + [str(sf / f"iterate_{j}.csv") for j in range(4)]
@@ -183,6 +189,28 @@ def test_solve_and_phi_pipeline(tmp_path):
                     for line in read(sf / "iterate_3.csv").splitlines()
                     if line and not line.startswith(("#", "x,"))])
     assert it3.min() > 0.0
+
+
+@pytest.mark.parametrize("command, flags", [("make-phi", []), ("build", ["--n-max", "900"])])
+def test_f_csv_off_the_operating_tau_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                      command, flags):
+    """A profile solved at the default margins lives on [0.4604, 1]; at
+    --tau-margin 0.9 the operating tau is 0.4228, and the command stops
+    before it mollifies."""
+    sf = tmp_path / "sf"
+    assert main(["solve-f", "--grid-m", "201", "--outdir", str(sf)]) == 0
+
+    def mollify(*args, **kwargs):
+        raise AssertionError("mollified a profile off the operating tau")
+    monkeypatch.setattr(phi_builder, "mollify", mollify)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--f-csv", str(sf / "solved_profile.csv"), "--tau-margin", "0.9",
+                 *flags, "--outdir", str(out)]) == 1
+    line = error_line(capsys)
+    assert line.startswith("error: the --f-csv grid starts at 0.4604")
+    assert "not at the operating tau=0.4228" in line
+    assert not out.exists()
 
 
 def test_plot_requires_inputs(tmp_path, capsys):

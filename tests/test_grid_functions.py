@@ -143,17 +143,17 @@ def test_derivative_accuracy():
 def test_selfconv_zero_function():
     g = grid(0.5, 1, lambda x: np.zeros_like(x), m=501)
     for a in (0.5, 0.7, 1.0):
-        assert scaled_selfconv(g, a, 0.5) == 0.0
+        assert scaled_selfconv(g, a) == 0.0
 
 
 def test_selfconv_at_left_endpoint():
     g = grid(0.5, 1, lambda x: 1 + x, m=501)
-    assert scaled_selfconv(g, 0.5, 0.5) == 0.0
+    assert scaled_selfconv(g, 0.5) == 0.0
 
 
 def test_selfconv_constant_one():
     g = grid(0.5, 1, lambda x: np.ones_like(x), m=501)
-    assert scaled_selfconv(g, 1.0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert scaled_selfconv(g, 1.0) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_selfconv_against_fine_quadrature():
@@ -163,7 +163,7 @@ def test_selfconv_against_fine_quadrature():
     for a in (0.55, 0.731, 0.9, 1.0):
         fine = np.linspace(tau, a, 80001)
         brute = np.trapezoid(spl(fine) * spl(np.minimum(fine / a, 1.0)), fine) / a
-        assert scaled_selfconv(g, a, tau) == pytest.approx(brute, abs=1e-8)
+        assert scaled_selfconv(g, a) == pytest.approx(brute, abs=1e-8)
 
 
 def test_selfconv_off_grid_a_continuity():
@@ -172,8 +172,8 @@ def test_selfconv_off_grid_a_continuity():
     lip = 4.0 / tau  # max|f|^2 / tau
     h = 1e-4
     for a in (0.6003, 0.85017):
-        v0 = scaled_selfconv(g, a, tau)
-        v1 = scaled_selfconv(g, a + h, tau)
+        v0 = scaled_selfconv(g, a)
+        v1 = scaled_selfconv(g, a + h)
         assert abs(v1 - v0) <= lip * h
 
 
@@ -183,7 +183,7 @@ def test_selfconv_on_nodes_matches_pointwise():
     bulk = selfconv_on_nodes(g)
     nodes = g.nodes
     for i in (0, 1, 5, 100, 250, 500):
-        assert bulk[i] == pytest.approx(scaled_selfconv(g, float(nodes[i]), tau),
+        assert bulk[i] == pytest.approx(scaled_selfconv(g, float(nodes[i])),
                                         rel=1e-11, abs=1e-13)
 
 

@@ -5,12 +5,14 @@ import pytest
 
 from mpursuit.constants import bundle, solve_beta_star, tau_star
 from mpursuit.errors import NumericFailure
-from mpursuit.grid_functions import GridFunction, SelfConvPlan, selfconv_on_nodes
+from mpursuit.grid_functions import (GridFunction, SelfConvPlan, scaled_selfconv,
+                                     selfconv_on_nodes)
 from mpursuit.integral_equation import (_MONO_SLACK, apply_T, numeric_rg,
                                         residual_on_refined, solve_f)
+from mpursuit.phi_builder import build_profile
 
 
-def reference_bracket_sequence(G, tau, k=4):
+def reference_bracket_sequence(G, k=4):
     """The bracket certificate as computed before solve_f carried it.
 
     Iterates the clamped map k times from f0 = G; when min f3 > 0 the pair
@@ -24,7 +26,7 @@ def reference_bracket_sequence(G, tau, k=4):
     with SelfConvPlan(G) as plan:
         fs = [G]
         for _ in range(k):
-            fs.append(apply_T(G, fs[-1], tau, plan=plan))
+            fs.append(apply_T(G, fs[-1], plan=plan))
         f3_min = float(np.min(fs[3].values))
         certified = False
         if f3_min > 0.0:
@@ -39,7 +41,7 @@ def test_apply_t_zero_input(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
     zero = GridFunction(tau, 1.0, np.zeros(501))
-    out = apply_T(g, zero, tau)
+    out = apply_T(g, zero)
     assert np.array_equal(out.values, g.values)
     assert np.array_equal(g.values - selfconv_on_nodes(zero), g.values)
 
@@ -47,7 +49,7 @@ def test_apply_t_zero_input(op_point):
 def test_apply_t_left_endpoint_keeps_g(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    out = apply_T(g, g, tau)
+    out = apply_T(g, g)
     assert out.values[0] == pytest.approx(g.values[0], rel=1e-14)
 
 
@@ -69,14 +71,14 @@ def test_apply_t_grid_mismatch():
     g1 = GridFunction(0.5, 1.0, np.ones(11))
     g2 = GridFunction(0.5, 1.0, np.ones(21))
     with pytest.raises(ValueError):
-        apply_T(g1, g2, 0.5)
+        apply_T(g1, g2)
 
 
 def test_bracket_critical_point_f3_positive():
     bs = solve_beta_star()
     ts = tau_star(bs)
     g = bundle(bs, ts).g_grid(1001)
-    rep = solve_f(g, ts)
+    rep = solve_f(g)
     assert rep.f3_min > 0.0
     assert rep.bracket_certified
     assert rep.iterates[1].values.max() <= rep.iterates[0].values.max() + 1e-12
@@ -85,13 +87,13 @@ def test_bracket_critical_point_f3_positive():
 def test_bracket_first_iterate_below_g(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    rep = solve_f(g, tau)
+    rep = solve_f(g)
     assert np.all(rep.iterates[1].values <= rep.iterates[0].values + 1e-12)
 
 
 def test_bracket_zero_g_all_zero():
     zero = GridFunction(0.5, 1.0, np.zeros(501))
-    rep = solve_f(zero, 0.5)
+    rep = solve_f(zero)
     for it in rep.iterates:
         assert np.array_equal(it.values, np.zeros(501))
     assert rep.f3_min == 0.0
@@ -104,28 +106,28 @@ def test_bracket_needs_four_iterates(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
     with pytest.raises(ValueError, match="reads the fourth iterate"):
-        solve_f(g, tau, tol=1e9, max_iter=3)
-    assert solve_f(g, tau, tol=1e9, max_iter=4).iterations == 4
+        solve_f(g, tol=1e9, max_iter=3)
+    assert solve_f(g, tol=1e9, max_iter=4).iterations == 4
     with pytest.raises(ValueError):
-        reference_bracket_sequence(g, tau, 3)
+        reference_bracket_sequence(g, 3)
 
 
 def _critical_g(m):
     bs = solve_beta_star()
-    return bundle(bs, tau_star(bs)).g_grid(m), tau_star(bs)
+    return bundle(bs, tau_star(bs)).g_grid(m)
 
 
 @pytest.mark.parametrize("case", ["critical-201", "critical-1001", "operating-501", "zero"])
 def test_solve_certificate_matches_bracket_sequence(op_point, case):
     """solve_f's certificate from f2, f3, f4 is the two-inequality bracket check."""
     if case == "zero":
-        g, tau = GridFunction(0.5, 1.0, np.zeros(501)), 0.5
+        g = GridFunction(0.5, 1.0, np.zeros(501))
     elif case == "operating-501":
-        g, tau = bundle(*op_point).g_grid(501), op_point[1]
+        g = bundle(*op_point).g_grid(501)
     else:
-        g, tau = _critical_g(int(case.split("-")[1]))
-    rep = solve_f(g, tau)
-    fs, f3_min, certified = reference_bracket_sequence(g, tau)
+        g = _critical_g(int(case.split("-")[1]))
+    rep = solve_f(g)
+    fs, f3_min, certified = reference_bracket_sequence(g)
     assert rep.f3_min == f3_min
     assert rep.bracket_certified == certified
     assert certified == (case != "zero")
@@ -168,7 +170,7 @@ def test_solve_residual_stable_under_grid_doubling(coarse_solution):
 
 def test_solve_zero_g():
     zero = GridFunction(0.5, 1.0, np.zeros(501))
-    rep = solve_f(zero, 0.5, tol=1e-10, max_iter=20)
+    rep = solve_f(zero, tol=1e-10, max_iter=20)
     assert np.array_equal(rep.converged_f.values, np.zeros(501))
     assert rep.residual_sup == 0.0
 
@@ -182,14 +184,14 @@ def test_numeric_rg_matches_closed_form(op_point):
 def test_solve_rejects_expansive_g():
     g = GridFunction(0.5, 1.0, 3.0 * np.ones(501))
     with pytest.raises(NumericFailure, match="contraction"):
-        solve_f(g, 0.5)
+        solve_f(g)
 
 
 def test_solve_max_iter_error_carries_width(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
     with pytest.raises(NumericFailure, match="bracket") as exc:
-        solve_f(g, tau, tol=1e-15, max_iter=6)
+        solve_f(g, tol=1e-15, max_iter=6)
     assert hasattr(exc.value, "bracket_width")
     assert exc.value.bracket_width > 0.0
 
@@ -199,7 +201,7 @@ def test_solve_tol_validation(op_point):
     g = bundle(beta, tau).g_grid(501)
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            solve_f(g, tau, tol=tol)
+            solve_f(g, tol=tol)
 
 
 @pytest.mark.parametrize("max_iter", [0, -5, 1, 2, 3])
@@ -209,20 +211,22 @@ def test_solve_max_iter_validation(op_point, max_iter):
     g = bundle(beta, tau).g_grid(501)
     with pytest.raises(ValueError, match="max_iter must be at least 4: the bracket "
                                          "certificate reads the fourth iterate"):
-        solve_f(g, tau, max_iter=max_iter)
+        solve_f(g, max_iter=max_iter)
 
 
 def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
     """On the 2001 and 4001 grids, of solve_f and of residual_on_refined,
-    the sweep that keeps no tables gives the plan's bits.  Its memory is
-    that of a block, the same on both grids, where a plan's tables take
-    32 bytes a point: 64 MB and 256 MB."""
+    the sweep that keeps no tables gives the bits of a plan's sweep from
+    its tables.  Its memory is that of a block, the same on both grids,
+    where a plan's tables take 32 bytes a point: 64 MB and 256 MB."""
     _, _, g, rep = coarse_solution
     peaks = []
     for factor in (2, 4):
         for fn in (rep.converged_f.refined(factor), g.refined(factor)):
             with SelfConvPlan(fn) as plan:
-                want = plan.sweep(fn)
+                plan.sweep(fn)
+                want = plan.sweep(fn)  # from the tables stored before it
+                assert plan._tables is not None
             tracemalloc.start()
             try:
                 got = selfconv_on_nodes(fn)
@@ -233,3 +237,34 @@ def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
             peaks.append(peak)
     points = 4001 * 4002 // 2
     assert max(peaks[2:]) < 1.5 * min(peaks[:2]) and max(peaks) < 32 * points / 8
+
+
+def test_a_plan_stores_its_tables_before_its_second_sweep(coarse_solution):
+    """A plan builds no tables when made and keeps none after one sweep; its
+    second sweep reads the tables it stored first, with the same bits."""
+    f = coarse_solution[3].converged_f
+    with SelfConvPlan(f) as plan:
+        assert plan._tables is None
+        first = plan.sweep(f)
+        assert plan._tables is None
+        second = plan.sweep(f)
+        tables = plan._tables
+        assert tables is not None and tables[0].size == f.m * (f.m + 1) // 2
+        assert plan.sweep(f).tobytes() == second.tobytes() == first.tobytes()
+        assert plan._tables is tables
+    assert plan._tables is None
+
+
+def test_a_stale_positional_tau_is_a_type_error(op_point):
+    """tau is the grid's left endpoint: passed as before, it is not taken for
+    a tolerance, a plan or a mollification width."""
+    beta, tau = op_point
+    g = bundle(beta, tau).g_grid(201)
+    with pytest.raises(TypeError):
+        solve_f(g, tau)
+    with pytest.raises(TypeError):
+        apply_T(g, g, tau)
+    with pytest.raises(TypeError):
+        build_profile(g, beta, tau)
+    with pytest.raises(TypeError):
+        scaled_selfconv(g, 0.7, tau)

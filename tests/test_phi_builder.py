@@ -227,4 +227,4 @@ def test_build_profile_fallback_exhaustion(coarse_solution):
     beta, tau, _, rep = coarse_solution
     fbar = rep.converged_f
     with pytest.raises(NumericFailure, match="fallback"):
-        build_profile(fbar, 0.45, tau, t=0.02, t_min=0.009)
+        build_profile(fbar, 0.45, t=0.02, t_min=0.009)

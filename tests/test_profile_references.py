@@ -286,7 +286,7 @@ def test_solve_f_owns_its_plan_and_frees_it_on_return(op_point, monkeypatch):
 
     monkeypatch.setattr(integral_equation, "selfconv_on_nodes", watch_selfconv)
     monkeypatch.setattr(integral_equation, "apply_T", watch_apply)
-    report = solve_f(g, tau, tol=1e-9)
+    report = solve_f(g, tol=1e-9)
     assert len(sweeps) == report.iterations
     assert len(plans) == report.iterations + 1  # the sweeps and the residual
     assert not [ref for ref in plans if ref() is not None], "a plan outlived solve_f"
