@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .greedy_algorithms import Dictionary
-from .linear_core import CoeffVector
+from .linear_core import CoeffVector, lazy_zeros
 from .phi_builder import PhiProfile
 
 __all__ = [
@@ -104,7 +104,8 @@ class ConstructionState:
     """Mutable state of the inductive construction.
 
     Scalar sequences are indexed by the step number n directly.  `atoms` is
-    the only atom store: row 0 the blended atom, then d_N..d_n, zero-padded;
+    the only atom store: row 0 the blended atom, then d_N..d_n, zero-padded
+    on `lazy_zeros` pages, so only the written trapezoid is resident;
     `r_hist` (a name the benchmark's tracer reads) is one row, r_N.
     """
 
@@ -119,7 +120,7 @@ class ConstructionState:
         self.xi = np.zeros(n_max + 1)
         self.norms = np.zeros(n_max + 1)
         self.r = np.zeros(n_max)
-        self.atoms = np.zeros((n_max - params.N + 2, n_max))
+        self.atoms = lazy_zeros((n_max - params.N + 2, n_max))
         self.r_hist = np.zeros((1, n_max))
         self.n = params.K - 1
 
@@ -327,7 +328,8 @@ def _residual_components(state: ConstructionState,
                          phi: PhiProfile) -> tuple[np.ndarray, np.ndarray]:
     """(h, b) from the scalar sequences and phi alone.
 
-    h[l - K] is the correction vector h_l for l = K..n_max; b holds the
+    h[l - K] is the correction vector h_l for l = K..n_max, on `lazy_zeros`
+    pages, so only its band is resident; b holds the
     base components of the component formula, b_j = xi_{j+1} past the seed
     block j < K.  `_residual_rows` turns them into residual components.
     """
@@ -336,7 +338,7 @@ def _residual_components(state: ConstructionState,
     b = np.empty(n_max)
     b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
     b[K - 1:] = xi[K:n_max + 1]
-    h = np.zeros((n_max - K + 1, n_max))
+    h = lazy_zeros((n_max - K + 1, n_max))
     for l0 in range(K, n_max + 1, _H_BLOCK):
         ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
         _h_rows(state.alpha, phi, ls, out=h[l0 - K:ls[-1] - K + 1, : ls[-1] - 1])
@@ -360,9 +362,10 @@ def _residual_rows(q: np.ndarray, b: np.ndarray, h: np.ndarray, K: int,
 class OracleTables:
     """Closed-form inner products from scalar sequences alone.
 
-    Keeps two dense arrays, the correction vectors `h` (`_residual_components`)
-    and the atom components `dhat`, built in one forward pass over the
-    residual components by the inductive definition.  `blocks` walks the
+    Keeps two dense arrays on `lazy_zeros` pages, the correction vectors `h`
+    (`_residual_components`) and the atom components `dhat`, built in one
+    forward pass over the residual components by the inductive definition;
+    only their band and triangle are resident.  `blocks` walks the
     steps n upward in blocks of `_VERIFY_BLOCK` steps and yields
     <r_{n-1}, d_k> for each block at once:
 
@@ -388,7 +391,7 @@ class OracleTables:
         self.h, self.b = h, b = _residual_components(state, phi)
 
         # atom components d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k
-        self.dhat = dhat = np.zeros((n_max - N + 1, n_max))
+        self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))
         walk = _residual_rows(q, b, h, K, N)
         for k in range(N, n_max + 1):
             rrow = next(walk)                 # r_hat[k-1]

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linear_core import CoeffVector
+from .linear_core import CoeffVector, lazy_zeros
 
 __all__ = ["Dictionary", "TraceStep", "GreedyTrace", "select_atom", "run",
            "check_algorithm", "ALGORITHMS"]
@@ -178,7 +178,7 @@ class _Basis:
     columns to spare when it opens: on a run whose live prefix grows by one
     entry a step the tile never has to widen.  Products read no zero corner
     outside a tile, and the rows of the open tile not yet filled are never
-    written.
+    written: a tile is `lazy_zeros`, so they take no resident memory.
     """
 
     def __init__(self, width: int):
@@ -197,7 +197,7 @@ class _Basis:
                 self.tiles.append((np.zeros((_TILE, 0)), 0, 0))
             tile, filled, live = self.tiles[-1]
             if tile.shape[1] < cols:  # the live prefix outgrew the tile
-                wide = np.zeros((_TILE, min(self.width, cols + _TILE)))
+                wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))
                 wide[:filled, :live] = tile[:filled, :live]
                 tile = wide
             k = min(_TILE - filled, len(rows))

@@ -12,6 +12,8 @@ alpha and xi zero as the writer leaves them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .adversarial import (CONDITION_RTOL, AdversarialInstance, ConstructionParams,
@@ -73,7 +75,9 @@ def _header_value(scalars: dict, key: str, typ):
 def load_instance(path: str) -> AdversarialInstance:
     """Parse an instance file and replay the construction it describes.
 
-    A malformed file raises InstanceFormatError; a replay whose step
+    A malformed file raises InstanceFormatError, and so does a header
+    whose t, tau, c_t and delta are not finite with 0 < t < tau < 1,
+    c_t > 0 and delta = tau - 2t exactly; a replay whose step
     conditions fail raises ConstructionError naming the step.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -117,10 +121,18 @@ def load_instance(path: str) -> AdversarialInstance:
     if _header_value(scalars, "grid_m", int) != phi_grid.m:
         raise InstanceFormatError(f"instance header grid_m={scalars['grid_m']} does "
                                   f"not match the {phi_grid.m} nodes of [phi]")
-    profile = PhiProfile(phi=phi_grid, t=_header_value(scalars, "t", float),
-                         c_t=_header_value(scalars, "c_t", float),
-                         delta=_header_value(scalars, "delta", float),
-                         beta=beta, tau=_header_value(scalars, "tau", float))
+    t, tau, c_t, delta = (_header_value(scalars, key, float)
+                          for key in ("t", "tau", "c_t", "delta"))
+    for key, val in (("t", t), ("tau", tau), ("c_t", c_t), ("delta", delta)):
+        if not math.isfinite(val):
+            raise InstanceFormatError(f"instance header {key}={val!r} is not finite")
+    if not (0.0 < t < tau < 1.0 and c_t > 0.0):
+        raise InstanceFormatError(f"instance header needs 0 < t < tau < 1 and c_t > 0, "
+                                  f"not t={t!r}, tau={tau!r}, c_t={c_t!r}")
+    if delta != tau - 2.0 * t:  # build_profile's delta, which %.17g round-trips
+        raise InstanceFormatError(f"instance header delta={delta!r} is not "
+                                  f"tau - 2t = {tau - 2.0 * t!r}")
+    profile = PhiProfile(phi=phi_grid, t=t, c_t=c_t, delta=delta, beta=beta, tau=tau)
     params = ConstructionParams(K=k_par, N=n_par, n_max=n_max, epsilon=epsilon,
                                 phi=profile)
 

@@ -4,15 +4,38 @@ A CoeffVector stores the leading ``active_len`` coefficients of a sequence
 space element; everything beyond is implicitly zero.  The vectors are
 read-only containers: the program's inner products are BLAS products over
 the dictionary's atom matrix.
+
+`lazy_zeros` allocates the program's triangular and banded stores: dense
+arrays of which only a trapezoid or a band is ever written.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CoeffVector"]
+__all__ = ["CoeffVector", "lazy_zeros"]
+
+
+def lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Writable C-order float64 zeros of the given shape on anonymous private pages.
+
+    A page is backed only once written; a page that is only read maps the
+    kernel's shared zero page, which resident memory does not count.  The
+    pages are advised out of transparent huge pages, so one written entry
+    backs 4 KiB, not 2 MiB.  The mapping is released with the array.
+    `tracemalloc` does not see it.
+    """
+    nbytes = 8 * math.prod(shape)
+    buf = mmap.mmap(-1, max(nbytes, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel built without huge pages
+            buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, dtype=np.float64, buffer=buf)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -563,7 +564,9 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
 def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
     # everything verify allocates past the two dense arrays of the oracle is
     # a few arrays of one block of steps each (the parent's dense tables
-    # needed about 15 such blocks more here)
+    # needed about 15 such blocks more here).  h and dhat are lazy_zeros
+    # pages, which tracemalloc does not see, so the bound leaves them out;
+    # their resident memory is test_resident_memory_follows_the_nonzero_structure's.
     inst = mid_instance[0]
     p = inst.params
     tracemalloc.start()
@@ -573,8 +576,12 @@ def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
     finally:
         tracemalloc.stop()
     tables = inst.oracle_tables()
+    for base in (tables.h, tables.dhat):
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, mmap.mmap)
     block_bytes = adversarial._VERIFY_BLOCK * (p.n_max - p.N + 1) * 8
-    assert peak <= tables.h.nbytes + tables.dhat.nbytes + 8 * block_bytes
+    assert peak <= 8 * block_bytes
 
 
 def test_verify_dual_paths_agree_even_without_margins(small_instance):

@@ -1,4 +1,5 @@
 import json
+import mmap
 import os
 import re
 import subprocess
@@ -377,6 +378,46 @@ def test_instance_missing_header_key_is_a_usage_error(tmp_path, saved_instance, 
                     ["run", "--out", str(tmp_path / "t.csv")]):
             assert main(cmd + ["--instance", str(bad)]) == 1
             assert key in error_line(capsys)
+
+
+def edit_header(text, **values):
+    """The instance text with the header lines key=... set to key=value."""
+    lines = text.splitlines(keepends=True)
+    for key, value in values.items():
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}="))
+        lines[i] = f"{key}={value}\n"
+    return "".join(lines)
+
+
+HEADER_EDITS = {
+    # all four at once: this header replayed and verified before it was checked
+    "t_tau_c_t_delta": (dict(t="0.3", tau="0.1", c_t="7", delta="0.9"),
+                        "instance header needs 0 < t < tau < 1 and c_t > 0, "
+                        "not t=0.3, tau=0.1, c_t=7.0"),
+    "delta": (dict(delta="0.25"), "instance header delta=0.25 is not tau - 2t = "),
+    "c_t_nan": (dict(c_t="nan"), "instance header c_t=nan is not finite"),
+    "t_zero": (dict(t="0"), "instance header needs 0 < t < tau < 1 and c_t > 0, not t=0.0"),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_EDITS))
+def test_instance_header_t_tau_c_t_delta_are_checked(tmp_path, saved_instance, capsys,
+                                                     case):
+    """t, tau, c_t and delta must be finite with 0 < t < tau < 1, c_t > 0 and
+    delta = tau - 2t exactly, as build_profile writes them; nothing in the
+    replay or in verify reads them, so only this check catches an edit."""
+    _, path = saved_instance
+    values, message = HEADER_EDITS[case]
+    bad = tmp_path / "bad.txt"
+    bad.write_text(edit_header(read(path), **values))
+    with pytest.raises(InstanceFormatError, match=re.escape(message)):
+        load_instance(str(bad))
+    capsys.readouterr()
+    for cmd in (["verify", "--out", str(tmp_path / "v.txt")],
+                ["run", "--out", str(tmp_path / "t.csv")]):
+        assert main(cmd + ["--instance", str(bad)]) == 1
+        assert error_line(capsys).startswith(f"error: {message}")
+    assert not (tmp_path / "v.txt").exists() and not (tmp_path / "t.csv").exists()
 
 
 _SEQ_HEADER = "n,q,gamma,alpha,xi\n"
@@ -824,6 +865,72 @@ def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
     assert main(["run", "--instance", path, "--steps", "5",
                  "--out", str(tmp_path / "t.csv")]) == 0
     assert shared == [True]
+
+
+_SMAPS_PROBE = """
+import json, sys
+from mpursuit import adversarial
+from mpursuit.instance_io import load_instance
+
+inst = load_instance(sys.argv[1])
+st, phi, B = inst.state, inst.params.phi, adversarial._H_BLOCK
+tables = inst.oracle_tables()
+K, N, n_max = st.K, st.N, st.n_max
+# the columns each row is written on: atoms the blended atom then d_N..d_n_max,
+# dhat the triangle, h the band from its phi block's support edge
+written = {
+    "atoms": [(0, N)] + [(0, k) for k in range(N, n_max + 1)],
+    "h": [(phi.first_live(K + B * ((l - K) // B)) - 1, l - 1) for l in range(K, n_max + 1)],
+    "dhat": [(0, k) for k in range(N, n_max + 1)],
+}
+arrays = {}
+for name, a in (("atoms", st.atoms), ("h", tables.h), ("dhat", tables.dhat)):
+    assert len(written[name]) == len(a)
+    arrays[name] = (a.ctypes.data, a.ctypes.data + a.nbytes, len(a),
+                    8 * sum(hi - lo for lo, hi in written[name]))
+maps = []
+with open("/proc/self/smaps") as fh:
+    for line in fh:
+        head = line.split()
+        if head[0] == "Rss:":
+            maps[-1][2] = int(head[1]) * 1024
+        elif not head[0].endswith(":"):
+            lo, hi = head[0].split("-")
+            maps.append([int(lo, 16), int(hi, 16), 0])
+print(json.dumps({"arrays": arrays, "maps": maps}))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+def test_resident_memory_follows_the_nonzero_structure(instance_2500):
+    """In a fresh process that replays the 2500 instance and makes its oracle
+    tables, the resident pages of the atom store, of h and of dhat number at
+    most their written trapezoid, band and triangle, 8 bytes an entry, plus
+    one page a row.  Dense, they would take 42 MB, 46 MB and 42 MB against
+    bounds of 33 MB, 24 MB and 33 MB.  The kernel merges adjacent mappings
+    with the same flags, so the Rss of every mapping that overlaps an array
+    counts, against the bounds of every array those mappings overlap."""
+    src = os.path.dirname(os.path.dirname(mpursuit.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SMAPS_PROBE, instance_2500],
+                          env=dict(os.environ, PYTHONPATH=src), check=True,
+                          capture_output=True, text=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    arrays, maps = probe["arrays"].values(), probe["maps"]
+
+    def meets(a, b):
+        return a[0] < b[1] and b[0] < a[1]
+
+    for array in arrays:
+        group, over = [array], []
+        while True:  # the arrays and mappings linked to this array by overlaps
+            over = [m for m in maps if any(meets(m, a) for a in group)]
+            linked = [a for a in arrays if any(meets(a, m) for m in over)]
+            if len(linked) == len(group):
+                break
+            group = linked
+        rss = sum(m[2] for m in over)
+        bound = sum(written + rows * mmap.PAGESIZE for _, _, rows, written in group)
+        assert 0 < rss <= bound, (array, rss, bound)
 
 
 @pytest.mark.parametrize("alg", ["pga", "oga"])

@@ -1,7 +1,9 @@
+import mmap
+
 import numpy as np
 import pytest
 
-from mpursuit.linear_core import CoeffVector
+from mpursuit.linear_core import CoeffVector, lazy_zeros
 
 
 def test_vectors_are_immutable():
@@ -27,3 +29,22 @@ def test_shape_and_length_validation():
     v = CoeffVector(np.zeros(3))
     with pytest.raises(AttributeError):  # the length of coeffs, not a setting
         v.active_len = 2
+
+
+def mmap_base(a):
+    """The object at the end of a's chain of bases."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("shape", [(3, 700), (5,), (0, 4), (2, 0, 3)])
+def test_lazy_zeros_are_writable_c_order_float64_zeros(shape):
+    a = lazy_zeros(shape)
+    assert a.shape == shape and a.dtype == np.float64
+    assert a.flags.c_contiguous and a.flags.writeable
+    assert isinstance(mmap_base(a), mmap.mmap)
+    assert not a.any()
+    b = lazy_zeros(shape)
+    a[...] = 1.0  # each call maps pages of its own
+    assert not b.any() and np.all(a == 1.0)
