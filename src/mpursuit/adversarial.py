@@ -45,6 +45,7 @@ DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
 _VERIFY_BLOCK = 128  # steps per block of the oracle's walk, read when a walk starts
 _H_BLOCK = 32        # correction vectors per phi evaluation in OracleTables
+_MAX_DOUBLINGS = 4   # times build_instance doubles K and N after a failed attempt
 
 
 def q_of(n, beta: float):
@@ -110,7 +111,7 @@ class ConstructionState:
     """
 
     def __init__(self, params: ConstructionParams):
-        self.beta = params.beta
+        self.params = params
         self.K = params.K
         self.N = params.N
         self.n_max = n_max = params.n_max
@@ -143,8 +144,7 @@ def init_state(params: ConstructionParams) -> ConstructionState:
     return st
 
 
-def step(state: ConstructionState, params: ConstructionParams,
-         given: np.ndarray | None = None) -> ConstructionState:
+def step(state: ConstructionState, given: np.ndarray | None = None) -> ConstructionState:
     """Advance one index: build d_n and r_n, then assert the step conditions.
 
     `given` replays a stored step, its (q, gamma, alpha, xi), with the same
@@ -154,10 +154,10 @@ def step(state: ConstructionState, params: ConstructionParams,
     n = state.n + 1
     if n > state.n_max:
         raise ValueError("state already at n_max")
-    beta = state.beta
-    i0 = params.phi.first_live(n)  # phi(i / n) is +0.0 below i0
+    beta, phi = state.params.beta, state.params.phi
+    i0 = phi.first_live(n)  # phi(i / n) is +0.0 below i0
     w = np.zeros(n - 1)
-    w[i0 - 1:] = params.phi(np.arange(i0, n) / n) / n
+    w[i0 - 1:] = phi(np.arange(i0, n) / n) / n
     r = state.r
     if given is None:
         qn = q_of(n, beta)
@@ -215,13 +215,13 @@ def step(state: ConstructionState, params: ConstructionParams,
     return state
 
 
-def advance(state: ConstructionState, params: ConstructionParams,
+def advance(state: ConstructionState,
             given_rows: np.ndarray | None = None) -> ConstructionState:
     """Run steps up to n_max; column n of `given_rows`, a (4, n_max + 1)
     table of q, gamma, alpha and xi, replays step n."""
     while state.n < state.n_max:
         given = None if given_rows is None else given_rows[:, state.n + 1]
-        step(state, params, given=given)
+        step(state, given=given)
     return state
 
 
@@ -269,25 +269,38 @@ def choose_epsilon(state: ConstructionState) -> float:
 
 @dataclass
 class AdversarialInstance:
-    """Finished construction: target, dictionary, and the state behind them."""
+    """Finished construction: the state behind it and its dictionary; the
+    parameters, the target f and the variation bound are read from the state."""
 
-    params: ConstructionParams
-    f: CoeffVector
-    dictionary: Dictionary
-    variation_bound: float
     state: ConstructionState = field(repr=False)
+    dictionary: Dictionary
+
+    @property
+    def params(self) -> ConstructionParams:
+        return self.state.params
+
+    @property
+    def f(self) -> CoeffVector:
+        """The target r_N: a read-only view of the stored residual."""
+        return CoeffVector(self.state.r_hist[0, :self.state.N])
+
+    @property
+    def variation_bound(self) -> float:
+        """The l1 norm of f's expansion in the blended atom and d_N."""
+        eps, r_n_norm = self.params.epsilon, self.state.norms[self.state.N]
+        return float((r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps)))
 
     def oracle_tables(self) -> "OracleTables":  # fresh tables on every call
-        return OracleTables(self.state, self.params.phi, self.params.epsilon)
+        return OracleTables(self.state)
 
 
-def finalize(state: ConstructionState, params: ConstructionParams) -> AdversarialInstance:
-    """Assemble f = r_N, the blended atom (row 0 of the store), and the dictionary."""
+def finalize(state: ConstructionState) -> AdversarialInstance:
+    """Assemble the blended atom (row 0 of the store) and the dictionary; f is r_N."""
     if state.n != state.n_max:
         raise ValueError("advance the construction to n_max before finalizing")
-    if params.epsilon is None:
+    eps = state.params.epsilon
+    if eps is None:
         raise ValueError("epsilon not chosen")
-    eps = params.epsilon
     N = state.N
     r_n = state.r_hist[0, :N]
     r_n_norm = state.norms[N]
@@ -300,28 +313,21 @@ def finalize(state: ConstructionState, params: ConstructionParams) -> Adversaria
     ks = range(N, state.n_max + 1)
     dictionary = Dictionary(state.atoms, [N, *ks],
                             [f"dt{N}", *(f"d{k}" for k in ks)])
-    variation = (r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps))
-    return AdversarialInstance(
-        params=params, f=CoeffVector(r_n.copy()), dictionary=dictionary,
-        variation_bound=float(variation), state=state)
+    return AdversarialInstance(state=state, dictionary=dictionary)
 
 
-def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray, out: np.ndarray) -> None:
     """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
     consecutive l in ls: one row each, zero from column l - 1 on.  One phi
     evaluation covers the columns from the first row's support edge on;
     phi is +0.0 below it in every row.  The rows go into out, a zero
-    len(ls) x (ls[-1] - 1) block, made when not given."""
-    if out is None:
-        out = np.zeros((ls.size, ls[-1] - 1))
+    len(ls) x (ls[-1] - 1) block."""
     i0 = phi.first_live(int(ls[0]))
     i = np.arange(i0, ls[-1])
     inside = i < ls[:, None]
     vals = phi(np.where(inside, i / ls[:, None], 0.0))
     vals *= (alpha[ls] / ls)[:, None]
     np.copyto(out[:, i0 - 1:], vals, where=inside)
-    return out
 
 
 def _residual_components(state: ConstructionState,
@@ -333,7 +339,7 @@ def _residual_components(state: ConstructionState,
     base components of the component formula, b_j = xi_{j+1} past the seed
     block j < K.  `_residual_rows` turns them into residual components.
     """
-    K, n_max, beta = state.K, state.n_max, state.beta
+    K, n_max, beta = state.K, state.n_max, state.params.beta
     q, xi = state.q, state.xi
     b = np.empty(n_max)
     b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
@@ -382,13 +388,13 @@ class OracleTables:
     construction's stored vectors.
     """
 
-    def __init__(self, state: ConstructionState, phi: PhiProfile, epsilon: float):
-        K, N, n_max = state.K, state.N, state.n_max
+    def __init__(self, state: ConstructionState):
+        K, N, n_max, epsilon = state.K, state.N, state.n_max, state.params.epsilon
         gamma, xi = state.gamma, state.xi
         self.K, self.N, self.n_max, self.epsilon = K, N, n_max, epsilon
         self.q = q = state.q.copy()
-        self.rn_norm = float(_schedule(N, state.beta))
-        self.h, self.b = h, b = _residual_components(state, phi)
+        self.rn_norm = float(_schedule(N, state.params.beta))
+        self.h, self.b = h, b = _residual_components(state, state.params.phi)
 
         # atom components d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k
         self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))
@@ -582,7 +588,7 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
             til_min, til_arg = tmarg[j], lo + j
         del direct, pairs, tilde, margins, omargins, rows   # before the next block
     norms[-1:] = np.linalg.norm(r[None], axis=1)   # r_{n_max}, in the rows' own arithmetic
-    sched_err = np.max(np.abs(norms / _schedule(np.arange(N, n_max + 1), st.beta) - 1.0))
+    sched_err = np.max(np.abs(norms / _schedule(np.arange(N, n_max + 1), st.params.beta) - 1.0))
 
     return VerificationReport(
         n_pairs=(n_max - N) * width,
@@ -597,26 +603,25 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
         else f"non-finite inner product at n={first_nonfinite}")
 
 
-def build_instance(phi: PhiProfile, K: int = 200, N: int = 400,
-                   n_max: int = 5000, epsilon: float | None = None,
-                   max_doublings: int = 4):
+def build_instance(phi: PhiProfile, K: int, N: int, n_max: int,
+                   epsilon: float | None = None):
     """Construct, choose epsilon, finalize, verify; double K and N on failure.
 
     Returns (instance, verification_report).  Raises ConstructionError
     once the doubling budget is exhausted.
     """
     last_err = ConstructionError(f"N={N} leaves no room below n_max={n_max}")
-    for attempt in range(max_doublings + 1):
+    for attempt in range(_MAX_DOUBLINGS + 1):
         kk, nn = K << attempt, N << attempt
         if nn >= n_max:
             break
         params = ConstructionParams(K=kk, N=nn, n_max=n_max, epsilon=epsilon, phi=phi)
         try:
             state = init_state(params)
-            advance(state, params)
+            advance(state)
             if params.epsilon is None:
                 params.epsilon = choose_epsilon(state)
-            inst = finalize(state, params)
+            inst = finalize(state)
             report = verify(inst)
             if not report.passed:
                 raise ConstructionError(

@@ -294,9 +294,8 @@ def _load_curve(path: str):
 def cmd_plot(cfg, *inputs) -> int:
     curves = [_load_curve(path) for path in inputs]
     labels = [os.path.splitext(os.path.basename(path))[0] for path in inputs]
-    line_plot(curves, labels, cfg["out"], log_x=cfg["log_log"],
-              log_y=cfg["log_log"], title=cfg["title"],
-              header_lines=[_header("plot", cfg).strip()])
+    _write(cfg["out"], line_plot(curves, labels, cfg["log_log"], cfg["title"],
+                                 _header("plot", cfg).strip()))
     return EXIT_OK
 
 

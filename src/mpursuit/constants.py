@@ -31,11 +31,11 @@ __all__ = [
 ]
 
 _RG_SCAN_POINTS = 10000  # grid of the independent R_G scan
+_BISECT_WIDTH = 1e-8     # bracket width at which _hybrid_root turns to Newton
+_ROOT_TOL = 1e-12        # |fn(x)| at which _hybrid_root accepts x
 
 
-def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
-                 bisect_width: float = 1e-8, tol: float = 1e-12,
-                 label: str = "equation") -> float:
+def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float, label: str) -> float:
     """Bisection to a narrow bracket, then Newton polish.
 
     The target functions here are smooth and monotone near their roots, so
@@ -45,7 +45,7 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
     if not np.isfinite(flo) or not np.isfinite(fhi) or flo * fhi > 0.0:
         raise NumericFailure(f"no root: {label} has no sign change on [{lo}, {hi}]")
     a, b, fa = lo, hi, flo
-    while b - a > bisect_width:
+    while b - a > _BISECT_WIDTH:
         mid = 0.5 * (a + b)
         fm = fn(mid)
         if fm == 0.0:
@@ -58,18 +58,18 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float,
     x = 0.5 * (a + b)
     for _ in range(40):
         fx = fn(x)
-        if abs(fx) <= tol:
+        if abs(fx) <= _ROOT_TOL:
             return x
         step = max(1e-9, 1e-7 * abs(x))
         dfx = (fn(x + step) - fn(x - step)) / (2.0 * step)
         if dfx == 0.0:
             break
         x_new = x - fx / dfx
-        if not (a - bisect_width <= x_new <= b + bisect_width):
+        if not (a - _BISECT_WIDTH <= x_new <= b + _BISECT_WIDTH):
             x_new = 0.5 * (a + b)
         x = x_new
-    if abs(fn(x)) > tol:
-        raise NumericFailure(f"root polish for {label} stalled above tolerance {tol}")
+    if abs(fn(x)) > _ROOT_TOL:
+        raise NumericFailure(f"root polish for {label} stalled above tolerance {_ROOT_TOL}")
     return x
 
 

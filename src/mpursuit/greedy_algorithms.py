@@ -46,11 +46,8 @@ class Dictionary:
     kept as a read-only int array.
     """
 
-    def __init__(self, rows: np.ndarray, lengths: Sequence[int],
-                 labels: Sequence[str] | None = None):
+    def __init__(self, rows: np.ndarray, lengths: Sequence[int], labels: Sequence[str]):
         rows = np.ascontiguousarray(rows, dtype=np.float64)
-        if labels is None:
-            labels = [f"a{i}" for i in range(len(rows))]
         labels = [str(s) for s in labels]
         if not len(lengths) == len(labels) == len(rows):
             raise ValueError("one length and one label per atom required")
@@ -102,7 +99,6 @@ class GreedyTrace:
     algorithm: str
     shrinkage: float
     steps: list[TraceStep] = field(default_factory=list)
-    atom_indices: list[int] = field(default_factory=list)
 
     @property
     def residual_norms(self) -> np.ndarray:
@@ -285,7 +281,6 @@ def _oga(f: CoeffVector, dictionary: Dictionary, steps: int):
             if not (math.isfinite(norms[i]) and math.isfinite(vv)):
                 raise RuntimeError(f"numeric breakdown at step {n + i + 1}")
             trace.steps.append(TraceStep(n + i + 1, dictionary.labels[jj], ss, vv, norms[i]))
-            trace.atom_indices.append(jj)
         if kept[acc - 1]:
             basis.append(block[:kept[acc - 1], :cols[acc - 1]])
         live = lives[acc - 1]
@@ -414,7 +409,6 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         if not (np.isfinite(rnorm) and np.isfinite(value)):
             raise RuntimeError(f"numeric breakdown at step {n}")
         trace.steps.append(TraceStep(n, dictionary.labels[j], sign, coeff, rnorm))
-        trace.atom_indices.append(j)
         if rnorm < RESIDUAL_HALT:
             break
     return trace

@@ -54,12 +54,9 @@ def instance_to_text(instance: AdversarialInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_instance(instance: AdversarialInstance, path: str,
-                  header: str = "") -> None:
+def save_instance(instance: AdversarialInstance, path: str, header: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header)
-        fh.write(instance_to_text(instance))
+        fh.write(header + instance_to_text(instance))
 
 
 def _header_value(scalars: dict, key: str, typ):
@@ -76,9 +73,9 @@ def load_instance(path: str) -> AdversarialInstance:
     """Parse an instance file and replay the construction it describes.
 
     A malformed file raises InstanceFormatError, and so does a header
-    whose t, tau, c_t and delta are not finite with 0 < t < tau < 1,
-    c_t > 0 and delta = tau - 2t exactly; a replay whose step
-    conditions fail raises ConstructionError naming the step.
+    that repeats a key or whose t, tau, c_t and delta are not finite
+    with 0 < t < tau < 1, c_t > 0 and delta = tau - 2t exactly; a replay
+    whose step conditions fail raises ConstructionError naming the step.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -100,7 +97,10 @@ def load_instance(path: str) -> AdversarialInstance:
             if line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            scalars[key.strip()] = val.strip()
+            key = key.strip()
+            if key in scalars:
+                raise InstanceFormatError(f"instance header repeats {key}=")
+            scalars[key] = val.strip()
         elif section == "phi":
             phi_lines.append(line)
         else:
@@ -129,10 +129,10 @@ def load_instance(path: str) -> AdversarialInstance:
     if not (0.0 < t < tau < 1.0 and c_t > 0.0):
         raise InstanceFormatError(f"instance header needs 0 < t < tau < 1 and c_t > 0, "
                                   f"not t={t!r}, tau={tau!r}, c_t={c_t!r}")
-    if delta != tau - 2.0 * t:  # build_profile's delta, which %.17g round-trips
+    profile = PhiProfile(phi=phi_grid, t=t, c_t=c_t, beta=beta, tau=tau)
+    if delta != profile.delta:  # the writer's %.17g round-trips it
         raise InstanceFormatError(f"instance header delta={delta!r} is not "
-                                  f"tau - 2t = {tau - 2.0 * t!r}")
-    profile = PhiProfile(phi=phi_grid, t=t, c_t=c_t, delta=delta, beta=beta, tau=tau)
+                                  f"tau - 2t = {profile.delta!r}")
     params = ConstructionParams(K=k_par, N=n_par, n_max=n_max, epsilon=epsilon,
                                 phi=profile)
 
@@ -161,5 +161,5 @@ def load_instance(path: str) -> AdversarialInstance:
     if not abs(seed_q - want) <= CONDITION_RTOL * want:
         raise ConstructionError(f"step {seed} seed q={seed_q!r} vs schedule {want!r}")
     state.q[seed] = seed_q
-    advance(state, params, given_rows=table)
-    return finalize(state, params)
+    advance(state, given_rows=table)
+    return finalize(state)

@@ -28,6 +28,8 @@ BUMP_MASS = 0.44399381616807944
 _GL_PIECE_NODES, _GL_PIECE_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MOLLIFY_CUTS = 4096  # cuts per run of output nodes that mollify evaluates at once
 _A_BLOCK = 32         # a values evaluated together by check_conditions
+_A_POINTS = 2000      # evenly spaced a values every check_conditions evaluates
+_T_MIN = 1e-4         # narrowest mollification width build_profile tries
 
 
 def bump_kernel(u):
@@ -189,12 +191,6 @@ class ConditionReport:
     def all_pass(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    def entry(self, name: str) -> ConditionEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def to_text(self) -> str:
         lines = [f"mode={self.mode}"]
         for e in self.entries:
@@ -206,7 +202,7 @@ class ConditionReport:
 
 
 def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
-                     a_points: int = 2000, extra_points=None) -> ConditionReport:
+                     extra_points=None) -> ConditionReport:
     """Evaluate the construction's integral (in)equalities for fn.
 
     mode "phi_form": fn is the smooth weight on [0, 1]; the two sup
@@ -220,7 +216,7 @@ def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
     if mode not in ("phi_form", "f_form"):
         raise ValueError("mode must be phi_form or f_form")
     with np.errstate(all="ignore"):  # a non-finite value propagates and fails below
-        growth, tail = _condition_values(fn, beta, tau, mode, a_points, extra_points)
+        growth, tail = _condition_values(fn, beta, tau, mode, extra_points)
         sup1 = float(np.max(np.abs(growth), initial=0.0))
         sup2 = float(np.max(np.abs(tail), initial=0.0))
         target = beta / (1.0 - 2.0 * beta)
@@ -235,7 +231,7 @@ def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
 
 
 def _condition_values(fn: GridFunction, beta: float, tau: float, mode: str,
-                      a_points: int, extra_points) -> tuple[np.ndarray, np.ndarray]:
+                      extra_points) -> tuple[np.ndarray, np.ndarray]:
     """The two inequalities' expressions at each a of the check, ascending.
 
     The a values are evaluated in blocks of _A_BLOCK.
@@ -246,7 +242,7 @@ def _condition_values(fn: GridFunction, beta: float, tau: float, mode: str,
     tails = fn.log_between(nodes, fn.hi)  # integral_x^1 fn/z dz at nodes
 
     a_lo = tau if mode == "f_form" else 0.0
-    a_grid = [np.linspace(a_lo, 1.0, a_points)]
+    a_grid = [np.linspace(a_lo, 1.0, _A_POINTS)]
     b1 = tau * ((1.0 - beta) / (1.0 - 2.0 * beta)) ** (1.0 / beta)
     for cand in (b1, tau, 1.0):
         if a_lo <= cand <= 1.0:
@@ -325,12 +321,16 @@ class PhiProfile:
     phi: GridFunction
     t: float
     c_t: float
-    delta: float
     beta: float
     tau: float
 
     def __call__(self, x):
         return self.phi(x)
+
+    @property
+    def delta(self) -> float:
+        """tau - 2t: the width-t mollification phi is zero below it."""
+        return self.tau - 2.0 * self.t
 
     @cached_property
     def support_lo(self) -> float:
@@ -349,13 +349,12 @@ class PhiProfile:
         return max(1, int(self.support_lo * n) - 1)
 
 
-def build_profile(f: GridFunction, beta: float, *, t: float = 0.01,
-                  t_min: float = 1e-4):
+def build_profile(f: GridFunction, beta: float, *, t: float = 0.01):
     """Mollify, normalize and certify; halve t until certification passes.
 
     f is the solved profile on [tau, 1], so tau is f.lo; beta is the
     exponent phi is normalized for.  Returns (PhiProfile, ConditionReport).
-    Raises once t drops below t_min without a passing certificate.
+    Raises once t drops below _T_MIN without a passing certificate.
     """
     tau = f.lo
     t_cur = t
@@ -365,10 +364,9 @@ def build_profile(f: GridFunction, beta: float, *, t: float = 0.01,
         window = np.linspace(max(0.0, tau - t_cur), min(1.0, tau + t_cur), 501)
         report = check_conditions(phi, beta, tau, "phi_form", extra_points=window)
         if report.all_pass:
-            profile = PhiProfile(phi=phi, t=t_cur, c_t=c_t,
-                                 delta=tau - 2.0 * t_cur, beta=beta, tau=tau)
+            profile = PhiProfile(phi=phi, t=t_cur, c_t=c_t, beta=beta, tau=tau)
             return profile, report
-        if t_cur / 2.0 < t_min:
+        if t_cur / 2.0 < _T_MIN:
             raise NumericFailure(
                 f"no mollification width in the fallback schedule certifies the "
                 f"profile (stopped at t={t_cur:g})")

@@ -1,0 +1,107 @@
+"""Compare the deterministic CLI outputs of two mpursuit source trees.
+
+Usage::
+
+    python tests/compare_outputs.py SRC_A SRC_B [--workdir DIR]
+
+SRC_A and SRC_B are ``src`` directories, for example of a parent commit and
+of a change.  For each tree, under ``OPENBLAS_NUM_THREADS`` 1 and then 2,
+this runs ``python -m mpursuit.cli`` for ``solve-f``, ``make-phi``,
+``build`` at n_max 900 and 2500, ``verify`` on both instances, ``run`` on
+the 2500 instance for pga, pga_shrink (shrinkage 0.5), rga and oga, and
+``rate`` on the pga and oga traces.  It then compares each output file of
+the two trees at the same thread count with its first two lines (the
+command and config echo, which name the output paths) dropped, and the
+exit code of each command.  Every difference is printed; the exit code is
+1 when there is one, else 0.  The file name has no ``test_`` prefix, so
+pytest does not collect it; one comparison takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+THREADS = (1, 2)
+ALGS = (("pga",), ("pga_shrink", "--shrinkage", "0.5"), ("rga",), ("oga",))
+
+
+def commands() -> list[list[str]]:
+    """The CLI argument lists, in order; paths are relative to the run directory."""
+    cmds = [["solve-f", "--outdir", "solve"], ["make-phi", "--outdir", "phi"]]
+    for n in (900, 2500):
+        cmds.append(["build", "--n-max", str(n), "--outdir", f"b{n}"])
+        cmds.append(["verify", "--instance", f"b{n}/instance.txt", "--out", f"b{n}/verify.txt"])
+    for alg, *extra in ALGS:
+        cmds.append(["run", "--instance", "b2500/instance.txt", "--alg", alg, *extra,
+                     "--out", f"b2500/trace_{alg}.csv"])
+    for alg in ("pga", "oga"):
+        cmds.append(["rate", "--trace", f"b2500/trace_{alg}.csv", "--out", f"b2500/rate_{alg}.txt"])
+    return cmds
+
+
+def run_tree(src: str, where: str, threads: int) -> list[int]:
+    """Run every command of `commands` on the tree `src` in the directory `where`."""
+    os.makedirs(where)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS=str(threads))
+    codes = []
+    for cmd in commands():
+        done = subprocess.run([sys.executable, "-m", "mpursuit.cli", *cmd], cwd=where, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if done.returncode:
+            print(f"  {' '.join(cmd)}: exit {done.returncode}: {done.stderr.strip()}")
+        codes.append(done.returncode)
+    return codes
+
+
+def outputs(where: str) -> dict[str, list[str]]:
+    """Each output file under `where` by relative path: its lines after the first two."""
+    found = {}
+    for root, _, files in os.walk(where):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, encoding="utf-8") as fh:
+                found[os.path.relpath(path, where)] = fh.read().splitlines()[2:]
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a")
+    parser.add_argument("src_b")
+    parser.add_argument("--workdir", help="keep the outputs here (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    work = args.workdir or tempfile.mkdtemp(prefix="compare_outputs-")
+    start, differ, compared = time.perf_counter(), [], 0
+    try:
+        for threads in THREADS:
+            runs = {}
+            for side, src in (("a", args.src_a), ("b", args.src_b)):
+                where = os.path.join(work, f"{side}-t{threads}")
+                print(f"{side} = {src}, OPENBLAS_NUM_THREADS={threads}", flush=True)
+                runs[side] = run_tree(src, where, threads), outputs(where)
+            (codes_a, files_a), (codes_b, files_b) = runs["a"], runs["b"]
+            for cmd, code_a, code_b in zip(commands(), codes_a, codes_b):
+                if code_a != code_b:
+                    differ.append(f"t={threads} exit code of {' '.join(cmd)}: {code_a} vs {code_b}")
+            for name in sorted(files_a.keys() | files_b.keys()):
+                compared += 1
+                if files_a.get(name) != files_b.get(name):
+                    differ.append(f"t={threads} {name}")
+    finally:
+        if not args.workdir:
+            shutil.rmtree(work, ignore_errors=True)
+    for line in differ:
+        print(f"DIFFERS: {line}")
+    print(f"{compared} outputs compared at OPENBLAS_NUM_THREADS {', '.join(map(str, THREADS))}: "
+          f"{len(differ)} differences, {time.perf_counter() - start:.0f} s")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

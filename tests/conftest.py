@@ -47,9 +47,9 @@ def small_instance(profile05):
     selection margins are allowed to be negative at this scale."""
     params = ConstructionParams(K=40, N=80, n_max=240, epsilon=None, phi=profile05)
     state = init_state(params)
-    advance(state, params)
+    advance(state)
     params.epsilon = choose_epsilon(state)
-    return finalize(state, params)
+    return finalize(state)
 
 
 @pytest.fixture(scope="session")

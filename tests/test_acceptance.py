@@ -51,9 +51,9 @@ def full_instance(solved):
     params = ConstructionParams(K=200, N=400, n_max=5000, epsilon=None, phi=profile)
     t0 = time.perf_counter()
     state = init_state(params)
-    advance(state, params)
+    advance(state)
     params.epsilon = choose_epsilon(state)
-    instance = finalize(state, params)
+    instance = finalize(state)
     construct_seconds = time.perf_counter() - t0
     vreport = verify(instance)
     return instance, vreport, construct_seconds
@@ -128,9 +128,9 @@ def test_criterion_6_phi_certification(solved):
     beta, tau, _, rep, _ = solved
     fbar = rep.converged_f
     profile, report = build_profile(fbar, beta, t=0.01)
-    mass = report.entry("weighted_mass_residual")
-    s1 = report.entry("growth_bound_sup")
-    s2 = report.entry("tail_bound_sup")
+    entry = {e.name: e for e in report.entries}
+    mass = entry["weighted_mass_residual"]
+    s1, s2 = entry["growth_bound_sup"], entry["tail_bound_sup"]
     gaps = []
     for t in (0.02, 0.01, 0.005):
         c_t, _ = normalize(mollify(fbar, t), beta)
@@ -150,7 +150,7 @@ def test_criterion_7_construction_soundness(full_instance, residual_history):
     a_seq = st.alpha[st.K: st.n_max + 1]
     x_seq = st.xi[st.K: st.n_max + 1]
     sched = np.abs(np.linalg.norm(residual_history(st), axis=1)
-                   / (np.arange(st.N, st.n_max + 1) + 1.0) ** (st.beta - 0.5) - 1.0)
+                   / (np.arange(st.N, st.n_max + 1) + 1.0) ** (st.params.beta - 0.5) - 1.0)
     ok = (instance.params.K == 200 and instance.params.N == 400
           and float(sched.max()) <= 1e-9
           and np.all(a_seq >= 0.0) and np.all((x_seq > 0.0) & (x_seq <= 1.0))

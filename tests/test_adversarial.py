@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from mpursuit import adversarial
-from mpursuit.adversarial import (ConstructionParams, OracleTables, VerificationReport,
+from mpursuit.adversarial import (AdversarialInstance, ConstructionParams, OracleTables,
+                                  VerificationReport,
                                   _residual_components, _residual_rows, _schedule,
                                   advance, build_instance, choose_epsilon, finalize,
                                   init_state, q_of, step, verify)
@@ -57,7 +58,7 @@ class ReferenceOracle:
         self.q, self.gamma, self.alpha, self.xi = st.q, st.gamma, st.alpha, st.xi
         self._phi = p.phi
         self.rhat = residual_matrix(st, p.phi)
-        self.rn_norm = float(_schedule(st.N, st.beta))
+        self.rn_norm = float(_schedule(st.N, st.params.beta))
         N = self.N
         self.dhat = np.zeros((self.n_max - N + 1, self.n_max))
         for k in range(N, self.n_max + 1):
@@ -173,7 +174,7 @@ def test_params_validation(profile05):
 
 def test_step_energy_identity(small_instance):
     st = small_instance.state
-    beta = st.beta
+    beta = st.params.beta
     for n in range(st.K, st.n_max + 1):
         lhs = st.norms[n] ** 2
         rhs = st.norms[n - 1] ** 2 - st.q[n] ** 2
@@ -231,7 +232,7 @@ def test_sequence_limits_mid(mid_instance):
     st = inst.state
     assert abs(st.alpha[st.n_max] - 1.0) < 0.1
     assert abs(st.xi[st.n_max] - 1.0) < 0.05
-    beta = st.beta
+    beta = st.params.beta
     ratio = st.gamma[st.n_max] * st.n_max ** beta * np.sqrt(1 - 2 * beta) / (1 - beta)
     assert 0.98 <= ratio <= 1.02
 
@@ -249,19 +250,19 @@ def test_choose_epsilon_requires_full_state(profile05):
     params = ConstructionParams(K=40, N=80, n_max=120, epsilon=None, phi=profile05)
     st = init_state(params)
     while st.n < 100:
-        step(st, params)
+        step(st)
     with pytest.raises(ValueError):
         choose_epsilon(st)
 
 
 def test_step_zero_profile_error():
     dead = PhiProfile(phi=GridFunction(0.0, 1.0, np.zeros(501)), t=0.01,
-                      c_t=1.0, delta=0.4, beta=0.31, tau=0.46)
+                      c_t=1.0, beta=0.31, tau=0.46)
     params = ConstructionParams(K=5, N=6, n_max=10, epsilon=None, phi=dead)
     st = init_state(params)
     assert dead.support_lo == 1.0  # no piece is nonzero: phi is evaluated at (n-1)/n only
     with pytest.raises(ConstructionError, match="phi support misses residual"):
-        step(st, params)
+        step(st)
 
 
 def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
@@ -274,9 +275,8 @@ def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
     vars(everywhere)["support_lo"] = 0.0
     assert everywhere.first_live(st.n_max) == 1
     params = dataclasses.replace(inst.params, phi=everywhere)
-    full = finalize(advance(init_state(params), params,
-                            given_rows=np.stack([st.q, st.gamma, st.alpha, st.xi])),
-                    params).state
+    full = finalize(advance(init_state(params),
+                            given_rows=np.stack([st.q, st.gamma, st.alpha, st.xi]))).state
     replayed = load_text(instance_to_text(inst)).state
     assert replayed.atoms.tobytes() == full.atoms.tobytes() == st.atoms.tobytes()
     assert replayed.r_hist.tobytes() == full.r_hist.tobytes()
@@ -291,7 +291,7 @@ def test_step_xi_imaginary_error(profile05):
                                 phi=dataclasses.replace(profile05, beta=0.49))
     st = init_state(params)
     with pytest.raises(ConstructionError, match="increase K"):
-        advance(st, params)
+        advance(st)
 
 
 def test_finalize_blended_atom(small_instance):
@@ -324,6 +324,25 @@ def test_variation_bound_formula(small_instance):
     eps = inst.params.epsilon
     expected = st.norms[st.N] / eps * (1 + np.sqrt(1 - eps * eps))
     assert inst.variation_bound == pytest.approx(expected, rel=1e-15)
+
+
+def test_instance_reads_params_f_and_variation_bound_from_its_state(mid_instance,
+                                                                    load_text):
+    """After a build and after a replay: the instance stores only its state
+    and dictionary, f is a read-only view of the stored r_N, the variation
+    bound is finalize's expression bit for bit, and delta is tau - 2t."""
+    built, _ = mid_instance
+    assert [f.name for f in dataclasses.fields(AdversarialInstance)] == ["state", "dictionary"]
+    assert "delta" not in {f.name for f in dataclasses.fields(PhiProfile)}
+    for inst in (built, load_text(instance_to_text(built))):
+        st, p = inst.state, inst.params
+        assert inst.params is st.params
+        assert np.shares_memory(inst.f.coeffs, st.r_hist)
+        assert not inst.f.coeffs.flags.writeable and st.r_hist.flags.writeable
+        assert np.array_equal(inst.f.coeffs, st.r_hist[0, :st.N])
+        eps, r_n_norm = p.epsilon, st.norms[st.N]
+        assert inst.variation_bound == float((r_n_norm / eps) * (1.0 + np.sqrt(1.0 - eps * eps)))
+        assert p.phi.delta == p.phi.tau - 2.0 * p.phi.t
 
 
 def test_dictionary_contents(small_instance):
@@ -437,7 +456,7 @@ def test_oracle_tables_keep_only_what_rows_reads(small_instance):
     # two dense arrays, h and dhat; the rest are vectors and scalars, before
     # and after walks: the running state of a walk is the walk's own
     p = small_instance.params
-    tables = OracleTables(small_instance.state, p.phi, p.epsilon)
+    tables = OracleTables(small_instance.state)
     open_walk = tables.blocks()
     for stage in ("built", "one walk open", "walked through"):
         arrays = {name: value for name, value in vars(tables).items()
@@ -463,8 +482,8 @@ def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
         blind.atoms = np.full_like(st.atoms, np.nan)
         blind.r_hist = np.full_like(st.r_hist, np.nan)
         blind.r = np.full_like(st.r, np.nan)
-        clean = OracleTables(st, p.phi, p.epsilon)
-        tables = OracleTables(blind, p.phi, p.epsilon)
+        clean = OracleTables(st)
+        tables = OracleTables(blind)
         for got, want in zip(tables.blocks(), clean.blocks(), strict=True):
             assert got[:2] == want[:2]
             assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
@@ -498,7 +517,7 @@ def test_walk_reproduces_every_step_residual_bit_for_bit(small_instance, mid_ins
         st = init_state(p)
         kept = {}
         while st.n < p.n_max:
-            step(st, p)
+            step(st)
             if st.n >= p.N:
                 kept[st.n] = st.r.copy()
         n = p.N + 1
@@ -539,7 +558,7 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
     shift = 2.0 * report.min_abs_margin
     monkeypatch.setattr(adversarial, "DUAL_PATH_TOL", 2.0 * shift)
     st, p = inst.state, inst.params
-    tables = OracleTables(st, p.phi, p.epsilon)
+    tables = OracleTables(st)
     n0, k0 = p.N + 95, p.N          # <r_{n0-1}, d_N> is far from q_{n0}
     blocks = tables.blocks
 
@@ -609,18 +628,19 @@ def test_verify_mid_instance_passes(mid_instance):
     assert f"min_abs_margin={report.min_abs_margin:.12g}" in text
 
 
-def test_build_instance_doubling_success(profile05):
+def test_build_instance_doubling_success(profile05, monkeypatch):
     # K=100, N=200 fails the margin check at this width; one doubling fixes it
-    inst, report = build_instance(profile05, K=100, N=200, n_max=900,
-                                  max_doublings=1)
+    monkeypatch.setattr(adversarial, "_MAX_DOUBLINGS", 1)
+    inst, report = build_instance(profile05, K=100, N=200, n_max=900)
     assert inst.params.K == 200 and inst.params.N == 400
     assert "doubling" in report.notes
     assert report.passed
 
 
-def test_build_instance_doubling_exhaustion(profile05):
+def test_build_instance_doubling_exhaustion(profile05, monkeypatch):
+    monkeypatch.setattr(adversarial, "_MAX_DOUBLINGS", 1)
     with pytest.raises(ConstructionError):
-        build_instance(profile05, K=50, N=100, n_max=420, max_doublings=1)
+        build_instance(profile05, K=50, N=100, n_max=420)
 
 
 def reference_verify(instance):
@@ -686,7 +706,7 @@ def reference_verify(instance):
                 til_min = tmarg
                 til_arg = n
             n_pairs += n_max - N + 1
-    sched = _schedule(np.arange(N, n_max + 1), st.beta)
+    sched = _schedule(np.arange(N, n_max + 1), st.params.beta)
     hist_norms = np.linalg.norm(hist, axis=1)
     sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
 
@@ -726,8 +746,7 @@ def corrupted(instance, target, value):
         row = st.atom_row(n) if target == "atom" else st.atoms[0]
         row[st.N // 2] = value
     else:
-        p = instance.params
-        tables = OracleTables(st, p.phi, p.epsilon)
+        tables = OracleTables(st)
         if target == "cw":
             tables.dhat[n - 1 - st.N, st.N // 2] = value
         else:

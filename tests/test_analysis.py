@@ -84,7 +84,7 @@ def test_compare_orthonormal_dictionary(rng):
     # pga and oga both finish an orthonormal expansion within dim steps, so
     # a decay fit over the run has too few points
     dim = 6
-    d = Dictionary(np.eye(dim), [dim] * dim)
+    d = Dictionary(np.eye(dim), [dim] * dim, [f"e{k + 1}" for k in range(dim)])
     f = CoeffVector(rng.standard_normal(dim))
     for alg in ("pga", "oga"):
         trace = run(alg, f, d, dim, variation_bound=float(np.sum(np.abs(f.coeffs))))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -248,6 +249,31 @@ def test_plot_log_log_flat_trace(tmp_path):
     assert body.startswith("<svg") and "<polyline" in body
 
 
+def test_plot_escapes_its_text_and_keeps_double_dashes_out_of_comments(tmp_path):
+    # the title went into a <text> node as it was, the config echo put its
+    # "--" into a comment, and a file name's "&" went into the legend: the
+    # command exited 0 and no XML parser accepted the file
+    curve = tmp_path / "x&y.csv"
+    curve.write_text(read(write_curve(tmp_path)))
+    svg = tmp_path / "p.svg"
+    title = "a<b & c--d"
+    assert main(["plot", str(curve), "--title", title, "--out", str(svg)]) == 0
+    doc = xml.dom.minidom.parse(str(svg))
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert texts[-2:] == ["x&y", title]
+    comments = [node.data for node in doc.documentElement.childNodes
+                if node.nodeType == node.COMMENT_NODE]
+    assert len(comments) == 1 and "title=a<b & c- -d" in comments[0]
+
+
+def test_plot_creates_the_output_directory(tmp_path):
+    # plot wrote its file itself and exited 1 where every other command
+    # creates the directory
+    svg = tmp_path / "newdir" / "p.svg"
+    assert main(["plot", str(write_curve(tmp_path)), "--out", str(svg)]) == 0
+    assert read(svg).startswith("<svg")
+
+
 def test_rate_short_trace_row_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text(TRACE_HEAD + "1,0.5,d401,1,0.1\n2,0.4,d402,1\n")
@@ -278,7 +304,7 @@ def test_malformed_index_offset_is_a_usage_error(tmp_path, capsys, command, valu
 def saved_instance(tmp_path_factory, mid_instance):
     inst, _ = mid_instance
     path = tmp_path_factory.mktemp("inst") / "instance.txt"
-    save_instance(inst, str(path))
+    save_instance(inst, str(path), header="")
     return inst, str(path)
 
 
@@ -445,6 +471,10 @@ ROW_EDITS = {
                       "sequence row 650 appears twice"),
     "missing_row": (on_rows(lambda rows: [r for r in rows if not r.startswith("650,")]),
                     "sequence row 650 is missing"),
+    # the last of two epsilon= lines won: verify exited 3, and run used 0.25
+    "repeated_header_key": (lambda text: re.sub(r"(?m)^(epsilon=.*\n)", r"\1epsilon=0.25\n",
+                                                text, count=1),
+                            "instance header repeats epsilon="),
     # rejected before an array of n_max + 1 entries is allocated
     "n_max_beyond_rows": (lambda text: text.replace("n_max=900\n", "n_max=1000000000000\n"),
                           "sequence row 901 is missing"),
@@ -759,7 +789,8 @@ def test_oga_single_pass_keeps_the_output_contract_of_cgs2(instance_2500):
     trace = run("oga", inst.f, inst.dictionary, steps)
     picks, ref = cgs2_oga(inst.f, inst.dictionary, steps)
     assert len(trace.steps) == steps == 2100
-    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    labels = inst.dictionary.labels
+    assert [(s.atom_id, s.sign) for s in trace.steps] == [(labels[j], sign) for j, sign in picks]
     assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
 
 
@@ -813,7 +844,8 @@ def test_gram_selection_keeps_the_output_contract_of_direct_selection(
     trace = run(alg, inst.f, inst.dictionary, steps, shrinkage=shrinkage)
     picks, coeffs, ref = direct_pga(inst.f, inst.dictionary, steps, shrinkage)
     assert len(trace.steps) == steps == 2100
-    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    labels = inst.dictionary.labels
+    assert [(s.atom_id, s.sign) for s in trace.steps] == [(labels[j], sign) for j, sign in picks]
     assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
     got = np.array([s.coefficient for s in trace.steps])
     assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
@@ -833,7 +865,8 @@ def test_gram_rows_on_demand_keep_the_output_contract_of_the_full_gram(
     trace = run(alg, inst.f, inst.dictionary, steps, shrinkage=shrinkage, variation_bound=vb)
     picks, coeffs, ref = full_gram_run(alg, inst.f, inst.dictionary, steps, shrinkage, vb)
     assert len(trace.steps) == steps == 2100
-    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    labels = inst.dictionary.labels
+    assert [(s.atom_id, s.sign) for s in trace.steps] == [(labels[j], sign) for j, sign in picks]
     assert np.all(np.abs(trace.residual_norms - ref) <= 4 * np.spacing(ref))
     got = np.array([s.coefficient for s in trace.steps])
     assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))

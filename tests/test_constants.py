@@ -164,4 +164,4 @@ def test_operating_point_validation():
 def test_no_root_error():
     from mpursuit.constants import _hybrid_root
     with pytest.raises(NumericFailure, match="no root"):
-        _hybrid_root(lambda x: 1.0 + x * x, 0.0, 1.0)
+        _hybrid_root(lambda x: 1.0 + x * x, 0.0, 1.0, "equation")

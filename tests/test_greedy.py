@@ -20,12 +20,21 @@ def ortho_dict(dim, n_atoms=None):
 
 
 def stacked(atoms, labels=None):
-    """The Dictionary of these atom arrays: one row each, zero-padded to the longest."""
+    """The Dictionary of these atom arrays: one row each, zero-padded to the
+    longest, labelled a0, a1, ... unless labels are given."""
     lengths = [a.size for a in atoms]
     rows = np.zeros((len(atoms), max(lengths, default=0)))
     for row, a in zip(rows, atoms):
         row[:a.size] = a
+    if labels is None:
+        labels = [f"a{i}" for i in range(len(atoms))]
     return Dictionary(rows, lengths, labels)
+
+
+def rows_of(trace, d):
+    """The row of d holding each step's atom, in step order."""
+    row = {label: j for j, label in enumerate(d.labels)}
+    return [row[s.atom_id] for s in trace.steps]
 
 
 def random_dict(rng, dim, n_atoms):
@@ -84,16 +93,16 @@ def test_dictionary_rejects_rows_beyond_their_length():
     rows[0, [0, 150]] = 0.6, 0.8
     rows[1, 150] = 1.0
     with pytest.raises(ValueError, match="atom a0 is nonzero beyond its length 1"):
-        Dictionary(rows, [1, 200])
-    trace = run("pga", vec(1.0), Dictionary(rows, [200, 200]), 2)
+        Dictionary(rows, [1, 200], ["a0", "a1"])
+    trace = run("pga", vec(1.0), Dictionary(rows, [200, 200], ["a0", "a1"]), 2)
     assert [(s.atom_id, s.sign) for s in trace.steps] == [("a0", 1), ("a1", -1)]
     assert trace.steps[1].residual_norm == pytest.approx(0.64)
     nan_tail = np.eye(3)[:1].copy()
     nan_tail[0, 2] = np.nan
     with pytest.raises(ValueError, match="atom a0"):
-        Dictionary(nan_tail, [1])
+        Dictionary(nan_tail, [1], ["a0"])
     with pytest.raises(ValueError, match=r"atom a0 has length 9, outside \[0, 4\]"):
-        Dictionary(np.ones((1, 4)) / 2, [9])
+        Dictionary(np.ones((1, 4)) / 2, [9], ["a0"])
 
 
 def test_pga_exact_recovery_orthonormal():
@@ -127,7 +136,7 @@ def test_oga_step_budget_beyond_width_allocates_by_width(rng):
     assert len(short.steps) <= 6  # halted on a vanishing residual
     huge = run("oga", f, d, 10 ** 12)
     assert huge.to_csv() == short.to_csv()
-    assert huge.atom_indices == short.atom_indices
+    assert rows_of(huge, d) == rows_of(short, d)
 
 
 def test_run_validation():
@@ -205,11 +214,11 @@ def test_oga_residual_orthogonal_to_selected(rng):
     assert len(trace.steps) == 8
     mat = d.matrix()
     for n, step in enumerate(trace.steps, start=1):
-        sel = mat[trace.atom_indices[:n]]
+        sel = mat[rows_of(trace, d)[:n]]
         coef, *_ = np.linalg.lstsq(sel.T, f.padded(dim), rcond=None)
         r = f.padded(dim) - sel.T @ coef
         assert step.residual_norm == pytest.approx(float(np.linalg.norm(r)), rel=1e-12)
-        for j in trace.atom_indices[:n]:
+        for j in rows_of(trace, d)[:n]:
             assert abs(mat[j] @ r) <= 1e-9
 
 
@@ -223,7 +232,7 @@ def test_oga_beats_pga_on_same_selections(rng, mid_instance):
         trace = run("pga", f, d, 8)
         mat = d.matrix()
         for n in range(1, len(trace.steps) + 1):
-            sel = mat[trace.atom_indices[:n]]
+            sel = mat[rows_of(trace, d)[:n]]
             coef, *_ = np.linalg.lstsq(sel.T, f.padded(dim), rcond=None)
             proj_norm = float(np.linalg.norm(f.padded(dim) - sel.T @ coef))
             assert proj_norm <= trace.steps[n - 1].residual_norm + 1e-12
@@ -320,7 +329,7 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
         vb = 2.0 * float(np.linalg.norm(f.coeffs))
         trace = run(algorithm, f, d, 25, shrinkage=shrinkage, variation_bound=vb)
         ref = reference_run(algorithm, f, d, 25, shrinkage, vb)
-        got = [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)]
+        got = [(j, s.sign) for j, s in zip(rows_of(trace, d), trace.steps)]
         assert got == [(j, sign) for j, sign, _ in ref]
         assert np.allclose(trace.residual_norms, [rn for _, _, rn in ref],
                            rtol=0.0, atol=1e-12)
@@ -346,25 +355,25 @@ def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():
         # the extra step selects among atoms that are all in the span, so its
         # value is the largest |<r, d>| over the selected atoms
         trace = run("oga", f, d, k + 1)
-        assert sorted(trace.atom_indices[:k]) == list(range(k))
+        assert sorted(rows_of(trace, d)[:k]) == list(range(k))
         assert trace.steps[k].coefficient <= 1e-12
         ref = reference_run("oga", f, d, k)
-        got = [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)]
+        got = [(j, s.sign) for j, s in zip(rows_of(trace, d), trace.steps)]
         assert got[:k] == [(j, sign) for j, sign, _ in ref]
         assert np.allclose(trace.residual_norms[:k], [rn for _, _, rn in ref],
                            rtol=0.0, atol=1e-12)
 
 
-def assert_oga_contract(trace, picks, norms):
-    """The output contract of DECISIONS.md against the single-pass loop: the
-    same atoms and signs at every step, and residual norms within 4 ulps."""
+def assert_oga_contract(trace, d, picks, norms):
+    """The output contract of DECISIONS.md against the single-pass loop on d:
+    the same atoms and signs at every step, and residual norms within 4 ulps."""
     assert len(trace.steps) == len(picks)
-    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+    assert [(j, s.sign) for j, s in zip(rows_of(trace, d), trace.steps)] == picks
     assert np.all(np.abs(trace.residual_norms - norms) <= 4 * np.spacing(norms))
 
 
 def test_dictionary_keeps_lengths_as_a_read_only_int_array():
-    d = Dictionary(np.eye(3), [1, 2, 3])
+    d = Dictionary(np.eye(3), [1, 2, 3], ["a0", "a1", "a2"])
     assert d.lengths.dtype == np.intp and d.lengths.tolist() == [1, 2, 3]
     assert not d.lengths.flags.writeable
 
@@ -381,10 +390,10 @@ def test_oga_block_breaks_where_consecutive_picks_break(mid_instance, single_pas
     labels[a], labels[b] = labels[b], labels[a]
     swapped = Dictionary(rows, lengths, labels)
     trace, r = _oga(instance.f, swapped, steps)
-    assert_oga_contract(trace, *single_pass_oga(instance.f, swapped, steps))
+    assert_oga_contract(trace, swapped, *single_pass_oga(instance.f, swapped, steps))
     assert [s.atom_id for s in trace.steps] == instance.dictionary.labels[2:]
-    assert trace.atom_indices[98:102] == [a - 1, b, a, b + 1]
-    selected = rows[trace.atom_indices]
+    assert rows_of(trace, swapped)[98:102] == [a - 1, b, a, b + 1]
+    selected = rows[rows_of(trace, swapped)]
     assert np.max(np.abs(selected @ r[:rows.shape[1]])) <= 1e-12
 
 
@@ -395,8 +404,8 @@ def test_oga_halts_inside_a_block(single_pass_oga):
     f = CoeffVector(np.concatenate([np.arange(12.0, 0.0, -1.0), np.zeros(18)]))
     trace = run("oga", f, d, 30)
     picks, norms = single_pass_oga(f, d, 30)
-    assert_oga_contract(trace, picks, norms)
-    assert trace.atom_indices == list(range(12))
+    assert_oga_contract(trace, d, picks, norms)
+    assert rows_of(trace, d) == list(range(12))
     assert trace.steps[-1].residual_norm < RESIDUAL_HALT <= trace.steps[-2].residual_norm
 
 
@@ -410,8 +419,10 @@ def near_collinear_in_pick_order(k, dim):
     f = np.zeros(dim)
     f[0], f[1:k + 1] = 1.0, np.linspace(1.0, 0.5, k)
     f = CoeffVector(f)
-    order = run("oga", f, Dictionary(rows, [dim] * k), k).atom_indices
-    return Dictionary(rows[order], [dim] * k), f
+    labels = [f"a{i}" for i in range(k)]
+    d = Dictionary(rows, [dim] * k, labels)
+    order = rows_of(run("oga", f, d, k), d)
+    return Dictionary(rows[order], [dim] * k, labels), f
 
 
 @pytest.mark.parametrize("tile", [512, 3])
@@ -424,8 +435,8 @@ def test_oga_recheck_fires_on_guessed_rows(monkeypatch, single_pass_oga, tile):
     k, dim = 20, 24
     d, f = near_collinear_in_pick_order(k, dim)
     trace, r = _oga(f, d, k)
-    assert trace.atom_indices == list(range(k))  # blocks of 1, 2, 4, 8 and 5
-    assert_oga_contract(trace, *single_pass_oga(f, d, k))
+    assert rows_of(trace, d) == list(range(k))  # blocks of 1, 2, 4, 8 and 5
+    assert_oga_contract(trace, d, *single_pass_oga(f, d, k))
     assert np.max(np.abs(d.matrix() @ r)) <= 1e-12
 
 
@@ -452,15 +463,15 @@ def test_oga_blocks_end_at_the_budget_and_at_the_last_atom(mid_instance, single_
     instance, _ = mid_instance
     d = instance.dictionary
     trace = run("oga", instance.f, d, steps)
-    assert_oga_contract(trace, *single_pass_oga(instance.f, d, steps))
+    assert_oga_contract(trace, d, *single_pass_oga(instance.f, d, steps))
     assert len(trace.steps) == steps
     if steps == 501:
-        assert trace.atom_indices[499] == len(d) - 1
+        assert rows_of(trace, d)[499] == len(d) - 1
 
 
-def assert_gram_contract(trace, picks, coeffs, norms):
-    """Points 3 and 4 of the output contract against the full-Gram loop."""
-    assert [(j, s.sign) for j, s in zip(trace.atom_indices, trace.steps)] == picks
+def assert_gram_contract(trace, d, picks, coeffs, norms):
+    """Points 3 and 4 of the output contract against the full-Gram loop on d."""
+    assert [(j, s.sign) for j, s in zip(rows_of(trace, d), trace.steps)] == picks
     assert np.all(np.abs(trace.residual_norms - norms) <= 4 * np.spacing(norms))
     got = np.array([s.coefficient for s in trace.steps])
     assert np.all(np.abs(got - coeffs) <= 1e-12 * np.abs(coeffs))
@@ -484,7 +495,7 @@ def test_gram_rows_keep_the_contract_in_any_storage_order(mid_instance, full_gra
     steps = instance.params.n_max - instance.params.N
     trace = run(algorithm, f, moved, steps, shrinkage=shrinkage, variation_bound=vb)
     assert len(trace.steps) == steps
-    assert_gram_contract(trace, *full_gram_run(algorithm, f, moved, steps, shrinkage, vb))
+    assert_gram_contract(trace, moved, *full_gram_run(algorithm, f, moved, steps, shrinkage, vb))
     stored = run(algorithm, f, d, steps, shrinkage=shrinkage, variation_bound=vb)
     assert [s.atom_id for s in trace.steps] == [s.atom_id for s in stored.steps]
 
@@ -495,8 +506,8 @@ def test_pga_halts_inside_a_gram_block(full_gram_run):
     d = ortho_dict(30)
     f = CoeffVector(np.concatenate([np.arange(12.0, 0.0, -1.0), np.zeros(18)]))
     trace = run("pga", f, d, 30)
-    assert_gram_contract(trace, *full_gram_run("pga", f, d, 30))
-    assert trace.atom_indices == list(range(12))
+    assert_gram_contract(trace, d, *full_gram_run("pga", f, d, 30))
+    assert rows_of(trace, d) == list(range(12))
     assert trace.steps[-1].residual_norm < RESIDUAL_HALT <= trace.steps[-2].residual_norm
 
 

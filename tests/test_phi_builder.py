@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpursuit import phi_builder
 from mpursuit.constants import bundle
 from mpursuit.errors import NumericFailure
 from mpursuit.grid_functions import GridFunction
@@ -140,19 +141,21 @@ def test_normalize_trend_toward_one(coarse_solution):
 def test_check_conditions_zero_function():
     phi = GridFunction(0.0, 1.0, np.zeros(501))
     rep = check_conditions(phi, 0.315, 0.46, "phi_form")
-    assert rep.entry("growth_bound_sup").value == 0.0
-    assert rep.entry("growth_bound_sup").passed
-    assert rep.entry("tail_bound_sup").value == 0.0
-    assert rep.entry("tail_bound_sup").passed
-    assert not rep.entry("weighted_mass_residual").passed  # zero misses the target
+    entry = {e.name: e for e in rep.entries}
+    assert entry["growth_bound_sup"].value == 0.0
+    assert entry["growth_bound_sup"].passed
+    assert entry["tail_bound_sup"].value == 0.0
+    assert entry["tail_bound_sup"].passed
+    assert not entry["weighted_mass_residual"].passed  # zero misses the target
 
 
 def test_check_conditions_f_form(coarse_solution):
     beta, tau, _, rep = coarse_solution
     report = check_conditions(rep.converged_f, beta, tau, "f_form")
     assert report.all_pass
-    s1 = report.entry("growth_bound_sup").value
-    s2 = report.entry("tail_bound_sup").value
+    entry = {e.name: e for e in report.entries}
+    s1 = entry["growth_bound_sup"].value
+    s2 = entry["tail_bound_sup"].value
     assert s1 < 1.0 and s2 < 1.0
     # at a = tau the first expression collapses to tau f(tau) = c
     c = bundle(beta, tau).c
@@ -191,14 +194,15 @@ def test_build_profile_certificate(profile05, op_point):
     assert abs(weighted_mass(phi) - target) <= 1e-8
 
 
-def test_phi_conditions_stable_under_grid_doubling(coarse_solution):
+def test_phi_conditions_stable_under_grid_doubling(coarse_solution, monkeypatch):
     beta, tau, _, rep = coarse_solution
     f = rep.converged_f
     _, phi = normalize(mollify(f, 0.05), beta)
-    r1 = check_conditions(phi, beta, tau, "phi_form", a_points=1000)
-    r2 = check_conditions(phi.refined(2), beta, tau, "phi_form", a_points=1000)
+    monkeypatch.setattr(phi_builder, "_A_POINTS", 1000)
+    r1 = {e.name: e for e in check_conditions(phi, beta, tau, "phi_form").entries}
+    r2 = {e.name: e for e in check_conditions(phi.refined(2), beta, tau, "phi_form").entries}
     for name in ("growth_bound_sup", "tail_bound_sup"):
-        assert abs(r1.entry(name).value - r2.entry(name).value) < 1e-4
+        assert abs(r1[name].value - r2[name].value) < 1e-4
 
 
 def test_f_consistency_with_closed_form(coarse_solution):
@@ -221,10 +225,11 @@ def test_f_consistency_with_closed_form(coarse_solution):
     assert worst < 1e-5
 
 
-def test_build_profile_fallback_exhaustion(coarse_solution):
+def test_build_profile_fallback_exhaustion(coarse_solution, monkeypatch):
     # a beta far above the admissible one inflates the mass target so the
     # sup conditions fail at every width in the schedule
     beta, tau, _, rep = coarse_solution
     fbar = rep.converged_f
+    monkeypatch.setattr(phi_builder, "_T_MIN", 0.009)
     with pytest.raises(NumericFailure, match="fallback"):
-        build_profile(fbar, 0.45, t=0.02, t_min=0.009)
+        build_profile(fbar, 0.45, t=0.02)

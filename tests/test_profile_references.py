@@ -158,16 +158,18 @@ def reference_selfconv(f):
     return out / nodes
 
 
-def _assert_same_check(fn, beta, tau, mode, a_points=2000, extra_points=None):
-    """Same report, and the same value of each inequality at every a."""
+def _assert_same_check(fn, beta, tau, mode, extra_points=None):
+    """Same report, and the same value of each inequality at every a of
+    the check's _A_POINTS."""
+    a_points = phi_builder._A_POINTS
     want, growth, tail = reference_check_conditions(fn, beta, tau, mode, a_points, extra_points)
-    got = check_conditions(fn, beta, tau, mode, a_points, extra_points)
+    got = check_conditions(fn, beta, tau, mode, extra_points)
     assert got.mode == want.mode
     for g, w in zip(got.entries, want.entries, strict=True):
         assert (g.name, g.value, g.bound, bool(g.passed)) == \
             (w.name, w.value, w.bound, bool(w.passed))
     assert got.to_text() == want.to_text()
-    values = phi_builder._condition_values(fn, beta, tau, mode, a_points, extra_points)
+    values = phi_builder._condition_values(fn, beta, tau, mode, extra_points)
     assert np.array_equal(values[0], growth)
     assert np.array_equal(values[1], tail)
 
@@ -189,12 +191,13 @@ def test_check_conditions_matches_reference(coarse_solution, profile05, which, m
 
 
 @pytest.mark.parametrize("a_points", [2, 3, 37])
-def test_check_conditions_matches_reference_on_few_points(op_point, a_points):
+def test_check_conditions_matches_reference_on_few_points(op_point, monkeypatch, a_points):
     beta, tau = op_point
     x = np.linspace(tau, 1.0, 31)
     fn = GridFunction(tau, 1.0, 0.4 + 0.3 * np.sin(7.0 * x))
+    monkeypatch.setattr(phi_builder, "_A_POINTS", a_points)
     for mode in ("f_form", "phi_form"):
-        _assert_same_check(fn, beta, tau, mode, a_points=a_points)
+        _assert_same_check(fn, beta, tau, mode)
 
 
 def test_check_conditions_fails_non_finite_values_without_raising(profile05, op_point):
@@ -205,8 +208,9 @@ def test_check_conditions_fails_non_finite_values_without_raising(profile05, op_
     beta, tau = op_point
     huge = GridFunction(0.0, 1.0, profile05.phi.values * 1e300)
     report = check_conditions(huge, beta, tau, "phi_form", extra_points=_window(tau, 0.05))
+    entries = {e.name: e for e in report.entries}
     for name in ("weighted_mass_residual", "growth_bound_sup", "tail_bound_sup"):
-        entry = report.entry(name)
+        entry = entries[name]
         assert not np.isfinite(entry.value) and not entry.passed, name
     assert not report.all_pass
     assert "all_pass=false" in report.to_text()
@@ -308,7 +312,8 @@ def test_the_benchmark_tracer_names_resolve():
 def test_oracle_h_rows_equal_h_row(small_instance):
     st, phi = small_instance.state, small_instance.params.phi
     ls = np.arange(st.K, st.n_max + 1)
-    block = adversarial._h_rows(st.alpha, phi, ls)
+    block = np.zeros((ls.size, ls[-1] - 1))
+    adversarial._h_rows(st.alpha, phi, ls, out=block)
     for l, row in zip(ls, block):
         h_row = (st.alpha[l] / l) * phi(np.arange(1, l) / l)  # h_l, one row at a time
         assert np.array_equal(row[: l - 1], h_row)
