@@ -112,9 +112,7 @@ class ConstructionState:
 
     def __init__(self, params: ConstructionParams):
         self.params = params
-        self.K = params.K
-        self.N = params.N
-        self.n_max = n_max = params.n_max
+        n_max = params.n_max
         self.q = np.zeros(n_max + 1)
         self.gamma = np.zeros(n_max + 1)
         self.alpha = np.zeros(n_max + 1)
@@ -124,6 +122,10 @@ class ConstructionState:
         self.atoms = lazy_zeros((n_max - params.N + 2, n_max))
         self.r_hist = np.zeros((1, n_max))
         self.n = params.K - 1
+
+    K = property(lambda self: self.params.K)  # the sizes' one home is params
+    N = property(lambda self: self.params.N)
+    n_max = property(lambda self: self.params.n_max)
 
     def atom_row(self, k: int) -> np.ndarray:
         if not self.N <= k <= self.n:

@@ -59,8 +59,6 @@ def fit_decay(trace: GreedyTrace, n_min: int, n_max: int,
 class BoundReport:
     upper_witness: float   # sup_n |r_n| n^alpha / variation_bound
     lower_witness: float   # inf over n >= 10 of the same quantity
-    alpha: float
-    variation_bound: float
 
 
 def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
@@ -77,6 +75,5 @@ def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
     lower = float(late.min()) if late.size else 0.0
     if np.any(norms <= _FLOOR):
         lower = 0.0  # residual hit zero: the lower bound is vacuous
-    return BoundReport(upper_witness=float(scaled.max()), lower_witness=lower,
-                       alpha=alpha, variation_bound=variation_bound)
+    return BoundReport(upper_witness=float(scaled.max()), lower_witness=lower)
 

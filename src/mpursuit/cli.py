@@ -43,12 +43,17 @@ def _read(path: str) -> str:
 
 
 def _read_config_file(path: str) -> dict:
+    """key=value lines; a line without "=" or a repeated key is a usage error."""
     out = {}
     for line in _read(path).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            key, eq, val = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"config line {line!r} is not key=value")
+            if key in out:
+                raise ValueError(f"config repeats {key}=")
+            out[key] = val
     return out
 
 

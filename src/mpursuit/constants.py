@@ -19,7 +19,8 @@ from .grid_functions import GridFunction
 
 __all__ = [
     "RateConstants",
-    "ConditionMargin",
+    "Condition",
+    "all_hold",
     "ClosedFormBundle",
     "gamma_equation",
     "solve_gamma",
@@ -73,7 +74,7 @@ def _hybrid_root(fn: Callable[[float], float], lo: float, hi: float, label: str)
     return x
 
 
-def gamma_equation(gamma: float, s: float = 1.0) -> float:
+def gamma_equation(gamma: float, s: float) -> float:
     """Residual of the rate equation for a given shrinkage factor s."""
     return ((1.0 + gamma) ** (1.0 / (2.0 + gamma)) * (1.0 + 1.0 / (1.0 + gamma))
             - 1.0 - (2.0 - s) / gamma)
@@ -126,13 +127,21 @@ def tau_star(beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConditionMargin:
+class Condition:
     name: str
     value: float
     bound: float
-    # True when the strict inequality (as oriented by `sense`) holds
-    sense: str  # "<" or ">"
-    passed: bool
+    sense: str  # "<", ">" or "<=": the check is `value sense bound`
+
+    @property
+    def passed(self) -> bool:  # a NaN value fails every sense
+        v, b = self.value, self.bound
+        return bool({"<": v < b, ">": v > b, "<=": v <= b}[self.sense])
+
+
+def all_hold(conditions) -> bool:
+    """True when every condition in `conditions` passes."""
+    return all(c.passed for c in conditions)
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,13 @@ class ClosedFormBundle:
     rg_scan: float          # grid-scan value (independent route)
     F: Callable = field(repr=False)
     G: Callable = field(repr=False)
-    condition_margins: tuple[ConditionMargin, ...] = ()
+    condition_margins: tuple[Condition, ...]
 
     @property
     def all_strict(self) -> bool:
-        return all(m.passed for m in self.condition_margins)
+        return all_hold(self.condition_margins)
 
-    def g_grid(self, m: int = 2001) -> GridFunction:
+    def g_grid(self, m: int) -> GridFunction:
         """G sampled on [tau, 1] for the integral-equation solver."""
         xs = np.linspace(self.tau, 1.0, m)
         return GridFunction(self.tau, 1.0, self.G(xs))
@@ -196,25 +205,23 @@ def bundle(beta: float, tau: float) -> ClosedFormBundle:
     crit = beta_condition_lhs(beta)
 
     margins = (
-        ConditionMargin("c_below_one", c, 1.0, "<", c < 1.0),
-        ConditionMargin("tail_lower_bound", cond2, -1.0, ">", cond2 > -1.0),
-        ConditionMargin("tail_upper_bound", cond3, 1.0, "<", cond3 < 1.0),
-        ConditionMargin("beta_power_bound", small_beta, 1.0, "<", small_beta < 1.0),
-        ConditionMargin("beta_admissibility", crit, 1.0, "<", crit < 1.0),
+        Condition("c_below_one", c, 1.0, "<"),
+        Condition("tail_lower_bound", cond2, -1.0, ">"),
+        Condition("tail_upper_bound", cond3, 1.0, "<"),
+        Condition("beta_power_bound", small_beta, 1.0, "<"),
+        Condition("beta_admissibility", crit, 1.0, "<"),
     )
     return ClosedFormBundle(beta=beta, tau=tau, c=c, rg=rg, rg_scan=rg_scan,
                             F=F, G=G, condition_margins=margins)
 
 
-def operating_point(beta_margin: float = 0.002, tau_factor: float = 0.98):
-    """Strict-margin (beta, tau): beta* minus a margin, tau backed off tau*.
+def operating_point(beta_margin: float, tau_margin: float):
+    """Strict-margin (beta, tau): beta* minus beta_margin, tau = tau_margin * tau*.
 
-    Both offsets keep every parameter inequality strictly satisfied; they
-    are the defaults consumed by the profile and construction pipelines.
+    Both offsets keep every parameter inequality strictly satisfied; the
+    CLI option table holds the values the pipelines use.
     """
-    beta = solve_beta_star() - beta_margin
-    if not 0.0 < beta < 0.5:
-        raise ValueError("beta margin pushes beta outside (0, 1/2)")
-    if not 0.0 < tau_factor <= 1.0:
-        raise ValueError("tau factor must lie in (0, 1]")
-    return beta, tau_factor * tau_star(beta)
+    beta = solve_beta_star() - beta_margin  # tau_star rejects a beta outside (0, 1/2)
+    if not 0.0 < tau_margin <= 1.0:
+        raise ValueError("tau margin must lie in (0, 1]")
+    return beta, tau_margin * tau_star(beta)

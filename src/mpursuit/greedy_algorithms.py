@@ -96,8 +96,6 @@ class TraceStep(NamedTuple):
 class GreedyTrace:
     """Per-step record of one algorithm run."""
 
-    algorithm: str
-    shrinkage: float
     steps: list[TraceStep] = field(default_factory=list)
 
     @property
@@ -116,15 +114,17 @@ class GreedyTrace:
     @classmethod
     def from_csv(cls, text: str) -> tuple["GreedyTrace", int]:
         """Parse `to_csv` output and the `# index_offset=` line `mpursuit run` writes
-        above it: (trace, offset), the offset 0 when the line is absent.  An
-        offset that is not an integer >= 0 raises ValueError."""
-        trace, offset = cls(algorithm="file", shrinkage=1.0), 0
+        above it: (trace, offset), the offset 0 when the line is absent.  A
+        second offset line, or one that is not an integer >= 0, raises ValueError."""
+        trace, offset = cls(), None
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("# index_offset="):
                 value = line.partition("=")[2]
                 if not value.isdecimal():
                     raise ValueError(f"trace line {line!r} is not an index offset >= 0")
+                if offset is not None:
+                    raise ValueError("trace CSV repeats index_offset=")
                 offset = int(value)
             elif line and not line.startswith("#") and line != cls.CSV_HEADER:
                 try:
@@ -133,7 +133,7 @@ class GreedyTrace:
                 except ValueError:
                     raise ValueError(f"trace CSV row {line!r} is not {cls.CSV_HEADER}") from None
                 trace.steps.append(step)
-        return trace, offset
+        return trace, offset or 0
 
 
 def _best(vals: np.ndarray):
@@ -229,7 +229,7 @@ def _oga(f: CoeffVector, dictionary: Dictionary, steps: int):
     mat, lengths = dictionary.matrix(), dictionary.lengths
     width = max(dictionary.width, f.active_len)
     r = f.padded(width)
-    trace = GreedyTrace(algorithm="oga", shrinkage=1.0)
+    trace = GreedyTrace()
     basis = _Basis(mat.shape[1])
     live = f.active_len
     c = _prefix_cols(mat, live)
@@ -365,12 +365,9 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
         raise ValueError("empty dictionary")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if algorithm == "pga_shrink":
-        if not 0.0 < shrinkage <= 1.0:
-            raise ValueError("shrinkage must lie in (0, 1]")
-        s = shrinkage
-    else:
-        s = 1.0
+    if algorithm == "pga_shrink" and not 0.0 < shrinkage <= 1.0:
+        raise ValueError("shrinkage must lie in (0, 1]")
+    s = shrinkage if algorithm == "pga_shrink" else 1.0
     if algorithm == "rga" and (variation_bound is None or not 0.0 < variation_bound):
         raise ValueError("rga requires a positive variation_bound")
     if algorithm == "oga":
@@ -379,7 +376,7 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     mat = dictionary.matrix()
     width = max(dictionary.width, f.active_len)
     r = f.padded(width)
-    trace = GreedyTrace(algorithm=algorithm, shrinkage=s)
+    trace = GreedyTrace()
 
     gram = _GramRows(mat, dictionary.lengths)
     cols = _prefix_cols(mat, f.active_len)

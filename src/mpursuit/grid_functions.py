@@ -213,13 +213,15 @@ class GridFunction:
     def from_csv(cls, text: str) -> "GridFunction":
         """Parse `to_csv` output; each row's x must be its grid node.
 
-        Header keys other than lo, hi and M are ignored.
+        Header keys other than lo, hi and M are ignored; a second header raises.
         """
         head, xs, vals = {}, [], []
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("#"):
                 if line.lstrip("# ").startswith("lo="):
+                    if head:
+                        raise ValueError("grid CSV repeats its lo=,hi=,M= header")
                     head = dict(part.partition("=")[::2]
                                 for part in line.lstrip("# ").split(","))
             elif line and not line.startswith("x,"):

@@ -82,10 +82,8 @@ def _sweeps(G: GridFunction, plan: SelfConvPlan, max_sweeps: int,
         if j >= 4 and max(widths) < tol:
             break
     else:
-        err = NumericFailure(f"bracket did not close within {max_sweeps} sweeps "
+        raise NumericFailure(f"bracket did not close within {max_sweeps} sweeps "
                              f"(last width {max(widths):.3e})")
-        err.bracket_width = max(widths)
-        raise err
     for j in range(2, len(fs)):
         diff = fs[j].values - fs[j - 2].values
         worst = float(np.max(diff)) if j % 2 == 0 else -float(np.min(diff))
@@ -95,15 +93,14 @@ def _sweeps(G: GridFunction, plan: SelfConvPlan, max_sweeps: int,
     return fs
 
 
-def solve_f(G: GridFunction, *, tol: float = 1e-8,
-            max_iter: int = 500) -> IterationReport:
+def solve_f(G: GridFunction, *, tol: float, max_iter: int) -> IterationReport:
     """Alternate the clamped sweep until the even/odd bracket closes.
 
     G is the right side sampled on [tau, 1]; its grid's left endpoint is tau.
     Stops once sup|f_{j+2} - f_j| < tol for both parities; the solution is
     the average of the final even and odd iterates.  Raises when the
     contraction constant is >= 1 or the bracket fails to close within
-    max_iter sweeps (the exception carries the last bracket width); max_iter
+    max_iter sweeps (the message gives the last bracket width); max_iter
     must be at least 4, since the certificate reads the fourth iterate.
 
     The bracket is certified when min f3 > 0 and f4 <= f2 + _MONO_SLACK.

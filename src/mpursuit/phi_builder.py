@@ -15,10 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .constants import Condition, all_hold
 from .errors import NumericFailure
 from .grid_functions import _EDGE_SLACK, GridFunction, _simpson
 
-__all__ = ["PhiProfile", "ConditionEntry", "ConditionReport", "bump_kernel",
+__all__ = ["PhiProfile", "ConditionReport", "bump_kernel",
            "mollify", "scale_root", "normalize", "weighted_mass",
            "check_conditions", "build_profile"]
 
@@ -175,21 +176,13 @@ def normalize(phi_bar: GridFunction, beta: float):
 
 
 @dataclass(frozen=True)
-class ConditionEntry:
-    name: str
-    value: float
-    bound: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     mode: str
-    entries: tuple[ConditionEntry, ...]
+    entries: tuple[Condition, ...]
 
     @property
     def all_pass(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return all_hold(self.entries)
 
     def to_text(self) -> str:
         lines = [f"mode={self.mode}"]
@@ -222,12 +215,11 @@ def check_conditions(fn: GridFunction, beta: float, tau: float, mode: str,
         target = beta / (1.0 - 2.0 * beta)
         resid = abs(weighted_mass(fn) - target)
     mass_tol = 1e-6 if mode == "f_form" else 1e-8
-    entries = [
-        ConditionEntry("weighted_mass_residual", resid, mass_tol, resid <= mass_tol),
-        ConditionEntry("growth_bound_sup", sup1, 1.0, sup1 < 1.0),
-        ConditionEntry("tail_bound_sup", sup2, 1.0, sup2 < 1.0),
-    ]
-    return ConditionReport(mode=mode, entries=tuple(entries))
+    return ConditionReport(mode=mode, entries=(
+        Condition("weighted_mass_residual", resid, mass_tol, "<="),
+        Condition("growth_bound_sup", sup1, 1.0, "<"),
+        Condition("tail_bound_sup", sup2, 1.0, "<"),
+    ))
 
 
 def _condition_values(fn: GridFunction, beta: float, tau: float, mode: str,
@@ -349,8 +341,8 @@ class PhiProfile:
         return max(1, int(self.support_lo * n) - 1)
 
 
-def build_profile(f: GridFunction, beta: float, *, t: float = 0.01):
-    """Mollify, normalize and certify; halve t until certification passes.
+def build_profile(f: GridFunction, beta: float, *, t: float):
+    """Mollify, normalize and certify from width t; halve t until certification passes.
 
     f is the solved profile on [tau, 1], so tau is f.lo; beta is the
     exponent phi is normalized for.  Returns (PhiProfile, ConditionReport).

@@ -6,15 +6,19 @@ Usage::
 
 SRC_A and SRC_B are ``src`` directories, for example of a parent commit and
 of a change.  For each tree, under ``OPENBLAS_NUM_THREADS`` 1 and then 2,
-this runs ``python -m mpursuit.cli`` for ``solve-f``, ``make-phi``,
-``build`` at n_max 900 and 2500, ``verify`` on both instances, ``run`` on
-the 2500 instance for pga, pga_shrink (shrinkage 0.5), rga and oga, and
-``rate`` on the pga and oga traces.  It then compares each output file of
-the two trees at the same thread count with its first two lines (the
-command and config echo, which name the output paths) dropped, and the
-exit code of each command.  Every difference is printed; the exit code is
-1 when there is one, else 0.  The file name has no ``test_`` prefix, so
-pytest does not collect it; one comparison takes a few minutes.
+this runs ``python -m mpursuit.cli`` for ``constants`` at its defaults,
+with ``--shrinkage 0.5``, with ``--tau-margin 1.0`` and with
+``--beta-margin -0.01`` (the last two fail conditions and exit 3);
+``solve-f``; ``make-phi``; ``build`` at n_max 900 and 2500; ``verify`` on
+both instances; ``run`` on the 2500 instance for pga, pga_shrink
+(shrinkage 0.5), rga and oga; and ``rate`` on the pga and oga traces, and
+on the pga trace with the bound witnesses of ``--alpha 0.1828
+--variation-bound 1.0``.  It then compares each output file of the two
+trees at the same thread count with its first two lines (the command and
+config echo, which name the output paths) dropped, and the exit code of
+each command.  Every difference is printed; the exit code is 1 when there
+is one, else 0.  The file name has no ``test_`` prefix, so pytest does
+not collect it; one comparison takes a few minutes.
 """
 
 from __future__ import annotations
@@ -29,11 +33,15 @@ import time
 
 THREADS = (1, 2)
 ALGS = (("pga",), ("pga_shrink", "--shrinkage", "0.5"), ("rga",), ("oga",))
+CONSTANTS = (("default", ()), ("shrinkage_0.5", ("--shrinkage", "0.5")),
+             ("tau_margin_1", ("--tau-margin", "1.0")),
+             ("beta_margin_-0.01", ("--beta-margin", "-0.01")))
 
 
 def commands() -> list[list[str]]:
     """The CLI argument lists, in order; paths are relative to the run directory."""
-    cmds = [["solve-f", "--outdir", "solve"], ["make-phi", "--outdir", "phi"]]
+    cmds = [["constants", *flags, "--out", f"constants/{name}.txt"] for name, flags in CONSTANTS]
+    cmds += [["solve-f", "--outdir", "solve"], ["make-phi", "--outdir", "phi"]]
     for n in (900, 2500):
         cmds.append(["build", "--n-max", str(n), "--outdir", f"b{n}"])
         cmds.append(["verify", "--instance", f"b{n}/instance.txt", "--out", f"b{n}/verify.txt"])
@@ -42,6 +50,8 @@ def commands() -> list[list[str]]:
                      "--out", f"b2500/trace_{alg}.csv"])
     for alg in ("pga", "oga"):
         cmds.append(["rate", "--trace", f"b2500/trace_{alg}.csv", "--out", f"b2500/rate_{alg}.txt"])
+    cmds.append(["rate", "--trace", "b2500/trace_pga.csv", "--alpha", "0.1828",
+                 "--variation-bound", "1.0", "--out", "b2500/rate_pga_witnesses.txt"])
     return cmds
 
 

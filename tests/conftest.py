@@ -10,7 +10,7 @@ run never pays for it.
 import numpy as np
 import pytest
 
-from mpursuit import bundle, operating_point, solve_f
+from mpursuit import bundle, cli, operating_point, solve_f
 from mpursuit.adversarial import (ConstructionParams, _residual_blocks, advance,
                                   build_instance, choose_epsilon, finalize, init_state)
 from mpursuit.instance_io import load_instance
@@ -19,7 +19,7 @@ from mpursuit.phi_builder import build_profile
 
 @pytest.fixture(scope="session")
 def op_point():
-    return operating_point()
+    return operating_point(**cli._MARGINS)
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def coarse_solution(op_point):
     """Integral-equation solve at M=1001 (fast, accurate enough for units)."""
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(1001)
-    report = solve_f(g, tol=1e-9)
+    report = solve_f(g, tol=1e-9, max_iter=cli._SOLVE["max_iter"])
     return beta, tau, g, report
 
 

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from mpursuit import cli
 from mpursuit.adversarial import (ConstructionParams, _residual_components, _residual_rows,
                                   advance, choose_epsilon, finalize, init_state, verify)
 from mpursuit.analysis import check_bounds, fit_decay
@@ -30,15 +31,15 @@ def _line(criterion: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def op_pair():
-    return operating_point()
+    return operating_point(**cli._MARGINS)
 
 
 @pytest.fixture(scope="module")
 def solved(op_pair):
     beta, tau = op_pair
-    g = bundle(beta, tau).g_grid(2001)
+    g = bundle(beta, tau).g_grid(cli._SOLVE["grid_m"])
     t0 = time.perf_counter()
-    report = solve_f(g, tol=1e-8)
+    report = solve_f(g, tol=cli._SOLVE["tol"], max_iter=cli._SOLVE["max_iter"])
     return beta, tau, g, report, time.perf_counter() - t0
 
 
@@ -114,7 +115,8 @@ def test_criterion_5_integral_equation(solved):
     base = max(rep.residual_sup, 1e-12)
     stable = refined <= 5 * base and base <= 5 * max(refined, 1e-12)
     bs = solve_beta_star()
-    crit = solve_f(bundle(bs, tau_star(bs)).g_grid(2001))
+    crit = solve_f(bundle(bs, tau_star(bs)).g_grid(cli._SOLVE["grid_m"]),
+                   tol=cli._SOLVE["tol"], max_iter=cli._SOLVE["max_iter"])
     ok = (rep.residual_sup <= 1e-6 and stable and crit.f3_min > 0.0
           and rep.f3_min > 0.0 and crit.bracket_certified and rep.bracket_certified
           and seconds < 30.0)

@@ -7,7 +7,7 @@ from mpursuit.linear_core import CoeffVector
 
 
 def synthetic_trace(norms, offset=0):
-    t = GreedyTrace(algorithm="pga", shrinkage=1.0)
+    t = GreedyTrace()
     for j, rn in enumerate(norms, start=1):
         t.steps.append(TraceStep(j, f"a{j}", 1, 0.0, float(rn)))
     return t
@@ -99,7 +99,9 @@ def test_compare_shrink_smoke(small_instance):
     n0 = inst.params.N
     trace = run("pga_shrink", inst.f, inst.dictionary, 30, shrinkage=0.5,
                 variation_bound=inst.variation_bound)
-    assert trace.algorithm == "pga_shrink"
+    # the run took the shrinkage: its first step keeps half of pga's coefficient
+    full = run("pga", inst.f, inst.dictionary, 1).steps[0]
+    assert trace.steps[0].coefficient == 0.5 * full.coefficient
     assert len(trace.steps) == 30
     assert np.all(np.diff(trace.residual_norms) <= 1e-14)
     fit = fit_decay(trace, n0 + 1, n0 + 30, index_offset=n0)

@@ -142,7 +142,10 @@ def test_config_bool_other_value_is_a_usage_error(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("line, message", [
     ("grid_m=abc", "config grid_m='abc': invalid literal for int() with base 10: 'abc'"),
-    ("tol=1e-8x", "config tol='1e-8x': could not convert string to float: '1e-8x'")])
+    ("tol=1e-8x", "config tol='1e-8x': could not convert string to float: '1e-8x'"),
+    # the later line won, and a line without "=" fell back to the default
+    ("n_min=500\nn_min=9999", "config repeats n_min="),
+    ("grid_m=501\nout", "config line 'out' is not key=value")])
 def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, line, message):
     cfgfile = tmp_path / "solve.cfg"
     cfgfile.write_text(line + "\n")
@@ -228,6 +231,9 @@ TRACE_HEAD = "# index_offset=400\nn,residual_norm,atom_id,sign,coefficient\n"
     ("# lo=0,hi=1,M=3\nx,value\n0,1\n0.5\n1,1\n", "not two numbers"),
     (TRACE_HEAD + "1,0.5,d401,1,0.1\n2,0.4,d402,1\n", "is not n,residual_norm"),
     ("a,b\n1,2\n", "not a grid or trace CSV"),
+    # the later header line won
+    ("# lo=0,hi=2,M=3\n# lo=0,hi=1,M=3\nx,value\n0,1\n0.5,1\n1,1\n",
+     "grid CSV repeats its lo=,hi=,M= header"),
 ])
 def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
     good, bad = write_curve(tmp_path), tmp_path / "bad.csv"
@@ -284,18 +290,19 @@ def test_rate_short_trace_row_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "", "-50"])
+@pytest.mark.parametrize("value", ["abc", "", "-50", "400\n# index_offset=7"])
 @pytest.mark.parametrize("command", ["rate", "plot"])
 def test_malformed_index_offset_is_a_usage_error(tmp_path, capsys, command, value):
     # the trace's own line is the only source of the offset; a negative one
-    # would give step indices <= 0
+    # would give step indices <= 0, and of two lines the later one won
     bad = tmp_path / "bad.csv"
     bad.write_text(TRACE_HEAD.replace("=400", "=" + value) + "1,0.5,d401,1,0.1\n")
     out = tmp_path / "out.txt"
     capsys.readouterr()
     assert main([command, str(bad), "--out", str(out)] if command == "plot"
                 else ["rate", "--trace", str(bad), "--out", str(out)]) == 1
-    assert error_line(capsys) == (f"error: trace line '# index_offset={value}' "
+    assert error_line(capsys) == ("error: trace CSV repeats index_offset=" if "\n" in value
+                                  else f"error: trace line '# index_offset={value}' "
                                   "is not an index offset >= 0")
     assert not out.exists()
 

@@ -1,7 +1,10 @@
+import operator
+
 import numpy as np
 import pytest
 
-from mpursuit.constants import (beta_condition_lhs, bundle, gamma_equation,
+from mpursuit import cli
+from mpursuit.constants import (Condition, beta_condition_lhs, bundle, gamma_equation,
                                 operating_point, solve_beta_star, solve_gamma,
                                 tau_star)
 from mpursuit.errors import NumericFailure
@@ -108,7 +111,7 @@ def test_bundle_f_endpoints():
 
 
 def test_bundle_g_closed_form():
-    beta, tau = operating_point()
+    beta, tau = operating_point(**cli._MARGINS)
     b = bundle(beta, tau)
     a = np.linspace(tau, 1.0, 7)
     assert np.allclose(b.G(a), b.c * tau ** -beta * a ** (beta - 1.0), rtol=1e-14)
@@ -116,7 +119,7 @@ def test_bundle_g_closed_form():
 
 def test_differential_identity_aGprime():
     # a F'(a) - beta F(a) = c with F' = G, on sampled points
-    beta, tau = operating_point()
+    beta, tau = operating_point(**cli._MARGINS)
     b = bundle(beta, tau)
     a = np.linspace(tau, 1.0, 101)
     assert np.max(np.abs(a * b.G(a) - beta * b.F(a) - b.c)) < 1e-10
@@ -147,8 +150,29 @@ def test_bundle_flags_violations_without_raising():
     assert not b.all_strict
 
 
+INEQUALITIES = {"<": operator.lt, ">": operator.gt, "<=": operator.le}
+
+
+@pytest.mark.parametrize("sense", list(INEQUALITIES))
+def test_condition_passes_exactly_when_its_inequality_holds(sense):
+    # below, at and above the bound: at it only "<=" holds, so a "<=" turned
+    # into "<" fails here; a NaN value fails every sense
+    for value in (0.5, 1.0, 1.5):
+        assert Condition("x", value, 1.0, sense).passed is INEQUALITIES[sense](value, 1.0)
+    assert Condition("x", 1.0, 1.0, sense).passed is (sense == "<=")
+    assert Condition("x", np.nan, 1.0, sense).passed is False
+
+
+def test_tau_at_tau_star_fails_c_below_one():
+    # c = 1 at tau = tau*; here it rounds to 1 + 4e-16, above the strict bound
+    beta, tau = operating_point(cli._MARGINS["beta_margin"], 1.0)
+    b = bundle(beta, tau)
+    assert [m.name for m in b.condition_margins if not m.passed] == ["c_below_one"]
+    assert not b.all_strict
+
+
 def test_operating_point_strict_margins():
-    beta, tau = operating_point()
+    beta, tau = operating_point(**cli._MARGINS)
     assert beta < solve_beta_star()
     assert tau < tau_star(beta)
     assert bundle(beta, tau).all_strict
@@ -156,9 +180,9 @@ def test_operating_point_strict_margins():
 
 def test_operating_point_validation():
     with pytest.raises(ValueError):
-        operating_point(beta_margin=0.5)
+        operating_point(**{**cli._MARGINS, "beta_margin": 0.5})
     with pytest.raises(ValueError):
-        operating_point(tau_factor=0.0)
+        operating_point(**{**cli._MARGINS, "tau_margin": 0.0})
 
 
 def test_no_root_error():

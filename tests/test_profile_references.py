@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from mpursuit import adversarial, cli, integral_equation, phi_builder
-from mpursuit.constants import bundle
+from mpursuit.constants import Condition, bundle
 from mpursuit.grid_functions import (GridFunction, SelfConvPlan, _corrected_trapezoid,
                                      _locate, _value, selfconv_on_nodes)
 from mpursuit.integral_equation import solve_f
-from mpursuit.phi_builder import (_GL_PIECE_NODES, _GL_PIECE_WEIGHTS, ConditionEntry,
-                                  ConditionReport, _extended, bump_kernel,
-                                  check_conditions, mollify)
+from mpursuit.phi_builder import (_GL_PIECE_NODES, _GL_PIECE_WEIGHTS, ConditionReport,
+                                  _extended, bump_kernel, check_conditions, mollify)
 
 
 # -- references -------------------------------------------------------------
@@ -69,7 +68,8 @@ def _prefix_integral(g_prefix, h, rem, tail_val):
 
 
 def reference_check_conditions(fn, beta, tau, mode, a_points=2000, extra_points=None):
-    """The report, and each inequality's value at each a (0 where a is skipped)."""
+    """The report, each condition's pass flag from its own inequality, and
+    each inequality's value at each a (0 where a is skipped)."""
     lo = fn.lo
     nodes = fn.nodes
     h = fn.h
@@ -121,12 +121,13 @@ def reference_check_conditions(fn, beta, tau, mode, a_points=2000, extra_points=
     weighted = GridFunction(fn.lo, fn.hi, fn.values * (1.0 + tails)).integrate()
     resid = abs(weighted - target)
     mass_tol = 1e-6 if mode == "f_form" else 1e-8
-    entries = [
-        ConditionEntry("weighted_mass_residual", resid, mass_tol, resid <= mass_tol),
-        ConditionEntry("growth_bound_sup", sup1, 1.0, sup1 < 1.0),
-        ConditionEntry("tail_bound_sup", sup2, 1.0, sup2 < 1.0),
-    ]
-    return ConditionReport(mode=mode, entries=tuple(entries)), growth, tail
+    entries = (
+        Condition("weighted_mass_residual", resid, mass_tol, "<="),
+        Condition("growth_bound_sup", sup1, 1.0, "<"),
+        Condition("tail_bound_sup", sup2, 1.0, "<"),
+    )
+    passed = (resid <= mass_tol, sup1 < 1.0, sup2 < 1.0)
+    return ConditionReport(mode=mode, entries=entries), passed, growth, tail
 
 
 def reference_selfconv(f):
@@ -162,12 +163,13 @@ def _assert_same_check(fn, beta, tau, mode, extra_points=None):
     """Same report, and the same value of each inequality at every a of
     the check's _A_POINTS."""
     a_points = phi_builder._A_POINTS
-    want, growth, tail = reference_check_conditions(fn, beta, tau, mode, a_points, extra_points)
+    want, passed, growth, tail = reference_check_conditions(fn, beta, tau, mode, a_points,
+                                                            extra_points)
     got = check_conditions(fn, beta, tau, mode, extra_points)
     assert got.mode == want.mode
-    for g, w in zip(got.entries, want.entries, strict=True):
-        assert (g.name, g.value, g.bound, bool(g.passed)) == \
-            (w.name, w.value, w.bound, bool(w.passed))
+    for g, w, p in zip(got.entries, want.entries, passed, strict=True):
+        assert (g.name, g.value, g.bound, g.sense, g.passed) == \
+            (w.name, w.value, w.bound, w.sense, bool(p))
     assert got.to_text() == want.to_text()
     values = phi_builder._condition_values(fn, beta, tau, mode, extra_points)
     assert np.array_equal(values[0], growth)
@@ -290,7 +292,7 @@ def test_solve_f_owns_its_plan_and_frees_it_on_return(op_point, monkeypatch):
 
     monkeypatch.setattr(integral_equation, "selfconv_on_nodes", watch_selfconv)
     monkeypatch.setattr(integral_equation, "apply_T", watch_apply)
-    report = solve_f(g, tol=1e-9)
+    report = solve_f(g, tol=1e-9, max_iter=cli._SOLVE["max_iter"])
     assert len(sweeps) == report.iterations
     assert len(plans) == report.iterations + 1  # the sweeps and the residual
     assert not [ref for ref in plans if ref() is not None], "a plan outlived solve_f"
