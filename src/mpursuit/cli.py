@@ -127,9 +127,7 @@ def cmd_constants(cfg) -> int:
         f"R_G_scan={_fmt(bun.rg_scan)}",
     ]
     for m in bun.condition_margins:
-        lines.append(f"margins.{m.name}.value={_fmt(m.value)}")
-        lines.append(f"margins.{m.name}.bound={_fmt(m.bound)} (strict {m.sense})")
-        lines.append(f"margins.{m.name}.pass={'true' if m.passed else 'false'}")
+        lines += m.lines("margins.", f" (strict {m.sense})")
     _write(cfg["out"], _header("constants", cfg) + "\n".join(lines) + "\n")
     return EXIT_OK if bun.all_strict else EXIT_VERIFY
 

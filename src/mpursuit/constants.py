@@ -138,6 +138,12 @@ class Condition:
         v, b = self.value, self.bound
         return bool({"<": v < b, ">": v > b, "<=": v <= b}[self.sense])
 
+    def lines(self, prefix: str = "", bound_note: str = "") -> list[str]:
+        """The report's value, bound and pass lines, keyed prefix + name."""
+        key = prefix + self.name
+        return [f"{key}.value={self.value:.12g}", f"{key}.bound={self.bound:.12g}{bound_note}",
+                f"{key}.pass={'true' if self.passed else 'false'}"]
+
 
 def all_hold(conditions) -> bool:
     """True when every condition in `conditions` passes."""

@@ -332,14 +332,14 @@ class SelfConvPlan:
 
     The rows are cut into blocks of whole rows, about _BLOCK points each,
     and the blocks are split across one worker thread per CPU this
-    process may run on.  A row's points and its quadrature take the same
+    process may run on; each sweep starts its workers and joins them
+    before it returns.  A row's points and its quadrature take the same
     operations whichever thread computes them, so a sweep's bits do not
-    depend on the worker count.  A new plan has no tables: its first sweep
-    locates each block's points as it fills the block, and it stores them
-    by the same code before its second, so a plan swept once keeps none.
-    The plan is a context manager: leaving it stops the workers and frees
-    the tables.  The grid needs 0 < lo and hi <= 1, so that no query
-    x_j / x_i falls below lo, where f counts as 0.
+    depend on the worker count.  A new plan has no tables: its first
+    sweep locates each block's points as it fills the block and writes
+    them into the tables, which every later sweep reads.  The grid needs
+    0 < lo and hi <= 1, so that no query x_j / x_i falls below lo, where
+    f counts as 0.
     """
 
     def __init__(self, grid: GridFunction):
@@ -358,33 +358,22 @@ class SelfConvPlan:
         n = min(len(os.sched_getaffinity(0)), len(blocks))
         self._chunks = [blocks[w * len(blocks) // n:(w + 1) * len(blocks) // n]
                         for w in range(n)]
-        self._pool = None
-        if n > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(n - 1)
         self._tables = None
-        self._swept = False
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
-        """Stop the worker threads and drop the tables."""
-        if self._pool is not None:
-            self._pool.shutdown()
-        self._pool = self._tables = None
 
     def _run(self, task, *args) -> None:
         """task(blocks, *args) on every chunk of blocks, the first in this thread."""
-        pending = [self._pool.submit(task, chunk, *args) for chunk in self._chunks[1:]]
-        try:
-            task(self._chunks[0], *args)
-        finally:
-            for fut in pending:
-                fut.result()
+        first, *rest = self._chunks
+        if not rest:
+            task(first, *args)
+            return
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(len(rest)) as pool:
+            pending = [pool.submit(task, chunk, *args) for chunk in rest]
+            try:
+                task(first, *args)
+            finally:
+                for fut in pending:
+                    fut.result()
 
     def _points(self, first: int, stop: int) -> slice:
         """The plan's points of the rows first .. stop - 1."""
@@ -400,23 +389,11 @@ class SelfConvPlan:
         s2 = s * s           # z * s, as _terms forms it
         return cols, piece, s, s2, s2 * s
 
-    def _store(self, blocks) -> None:
-        for first, stop in blocks:
-            pts = self._points(first, stop)
-            for table, column in zip(self._tables, self._located(first, stop)):
-                table[pts] = column
-
-    def _block(self, first: int, stop: int) -> tuple:
-        """The rows' points as _located gives them, from the tables if kept."""
-        if self._tables is None:
-            return self._located(first, stop)
-        pts = self._points(first, stop)
-        return tuple(table[pts] for table in self._tables)
-
-    def _fill(self, blocks, c, values, nonneg, mid, out) -> None:
+    def _fill(self, blocks, c, values, nonneg, mid, tables, stored, out) -> None:
         """out[i] = the quadrature of row i over the blocks, c f's piece table.
 
-        mid is 4 f(x_m) f(x_m / x_1), the midpoint term of row 1.
+        mid is 4 f(x_m) f(x_m / x_1), the midpoint term of row 1.  The points
+        come from the tables when stored, else are located and written into them.
         """
         size = self._longest
         p, t, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
@@ -424,7 +401,12 @@ class SelfConvPlan:
             pts = self._points(first, stop)
             n = pts.stop - pts.start
             q, tt, i = p[:n], t[:n], idx[:n]
-            cols, piece, s, s2, s3 = self._block(first, stop)
+            if stored:
+                cols, piece, s, s2, s3 = (table[pts] for table in tables)
+            else:
+                cols, piece, s, s2, s3 = located = self._located(first, stop)
+                for table, column in zip(tables, located):
+                    table[pts] = column
             # clamped f(x_j / x_i) f(x_j), the cubic summed left to right as
             # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3
             i[...] = piece
@@ -454,31 +436,35 @@ class SelfConvPlan:
                 rows[1] = self.h / 6.0 * (q[1] + mid + q[2])
 
     def sweep(self, f: GridFunction) -> np.ndarray:
+        """f's self-convolution at every node; the first sweep to return stores the tables."""
         if f.m != self.m or abs(f.lo - self.lo) > 1e-14 or abs(f.hi - self.hi) > 1e-14:
             raise ValueError("grid mismatch with plan")
+        if self._tables is not None:
+            return self._sweep(f, self._tables, stored=True)
+        size = int(self.row_ends[-1]) + 1
+        tables = tuple(np.empty(size, t) for t in (np.int32,) * 2 + (float,) * 3)
+        out = self._sweep(f, tables, stored=False)
+        self._tables = tables
+        return out
+
+    def _sweep(self, f: GridFunction, tables: tuple = (), stored: bool = False) -> np.ndarray:
         nonneg = float(np.min(f.values)) >= 0.0
         x_mid = 0.5 * (self.nodes[0] + self.nodes[1])
         f1 = f(x_mid)
         f2 = f(min(x_mid / self.nodes[1], self.hi))
         if nonneg:
             f1, f2 = max(f1, 0.0), max(f2, 0.0)
-        if self._swept and self._tables is None:  # a second sweep: the tables pay
-            size = int(self.row_ends[-1]) + 1
-            self._tables = tuple(np.empty(size, t) for t in (np.int32,) * 2 + (float,) * 3)
-            self._run(self._store)
-        self._swept = True
         out = np.empty(self.m)
-        self._run(self._fill, f.pieces, f.values, nonneg, 4.0 * f1 * f2, out)
+        self._run(self._fill, f.pieces, f.values, nonneg, 4.0 * f1 * f2, tables, stored, out)
         return out / self.nodes
 
 
 def selfconv_on_nodes(f: GridFunction, plan: SelfConvPlan | None = None) -> np.ndarray:
     """Scaled self-convolution evaluated at every node of f's own grid.
 
-    plan is a SelfConvPlan for that grid; without one, a plan sweeps once
-    for this call alone, so it keeps no tables.
+    plan is a SelfConvPlan for that grid; without one, the sweep locates
+    each block's points as it fills the block and keeps no tables.
     """
     if plan is not None:
         return plan.sweep(f)
-    with SelfConvPlan(f) as plan:
-        return plan.sweep(f)
+    return SelfConvPlan(f)._sweep(f)

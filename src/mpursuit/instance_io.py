@@ -73,7 +73,8 @@ def load_instance(path: str) -> AdversarialInstance:
     """Parse an instance file and replay the construction it describes.
 
     A malformed file raises InstanceFormatError, and so does a header
-    that repeats a key or whose t, tau, c_t and delta are not finite
+    with a line that is not key=value, a header that repeats a key, or one
+    whose t, tau, c_t and delta are not finite
     with 0 < t < tau < 1, c_t > 0 and delta = tau - 2t exactly; a replay
     whose step conditions fail raises ConstructionError naming the step.
     """
@@ -96,7 +97,9 @@ def load_instance(path: str) -> AdversarialInstance:
         if section == "head":
             if line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise InstanceFormatError(f"instance header line {line!r} is not key=value")
             key = key.strip()
             if key in scalars:
                 raise InstanceFormatError(f"instance header repeats {key}=")

@@ -44,7 +44,7 @@ def apply_T(G: GridFunction, f: GridFunction, *,
     """One sweep: a |-> G(a) - a^{-1} int_tau^a f(x) f(x/a) dx, clamped at 0.
 
     G and f must share the grid, whose left endpoint is tau; plan is a
-    self-convolution plan for that grid (one is built when not given).
+    self-convolution plan for that grid (without one, no tables are kept).
     """
     if (G.m != f.m) or abs(G.lo - f.lo) > 1e-14 or abs(G.hi - f.hi) > 1e-14:
         raise ValueError("G and f must share one grid")
@@ -116,13 +116,13 @@ def solve_f(G: GridFunction, *, tol: float, max_iter: int) -> IterationReport:
     rg = numeric_rg(G)
     if rg >= 1.0:
         raise NumericFailure(f"contraction hypothesis violated: R_G = {rg:.6f} >= 1")
-    with SelfConvPlan(G) as plan:  # the solve's sweeps share one plan, freed on return
-        fs = _sweeps(G, plan, max_iter, tol)
-        even, odd = fs[-1], fs[-2]
-        if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
-            even, odd = fs[-2], fs[-1]
-        fbar = GridFunction(G.lo, G.hi, 0.5 * (even.values + odd.values))
-        res = residual_values(G, fbar, plan)
+    plan = SelfConvPlan(G)  # the solve's sweeps share one plan and its tables
+    fs = _sweeps(G, plan, max_iter, tol)
+    even, odd = fs[-1], fs[-2]
+    if len(fs) % 2 == 0:  # fs[-1] is an odd iterate
+        even, odd = fs[-2], fs[-1]
+    fbar = GridFunction(G.lo, G.hi, 0.5 * (even.values + odd.values))
+    res = residual_values(G, fbar, plan)
     width = float(np.max(np.abs(even.values - odd.values)))
     f3_min = float(np.min(fs[3].values))
     certified = f3_min > 0.0 and float(np.max(fs[4].values - fs[2].values)) <= _MONO_SLACK

@@ -187,9 +187,7 @@ class ConditionReport:
     def to_text(self) -> str:
         lines = [f"mode={self.mode}"]
         for e in self.entries:
-            lines.append(f"{e.name}.value={e.value:.12g}")
-            lines.append(f"{e.name}.bound={e.bound:.12g}")
-            lines.append(f"{e.name}.pass={'true' if e.passed else 'false'}")
+            lines += e.lines()
         lines.append(f"all_pass={'true' if self.all_pass else 'false'}")
         return "\n".join(lines) + "\n"
 

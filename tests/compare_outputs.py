@@ -13,10 +13,13 @@ with ``--shrinkage 0.5``, with ``--tau-margin 1.0`` and with
 both instances; ``run`` on the 2500 instance for pga, pga_shrink
 (shrinkage 0.5), rga and oga; and ``rate`` on the pga and oga traces, and
 on the pga trace with the bound witnesses of ``--alpha 0.1828
---variation-bound 1.0``.  It then compares each output file of the two
-trees at the same thread count with its first two lines (the command and
-config echo, which name the output paths) dropped, and the exit code of
-each command.  Every difference is printed; the exit code is 1 when there
+--variation-bound 1.0``.  It then runs ``solve-f`` and ``build`` at n_max
+900 once more under ``OPENBLAS_NUM_THREADS=1`` with each command pinned to
+one CPU (``os.sched_setaffinity`` in the child alone), so that the
+self-convolution sweep takes its one-worker path.  It compares each output
+file of the two trees in the same setting with its first two lines (the
+command and config echo, which name the output paths) dropped, and the exit
+code of each command.  Every difference is printed; the exit code is 1 when there
 is one, else 0.  The file name has no ``test_`` prefix, so pytest does
 not collect it; one comparison takes a few minutes.
 """
@@ -32,6 +35,7 @@ import tempfile
 import time
 
 THREADS = (1, 2)
+PINNED = (["solve-f", "--outdir", "solve"], ["build", "--n-max", "900", "--outdir", "b900"])
 ALGS = (("pga",), ("pga_shrink", "--shrinkage", "0.5"), ("rga",), ("oga",))
 CONSTANTS = (("default", ()), ("shrinkage_0.5", ("--shrinkage", "0.5")),
              ("tau_margin_1", ("--tau-margin", "1.0")),
@@ -55,14 +59,27 @@ def commands() -> list[list[str]]:
     return cmds
 
 
-def run_tree(src: str, where: str, threads: int) -> list[int]:
-    """Run every command of `commands` on the tree `src` in the directory `where`."""
+def pin_to_one_cpu() -> None:
+    """Restrict the calling process, a child before it starts the CLI, to one CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def settings() -> list[tuple[str, int, list[list[str]], bool]]:
+    """(label, OPENBLAS_NUM_THREADS, commands, pinned to one CPU) of each comparison."""
+    return ([(f"t={threads}", threads, commands(), False) for threads in THREADS]
+            + [("one CPU", 1, list(PINNED), True)])
+
+
+def run_tree(src: str, where: str, threads: int, cmds: list[list[str]],
+             pinned: bool) -> list[int]:
+    """Run the commands `cmds` on the tree `src` in the directory `where`."""
     os.makedirs(where)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS=str(threads))
     codes = []
-    for cmd in commands():
+    for cmd in cmds:
         done = subprocess.run([sys.executable, "-m", "mpursuit.cli", *cmd], cwd=where, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              preexec_fn=pin_to_one_cpu if pinned else None)
         if done.returncode:
             print(f"  {' '.join(cmd)}: exit {done.returncode}: {done.stderr.strip()}")
         codes.append(done.returncode)
@@ -89,26 +106,26 @@ def main(argv=None) -> int:
     work = args.workdir or tempfile.mkdtemp(prefix="compare_outputs-")
     start, differ, compared = time.perf_counter(), [], 0
     try:
-        for threads in THREADS:
+        for label, threads, cmds, pinned in settings():
             runs = {}
             for side, src in (("a", args.src_a), ("b", args.src_b)):
-                where = os.path.join(work, f"{side}-t{threads}")
-                print(f"{side} = {src}, OPENBLAS_NUM_THREADS={threads}", flush=True)
-                runs[side] = run_tree(src, where, threads), outputs(where)
+                where = os.path.join(work, f"{side}-t{threads}{'-pinned' if pinned else ''}")
+                print(f"{side} = {src}, {label}", flush=True)
+                runs[side] = run_tree(src, where, threads, cmds, pinned), outputs(where)
             (codes_a, files_a), (codes_b, files_b) = runs["a"], runs["b"]
-            for cmd, code_a, code_b in zip(commands(), codes_a, codes_b):
+            for cmd, code_a, code_b in zip(cmds, codes_a, codes_b):
                 if code_a != code_b:
-                    differ.append(f"t={threads} exit code of {' '.join(cmd)}: {code_a} vs {code_b}")
+                    differ.append(f"{label} exit code of {' '.join(cmd)}: {code_a} vs {code_b}")
             for name in sorted(files_a.keys() | files_b.keys()):
                 compared += 1
                 if files_a.get(name) != files_b.get(name):
-                    differ.append(f"t={threads} {name}")
+                    differ.append(f"{label} {name}")
     finally:
         if not args.workdir:
             shutil.rmtree(work, ignore_errors=True)
     for line in differ:
         print(f"DIFFERS: {line}")
-    print(f"{compared} outputs compared at OPENBLAS_NUM_THREADS {', '.join(map(str, THREADS))}: "
+    print(f"{compared} outputs compared ({', '.join(label for label, *_ in settings())}): "
           f"{len(differ)} differences, {time.perf_counter() - start:.0f} s")
     return 1 if differ else 0
 

@@ -75,11 +75,88 @@ MUTANTS = (
                  f"[atom-nan-{block}]" for block in (7, 64, 512))),
     Mutant("verify_keeps_nan_blended_margins", "adversarial.py",
            "tmarg[np.isnan(tmarg)] = np.inf", "pass",
-           ("tests/test_adversarial.py::test_verify_matches_row_by_row_reference[atom-nan-512]",)),
+           ("tests/test_adversarial.py::test_verify_matches_row_by_row_reference[atom-nan-512]",
+            *(f"tests/test_adversarial.py::test_verify_matches_row_by_row_reference"
+              f"[blended_min_atom-nan-{block}]" for block in (7, 64, 512)))),
     Mutant("oracle_reads_the_stored_blended_atom", "adversarial.py",
            "dtil = epsilon * r_n / self.rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]",
            "dtil = state.atoms[0, :N].copy()",
            ("tests/test_adversarial.py::test_oracle_never_reads_stored_vectors",)),
+    # the construction's one stored residual and its walk
+    Mutant("walk_copies_the_row_after_the_update", "adversarial.py",
+           "            row[:] = r\n            r[:n] -= q[n] * state.atom_row(n)[:n]\n",
+           "            r[:n] -= q[n] * state.atom_row(n)[:n]\n            row[:] = r\n",
+           ("tests/test_adversarial.py::test_oracle_vs_direct_random_pairs",
+            "tests/test_adversarial.py::test_walk_reproduces_every_step_residual_bit_for_bit[7]")),
+    Mutant("step_stores_r_N_plus_1_as_r_N", "adversarial.py",
+           "    if n == state.N:\n        state.r_hist[0, :n] = r[:n]",
+           "    if n == state.N + 1:\n        state.r_hist[0, :n] = r[:n]",
+           ("tests/test_adversarial.py::test_build_instance_doubling_success",
+            "tests/test_adversarial.py::test_step_energy_identity")),
+    Mutant("verify_reuses_the_norm_before_r_n_max", "adversarial.py",
+           "norms[-1:] = np.linalg.norm(r[None], axis=1)", "norms[-1:] = norms[-2:-1]",
+           ("tests/test_adversarial.py::test_verify_dual_paths_agree_even_without_margins",)),
+    # Gram rows on demand and phi's zero band
+    Mutant("gram_hit_returns_the_row_before", "greedy_algorithms.py",
+           "return rows[j - lo]", "return rows[j - lo - 1]",
+           ("tests/test_greedy.py::test_pga_halts_inside_a_gram_block",
+            "tests/test_greedy.py::test_gram_rows_double_per_stream_and_keep_one_block_a_stream")),
+    Mutant("gram_blocks_never_double", "greedy_algorithms.py",
+           "min(2 * len(rows), _GRAM_BLOCK)", "min(len(rows), _GRAM_BLOCK)",
+           ("tests/test_greedy.py::test_gram_rows_double_per_stream_and_keep_one_block_a_stream",)),
+    Mutant("gram_prefix_from_the_first_atom", "greedy_algorithms.py",
+           "int(self.lengths[j:j + m].max())", "int(self.lengths[j])",
+           ("tests/test_greedy.py::test_gram_rows_keep_the_contract_in_any_storage_order"
+            "[pga-1.0-shuffled]",)),
+    Mutant("gram_miss_keeps_no_other_block", "greedy_algorithms.py",
+           "m, kept = 1, blocks[1 - _GRAM_STREAMS:]", "m, kept = 1, []",
+           ("tests/test_greedy.py::test_gram_rows_double_per_stream_and_keep_one_block_a_stream",)),
+    Mutant("h_rows_from_the_last_row_edge", "adversarial.py",
+           "i0 = phi.first_live(int(ls[0]))", "i0 = phi.first_live(int(ls[-1]))",
+           ("tests/test_profile_references.py::test_oracle_h_rows_equal_h_row",
+            "tests/test_adversarial.py::test_bulk_rows_match_pair_values")),
+    Mutant("first_live_two_points_high", "phi_builder.py",
+           "max(1, int(self.support_lo * n) - 1)", "max(1, int(self.support_lo * n) + 1)",
+           ("tests/test_phi_builder.py::test_build_profile_certificate",)),
+    Mutant("support_lo_three_pieces_late", "phi_builder.py",
+           "float(self.phi.nodes[live[0]])", "float(self.phi.nodes[live[0] + 3])",
+           ("tests/test_phi_builder.py::test_build_profile_certificate",
+            "tests/test_adversarial.py::test_phi_band_skip_keeps_the_replayed_atom_store")),
+    Mutant("atom_store_on_np_zeros", "adversarial.py",
+           "self.atoms = lazy_zeros((n_max - params.N + 2, n_max))",
+           "self.atoms = np.zeros((n_max - params.N + 2, n_max))",
+           ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",)),
+    # input checks
+    Mutant("rate_accepts_non_finite_bounds", "cli.py",
+           "if not math.isfinite(cfg[key]):", "if False:",
+           ("tests/test_cli.py::test_non_finite_rate_bound_is_a_usage_error[alpha-nan]",
+            "tests/test_cli.py::test_non_finite_rate_bound_is_a_usage_error[variation-bound-inf]")),
+    Mutant("check_bounds_accepts_an_infinite_bound", "analysis.py",
+           "if not 0.0 < variation_bound < np.inf:", "if not 0.0 < variation_bound:",
+           ("tests/test_analysis.py::test_check_bounds_validation",)),
+    Mutant("f_csv_tau_unchecked", "cli.py",
+           "if not abs(fbar.lo - tau) <= 1e-12 * tau:", "if False:",
+           tuple(f"tests/test_cli.py::test_f_csv_off_the_operating_tau_is_a_usage_error[{case}]"
+                 for case in ("make-phi-flags0", "build-flags1"))),
+    # the self-convolution plan
+    Mutant("first_sweep_stores_no_tables", "grid_functions.py",
+           "                    table[pts] = column", "                    pass",
+           ("tests/test_integral_equation.py::test_a_plan_stores_its_tables_during_its_first_sweep",
+            "tests/test_integral_equation.py::test_selfconv_without_a_plan_equals_the_plan"
+            "_bit_for_bit")),
+    Mutant("planless_sweep_stores_tables", "grid_functions.py",
+           "return SelfConvPlan(f)._sweep(f)", "return SelfConvPlan(f).sweep(f)",
+           ("tests/test_integral_equation.py::test_a_plan_stores_its_tables_during_its_first_sweep",
+            "tests/test_integral_equation.py::test_selfconv_without_a_plan_equals_the_plan"
+            "_bit_for_bit")),
+    Mutant("worker_exception_dropped", "grid_functions.py",
+           "fut.result()", "fut.exception()",
+           ("tests/test_profile_references.py::test_a_worker_exception_reaches_the_caller",)),
+    Mutant("worker_left_running_after_a_sweep", "grid_functions.py",
+           "with ThreadPoolExecutor(len(rest)) as pool:",
+           "for pool in [ThreadPoolExecutor(len(rest))]:",
+           ("tests/test_profile_references.py::test_solve_f_owns_its_plan_and_frees_it_on_return",
+            "tests/test_profile_references.py::test_a_worker_exception_reaches_the_caller")),
 )
 
 

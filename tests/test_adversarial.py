@@ -733,11 +733,17 @@ def corrupted(instance, target, value):
     sums (cw: one entry of the atom components d_hat[n-1], which the sums of
     column n-1 carry into every step from n on) and blended-atom sums (ct,
     step n on, so that the oracle's blended value is NaN at the smallest
-    blended margin of mid_instance).  The oracle targets get tables of
+    blended margin of mid_instance).  The target blended_min_atom is atom
+    d_n at the step n of the smallest blended margin, whose NaN reaches
+    the blended margins from step n + 1 on: in small_instance, whose
+    smallest margin is at N + 1, every block size puts the first NaN
+    margin in the block of that margin.  The oracle targets get tables of
     their own; the copy shares nothing it changes.
     """
     st = copy.copy(instance.state)
     n = st.N + 95
+    if target == "blended_min_atom":
+        n, target = reference_verify(instance).tilde_argmin, "atom"
     if target == "residual":
         st.r_hist = st.r_hist.copy()
         st.r_hist[0, st.N // 2] = value
@@ -757,7 +763,7 @@ def corrupted(instance, target, value):
 
 CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
                 for value in (np.nan, np.inf, -np.inf, 1e300)]
-               + [("cw", np.nan), ("ct", np.nan)])
+               + [("cw", np.nan), ("ct", np.nan), ("blended_min_atom", np.nan)])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")

@@ -482,6 +482,10 @@ ROW_EDITS = {
     "repeated_header_key": (lambda text: re.sub(r"(?m)^(epsilon=.*\n)", r"\1epsilon=0.25\n",
                                                 text, count=1),
                             "instance header repeats epsilon="),
+    # verify passed: a header line without "=" was read as a key with no value
+    "header_line_without_equals": (lambda text: text.replace("epsilon=", "garbage line\nepsilon=",
+                                                             1),
+                                   "instance header line 'garbage line' is not key=value"),
     # rejected before an array of n_max + 1 entries is allocated
     "n_max_beyond_rows": (lambda text: text.replace("n_max=900\n", "n_max=1000000000000\n"),
                           "sequence row 901 is missing"),

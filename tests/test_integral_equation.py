@@ -27,17 +27,17 @@ def reference_bracket_sequence(G, k=4):
     """
     if k < 4:
         raise ValueError("need at least four iterates")
-    with SelfConvPlan(G) as plan:
-        fs = [G]
-        for _ in range(k):
-            fs.append(apply_T(G, fs[-1], plan=plan))
-        f3_min = float(np.min(fs[3].values))
-        certified = False
-        if f3_min > 0.0:
-            up = G.values - selfconv_on_nodes(fs[3], plan)
-            dn = G.values - selfconv_on_nodes(fs[2], plan)
-            certified = (float(np.max(up - fs[2].values)) <= _MONO_SLACK
-                         and float(np.min(dn - fs[3].values)) >= -_MONO_SLACK)
+    plan = SelfConvPlan(G)
+    fs = [G]
+    for _ in range(k):
+        fs.append(apply_T(G, fs[-1], plan=plan))
+    f3_min = float(np.min(fs[3].values))
+    certified = False
+    if f3_min > 0.0:
+        up = G.values - selfconv_on_nodes(fs[3], plan)
+        dn = G.values - selfconv_on_nodes(fs[2], plan)
+        certified = (float(np.max(up - fs[2].values)) <= _MONO_SLACK
+                     and float(np.min(dn - fs[3].values)) >= -_MONO_SLACK)
     return fs, f3_min, certified
 
 
@@ -220,17 +220,19 @@ def test_solve_max_iter_validation(op_point, max_iter):
 
 def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
     """On the 2001 and 4001 grids, of solve_f and of residual_on_refined,
-    the sweep that keeps no tables gives the bits of a plan's sweep from
-    its tables.  Its memory is that of a block, the same on both grids,
-    where a plan's tables take 32 bytes a point: 64 MB and 256 MB."""
+    the sweep that keeps no tables gives the bits of a plan's second sweep,
+    which reads the tables its first sweep stored.  Its memory is that of a
+    block, the same on both grids, where a plan's tables take 32 bytes a
+    point: 64 MB and 256 MB."""
     _, _, g, rep = coarse_solution
     peaks = []
     for factor in (2, 4):
         for fn in (rep.converged_f.refined(factor), g.refined(factor)):
-            with SelfConvPlan(fn) as plan:
-                plan.sweep(fn)
-                want = plan.sweep(fn)  # from the tables stored before it
-                assert plan._tables is not None
+            plan = SelfConvPlan(fn)
+            plan.sweep(fn)
+            want = plan.sweep(fn)  # from the tables its first sweep stored
+            assert plan._tables is not None
+            del plan  # and its tables, before the plan-less sweep
             tracemalloc.start()
             try:
                 got = selfconv_on_nodes(fn)
@@ -243,20 +245,46 @@ def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
     assert max(peaks[2:]) < 1.5 * min(peaks[:2]) and max(peaks) < 32 * points / 8
 
 
-def test_a_plan_stores_its_tables_before_its_second_sweep(coarse_solution):
-    """A plan builds no tables when made and keeps none after one sweep; its
-    second sweep reads the tables it stored first, with the same bits."""
+def watch_located(monkeypatch) -> list:
+    """The (plan, (first, stop)) of every SelfConvPlan._located call from now on."""
+    located, locate = [], SelfConvPlan._located
+    monkeypatch.setattr(SelfConvPlan, "_located",
+                        lambda self, *rows: located.append((self, rows)) or locate(self, *rows))
+    return located
+
+
+def test_a_plan_stores_its_tables_during_its_first_sweep(coarse_solution, monkeypatch):
+    """A plan builds no tables when made and stores them in its first sweep,
+    locating each block once; later sweeps read them, with the same bits.
+    A sweep without a plan locates every block and its plan stores no tables."""
     f = coarse_solution[3].converged_f
-    with SelfConvPlan(f) as plan:
-        assert plan._tables is None
-        first = plan.sweep(f)
-        assert plan._tables is None
-        second = plan.sweep(f)
-        tables = plan._tables
-        assert tables is not None and tables[0].size == f.m * (f.m + 1) // 2
-        assert plan.sweep(f).tobytes() == second.tobytes() == first.tobytes()
-        assert plan._tables is tables
+    located = watch_located(monkeypatch)
+    plan = SelfConvPlan(f)
+    blocks = sorted(block for chunk in plan._chunks for block in chunk)
     assert plan._tables is None
+    first = plan.sweep(f)
+    tables = plan._tables
+    assert tables is not None and tables[0].size == f.m * (f.m + 1) // 2
+    assert sorted(rows for _, rows in located) == blocks
+    assert plan.sweep(f).tobytes() == plan.sweep(f).tobytes() == first.tobytes()
+    assert plan._tables is tables and len(located) == len(blocks)
+    located.clear()
+    assert selfconv_on_nodes(f).tobytes() == first.tobytes()
+    assert sorted(rows for _, rows in located) == blocks
+    assert all(owner is not plan and owner._tables is None for owner, _ in located)
+
+
+def test_a_default_solve_locates_each_point_once(op_point, monkeypatch):
+    """The default grid's 2,003,001 points lie in 31 blocks: the solve's one
+    plan locates each block in its first sweep and reads its tables in the
+    other 63 sweeps.  A plan that stored its tables before its second sweep
+    located each block twice, 62 calls."""
+    beta, tau = op_point
+    g = bundle(beta, tau).g_grid(cli._SOLVE["grid_m"])
+    located = watch_located(monkeypatch)
+    report = solve_f(g, tol=SOLVE["tol"], max_iter=SOLVE["max_iter"])
+    assert report.iterations == 63
+    assert len(located) == len({rows for _, rows in located}) == 31
 
 
 def test_a_stale_positional_tau_is_a_type_error(op_point):

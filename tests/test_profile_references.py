@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import weakref
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -252,9 +253,9 @@ def test_selfconv_bits_do_not_depend_on_the_worker_count(coarse_solution, monkey
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with SelfConvPlan(f) as plan:
-            assert len(plan._chunks) == min(cpus, 8)
-            got = [plan.sweep(h) for h in (f, g, signed)]
+        plan = SelfConvPlan(f)
+        assert len(plan._chunks) == min(cpus, 8)
+        got = [plan.sweep(h) for h in (f, g, signed)]
     finally:
         sys.setswitchinterval(interval)
     for h, sweep in zip((f, g, signed), got):
@@ -269,34 +270,68 @@ def test_selfconv_on_nodes_works_outside_a_solve(coarse_solution):
     assert set(threading.enumerate()) <= before
 
 
-def test_solve_f_owns_its_plan_and_frees_it_on_return(op_point, monkeypatch):
-    """Module-level lookups let a wrapper see each sweep; no plan outlives the solve.
+def test_a_worker_exception_reaches_the_caller(coarse_solution, monkeypatch):
+    """An exception in a chunk that a worker thread sweeps is raised by the
+    sweep, which then stores no tables and leaves no worker running."""
+    f = coarse_solution[3].converged_f
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    plan = SelfConvPlan(f)
+    last = plan._chunks[-1][0][0]   # the first row of the last worker's chunk
+    locate = SelfConvPlan._located
 
-    The wrapper holds each plan's thread pool, so only a shutdown, not the
-    plan's garbage collection, can have stopped its workers.
+    def failing(self, first, stop):
+        if first == last:
+            raise FloatingPointError(f"rows {first}..{stop - 1}")
+        return locate(self, first, stop)
+
+    monkeypatch.setattr(SelfConvPlan, "_located", failing)
+    before = set(threading.enumerate())
+    for sweep in (plan.sweep, selfconv_on_nodes):
+        with pytest.raises(FloatingPointError, match=f"rows {last}\\.\\."):
+            sweep(f)
+        assert set(threading.enumerate()) <= before
+    assert plan._tables is None
+
+
+def test_solve_f_owns_its_plan_and_frees_it_on_return(op_point, monkeypatch):
+    """Module-level lookups let a wrapper see each sweep; no plan outlives the
+    solve, and no worker thread outlives the sweep that started it.
+
+    Each sweep's pool is recorded through the class the sweep imports, so
+    only its shutdown, not the plan's garbage collection, can have stopped
+    its workers.
     """
     beta, tau = op_point
-    g = bundle(beta, tau).g_grid(501)  # 125,751 points: two blocks, so a pool
+    g = bundle(beta, tau).g_grid(501)  # 125,751 points: two blocks, so a worker thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    plans, pools, sweeps = [], set(), []
+    plans, pools, sweeps = [], [], []
     selfconv, apply_T = integral_equation.selfconv_on_nodes, integral_equation.apply_T
+
+    class Pool(futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
 
     def watch_selfconv(f, plan=None):
         plans.append(weakref.ref(plan))
-        pools.add(plan._pool)
-        return selfconv(f, plan)
+        before = set(threading.enumerate())
+        out = selfconv(f, plan)
+        assert set(threading.enumerate()) <= before, "a worker outlived its sweep"
+        return out
 
     def watch_apply(*args, **kwargs):
         sweeps.append(1)
         return apply_T(*args, **kwargs)
 
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(integral_equation, "selfconv_on_nodes", watch_selfconv)
     monkeypatch.setattr(integral_equation, "apply_T", watch_apply)
     report = solve_f(g, tol=1e-9, max_iter=cli._SOLVE["max_iter"])
     assert len(sweeps) == report.iterations
     assert len(plans) == report.iterations + 1  # the sweeps and the residual
     assert not [ref for ref in plans if ref() is not None], "a plan outlived solve_f"
-    assert len(pools) == 1 and None not in pools
+    assert len(pools) == len(plans)  # each sweep started its own worker
+    assert all(pool._threads for pool in pools)
     assert not [t for pool in pools for t in pool._threads if t.is_alive()]
 
 
