@@ -8,17 +8,17 @@ by two independent routes:
 
 * direct: inner products of the residuals, walked forward from the one
   stored residual r_N, against the stored atoms;
-* oracle: the closed-form recursions driven purely by the scalar
-  sequences (q, gamma, alpha, xi), the weight profile phi and epsilon --
-  no vector accumulated during the construction enters this route.
+* oracle: the residuals and atoms rebuilt from the scalar sequences
+  (q, gamma, alpha, xi), the weight profile phi and epsilon alone -- no
+  vector accumulated during the construction enters this route.
 
-Every quantity the oracle needs is reconstructed from the residual
-component formula <r_m, e_j> = -q_m (xi_j + sum_{l>j}^m <h_l, e_j>).
-`OracleTables` keeps two dense reconstructions, the correction vectors
-and the atom components, and streams the rest in one forward walk over
-blocks of steps, from running sums and the block's residual components,
-which a running correction sum regenerates; `verify` folds each block as
-the walk yields it and drops the tables when the walk ends.
+The oracle rebuilds each residual by the component formula
+<r_m, e_j> = -q_m (xi_{j+1} + sum_{l>j}^m <h_l, e_j>) and each atom by the
+inductive definition, and takes each block's inner products as one product
+of the two.  `OracleTables` keeps one dense array, the atom components;
+the residual rows and the correction vectors h_l are formed in one forward
+walk over blocks of steps.  `verify` folds each block as the walk yields
+it and drops the tables when the walk ends.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
 _VERIFY_BLOCK = 128  # steps per block of the oracle's walk, read when a walk starts
-_H_BLOCK = 32        # correction vectors per phi evaluation in OracleTables
+_H_BLOCK = 8         # correction vectors per phi evaluation in the oracle's walk
 _MAX_DOUBLINGS = 4   # times build_instance doubles K and N after a failed attempt
 
 
@@ -332,153 +332,84 @@ def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray, out: np.ndarray)
     np.copyto(out[:, i0 - 1:], vals, where=inside)
 
 
-def _residual_components(state: ConstructionState,
-                         phi: PhiProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(h, b) from the scalar sequences and phi alone.
-
-    h[l - K] is the correction vector h_l for l = K..n_max, on `lazy_zeros`
-    pages, so only its band is resident; b holds the
-    base components of the component formula, b_j = xi_{j+1} past the seed
-    block j < K.  `_residual_rows` turns them into residual components.
-    """
-    K, n_max, beta = state.K, state.n_max, state.params.beta
-    q, xi = state.q, state.xi
-    b = np.empty(n_max)
-    b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
-    b[K - 1:] = xi[K:n_max + 1]
-    h = lazy_zeros((n_max - K + 1, n_max))
-    for l0 in range(K, n_max + 1, _H_BLOCK):
-        ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
-        _h_rows(state.alpha, phi, ls, out=h[l0 - K:ls[-1] - K + 1, : ls[-1] - 1])
-    return h, b
-
-
-def _residual_rows(q: np.ndarray, b: np.ndarray, h: np.ndarray, K: int,
-                   N: int) -> Iterator[np.ndarray]:
-    """Yield the residual components <r_m, e_j>, j = 1..m, for m = N-1, N, ...,
-    n_max-1 in turn, by the cumulative component formula
-    r_m = -q_m (b + sum_{l=K}^m h_l) over one running correction sum."""
-    run = np.zeros(len(b))
-    if N == K:  # seed row r_{K-1} has an empty correction sum
-        yield -(q[K - 1]) * b[: K - 1]
-    for m in range(K, len(b)):
-        run[: m - 1] += h[m - K, : m - 1]
-        if m >= N - 1:
-            yield -(q[m]) * (b[:m] + run[:m])
-
-
 class OracleTables:
     """Closed-form inner products from scalar sequences alone.
 
-    Keeps two dense arrays on `lazy_zeros` pages, the correction vectors `h`
-    (`_residual_components`) and the atom components `dhat`, built in one
-    forward pass over the residual components by the inductive definition;
-    only their band and triangle are resident.  `blocks` walks the
-    steps n upward in blocks of `_VERIFY_BLOCK` steps and yields
-    <r_{n-1}, d_k> for each block at once:
+    The oracle rebuilds every residual by the component formula
+    <r_m, e_j> = -q_m (b_j + sum_{l=K}^m <h_l, e_j>), with the correction
+    vectors h_l = (alpha_l / l) phi(i / l) and the base components
+    b_j = xi_{j+1} past the seed block j < K, and every atom by the inductive
+    definition d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k.  It keeps one
+    dense array, the atom components `dhat`, on `lazy_zeros` pages, so only
+    their triangle is resident, and the blended atom `dtil`.  `blocks` walks
+    the steps n upward in blocks of `_VERIFY_BLOCK` steps; a block's pairs
+    <r_{n-1}, d_k> are one product of its residual rows with `dhat`, but
+    for k = n, which is the base equality <r_{n-1}, d_n> = q_n.
 
-    * k < n: the forward sums C_m = C_{m-1} + (<h_m, d_hat_k>)_k, carried as
-      one running row and its diagonal C_k[k], one product `h @ dhat.T`
-      per block;
-    * k > n: the scan form of the two-term recursion, each block's rows from
-      that block's residual rows, which the running correction sum of
-      `_residual_rows` regenerates;
-    * k = n: the base equality; the blended atom: the vector `ct`.
-
-    Each walk starts afresh at N+1 from running state of its own, so every
-    walk of the same tables yields the same bits.  Nothing here reads the
-    construction's stored vectors.
+    The tables hold copies of q, alpha and xi (as `b`) and the profile phi;
+    gamma and epsilon enter `dhat` and `dtil` only.  Each walk starts afresh
+    at N+1 from running state of its own, so every walk of the same tables
+    yields the same bits.  Nothing here reads the construction's stored
+    vectors.
     """
 
     def __init__(self, state: ConstructionState):
-        K, N, n_max, epsilon = state.K, state.N, state.n_max, state.params.epsilon
-        gamma, xi = state.gamma, state.xi
-        self.K, self.N, self.n_max, self.epsilon = K, N, n_max, epsilon
+        K, N, n_max, beta = state.K, state.N, state.n_max, state.params.beta
+        gamma, xi, epsilon = state.gamma, state.xi, state.params.epsilon
+        self.K, self.N, self.phi = K, N, state.params.phi
         self.q = q = state.q.copy()
-        self.rn_norm = float(_schedule(N, state.params.beta))
-        self.h, self.b = h, b = _residual_components(state, state.params.phi)
+        self.alpha = state.alpha.copy()
+        self.b = b = np.empty(n_max)
+        b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
+        b[K - 1:] = xi[K:n_max + 1]
 
-        # atom components d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k
         self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))
-        walk = _residual_rows(q, b, h, K, N)
-        for k in range(N, n_max + 1):
-            rrow = next(walk)                 # r_hat[k-1]
+        for k, (rrow, h_k) in enumerate(self._residual_rows(), start=N):  # r_hat[k-1], h_k
             if k == N + 1:
                 r_n = rrow
             row = dhat[k - N]
             row[: k - 1] = gamma[k] * rrow[: k - 1]
-            row[: k - 1] += h[k - K, : k - 1]
+            row[: k - 1] += h_k
             row[k - 1] = xi[k]
-        dtil = epsilon * r_n / self.rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]
+        rn_norm = float(_schedule(N, beta))
+        self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]
 
-        # blended-atom sums
-        wtil = h[N + 1 - K: n_max - K, :N] @ dtil
-        self.ct = np.concatenate([[0.0], np.cumsum(wtil)])  # ct[m-N]
-
-        # k > n: dividing the recursion value(k) = A_k value(k-1) + g(k) by
-        # the running product P_k = prod A_j turns it into a cumulative sum
-        karr = np.arange(N + 1, n_max + 1)
-        a_fac = (1.0 / gamma[karr - 1] - q[karr - 1]) * gamma[karr]
-        p = np.empty(n_max - N)                # p[k-(N+1)], base p[N+1] = 1
-        p[0] = 1.0
-        p[1:] = np.cumprod(a_fac[1:])
-        self.p = p
-        self.ratio = gamma[karr[1:]] / gamma[karr[1:] - 1]
+    def _residual_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (r_hat[m], h_{m+1}) for m = N-1, N, ..., n_max-1: the residual
+        components <r_m, e_j>, j = 1..m, by the component formula over one
+        running correction sum, and the correction vector it adds next.  The
+        vectors are formed `_H_BLOCK` at a time and none is kept."""
+        K, N, q, b = self.K, self.N, self.q, self.b
+        n_max = len(b)
+        run = np.zeros(n_max)
+        for l0 in range(K, n_max + 1, _H_BLOCK):
+            ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
+            h = np.zeros((len(ls), ls[-1] - 1))
+            _h_rows(self.alpha, self.phi, ls, out=h)
+            for l, h_l in zip(ls.tolist(), h):
+                if l >= N:
+                    yield -(q[l - 1]) * (b[: l - 1] + run[: l - 1]), h_l[: l - 1]
+                run[: l - 1] += h_l[: l - 1]
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield (lo, hi, pairs, tilde) for each block of `_VERIFY_BLOCK` steps
         n = lo..hi, from n = N+1 up to n_max: pairs[n - lo, k - N] is
-        <r_{n-1}, d_k>, k = N..n_max, by the formula of its case (k < n, k = n,
-        k > n), and tilde[n - lo] is <r_{n-1}, dt_N> for the blended atom dt_N.
-        The caller owns both.
+        <r_{n-1}, d_k>, k = N..n_max, and tilde[n - lo] is <r_{n-1}, dt_N>
+        for the blended atom dt_N.  The caller owns both.
         """
-        K, N, n_max, q, p, h = self.K, self.N, self.n_max, self.q, self.p, self.h
-        block = _VERIFY_BLOCK
-        walk = _residual_rows(q, self.b, h, K, N)
-        next(walk)                              # r_hat[N-1] only shapes d_hat[N]
-        cw_run = np.zeros(n_max - N + 1)        # C_{lo-1}, C_N the empty sum
-        cw_diag = np.zeros(n_max - N + 1)       # C_k[k-N], k < lo
+        N, n_max, q, block = self.N, len(self.b), self.q, _VERIFY_BLOCK
+        walk = self._residual_rows()
+        next(walk)                          # r_hat[N-1] only shapes d_hat[N]
         for lo in range(N + 1, n_max + 1, block):
             hi = min(lo + block - 1, n_max)
             ns = np.arange(lo, hi + 1)
-            below, above = hi - N, lo - N   # k < hi covers every k < n here, k > lo every k > n
-            pairs = np.empty((hi - lo + 1, n_max - N + 1))
-
-            # k < n: rows C_{lo-1}..C_top of the forward sums (C_{n_max} is never
-            # read), over the rows' live prefix: h_i, i <= top, is zero from
-            # column top on, r_hat[m], m < hi, from column hi - 1 on.
-            top = min(hi, n_max - 1)
-            cw = np.empty((top - lo + 2, n_max - N + 1))
-            cw[0] = cw_run
-            np.matmul(h[lo - K: top + 1 - K, :top], self.dhat[:, :top].T, out=cw[1:])
-            np.cumsum(cw, axis=0, out=cw)
-            m = np.arange(lo - 1, top + 1)
-            cw_diag[m - N] = cw[m - (lo - 1), m - N]
-            cw_run = cw[-1].copy()
-            pairs[:, :below] = -(q[ns - 1])[:, None] * (cw[: hi - lo + 1, :below]
-                                                        - cw_diag[:below])
-            del cw
-
-            # k > n: residual rows r_hat[n-1] against h_k, k = N+1..n_max
-            rhat = np.zeros((hi - lo + 1, hi - 1))
-            for row, rrow in zip(rhat, walk):
+            rhat = np.zeros((hi - lo + 1, hi - 1))   # r_hat[n-1] is zero from column n-1 on
+            for row, (rrow, _) in zip(rhat, walk):
                 row[: len(rrow)] = rrow
-            rh = rhat @ h[N + 1 - K:, : hi - 1].T
-            del rhat, row, rrow
-            cg = np.zeros((hi - lo + 1, n_max - N))  # cols k = N+1..n_max
-            g2 = cg[:, 1:]                           # (rh_k - ratio_k rh_{k-1}) / p_k
-            np.multiply(self.ratio, rh[:, :-1], out=g2)
-            np.subtract(rh[:, 1:], g2, out=g2)
-            np.divide(g2, p[1:], out=g2)
-            del rh
-            np.cumsum(g2, axis=1, out=g2)
-            upper = p[above:] * ((q[ns] / p[ns - (N + 1)])[:, None] + cg[:, above:]
-                                 - cg[ns - lo, ns - (N + 1)][:, None])
-            np.copyto(pairs[:, above + 1:], upper,
-                      where=ns[:, None] < np.arange(lo + 1, n_max + 1))
-            del cg, g2, upper
+            pairs = rhat @ self.dhat[:, : hi - 1].T
             pairs[ns - lo, ns - N] = q[ns]
-            tilde = -(q[ns - 1]) * (self.ct[ns - 1 - N] - self.epsilon * self.rn_norm / q[N])
+            tilde = rhat[:, :N] @ self.dtil
+            del rhat, row, rrow
             yield lo, hi, pairs, tilde
             del pairs, tilde   # a generator's locals outlive the yield
 

@@ -213,7 +213,8 @@ class GridFunction:
     def from_csv(cls, text: str) -> "GridFunction":
         """Parse `to_csv` output; each row's x must be its grid node.
 
-        Header keys other than lo, hi and M are ignored; a second header raises.
+        Header keys other than lo, hi and M are ignored; a second header, or
+        a header that repeats a key, raises.
         """
         head, xs, vals = {}, [], []
         for line in text.splitlines():
@@ -222,8 +223,11 @@ class GridFunction:
                 if line.lstrip("# ").startswith("lo="):
                     if head:
                         raise ValueError("grid CSV repeats its lo=,hi=,M= header")
-                    head = dict(part.partition("=")[::2]
-                                for part in line.lstrip("# ").split(","))
+                    for part in line.lstrip("# ").split(","):
+                        key, _, value = part.partition("=")
+                        if key in head:
+                            raise ValueError(f"grid CSV header repeats {key}=")
+                        head[key] = value
             elif line and not line.startswith("x,"):
                 try:
                     x, v = map(float, line.split(","))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constants import Condition, all_hold
 from .errors import NumericFailure
-from .grid_functions import _EDGE_SLACK, GridFunction, _simpson
+from .grid_functions import _EDGE_SLACK, GridFunction, _corrected_trapezoid, _simpson
 
 __all__ = ["PhiProfile", "ConditionReport", "bump_kernel",
            "mollify", "scale_root", "normalize", "weighted_mass",
@@ -272,21 +272,13 @@ def _growth_values(fn: GridFunction, core: np.ndarray, a: np.ndarray, beta: floa
     width = int(j.max()) + 1
     inner = 1.0 + fn.log_between(np.minimum(nodes[:width] / a[:, None], fn.hi), fn.hi)
     g = core[:width] * inner  # row r is valid up to column j[r]
-    row = np.arange(a.size)
     # numpy sums pairwise in an order set by the length, so each ragged row
-    # takes its own reduce
-    sums = np.array([np.add.reduce(gr[:n]) for gr, n in zip(g, j + 1)])
-
-    def at(col):
-        return g[row, np.clip(col, 0, j)]
-
-    trap = h * (sums - 0.5 * (g[:, 0] + at(j)))
-    corr = h / 24.0 * (-3.0 * g[:, 0] + 4.0 * at(1) - at(2)
-                       - 3.0 * at(j) + 4.0 * at(j - 1) - at(j - 2))
-    total = np.where(j >= 2, trap + corr, np.where(j >= 1, trap, 0.0))
+    # takes its own sum
+    total = np.array([_corrected_trapezoid(gr[:n], h) for gr, n in zip(g, j + 1)])
     tail_val = fn.derivative(a) * a - (beta - 1.0) * fn(a)
     rem = a - nodes[j]
-    v = np.where(rem > 1e-13, total + rem * 0.5 * (at(j) + tail_val), total)
+    g_j = g[np.arange(a.size), j]
+    v = np.where(rem > 1e-13, total + rem * 0.5 * (g_j + tail_val), total)
     if mode == "f_form":
         v = v + vals[0] * tau * (1.0 + fn.log_between(np.minimum(tau / a, fn.hi), fn.hi))
     out[live] = v

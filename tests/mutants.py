@@ -79,9 +79,21 @@ MUTANTS = (
             *(f"tests/test_adversarial.py::test_verify_matches_row_by_row_reference"
               f"[blended_min_atom-nan-{block}]" for block in (7, 64, 512)))),
     Mutant("oracle_reads_the_stored_blended_atom", "adversarial.py",
-           "dtil = epsilon * r_n / self.rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]",
-           "dtil = state.atoms[0, :N].copy()",
+           "self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]",
+           "self.dtil = state.atoms[0, :N].copy()",
            ("tests/test_adversarial.py::test_oracle_never_reads_stored_vectors",)),
+    # the oracle's one product per block
+    Mutant("oracle_product_one_column_short", "adversarial.py",
+           "pairs = rhat @ self.dhat[:, : hi - 1].T", "pairs = rhat @ self.dhat[:, : hi - 2].T",
+           ("tests/test_adversarial.py::test_bulk_rows_match_pair_values",)),
+    Mutant("oracle_drops_the_base_equality", "adversarial.py",
+           "            pairs[ns - lo, ns - N] = q[ns]\n", "",
+           ("tests/test_adversarial.py::test_oracle_selected_index_is_q",)),
+    Mutant("oracle_dhat_on_np_zeros", "adversarial.py",
+           "self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))",
+           "self.dhat = dhat = np.zeros((n_max - N + 1, n_max))",
+           ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",
+            "tests/test_adversarial.py::test_verify_memory_stays_within_dhat_and_a_few_blocks")),
     # the construction's one stored residual and its walk
     Mutant("walk_copies_the_row_after_the_update", "adversarial.py",
            "            row[:] = r\n            r[:n] -= q[n] * state.atom_row(n)[:n]\n",
@@ -126,11 +138,27 @@ MUTANTS = (
            "self.atoms = lazy_zeros((n_max - params.N + 2, n_max))",
            "self.atoms = np.zeros((n_max - params.N + 2, n_max))",
            ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",)),
+    Mutant("oga_widened_tile_on_np_zeros", "greedy_algorithms.py",
+           "wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))",
+           "wide = np.zeros((_TILE, min(self.width, cols + _TILE)))",
+           ("tests/test_greedy.py::test_oga_basis_tiles_widen_on_lazy_pages",)),
     # input checks
     Mutant("rate_accepts_non_finite_bounds", "cli.py",
            "if not math.isfinite(cfg[key]):", "if False:",
            ("tests/test_cli.py::test_non_finite_rate_bound_is_a_usage_error[alpha-nan]",
             "tests/test_cli.py::test_non_finite_rate_bound_is_a_usage_error[variation-bound-inf]")),
+    Mutant("witnesses_ignore_the_trace_offset", "cli.py",
+           'cfg["variation_bound"],\n                           index_offset=offset)',
+           'cfg["variation_bound"],\n                           index_offset=0)',
+           ("tests/test_cli.py::test_rate_witnesses_need_alpha_and_variation_bound",)),
+    Mutant("witness_branch_ignores_alpha", "cli.py",
+           'if cfg["alpha"] > 0.0 and cfg["variation_bound"] > 0.0:',
+           'if cfg["variation_bound"] > 0.0:',
+           ("tests/test_cli.py::test_rate_witnesses_need_alpha_and_variation_bound",)),
+    Mutant("negative_index_offset_accepted", "greedy_algorithms.py",
+           "if not value.isdecimal():", 'if not value.removeprefix("-").isdecimal():',
+           tuple(f"tests/test_cli.py::test_malformed_index_offset_is_a_usage_error[{command}--50]"
+                 for command in ("rate", "plot"))),
     Mutant("check_bounds_accepts_an_infinite_bound", "analysis.py",
            "if not 0.0 < variation_bound < np.inf:", "if not 0.0 < variation_bound:",
            ("tests/test_analysis.py::test_check_bounds_validation",)),

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from mpursuit import cli
-from mpursuit.adversarial import (ConstructionParams, _residual_components, _residual_rows,
-                                  advance, choose_epsilon, finalize, init_state, verify)
+from mpursuit.adversarial import (ConstructionParams, advance, choose_epsilon, finalize,
+                                  init_state, verify)
 from mpursuit.analysis import check_bounds, fit_decay
 from mpursuit.constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
 from mpursuit.greedy_algorithms import run
@@ -266,13 +266,12 @@ def test_criterion_10_property_suites(full_instance, rng, residual_history):
         n = int(rng.integers(p.N, p.n_max))
         draws.append((n, int(rng.integers(1, n + 1))))
     wanted = {n for n, _ in draws}
-    h, b = _residual_components(st, p.phi)
-    rhat = {m: rrow for m, rrow in zip(range(p.N - 1, p.n_max),
-                                      _residual_rows(st.q, b, h, p.K, p.N)) if m in wanted}
+    rhat = {m: rrow for m, (rrow, _) in zip(range(p.N - 1, p.n_max), tables._residual_rows())
+            if m in wanted}
     worst_comp = 0.0
     for n, k in draws:
         worst_comp = max(worst_comp, abs(hist[n - p.N][k - 1] - rhat[n][k - 1]))
-    del h, rhat
+    del rhat
     comp_ok = worst_comp <= 1e-10
 
     # asymptotic bands

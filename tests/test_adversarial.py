@@ -8,22 +8,19 @@ import pytest
 
 from mpursuit import adversarial
 from mpursuit.adversarial import (AdversarialInstance, ConstructionParams, OracleTables,
-                                  VerificationReport,
-                                  _residual_components, _residual_rows, _schedule,
-                                  advance, build_instance, choose_epsilon, finalize,
-                                  init_state, q_of, step, verify)
+                                  VerificationReport, _schedule, advance, build_instance,
+                                  choose_epsilon, finalize, init_state, q_of, step, verify)
 from mpursuit.errors import ConstructionError
 from mpursuit.grid_functions import GridFunction
 from mpursuit.instance_io import instance_to_text
 from mpursuit.phi_builder import PhiProfile
 
 
-def residual_matrix(state, phi):
+def residual_matrix(tables):
     """rhat[m - (N-1)] = <r_m, e_j>, j = 1..m, zero-padded, for m = N-1..n_max-1:
-    the rows `_residual_rows` yields, stacked."""
-    h, b = _residual_components(state, phi)
-    rhat = np.zeros((state.n_max - state.N + 1, state.n_max))
-    for row, rrow in zip(rhat, _residual_rows(state.q, b, h, state.K, state.N)):
+    the residual rows the oracle's walk yields, stacked."""
+    rhat = np.zeros(tables.dhat.shape)
+    for row, (rrow, _) in zip(rhat, tables._residual_rows(), strict=True):
         row[: len(rrow)] = rrow
     return rhat
 
@@ -45,21 +42,32 @@ def with_tables(instance, tables, **changes):
 class ReferenceOracle:
     """The per-pair recursions, one pair at a time, as the inductive formulas state them.
 
-    This is the literal route the block formulas of `OracleTables.blocks` are
-    checked against: residual components by the component formula, atom
-    components by the inductive definition, and each <r_{n-1}, d_k> by the
-    forward sum (k < n), the base equality (k = n) or the two-term
-    recursion (k > n).
+    This is the literal route the one product per block of
+    `OracleTables.blocks` is checked against: residual components by the
+    component formula, one correction vector at a time, atom components by
+    the inductive definition, and each <r_{n-1}, d_k> by the forward sum
+    (k < n), the base equality (k = n) or the two-term recursion (k > n),
+    and each <r_{n-1}, dt_N> by the blended atom's forward sum.
     """
 
     def __init__(self, instance):
         st, p = instance.state, instance.params
-        self.N, self.n_max, self.epsilon = st.N, st.n_max, p.epsilon
+        K, N, n_max = st.K, st.N, st.n_max
+        self.N, self.n_max, self.epsilon = N, n_max, p.epsilon
         self.q, self.gamma, self.alpha, self.xi = st.q, st.gamma, st.alpha, st.xi
-        self._phi = p.phi
-        self.rhat = residual_matrix(st, p.phi)
-        self.rn_norm = float(_schedule(st.N, st.params.beta))
-        N = self.N
+        self._phi, self._h = p.phi, {}
+        # r_m = -q_m (b + h_K + ... + h_m), rows m - (N-1) for m = N-1..n_max-1
+        b = np.empty(n_max)
+        b[: K - 1] = K ** (-0.5 + p.beta) / (self.q[K - 1] * np.sqrt(K - 1.0))
+        b[K - 1:] = self.xi[K:n_max + 1]
+        run = np.zeros(n_max)
+        self.rhat = np.zeros((n_max - N + 1, n_max))
+        for m in range(K - 1, n_max):
+            if m >= K:
+                run[: m - 1] += self.h_row(m)
+            if m >= N - 1:
+                self.rhat[m - (N - 1), :m] = -self.q[m] * (b[:m] + run[:m])
+        self.rn_norm = float(_schedule(N, p.beta))
         self.dhat = np.zeros((self.n_max - N + 1, self.n_max))
         for k in range(N, self.n_max + 1):
             row = self.dhat[k - N]
@@ -72,8 +80,10 @@ class ReferenceOracle:
 
     def h_row(self, l: int) -> np.ndarray:
         """Components of the correction vector h_l (length l-1)."""
-        i = np.arange(1, l)
-        return (self.alpha[l] / l) * self._phi(i / l)
+        if l not in self._h:
+            i = np.arange(1, l)
+            self._h[l] = (self.alpha[l] / l) * self._phi(i / l)
+        return self._h[l]
 
     def pair_value(self, n: int, k: int) -> float:
         N, n_max = self.N, self.n_max
@@ -205,7 +215,7 @@ def test_residual_components_nonpositive(small_instance, residual_history):
 def test_lemma_component_formula_vs_direct(small_instance, rng, residual_history):
     st = small_instance.state
     hist = residual_history(st)
-    rhat = residual_matrix(st, small_instance.params.phi)
+    rhat = residual_matrix(small_instance.oracle_tables())
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(st.N, st.n_max))        # walked residual rows
@@ -267,7 +277,8 @@ def test_step_zero_profile_error():
 
 def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
     # step and _h_rows evaluate phi only from its support edge on; a profile
-    # whose edge reads 0 evaluates it everywhere, and both give the same bytes
+    # whose edge reads 0 evaluates it everywhere, and both give the same bytes:
+    # the atom store, and the correction vectors of the oracle's walk
     inst, _ = mid_instance
     phi, st = inst.params.phi, inst.state
     assert phi.first_live(st.n_max) > st.n_max // 3
@@ -280,9 +291,12 @@ def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
     replayed = load_text(instance_to_text(inst)).state
     assert replayed.atoms.tobytes() == full.atoms.tobytes() == st.atoms.tobytes()
     assert replayed.r_hist.tobytes() == full.r_hist.tobytes()
-    h_band, _ = adversarial._residual_components(replayed, phi)
-    h_full, _ = adversarial._residual_components(replayed, everywhere)
-    assert h_band.tobytes() == h_full.tobytes()
+    band, dense = OracleTables(replayed), OracleTables(full)
+    assert dense.phi.first_live(st.n_max) == 1 < band.phi.first_live(st.n_max)
+    for (_, h_band), (_, h_full) in zip(band._residual_rows(), dense._residual_rows(),
+                                        strict=True):
+        assert h_band.tobytes() == h_full.tobytes()
+    assert band.dhat.tobytes() == dense.dhat.tobytes()
 
 
 def test_step_xi_imaginary_error(profile05):
@@ -439,22 +453,25 @@ def test_oracle_tilde_path(small_instance, reference, rng, residual_history):
     assert worst <= 1e-9
 
 
-def test_bulk_rows_match_pair_values(small_instance, reference, rng):
+def test_bulk_rows_match_pair_values(small_instance, reference):
+    # every k of four rows: the one product per block against the recursions
     pairs, tilde = walk_tables(small_instance.oracle_tables())
     st = small_instance.state
     assert pairs.shape == (160, 161) and tilde.shape == (160,)
     for n in (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max):
         row = pairs[n - st.N - 1]
-        for k in sorted(set(int(x) for x in rng.integers(st.N, st.n_max + 1, 12))):
-            expected = st.q[n] if k == n else reference.pair_value(n, k)
+        assert row[n - st.N] == st.q[n]
+        for k in range(st.N, st.n_max + 1):
+            expected = reference.pair_value(n, k)
             assert row[k - st.N] == pytest.approx(expected, rel=1e-9, abs=1e-15)
         assert tilde[n - st.N - 1] == pytest.approx(reference.tilde_pair_value(n),
                                                     rel=1e-9, abs=1e-15)
 
 
 def test_oracle_tables_keep_only_what_rows_reads(small_instance):
-    # two dense arrays, h and dhat; the rest are vectors and scalars, before
-    # and after walks: the running state of a walk is the walk's own
+    # one dense array, dhat, and no correction vectors; the rest are vectors,
+    # scalars and phi, before and after walks: the running state of a walk,
+    # its correction vectors included, is the walk's own
     p = small_instance.params
     tables = OracleTables(small_instance.state)
     open_walk = tables.blocks()
@@ -462,10 +479,14 @@ def test_oracle_tables_keep_only_what_rows_reads(small_instance):
         arrays = {name: value for name, value in vars(tables).items()
                   if isinstance(value, np.ndarray)}
         dense = {name for name, value in arrays.items() if value.ndim == 2}
-        assert dense == {"h", "dhat"}
-        assert set(arrays) - dense == {"q", "b", "ct", "p", "ratio"}
-        assert set(vars(tables)) - set(arrays) == {"K", "N", "n_max", "epsilon", "rn_norm"}
-        assert tables.h.shape == (p.n_max - p.K + 1, p.n_max)
+        assert dense == {"dhat"}
+        assert set(arrays) - dense == {"q", "alpha", "b", "dtil"}
+        assert set(vars(tables)) - set(arrays) == {"K", "N", "phi"}
+        assert tables.dtil.shape == (p.N,) and tables.b.shape == (p.n_max,)
+        st = small_instance.state     # copies of the sequences, not the state's arrays
+        assert not any(np.shares_memory(tables.q, a) or np.shares_memory(tables.alpha, a)
+                       or np.shares_memory(tables.b, a)
+                       for a in (st.q, st.gamma, st.alpha, st.xi))
         assert tables.dhat.shape == (p.n_max - p.N + 1, p.n_max)
         if stage == "built":
             next(open_walk)             # an open walk holds its running state itself
@@ -580,12 +601,12 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
         assert not dataclasses.replace(report, **{field: np.nan}).passed
 
 
-def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
-    # everything verify allocates past the two dense arrays of the oracle is
-    # a few arrays of one block of steps each (the parent's dense tables
-    # needed about 15 such blocks more here).  h and dhat are lazy_zeros
-    # pages, which tracemalloc does not see, so the bound leaves them out;
-    # their resident memory is test_resident_memory_follows_the_nonzero_structure's.
+def test_verify_memory_stays_within_dhat_and_a_few_blocks(mid_instance):
+    # everything verify allocates past the oracle's one dense array is a few
+    # arrays of one block of steps each (the parent's dense tables needed
+    # about 15 such blocks more here).  dhat is on lazy_zeros pages, which
+    # tracemalloc does not see, so the bound leaves it out; its resident
+    # memory is test_resident_memory_follows_the_nonzero_structure's.
     inst = mid_instance[0]
     p = inst.params
     tracemalloc.start()
@@ -594,13 +615,12 @@ def test_verify_memory_stays_within_h_dhat_and_a_few_blocks(mid_instance):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tables = inst.oracle_tables()
-    for base in (tables.h, tables.dhat):
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, mmap.mmap)
+    base = inst.oracle_tables().dhat
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, mmap.mmap)
     block_bytes = adversarial._VERIFY_BLOCK * (p.n_max - p.N + 1) * 8
-    assert peak <= 8 * block_bytes
+    assert peak <= 7 * block_bytes
 
 
 def test_verify_dual_paths_agree_even_without_margins(small_instance):
@@ -729,11 +749,11 @@ def corrupted(instance, target, value):
 
     Offset 94 from the first step lies inside a block for every block size
     tested (position 30 of 64, 3 of 7).  The targets are the direct route's
-    residual r_N, atom d_n and blended atom, and the oracle's forward
-    sums (cw: one entry of the atom components d_hat[n-1], which the sums of
-    column n-1 carry into every step from n on) and blended-atom sums (ct,
-    step n on, so that the oracle's blended value is NaN at the smallest
-    blended margin of mid_instance).  The target blended_min_atom is atom
+    residual r_N, atom d_n and blended atom, and the oracle's atom
+    components (cw: one entry of d_hat[n-1], which reaches column n-1 of
+    every step's pairs) and blended atom (dtil: one entry, which reaches
+    every step's blended value, the smallest blended margin of mid_instance
+    included).  The target blended_min_atom is atom
     d_n at the step n of the smallest blended margin, whose NaN reaches
     the blended margins from step n + 1 on: in small_instance, whose
     smallest margin is at N + 1, every block size puts the first NaN
@@ -756,14 +776,14 @@ def corrupted(instance, target, value):
         if target == "cw":
             tables.dhat[n - 1 - st.N, st.N // 2] = value
         else:
-            tables.ct[n - 1 - st.N:] = value
+            tables.dtil[st.N // 2] = value
         return with_tables(instance, tables, state=st)
     return dataclasses.replace(instance, state=st)
 
 
 CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
                 for value in (np.nan, np.inf, -np.inf, 1e300)]
-               + [("cw", np.nan), ("ct", np.nan), ("blended_min_atom", np.nan)])
+               + [("cw", np.nan), ("dtil", np.nan), ("blended_min_atom", np.nan)])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")

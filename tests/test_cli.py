@@ -234,6 +234,9 @@ TRACE_HEAD = "# index_offset=400\nn,residual_norm,atom_id,sign,coefficient\n"
     # the later header line won
     ("# lo=0,hi=2,M=3\n# lo=0,hi=1,M=3\nx,value\n0,1\n0.5,1\n1,1\n",
      "grid CSV repeats its lo=,hi=,M= header"),
+    # the later lo= won, and the rows were reported off its grid
+    ("# lo=0.5,hi=1.0,M=3,lo=0.25\nx,value\n0.5,1\n0.75,1\n1,1\n",
+     "grid CSV header repeats lo="),
 ])
 def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
     good, bad = write_curve(tmp_path), tmp_path / "bad.csv"
@@ -913,22 +916,22 @@ def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
 
 _SMAPS_PROBE = """
 import json, sys
-from mpursuit import adversarial
 from mpursuit.instance_io import load_instance
 
 inst = load_instance(sys.argv[1])
-st, phi, B = inst.state, inst.params.phi, adversarial._H_BLOCK
+st = inst.state
 tables = inst.oracle_tables()
-K, N, n_max = st.K, st.N, st.n_max
+# the oracle keeps one 2-D array, and no correction vectors
+assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == ["dhat"]
+N, n_max = st.N, st.n_max
 # the columns each row is written on: atoms the blended atom then d_N..d_n_max,
-# dhat the triangle, h the band from its phi block's support edge
+# dhat the triangle
 written = {
     "atoms": [(0, N)] + [(0, k) for k in range(N, n_max + 1)],
-    "h": [(phi.first_live(K + B * ((l - K) // B)) - 1, l - 1) for l in range(K, n_max + 1)],
     "dhat": [(0, k) for k in range(N, n_max + 1)],
 }
 arrays = {}
-for name, a in (("atoms", st.atoms), ("h", tables.h), ("dhat", tables.dhat)):
+for name, a in (("atoms", st.atoms), ("dhat", tables.dhat)):
     assert len(written[name]) == len(a)
     arrays[name] = (a.ctypes.data, a.ctypes.data + a.nbytes, len(a),
                     8 * sum(hi - lo for lo, hi in written[name]))
@@ -948,10 +951,10 @@ print(json.dumps({"arrays": arrays, "maps": maps}))
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
 def test_resident_memory_follows_the_nonzero_structure(instance_2500):
     """In a fresh process that replays the 2500 instance and makes its oracle
-    tables, the resident pages of the atom store, of h and of dhat number at
-    most their written trapezoid, band and triangle, 8 bytes an entry, plus
-    one page a row.  Dense, they would take 42 MB, 46 MB and 42 MB against
-    bounds of 33 MB, 24 MB and 33 MB.  The kernel merges adjacent mappings
+    tables, which hold no correction vectors, the resident pages of the atom
+    store and of dhat number at most their written trapezoid and triangle,
+    8 bytes an entry, plus one page a row.  Dense, they would take 42 MB
+    each, against bounds of 33 MB each.  The kernel merges adjacent mappings
     with the same flags, so the Rss of every mapping that overlaps an array
     counts, against the bounds of every array those mappings overlap."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))

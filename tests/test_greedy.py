@@ -1,3 +1,4 @@
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -333,6 +334,25 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
         assert got == [(j, sign) for j, sign, _ in ref]
         assert np.allclose(trace.residual_norms, [rn for _, _, rn in ref],
                            rtol=0.0, atol=1e-12)
+
+
+def test_oga_basis_tiles_widen_on_lazy_pages(monkeypatch):
+    """A tile is written only on its filled rows' live prefix; every tile
+    the basis widens sits on lazy_zeros pages, so the rest takes no
+    resident memory (DECISIONS.md "Resident memory follows the nonzero
+    structure"), and the rows read back as appended."""
+    monkeypatch.setattr(greedy_algorithms, "_TILE", 4)
+    basis, eye = greedy_algorithms._Basis(40), np.eye(40)
+    for k in range(1, 19):      # the live prefix grows by one column a row
+        basis.append(eye[k - 1:k, :k])
+    assert len(basis.tiles) == 5 and basis.size == 18
+    for tile, _, _ in basis.tiles:
+        base = tile
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base, mmap.mmap)
+    rows = np.vstack([np.pad(v, ((0, 0), (0, 40 - v.shape[1]))) for v in basis.views()])
+    assert np.array_equal(rows, eye[:18])
 
 
 def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():
