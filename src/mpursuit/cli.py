@@ -5,7 +5,7 @@ Every output file starts with a header echoing the resolved configuration
 and the package version; reruns with an identical configuration and BLAS
 thread count produce byte-identical files.  Exit codes: 0 success, 1 usage
 (including a malformed instance file), 2 numeric failure, 3 verification
-failure.
+failure (also an operating point that fails a closed-form condition).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import __version__
 from .adversarial import build_instance, check_sizes, verify
 from .analysis import check_bounds, fit_decay
 from .constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
-from .errors import NumericFailure
+from .errors import ConditionFailure, NumericFailure
 from .greedy_algorithms import GreedyTrace, check_algorithm, run
 from .grid_functions import GridFunction
 from .instance_io import load_instance, save_instance
@@ -132,9 +132,21 @@ def cmd_constants(cfg) -> int:
     return EXIT_OK if bun.all_strict else EXIT_VERIFY
 
 
+def _strict_bundle(beta: float, tau: float):
+    """bundle(beta, tau); raises ConditionFailure naming each closed-form
+    condition that fails there, as `constants` reports them."""
+    bun = bundle(beta, tau)
+    failed = [c for c in bun.condition_margins if not c.passed]
+    if failed:
+        raise ConditionFailure(f"the operating point beta={_fmt(beta)}, tau={_fmt(tau)} fails "
+                               + ", ".join(f"margins.{c.name} ({_fmt(c.value)} {c.sense} "
+                                           f"{_fmt(c.bound)} is false)" for c in failed))
+    return bun
+
+
 def _solve_profile(cfg):
     beta, tau = operating_point(cfg["beta_margin"], cfg["tau_margin"])
-    g = bundle(beta, tau).g_grid(cfg["grid_m"])
+    g = _strict_bundle(beta, tau).g_grid(cfg["grid_m"])
     return beta, g, solve_f(g, tol=cfg["tol"], max_iter=cfg["max_iter"])
 
 
@@ -146,6 +158,7 @@ def _phi_profile(cfg):
         if not abs(fbar.lo - tau) <= 1e-12 * tau:
             raise ValueError(f"the --f-csv grid starts at {fbar.lo!r}, not at the "
                              f"operating tau={tau!r}")
+        _strict_bundle(beta, tau)
     else:
         beta, _, report = _solve_profile(cfg)
         fbar = report.converged_f
@@ -164,7 +177,7 @@ def cmd_solve_f(cfg) -> int:
         f"beta={_fmt(beta)}",
         f"tau={_fmt(g.lo)}",
         f"iterations={report.iterations}",
-        f"bracket_width={report.bracket_width:.6e}",
+        f"box_half_width={report.box_half_width:.6e}",
         f"residual_sup={report.residual_sup:.6e}",
         f"residual_sup_refined={refined:.6e}",
         f"f3_min={_fmt(report.f3_min)}",
@@ -362,6 +375,9 @@ def main(argv=None) -> int:
     except NumericFailure as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ConditionFailure as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,3 +11,7 @@ class ConstructionError(NumericFailure):
 
 class InstanceFormatError(ValueError):
     """An instance file is malformed: a missing header key, a bad row, ..."""
+
+
+class ConditionFailure(Exception):
+    """The operating point fails a closed-form condition, before any solve."""

@@ -329,9 +329,9 @@ class SelfConvPlan:
     """Evaluates the scaled self-convolution at every node of one grid at once.
 
     Row i of the plan holds the query points x_j / x_i, j <= i.  They never
-    change, so the plan keeps each one's interpolant piece and offset s,
-    with s^2 and s^3, and a sweep costs one cubic over ~M^2/2 points plus
-    a quadrature per row.  Quadrature is the end-corrected trapezoid used
+    change, so the plan keeps each one's column, interpolant piece and
+    offset s, and a sweep costs one cubic over ~M^2/2 points plus a
+    quadrature per row.  Quadrature is the end-corrected trapezoid used
     by ``scaled_selfconv`` (degenerate rows fall back to plain trapezoid).
 
     The rows are cut into blocks of whole rows, about _BLOCK points each,
@@ -384,14 +384,12 @@ class SelfConvPlan:
         return slice(int(self.offsets[first]), int(self.row_ends[stop - 1]) + 1)
 
     def _located(self, first: int, stop: int) -> tuple:
-        """(column, piece, s, s^2, s^3) of each point of the rows first .. stop - 1."""
+        """(column, piece, s) of each point of the rows first .. stop - 1."""
         nodes = self.nodes
         pts = self._points(first, stop)
         rows = np.repeat(np.arange(first, stop), np.arange(first + 1, stop + 1))
         cols = np.arange(pts.stop - pts.start) - (self.offsets[rows] - pts.start)
-        piece, s = _locate(nodes, np.minimum(nodes[cols] / nodes[rows], self.hi))
-        s2 = s * s           # z * s, as _terms forms it
-        return cols, piece, s, s2, s2 * s
+        return (cols, *_locate(nodes, np.minimum(nodes[cols] / nodes[rows], self.hi)))
 
     def _fill(self, blocks, c, values, nonneg, mid, tables, stored, out) -> None:
         """out[i] = the quadrature of row i over the blocks, c f's piece table.
@@ -400,25 +398,30 @@ class SelfConvPlan:
         come from the tables when stored, else are located and written into them.
         """
         size = self._longest
-        p, t, idx = np.empty(size), np.empty(size), np.empty(size, dtype=np.intp)
+        p, t, z = np.empty(size), np.empty(size), np.empty(size)
+        idx = np.empty(size, dtype=np.intp)
         for first, stop in blocks:
             pts = self._points(first, stop)
             n = pts.stop - pts.start
-            q, tt, i = p[:n], t[:n], idx[:n]
+            q, tt, zz, i = p[:n], t[:n], z[:n], idx[:n]
             if stored:
-                cols, piece, s, s2, s3 = (table[pts] for table in tables)
+                cols, piece, s = (table[pts] for table in tables)
             else:
-                cols, piece, s, s2, s3 = located = self._located(first, stop)
+                cols, piece, s = located = self._located(first, stop)
                 for table, column in zip(tables, located):
                     table[pts] = column
             # clamped f(x_j / x_i) f(x_j), the cubic summed left to right as
-            # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3
+            # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3, the powers formed
+            # as _terms forms them (s^2 = s s, s^3 = s^2 s)
             i[...] = piece
             np.take(c[3], i, out=q, mode="clip")
-            for row, power in ((c[2], s), (c[1], s2), (c[0], s3)):
-                np.take(row, i, out=tt, mode="clip")
-                tt *= power
+            zz[...] = s
+            for k in (2, 1, 0):
+                np.take(c[k], i, out=tt, mode="clip")
+                tt *= zz
                 q += tt
+                if k:
+                    zz *= s
             if nonneg:
                 np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
             i[...] = cols
@@ -446,7 +449,7 @@ class SelfConvPlan:
         if self._tables is not None:
             return self._sweep(f, self._tables, stored=True)
         size = int(self.row_ends[-1]) + 1
-        tables = tuple(np.empty(size, t) for t in (np.int32,) * 2 + (float,) * 3)
+        tables = tuple(np.empty(size, t) for t in (np.int32, np.int32, float))
         out = self._sweep(f, tables, stored=False)
         self._tables = tables
         return out

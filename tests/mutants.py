@@ -166,6 +166,34 @@ MUTANTS = (
            "if not abs(fbar.lo - tau) <= 1e-12 * tau:", "if False:",
            tuple(f"tests/test_cli.py::test_f_csv_off_the_operating_tau_is_a_usage_error[{case}]"
                  for case in ("make-phi-flags0", "build-flags1"))),
+    Mutant("f_csv_conditions_unchecked", "cli.py",
+           "        _strict_bundle(beta, tau)\n", "",
+           tuple(f"tests/test_cli.py::test_an_operating_point_that_fails_a_closed_form_exits_3"
+                 f"_before_solving[{case}]" for case in ("make-phi-flags3", "build-flags4"))),
+    Mutant("solve_conditions_unchecked", "cli.py",
+           "g = _strict_bundle(beta, tau).g_grid(", "g = bundle(beta, tau).g_grid(",
+           tuple(f"tests/test_cli.py::test_an_operating_point_that_fails_a_closed_form_exits_3"
+                 f"_before_solving[{case}]" for case in ("solve-f-flags0", "build-flags2"))),
+    # the profile solve: Anderson mixing and its box
+    Mutant("anderson_output_unclamped", "integral_equation.py",
+           "    return np.maximum(x, 0.0)\n", "    return x\n",
+           ("tests/test_integral_equation.py::test_mixing_is_clamped_where_the_solution"
+            "_vanishes",)),
+    Mutant("box_check_without_rounding_allowance", "integral_equation.py",
+           "e_hi, e_lo = sweep_rounding(G, t_hi), sweep_rounding(G, t_lo)", "e_hi = e_lo = 0.0",
+           ("tests/test_integral_equation.py::test_the_box_check_allows_for_the_sweep_rounding",)),
+    Mutant("box_check_drops_the_lower_side", "integral_equation.py",
+           '("T(hi) >= lo", np.maximum(t_hi - e_hi, 0.0) - lo),\n                      ', "",
+           ("tests/test_integral_equation.py::test_the_box_check_reads_both_sides[lower]",
+            "tests/test_integral_equation.py::test_the_box_check_allows_for_the_sweep_rounding")),
+    Mutant("box_check_drops_the_upper_side", "integral_equation.py",
+           '                      ("T(lo) <= hi", hi - (t_lo + e_lo)),\n', "",
+           ("tests/test_integral_equation.py::test_the_box_check_reads_both_sides[upper]",)),
+    Mutant("constant_width_box", "integral_equation.py",
+           "lo, hi = np.maximum(x - half * w, 0.0), x + half * w",
+           "lo, hi = np.maximum(x - half, 0.0), x + half",
+           ("tests/test_integral_equation.py::test_a_default_solve_locates_each_point_once",
+            "tests/test_integral_equation.py::test_solve_bracket_sandwich")),
     # the self-convolution plan
     Mutant("first_sweep_stores_no_tables", "grid_functions.py",
            "                    table[pts] = column", "                    pass",

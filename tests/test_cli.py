@@ -168,6 +168,8 @@ def test_solve_and_phi_pipeline(tmp_path):
         assert (sf / f"iterate_{j}.csv").exists()
     report = read(sf / "solve_report.txt")
     assert float(value_of(report, "residual_sup")) <= 1e-6
+    assert 0.0 < float(value_of(report, "box_half_width")) < 1e-8
+    assert "bracket_width" not in report
     assert float(value_of(report, "f3_min")) > 0.0
 
     ph = tmp_path / "ph"
@@ -561,6 +563,37 @@ def test_negative_steps_or_epsilon_is_a_usage_error(tmp_path, saved_instance, ca
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve-f", []), ("make-phi", []), ("build", ["--n-max", "900"]),
+    ("make-phi", ["--f-csv"]), ("build", ["--n-max", "900", "--f-csv"])])
+def test_an_operating_point_that_fails_a_closed_form_exits_3_before_solving(
+        tmp_path, capsys, monkeypatch, command, flags):
+    """At --beta-margin 0.0001 the closed-form tail_upper_bound is 1.0033, as
+    `constants` reports.  solve-f, make-phi and build name that condition and
+    exit 3 before they solve or mollify; the --f-csv route checks it once the
+    profile's grid is known to start at the operating tau."""
+    beta, tau = mpursuit.operating_point(0.0001, cli._MARGINS["tau_margin"])
+    if flags[-1:] == ["--f-csv"]:
+        csv = tmp_path / "f.csv"
+        csv.write_text(mpursuit.bundle(beta, tau).g_grid(201).to_csv())
+        flags = [*flags, str(csv)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or mollified at a failing operating point")
+    monkeypatch.setattr(cli, "solve_f", refuse)
+    monkeypatch.setattr(phi_builder, "mollify", refuse)
+    outdir = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--beta-margin", "0.0001", *flags, "--outdir", str(outdir)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "verification failed: the operating point beta=0.317124293697, tau=0.455572412696 "
+        "fails margins.tail_upper_bound (1.00330570403 < 1 is false)"]
+    assert not outdir.exists()
+    constants = tmp_path / "c.txt"
+    assert main(["constants", "--beta-margin", "0.0001", "--out", str(constants)]) == 3
+    assert "margins.tail_upper_bound.pass=false" in read(constants).splitlines()
+
+
 @pytest.mark.parametrize("command", ["solve-f", "make-phi", "build"])
 @pytest.mark.parametrize("value", ["0", "-5", "1", "2", "3"])
 def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, command, value):
@@ -577,7 +610,7 @@ def test_max_iter_below_one_is_a_usage_error(tmp_path, capsys, command, value):
 @pytest.mark.parametrize("command", ["solve-f", "build"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_tol_is_a_usage_error(tmp_path, capsys, command, value):
-    # a NaN tol never closes the bracket, an infinite one stops unconverged
+    # a NaN tol is never met, an infinite one stops unconverged
     outdir = tmp_path / "o"
     capsys.readouterr()
     assert main([command, "--tol", value, "--grid-m", "201", "--outdir", str(outdir)]) == 1
@@ -634,6 +667,38 @@ def test_run_and_verify_load_no_scipy(tmp_path, saved_instance):
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0]
     assert scipy_modules == []
+
+
+def test_importing_the_cli_loads_no_pool_decimal_or_scipy():
+    """`mpursuit --version` pays only for the imports of mpursuit.cli: the
+    sweep's thread pool is imported by a sweep that uses one, and decimal
+    and scipy by no command."""
+    src = os.path.dirname(os.path.dirname(mpursuit.__file__))
+    code = ("import json, sys\nimport mpursuit.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'decimal', 'scipy'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          check=True, capture_output=True, text=True)
+    assert json.loads(proc.stdout) == []
+
+
+def test_solved_profile_bytes_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    """solve-f at 1 and 2 BLAS threads, and at 1 thread pinned to one CPU
+    (so the sweep runs without a pool), writes the same bodies: Anderson
+    mixing reduces with NumPy, not the BLAS, and solves in plain floats."""
+    src = os.path.dirname(os.path.dirname(mpursuit.__file__))
+    one_cpu = min(os.sched_getaffinity(0))
+    bodies = []
+    for threads, pin in (("1", False), ("2", False), ("1", True)):
+        out = tmp_path / f"s{threads}{pin}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "mpursuit.cli", "solve-f", "--outdir", str(out)],
+                       env=env, check=True,
+                       preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None)
+        bodies.append([read(out / name).split("\n", 2)[2]
+                       for name in ("solved_profile.csv", "solve_report.txt")])
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert "bracket_certified=true" in bodies[0][1].splitlines()
 
 
 def test_run_unknown_algorithm_is_a_usage_error(tmp_path, capsys, saved_instance):

@@ -9,8 +9,8 @@ from mpursuit.constants import bundle, solve_beta_star, tau_star
 from mpursuit.errors import NumericFailure
 from mpursuit.grid_functions import (GridFunction, SelfConvPlan, scaled_selfconv,
                                      selfconv_on_nodes)
-from mpursuit.integral_equation import (_MONO_SLACK, apply_T, numeric_rg,
-                                        residual_on_refined, solve_f)
+from mpursuit.integral_equation import (_MONO_SLACK, apply_T, check_box, numeric_rg,
+                                        residual_on_refined, solve_f, sweep_rounding)
 from mpursuit.phi_builder import build_profile
 
 SOLVE = {key: cli._SOLVE[key] for key in ("tol", "max_iter")}  # the CLI defaults
@@ -106,12 +106,13 @@ def test_bracket_zero_g_all_zero():
 
 def test_bracket_needs_four_iterates(op_point):
     # the certificate reads f4, so a budget below four sweeps is a usage
-    # error even when the bracket would close at once
+    # error even when the tolerance is met at once; four sweeps, two power
+    # sweeps and the box's two make eight
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
     with pytest.raises(ValueError, match="reads the fourth iterate"):
         solve_f(g, tol=1e9, max_iter=3)
-    assert solve_f(g, tol=1e9, max_iter=4).iterations == 4
+    assert solve_f(g, tol=1e9, max_iter=4).iterations == 8
     with pytest.raises(ValueError):
         reference_bracket_sequence(g, 3)
 
@@ -155,14 +156,72 @@ def test_solve_fixed_point_consistency(coarse_solution):
 
 
 def test_solve_bracket_sandwich(coarse_solution):
-    _, _, _, rep = coarse_solution
-    even, odd = rep.iterates[-1], rep.iterates[-2]
-    if len(rep.iterates) % 2 == 0:
-        even, odd = odd, even
-    top = np.maximum(even.values, odd.values)
-    bot = np.minimum(even.values, odd.values)
+    """The box sandwiches the profile and the sweeps of its corners: T maps
+    it into itself, so it holds the grid solution.  The third and fourth
+    iterates, the certified bracket, sandwich the profile too."""
+    _, _, g, rep = coarse_solution
+    f, lo, hi = rep.converged_f.values, rep.box_lo, rep.box_hi
+    assert np.all(lo <= f) and np.all(f <= hi) and np.all(lo >= 0.0)
+    assert float(np.max(hi - lo)) == pytest.approx(2.0 * rep.box_half_width, rel=1e-12)
+    assert 0.0 < rep.box_half_width < 1e-8
+    t_lo, t_hi = (apply_T(g, GridFunction(g.lo, g.hi, v)).values for v in (lo, hi))
+    assert np.all(lo <= t_hi) and np.all(t_hi <= t_lo) and np.all(t_lo <= hi)
+    top = np.maximum(rep.iterates[3].values, rep.iterates[4].values)
+    bot = np.minimum(rep.iterates[3].values, rep.iterates[4].values)
+    assert np.all(bot <= f) and np.all(f <= top)
+
+
+def test_a_box_shrunk_below_its_computed_half_width_fails(coarse_solution):
+    """The solve's box passes its check again; the same box shrunk about the
+    profile to a quarter of its half-width does not."""
+    _, _, g, rep = coarse_solution
     f = rep.converged_f.values
-    assert np.all(f <= top + 1e-12) and np.all(f >= bot - 1e-12)
+    check_box(g, rep.box_lo, rep.box_hi)
+    with pytest.raises(NumericFailure, match="box check"):
+        check_box(g, f - (f - rep.box_lo) / 4, f + (rep.box_hi - f) / 4)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_the_box_check_reads_both_sides(coarse_solution, side):
+    """[lo, 2 G + 1] fails only T(hi) >= lo: the sweep of so large a profile
+    falls below the profile.  [0, hi] fails only T(lo) <= hi: T(0) = G lies
+    above the profile wherever the self-convolution is positive."""
+    _, _, g, rep = coarse_solution
+    if side == "lower":
+        box, fails = (rep.box_lo, 2.0 * g.values + 1.0), r"T\(hi\) >= lo"
+    else:
+        box, fails = (np.zeros(g.m), rep.box_hi), r"T\(lo\) <= hi"
+    with pytest.raises(NumericFailure, match=f"box check {fails} fails"):
+        check_box(g, *box)
+
+
+def test_the_box_check_allows_for_the_sweep_rounding(coarse_solution):
+    """A lower corner raised at one node to half the rounding allowance below
+    T(hi) is refused there, though T(hi) >= lo holds in floats."""
+    _, _, g, rep = coarse_solution
+    lo, hi = rep.box_lo.copy(), rep.box_hi
+    t_hi = apply_T(g, GridFunction(g.lo, g.hi, hi)).values
+    k = g.m // 2
+    lo[k] = t_hi[k] - 0.5 * sweep_rounding(g, t_hi)[k]
+    assert rep.box_lo[k] < lo[k] < t_hi[k] < hi[k]
+    with pytest.raises(NumericFailure, match=rf"T\(hi\) >= lo fails at node {k} "):
+        check_box(g, lo, hi)
+
+
+def test_mixing_is_clamped_where_the_solution_vanishes(op_point):
+    """A dip in G makes the solution 0 on an interval, where Anderson's
+    extrapolation undershoots.  Clamped at 0, the mixed iterates stay
+    admissible; the sweep maps the profile to itself within tol, and the
+    box holds it."""
+    beta, tau = op_point
+    x = np.linspace(tau, 1.0, 501)
+    g = GridFunction(tau, 1.0, bundle(beta, tau).G(x) * (1.0 - np.exp(-((x - 0.85) / 0.05) ** 2)))
+    rep = solve_f(g, **SOLVE)
+    f = rep.converged_f.values
+    assert f.min() == 0.0 and np.count_nonzero(f == 0.0) > 50
+    assert float(np.max(np.abs(apply_T(g, rep.converged_f).values - f))) < SOLVE["tol"]
+    assert np.all(rep.box_lo <= f) and np.all(f <= rep.box_hi)
+    assert rep.iterations <= 24
 
 
 def test_solve_residual_stable_under_grid_doubling(coarse_solution):
@@ -194,9 +253,9 @@ def test_solve_rejects_expansive_g():
 def test_solve_max_iter_error_carries_width(op_point):
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(501)
-    with pytest.raises(NumericFailure, match="bracket") as exc:
+    with pytest.raises(NumericFailure, match=r"sup\|Tf - f\| < tol within 6 sweeps") as exc:
         solve_f(g, tol=1e-15, max_iter=6)
-    width = re.search(r"\(last width (\S+)\)$", str(exc.value))
+    width = re.search(r"\(last (\S+)\)$", str(exc.value))
     assert width and float(width.group(1)) > 0.0
 
 
@@ -222,8 +281,8 @@ def test_selfconv_without_a_plan_equals_the_plan_bit_for_bit(coarse_solution):
     """On the 2001 and 4001 grids, of solve_f and of residual_on_refined,
     the sweep that keeps no tables gives the bits of a plan's second sweep,
     which reads the tables its first sweep stored.  Its memory is that of a
-    block, the same on both grids, where a plan's tables take 32 bytes a
-    point: 64 MB and 256 MB."""
+    block, the same on both grids, where a plan's tables take 16 bytes a
+    point: 32 MB and 128 MB."""
     _, _, g, rep = coarse_solution
     peaks = []
     for factor in (2, 4):
@@ -256,7 +315,8 @@ def watch_located(monkeypatch) -> list:
 def test_a_plan_stores_its_tables_during_its_first_sweep(coarse_solution, monkeypatch):
     """A plan builds no tables when made and stores them in its first sweep,
     locating each block once; later sweeps read them, with the same bits.
-    A sweep without a plan locates every block and its plan stores no tables."""
+    The tables hold a column, a piece and s: 16 bytes a point.  A sweep
+    without a plan locates every block and its plan stores no tables."""
     f = coarse_solution[3].converged_f
     located = watch_located(monkeypatch)
     plan = SelfConvPlan(f)
@@ -265,6 +325,7 @@ def test_a_plan_stores_its_tables_during_its_first_sweep(coarse_solution, monkey
     first = plan.sweep(f)
     tables = plan._tables
     assert tables is not None and tables[0].size == f.m * (f.m + 1) // 2
+    assert sum(table.nbytes for table in tables) == 16 * tables[0].size
     assert sorted(rows for _, rows in located) == blocks
     assert plan.sweep(f).tobytes() == plan.sweep(f).tobytes() == first.tobytes()
     assert plan._tables is tables and len(located) == len(blocks)
@@ -277,13 +338,14 @@ def test_a_plan_stores_its_tables_during_its_first_sweep(coarse_solution, monkey
 def test_a_default_solve_locates_each_point_once(op_point, monkeypatch):
     """The default grid's 2,003,001 points lie in 31 blocks: the solve's one
     plan locates each block in its first sweep and reads its tables in the
-    other 63 sweeps.  A plan that stored its tables before its second sweep
-    located each block twice, 62 calls."""
+    other 16 sweeps: four plain sweeps, eight mixed ones, two power sweeps,
+    the box's two and the residual.  A plan that stored its tables before
+    its second sweep located each block twice, 62 calls."""
     beta, tau = op_point
     g = bundle(beta, tau).g_grid(cli._SOLVE["grid_m"])
     located = watch_located(monkeypatch)
     report = solve_f(g, tol=SOLVE["tol"], max_iter=SOLVE["max_iter"])
-    assert report.iterations == 63
+    assert report.iterations == 16
     assert len(located) == len({rows for _, rows in located}) == 31
 
 

@@ -327,8 +327,9 @@ def test_solve_f_owns_its_plan_and_frees_it_on_return(op_point, monkeypatch):
     monkeypatch.setattr(integral_equation, "selfconv_on_nodes", watch_selfconv)
     monkeypatch.setattr(integral_equation, "apply_T", watch_apply)
     report = solve_f(g, tol=1e-9, max_iter=cli._SOLVE["max_iter"])
-    assert len(sweeps) == report.iterations
-    assert len(plans) == report.iterations + 1  # the sweeps and the residual
+    # four plain sweeps, eight mixed ones, two power sweeps and the box's two
+    assert len(sweeps) == report.iterations == 16
+    assert len(plans) == report.iterations + 1 == 17  # the sweeps and the residual
     assert not [ref for ref in plans if ref() is not None], "a plan outlived solve_f"
     assert len(pools) == len(plans)  # each sweep started its own worker
     assert all(pool._threads for pool in pools)
