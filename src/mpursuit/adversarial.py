@@ -14,11 +14,12 @@ by two independent routes:
 
 The oracle rebuilds each residual by the component formula
 <r_m, e_j> = -q_m (xi_{j+1} + sum_{l>j}^m <h_l, e_j>) and each atom by the
-inductive definition, and takes each block's inner products as one product
-of the two.  `OracleTables` keeps one dense array, the atom components;
-the residual rows and the correction vectors h_l are formed in one forward
-walk over blocks of steps.  `verify` folds each block as the walk yields
-it and drops the tables when the walk ends.
+inductive definition, and takes the inner products of each block of steps
+with each tile of atoms as one product of the two.  `OracleTables` keeps
+no 2-D array: the residual rows and the correction vectors h_l are formed
+in forward walks, and the atoms one tile at a time.  `verify` folds each
+(tile, block) pair as the walk yields it and drops the tables when the
+walk ends.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
 _VERIFY_BLOCK = 128  # steps per block of the oracle's walk, read when a walk starts
 _H_BLOCK = 8         # correction vectors per phi evaluation in the oracle's walk
+_TILES = 3           # atom tiles of equal area the oracle forms one at a time
 _MAX_DOUBLINGS = 4   # times build_instance doubles K and N after a failed attempt
 
 
@@ -318,6 +320,16 @@ def finalize(state: ConstructionState) -> AdversarialInstance:
     return AdversarialInstance(state=state, dictionary=dictionary)
 
 
+def _tiles(N: int, n_max: int) -> tuple[tuple[int, int], ...]:
+    """The oracle's atom tiles (k0, k1), k = N..n_max cut into `_TILES` runs of
+    consecutive atoms that hold about equal parts of the triangle, d_hat[k]
+    holding k entries."""
+    area = np.cumsum(np.arange(N, n_max + 1))
+    cuts = N + 1 + np.searchsorted(area, area[-1] * np.arange(1, _TILES) / _TILES)
+    bounds = np.unique([N, *cuts.tolist(), n_max + 1]).tolist()
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
 def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray, out: np.ndarray) -> None:
     """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
     consecutive l in ls: one row each, zero from column l - 1 on.  One phi
@@ -339,79 +351,103 @@ class OracleTables:
     <r_m, e_j> = -q_m (b_j + sum_{l=K}^m <h_l, e_j>), with the correction
     vectors h_l = (alpha_l / l) phi(i / l) and the base components
     b_j = xi_{j+1} past the seed block j < K, and every atom by the inductive
-    definition d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k.  It keeps one
-    dense array, the atom components `dhat`, on `lazy_zeros` pages, so only
-    their triangle is resident, and the blended atom `dtil`.  `blocks` walks
-    the steps n upward in blocks of `_VERIFY_BLOCK` steps; a block's pairs
-    <r_{n-1}, d_k> are one product of its residual rows with `dhat`, but
-    for k = n, which is the base equality <r_{n-1}, d_n> = q_n.
+    definition d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k.  It keeps no
+    2-D array: `blocks` forms the atoms one tile at a time (`tiles`, read
+    from `_TILES` when the tables are built), on `lazy_zeros` pages, so only
+    the tile's triangle is resident, and drops each tile once every block of
+    steps has been paired with it.
 
-    The tables hold copies of q, alpha and xi (as `b`) and the profile phi;
-    gamma and epsilon enter `dhat` and `dtil` only.  Each walk starts afresh
-    at N+1 from running state of its own, so every walk of the same tables
-    yields the same bits.  Nothing here reads the construction's stored
-    vectors.
+    The tables hold copies of q, gamma, alpha and xi (as `b`), the profile
+    phi, the blended atom `dtil` (epsilon enters it only) and `start`, the
+    running correction sum h_K + ... + h_{N-1} at which every walk begins.
+    Each walk starts afresh from running state of its own, so every walk of
+    the same tables yields the same bits.  Nothing here reads the
+    construction's stored vectors.
     """
 
     def __init__(self, state: ConstructionState):
         K, N, n_max, beta = state.K, state.N, state.n_max, state.params.beta
-        gamma, xi, epsilon = state.gamma, state.xi, state.params.epsilon
+        epsilon = state.params.epsilon
         self.K, self.N, self.phi = K, N, state.params.phi
+        self.tiles = _tiles(N, n_max)
         self.q = q = state.q.copy()
+        self.gamma = state.gamma.copy()
         self.alpha = state.alpha.copy()
         self.b = b = np.empty(n_max)
         b[: K - 1] = K ** (-0.5 + beta) / (q[K - 1] * np.sqrt(K - 1.0))
-        b[K - 1:] = xi[K:n_max + 1]
+        b[K - 1:] = state.xi[K:n_max + 1]
 
-        self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))
-        for k, (rrow, h_k) in enumerate(self._residual_rows(), start=N):  # r_hat[k-1], h_k
-            if k == N + 1:
-                r_n = rrow
-            row = dhat[k - N]
-            row[: k - 1] = gamma[k] * rrow[: k - 1]
-            row[: k - 1] += h_k
-            row[k - 1] = xi[k]
+        self.start = run = np.zeros(n_max)
+        for _ in self._walk(run, K, N):
+            pass
+        walk = self._walk(run.copy(), N, N + 2)
+        d_n = self._atom(N, *next(walk), np.empty(N))
+        r_n, _ = next(walk)
         rn_norm = float(_schedule(N, beta))
-        self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]
+        self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * d_n
 
-    def _residual_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield (r_hat[m], h_{m+1}) for m = N-1, N, ..., n_max-1: the residual
-        components <r_m, e_j>, j = 1..m, by the component formula over one
-        running correction sum, and the correction vector it adds next.  The
-        vectors are formed `_H_BLOCK` at a time and none is kept."""
-        K, N, q, b = self.K, self.N, self.q, self.b
-        n_max = len(b)
-        run = np.zeros(n_max)
-        for l0 in range(K, n_max + 1, _H_BLOCK):
-            ls = np.arange(l0, min(l0 + _H_BLOCK, n_max + 1))
+    def _walk(self, run: np.ndarray, start: int, stop: int
+              ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (r_hat[l-1], h_l) for l = start..stop-1: the residual
+        components <r_{l-1}, e_j>, j = 1..l-1, by the component formula, and
+        the correction vector the running sum adds next.  run holds
+        h_K + ... + h_{start-1} and is carried on in place, h_l added before
+        the row of l is yielded, so once that row is out run is the sum a
+        walk from l + 1 resumes from.  The vectors are formed `_H_BLOCK` at
+        a time and none is kept."""
+        q, b = self.q, self.b
+        for l0 in range(start, stop, _H_BLOCK):
+            ls = np.arange(l0, min(l0 + _H_BLOCK, stop))
             h = np.zeros((len(ls), ls[-1] - 1))
             _h_rows(self.alpha, self.phi, ls, out=h)
             for l, h_l in zip(ls.tolist(), h):
-                if l >= N:
-                    yield -(q[l - 1]) * (b[: l - 1] + run[: l - 1]), h_l[: l - 1]
+                rrow = -(q[l - 1]) * (b[: l - 1] + run[: l - 1])
                 run[: l - 1] += h_l[: l - 1]
+                yield rrow, h_l[: l - 1]
+
+    def _atom(self, k: int, rrow: np.ndarray, h_k: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k into out's first k columns."""
+        out[: k - 1] = self.gamma[k] * rrow
+        out[: k - 1] += h_k
+        out[k - 1] = self.b[k - 1]
+        return out
 
     def blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Yield (lo, hi, pairs, tilde) for each block of `_VERIFY_BLOCK` steps
-        n = lo..hi, from n = N+1 up to n_max: pairs[n - lo, k - N] is
-        <r_{n-1}, d_k>, k = N..n_max, and tilde[n - lo] is <r_{n-1}, dt_N>
-        for the blended atom dt_N.  The caller owns both.
+        """Yield (lo, hi, pairs, tilde) for each tile k0..k1-1 of `tiles` in
+        turn and, within it, each block of `_VERIFY_BLOCK` steps n = lo..hi
+        from n = N+1 up to n_max: pairs[n - lo, k - k0] is <r_{n-1}, d_k>,
+        k = k0..k1-1, and tilde[n - lo] is <r_{n-1}, dt_N> for the blended
+        atom dt_N, the same in every tile.  The caller owns both.
+
+        A tile is formed by a walk over its own atoms that resumes from the
+        running sum the previous tile's walk stopped at, so the forming walks
+        together are one walk; one more walk per tile pairs it with every
+        block.  A block's pairs are one product over the columns where both
+        its residual rows and the tile can be nonzero, but for k = n, which
+        is the base equality <r_{n-1}, d_n> = q_n.
         """
         N, n_max, q, block = self.N, len(self.b), self.q, _VERIFY_BLOCK
-        walk = self._residual_rows()
-        next(walk)                          # r_hat[N-1] only shapes d_hat[N]
-        for lo in range(N + 1, n_max + 1, block):
-            hi = min(lo + block - 1, n_max)
-            ns = np.arange(lo, hi + 1)
-            rhat = np.zeros((hi - lo + 1, hi - 1))   # r_hat[n-1] is zero from column n-1 on
-            for row, (rrow, _) in zip(rhat, walk):
-                row[: len(rrow)] = rrow
-            pairs = rhat @ self.dhat[:, : hi - 1].T
-            pairs[ns - lo, ns - N] = q[ns]
-            tilde = rhat[:, :N] @ self.dtil
-            del rhat, row, rrow
-            yield lo, hi, pairs, tilde
-            del pairs, tilde   # a generator's locals outlive the yield
+        form = self.start.copy()
+        for k0, k1 in self.tiles:
+            tile = lazy_zeros((k1 - k0, k1 - 1))      # d_hat[k] is zero from column k on
+            for row, k, (rrow, h_k) in zip(tile, range(k0, k1), self._walk(form, k0, k1)):
+                self._atom(k, rrow, h_k, row)
+            walk = self._walk(self.start.copy(), N, n_max + 1)
+            next(walk)                          # r_hat[N-1] only shapes d_hat[N]
+            for lo in range(N + 1, n_max + 1, block):
+                hi = min(lo + block - 1, n_max)
+                rhat = np.zeros((hi - lo + 1, hi - 1))   # r_hat[n-1] is zero from column n-1 on
+                for row, (rrow, _) in zip(rhat, walk):
+                    row[: len(rrow)] = rrow
+                cols = min(hi, k1) - 1
+                pairs = rhat[:, :cols] @ tile[:, :cols].T
+                ns = np.arange(max(lo, k0), min(hi + 1, k1))
+                pairs[ns - lo, ns - k0] = q[ns]
+                tilde = rhat[:, :N] @ self.dtil
+                del rhat, row, rrow
+                yield lo, hi, pairs, tilde
+                del pairs, tilde   # a generator's locals outlive the yield
+            del tile, walk         # before the next tile is formed
 
 
 @dataclass
@@ -471,57 +507,77 @@ def verify(instance: AdversarialInstance) -> VerificationReport:
     The check also fails unless the disagreement is below the smallest
     absolute margin, so no selection can flip between the two routes.
 
-    One walk of fresh oracle tables and one of the residuals from r_N yield
-    the blocks of steps in lockstep, each reduced by whole-array operations;
-    the tables live only while verify runs.  A row holding a NaN margin never
-    sets `min_margin` (ties go to the first pair in row order); the blended
-    margin takes the oracle value only where its magnitude is strictly
-    larger, as `max` does.
+    The oracle's tables yield its tiles of atoms in turn, and within each
+    tile its blocks of steps; a walk of the residuals from r_N yields the
+    same blocks in lockstep, and the stored atoms of the tile give the
+    direct products, each reduced by whole-array operations; the tables live
+    only while verify runs.  What spans tiles is kept per row: its smallest
+    margin and that margin's atom, whether it holds a NaN margin, whether
+    it holds a non-finite value.  A row holding a NaN margin in any tile
+    never sets `min_margin` (ties go to the first pair in row order); the
+    blended margin, from the first tile, takes the oracle value only where
+    its magnitude is strictly larger, as `max` does.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
     width = n_max - N + 1
-    min_margin, min_pair, til_min, til_arg = np.inf, (-1, -1), np.inf, -1
-    min_margin_o, dual_max, diag_max, first_nonfinite = np.inf, 0.0, 0.0, None
+    til_min, til_arg, min_margin_o, dual_max, diag_max = np.inf, -1, np.inf, 0.0, 0.0
     min_abs, norms = np.inf, np.empty(width)   # norms[m - N] = |r_m|
-    blocks = instance.oracle_tables().blocks()
-    for rows, r in _residual_blocks(st):   # rows[n - lo] = r_{n-1}
-        lo, hi, pairs, tilde = next(blocks)   # zip would keep the last blocks alive
-        ns = np.arange(lo, hi + 1)
-        on_diag = (ns - lo, ns - N)
-        qn = st.q[ns]
-        norms[lo - 1 - N: hi - N] = np.linalg.norm(rows, axis=1)
-        direct = rows @ st.atoms[1:].T          # against d_N..d_n_max
-        til_direct = rows @ st.atoms[0]         # against the blended atom
-        gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1),
-                          np.abs(til_direct - tilde))
-        dual_max = np.maximum(dual_max, np.max(gaps))
-        if first_nonfinite is None and not np.all(np.isfinite(gaps)):
-            first_nonfinite = lo + int(np.argmin(np.isfinite(gaps)))
-        diag_max = np.maximum(diag_max, np.max(np.abs(direct[on_diag] - qn) / qn))
-        t_abs = np.abs(til_direct)
-        min_abs = np.minimum(min_abs, np.min(qn - t_abs))
-        # q_n - |value| in the blocks' own buffers, then divided by q_n
-        margins = np.subtract(qn[:, None], np.abs(direct, out=direct), out=direct)
-        omargins = np.subtract(qn[:, None], np.abs(pairs, out=pairs), out=pairs)
-        margins[on_diag] = omargins[on_diag] = np.inf
-        min_abs = np.minimum(min_abs, np.min(margins))
-        margins /= qn[:, None]
-        omargins /= qn[:, None]
-        margins[np.isnan(margins).any(axis=1)] = np.inf
-        j = int(np.argmin(margins))
-        if margins.flat[j] < min_margin:
-            min_margin, min_pair = float(margins.flat[j]), (lo + j // width, N + j % width)
-        min_margin_o = np.minimum(min_margin_o, np.min(omargins))
-        o_abs = np.abs(tilde)
-        tmarg = (qn - np.where(o_abs > t_abs, o_abs, t_abs)) / qn
-        tmarg[np.isnan(tmarg)] = np.inf
-        j = int(np.argmin(tmarg))
-        if tmarg[j] < til_min:
-            til_min, til_arg = tmarg[j], lo + j
-        del direct, pairs, tilde, margins, omargins, rows   # before the next block
+    row_min = np.full(n_max - N, np.inf)       # per row n - N - 1, over the tiles so far
+    row_arg = np.full(n_max - N, -1)
+    nan_rows = np.zeros(n_max - N, dtype=bool)
+    nonfinite = np.zeros(n_max - N, dtype=bool)
+    tables = instance.oracle_tables()
+    blocks = tables.blocks()
+    for k0, k1 in tables.tiles:
+        atoms = st.atoms[k0 - N + 1: k1 - N + 1]   # d_k0..d_k1-1
+        for rows, r in _residual_blocks(st):   # rows[n - lo] = r_{n-1}
+            lo, hi, pairs, tilde = next(blocks)   # zip would keep the last blocks alive
+            at = slice(lo - N - 1, hi - N)
+            qn = st.q[lo:hi + 1]
+            ns = np.arange(max(lo, k0), min(hi + 1, k1))   # the diagonal k = n in this tile
+            on_diag = (ns - lo, ns - k0)
+            direct = rows @ atoms.T
+            gaps = np.max(np.abs(direct - pairs), axis=1)
+            if k0 == N:   # the blended atom and the norms, once
+                norms[lo - 1 - N: hi - N] = np.linalg.norm(rows, axis=1)
+                til_direct = rows @ st.atoms[0]
+                gaps = np.maximum(gaps, np.abs(til_direct - tilde))
+                t_abs = np.abs(til_direct)
+                min_abs = np.minimum(min_abs, np.min(qn - t_abs))
+                o_abs = np.abs(tilde)
+                tmarg = (qn - np.where(o_abs > t_abs, o_abs, t_abs)) / qn
+                tmarg[np.isnan(tmarg)] = np.inf
+                j = int(np.argmin(tmarg))
+                if tmarg[j] < til_min:
+                    til_min, til_arg = tmarg[j], lo + j
+            dual_max = np.maximum(dual_max, np.max(gaps))
+            nonfinite[at] |= ~np.isfinite(gaps)
+            diag_max = np.maximum(diag_max, np.max(np.abs(direct[on_diag] - st.q[ns]) / st.q[ns],
+                                                   initial=0.0))
+            # q_n - |value| in the blocks' own buffers, then divided by q_n
+            margins = np.subtract(qn[:, None], np.abs(direct, out=direct), out=direct)
+            omargins = np.subtract(qn[:, None], np.abs(pairs, out=pairs), out=pairs)
+            margins[on_diag] = omargins[on_diag] = np.inf
+            min_abs = np.minimum(min_abs, np.min(margins))
+            margins /= qn[:, None]
+            omargins /= qn[:, None]
+            j = np.argmin(margins, axis=1)     # a row's first NaN, if it holds one
+            low = margins[np.arange(len(j)), j]
+            nan_rows[at] |= np.isnan(low)
+            better = low < row_min[at]
+            row_min[at] = np.where(better, low, row_min[at])
+            row_arg[at] = np.where(better, k0 + j, row_arg[at])
+            min_margin_o = np.minimum(min_margin_o, np.min(omargins))
+            del direct, pairs, tilde, margins, omargins, rows   # before the next block
     norms[-1:] = np.linalg.norm(r[None], axis=1)   # r_{n_max}, in the rows' own arithmetic
     sched_err = np.max(np.abs(norms / _schedule(np.arange(N, n_max + 1), st.params.beta) - 1.0))
+    row_min[nan_rows] = np.inf
+    i = int(np.argmin(row_min))
+    min_margin, min_pair = np.inf, (-1, -1)
+    if row_min[i] < min_margin:
+        min_margin, min_pair = float(row_min[i]), (N + 1 + i, int(row_arg[i]))
+    first_nonfinite = N + 1 + int(np.argmax(nonfinite)) if nonfinite.any() else None
 
     return VerificationReport(
         n_pairs=(n_max - N) * width,

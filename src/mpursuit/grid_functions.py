@@ -19,6 +19,7 @@ __all__ = ["GridFunction", "SelfConvPlan", "scaled_selfconv", "selfconv_on_nodes
 
 _EDGE_SLACK = 1e-12
 _BLOCK = 1 << 16  # points per block of whole rows of a self-convolution sweep
+_CHUNK = 1 << 13  # points per chunk of GridFunction's evaluation
 
 
 def _hermite_slopes(values: np.ndarray, h: float) -> np.ndarray:
@@ -72,19 +73,40 @@ def _terms(c: np.ndarray, s: np.ndarray) -> list:
     return terms
 
 
-def _value(c: np.ndarray, i, s):
-    """Pieces i of table c at offsets s, their terms summed left to right as PPoly does."""
-    return reduce(operator.add, _terms(c.take(i, axis=1), s))
+def _cubic(c: np.ndarray, i: np.ndarray, s: np.ndarray, out: np.ndarray,
+           t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """out = pieces i of table c at offsets s, their terms formed and summed
+    left to right as _terms forms them and PPoly sums them, one 1-D take per
+    coefficient row; t and z are scratch arrays of out's size."""
+    c[-1].take(i, out=out, mode="clip")
+    power = s
+    for k in range(c.shape[0] - 2, -1, -1):
+        c[k].take(i, out=t, mode="clip")
+        t *= power
+        out += t
+        if k:
+            power = np.multiply(power, s, out=z)
+    return out
 
 
-def _locate(nodes: np.ndarray, x):
+def _locate(nodes: np.ndarray, x: np.ndarray):
     """Piece index of each point x (the end pieces extrapolate) and its offset.
 
-    Searching the interior nodes gives PPoly's interval, searchsorted(nodes,
-    x, "right") - 1 clipped to [0, M-2], in one call.
+    PPoly's interval is searchsorted(nodes[1:-1], x, "right"): the count of
+    interior nodes at or below x.  On the uniform grid (x - lo) / h, clipped
+    to [0, M-2] and truncated, is that count or one off it, so one
+    comparison each way against the nodes makes it exact; a NaN lands on
+    M-2, as it does in the search.
     """
-    i = np.searchsorted(nodes[1:-1], x, "right")
-    return i, x - nodes[i]
+    top = len(nodes) - 2
+    u = x - nodes[0]
+    u *= (top + 1) / (nodes[-1] - nodes[0])
+    i = np.fmax(np.fmin(u, top, out=u), 0.0, out=u).astype(np.intp)
+    i -= x < nodes.take(i, out=u)
+    np.maximum(i, 0, out=i)
+    i += x >= nodes[1:].take(i, out=u)
+    np.minimum(i, top, out=i)
+    return i, np.subtract(x, nodes.take(i, out=u), out=u)
 
 
 class GridFunction:
@@ -158,14 +180,23 @@ class GridFunction:
         return _antiderivative_pieces(_hermite_pieces(nodes, w, self.h), nodes)
 
     def _at(self, table: np.ndarray, x) -> np.ndarray:
-        """A piece table at x clipped to [lo, hi]."""
-        return _value(table, *_locate(self.nodes, np.clip(x, self.lo, self.hi)))
+        """A piece table at x clipped to [lo, hi], located and summed _CHUNK points at a time."""
+        x = np.asarray(x, dtype=np.float64)
+        out = np.empty(x.shape)
+        flat, dest = x.reshape(-1), out.reshape(-1)
+        xc, t, z = np.empty((3, min(flat.size, _CHUNK)))
+        for a in range(0, flat.size, _CHUNK):
+            b = min(a + _CHUNK, flat.size)
+            clipped = np.minimum(np.maximum(flat[a:b], self.lo, out=xc[:b - a]), self.hi,
+                                 out=xc[:b - a])
+            _cubic(table, *_locate(self.nodes, clipped), dest[a:b], t[:b - a], z[:b - a])
+        return out
 
     def _inside(self, x, what: str) -> np.ndarray:
         """x as an array, checked to lie in [lo, hi] up to the edge slack."""
         x = np.asarray(x, dtype=np.float64)
         slack = _EDGE_SLACK * (self.hi - self.lo)
-        if np.any(x < self.lo - slack) or np.any(x > self.hi + slack):
+        if x.size and (x.min() < self.lo - slack or x.max() > self.hi + slack):
             raise ValueError(f"{what} outside the grid interval [{self.lo}, {self.hi}]")
         return x
 
@@ -410,18 +441,9 @@ class SelfConvPlan:
                 cols, piece, s = located = self._located(first, stop)
                 for table, column in zip(tables, located):
                     table[pts] = column
-            # clamped f(x_j / x_i) f(x_j), the cubic summed left to right as
-            # _value sums it: c3 + c2 s + c1 s^2 + c0 s^3, the powers formed
-            # as _terms forms them (s^2 = s s, s^3 = s^2 s)
+            # clamped f(x_j / x_i) f(x_j)
             i[...] = piece
-            np.take(c[3], i, out=q, mode="clip")
-            zz[...] = s
-            for k in (2, 1, 0):
-                np.take(c[k], i, out=tt, mode="clip")
-                tt *= zz
-                q += tt
-                if k:
-                    zz *= s
+            _cubic(c, i, s, q, tt, zz)
             if nonneg:
                 np.maximum(q, 0.0, out=q)  # kill cubic undershoot on clamped data
             i[...] = cols

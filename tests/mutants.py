@@ -65,12 +65,12 @@ MUTANTS = (
            ("tests/test_adversarial.py::test_disagreement_must_stay_below_the_smallest"
             "_absolute_margin",)),
     Mutant("verify_drops_its_nan_note", "adversarial.py",
-           "if first_nonfinite is None and not np.all(np.isfinite(gaps)):",
-           "if False:",
+           "            nonfinite[at] |= ~np.isfinite(gaps)\n", "",
            ("tests/test_cli.py::test_verify_names_first_non_finite_row[oracle]",
             "tests/test_cli.py::test_verify_names_first_non_finite_row[direct]")),
     Mutant("verify_keeps_nan_margin_rows", "adversarial.py",
-           "margins[np.isnan(margins).any(axis=1)] = np.inf", "pass",
+           "j = np.argmin(margins, axis=1)",
+           "j = np.argmin(np.nan_to_num(margins, nan=np.inf), axis=1)",
            tuple(f"tests/test_adversarial.py::test_verify_matches_row_by_row_reference"
                  f"[atom-nan-{block}]" for block in (7, 64, 512))),
     Mutant("verify_keeps_nan_blended_margins", "adversarial.py",
@@ -79,21 +79,42 @@ MUTANTS = (
             *(f"tests/test_adversarial.py::test_verify_matches_row_by_row_reference"
               f"[blended_min_atom-nan-{block}]" for block in (7, 64, 512)))),
     Mutant("oracle_reads_the_stored_blended_atom", "adversarial.py",
-           "self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * dhat[0, :N]",
+           "self.dtil = epsilon * r_n / rn_norm + np.sqrt(1.0 - epsilon ** 2) * d_n",
            "self.dtil = state.atoms[0, :N].copy()",
            ("tests/test_adversarial.py::test_oracle_never_reads_stored_vectors",)),
-    # the oracle's one product per block
-    Mutant("oracle_product_one_column_short", "adversarial.py",
-           "pairs = rhat @ self.dhat[:, : hi - 1].T", "pairs = rhat @ self.dhat[:, : hi - 2].T",
+    # the oracle's atom tiles and its one product per block and tile
+    Mutant("tile_product_one_column_short", "adversarial.py",
+           "cols = min(hi, k1) - 1", "cols = min(hi, k1) - 2",
            ("tests/test_adversarial.py::test_bulk_rows_match_pair_values",)),
     Mutant("oracle_drops_the_base_equality", "adversarial.py",
-           "            pairs[ns - lo, ns - N] = q[ns]\n", "",
+           "                pairs[ns - lo, ns - k0] = q[ns]\n", "",
            ("tests/test_adversarial.py::test_oracle_selected_index_is_q",)),
+    Mutant("base_equality_only_in_the_first_tile", "adversarial.py",
+           "                ns = np.arange(max(lo, k0), min(hi + 1, k1))\n"
+           "                pairs[ns - lo, ns - k0] = q[ns]",
+           "                ns = np.arange(max(lo, k0), min(hi + 1, k1))\n"
+           "                ns = ns if k0 == N else ns[:0]\n"
+           "                pairs[ns - lo, ns - k0] = q[ns]",
+           ("tests/test_adversarial.py::test_oracle_selected_index_is_q",
+            "tests/test_adversarial.py::test_bulk_rows_match_pair_values")),
+    Mutant("forming_walk_resumes_one_block_late", "adversarial.py",
+           "self._walk(form, k0, k1)", "self._walk(form, k0 + _H_BLOCK * (k0 > N), k1)",
+           ("tests/test_adversarial.py::test_bulk_rows_match_pair_values",
+            "tests/test_adversarial.py::test_phi_band_skip_keeps_the_replayed_atom_store")),
     Mutant("oracle_dhat_on_np_zeros", "adversarial.py",
-           "self.dhat = dhat = lazy_zeros((n_max - N + 1, n_max))",
-           "self.dhat = dhat = np.zeros((n_max - N + 1, n_max))",
+           "tile = lazy_zeros((k1 - k0, k1 - 1))", "tile = np.zeros((k1 - k0, k1 - 1))",
            ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",
-            "tests/test_adversarial.py::test_verify_memory_stays_within_dhat_and_a_few_blocks")),
+            "tests/test_adversarial.py::test_verify_memory_stays_within_one_tile_and_a_few"
+            "_blocks")),
+    # verify's fold across tiles
+    Mutant("nan_row_rule_per_tile", "adversarial.py",
+           "    row_min[nan_rows] = np.inf\n", "",
+           tuple(f"tests/test_adversarial.py::test_verify_matches_row_by_row_reference"
+                 f"[last_tile_atom-nan-{block}]" for block in (7, 64, 512))),
+    Mutant("tie_goes_to_the_later_tile", "adversarial.py",
+           "better = low < row_min[at]", "better = low <= row_min[at]",
+           tuple(f"tests/test_adversarial.py::test_a_tie_across_tiles_goes_to_the_first_pair"
+                 f"_in_row_order[{tiles}]" for tiles in (2, 3, 7))),
     # the construction's one stored residual and its walk
     Mutant("walk_copies_the_row_after_the_update", "adversarial.py",
            "            row[:] = r\n            r[:n] -= q[n] * state.atom_row(n)[:n]\n",
@@ -194,6 +215,15 @@ MUTANTS = (
            "lo, hi = np.maximum(x - half, 0.0), x + half",
            ("tests/test_integral_equation.py::test_a_default_solve_locates_each_point_once",
             "tests/test_integral_equation.py::test_solve_bracket_sandwich")),
+    # the uniform-grid evaluation kernel
+    Mutant("locate_without_downward_correction", "grid_functions.py",
+           "    i -= x < nodes.take(i, out=u)\n", "",
+           tuple(f"tests/test_profile_references.py::test_locate_equals_the_search_of_the"
+                 f"_interior_nodes[{m}-zero]" for m in (2001, 4001))),
+    Mutant("locate_without_upward_correction", "grid_functions.py",
+           "    i += x >= nodes[1:].take(i, out=u)\n", "",
+           tuple(f"tests/test_profile_references.py::test_locate_equals_the_search_of_the"
+                 f"_interior_nodes[{m}-tau]" for m in (2001, 4001))),
     # the self-convolution plan
     Mutant("first_sweep_stores_no_tables", "grid_functions.py",
            "                    table[pts] = column", "                    pass",

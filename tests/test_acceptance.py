@@ -243,19 +243,23 @@ def test_criterion_10_property_suites(full_instance, rng, residual_history):
     hist = residual_history(st)     # hist[m - N] = r_m
 
     # oracle vs direct on 1e4 random pairs (bulk rows vs stored vectors),
-    # visited in ascending n as one walk of the oracle yields its blocks
+    # visited tile by tile and in ascending n as one walk of the oracle
+    # yields its blocks
     ns = rng.integers(p.N + 1, p.n_max + 1, 10_000)
     ks = rng.integers(p.N, p.n_max + 1, 10_000)
-    worst_pair = 0.0
-    walk, hi = tables.blocks(), p.N
-    for n, k in sorted(zip(ns, ks), key=lambda nk: nk[0]):
-        n, k = int(n), int(k)
-        if k == n:
-            continue
-        while n > hi:
+    worst_pair, drawn = 0.0, 0
+    walk = tables.blocks()
+    for k0, k1 in tables.tiles:
+        hi = p.N
+        for n, k in sorted((int(n), int(k)) for n, k in zip(ns, ks) if k0 <= k < k1 and k != n):
+            while n > hi:
+                lo, hi, pairs, _ = next(walk)
+            direct = float(hist[n - 1 - p.N] @ st.atom_row(k))
+            worst_pair = max(worst_pair, abs(pairs[n - lo, k - k0] - direct))
+            drawn += 1
+        while hi < p.n_max:     # the tile's blocks past its last drawn pair
             lo, hi, pairs, _ = next(walk)
-        direct = float(hist[n - 1 - p.N] @ st.atom_row(k))
-        worst_pair = max(worst_pair, abs(pairs[n - lo, k - p.N] - direct))
+    assert next(walk, None) is None and drawn == int(np.sum(ns != ks))
     del walk, pairs
     pairs_ok = worst_pair <= 1e-9
 
@@ -266,8 +270,8 @@ def test_criterion_10_property_suites(full_instance, rng, residual_history):
         n = int(rng.integers(p.N, p.n_max))
         draws.append((n, int(rng.integers(1, n + 1))))
     wanted = {n for n, _ in draws}
-    rhat = {m: rrow for m, (rrow, _) in zip(range(p.N - 1, p.n_max), tables._residual_rows())
-            if m in wanted}
+    rows = tables._walk(tables.start.copy(), p.N, p.n_max + 1)
+    rhat = {m: rrow for m, (rrow, _) in zip(range(p.N - 1, p.n_max), rows) if m in wanted}
     worst_comp = 0.0
     for n, k in draws:
         worst_comp = max(worst_comp, abs(hist[n - p.N][k - 1] - rhat[n][k - 1]))

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import itertools
 import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,17 +21,51 @@ from mpursuit.phi_builder import PhiProfile
 def residual_matrix(tables):
     """rhat[m - (N-1)] = <r_m, e_j>, j = 1..m, zero-padded, for m = N-1..n_max-1:
     the residual rows the oracle's walk yields, stacked."""
-    rhat = np.zeros(tables.dhat.shape)
-    for row, (rrow, _) in zip(rhat, tables._residual_rows(), strict=True):
+    N, n_max = tables.N, len(tables.b)
+    rhat = np.zeros((n_max - N + 1, n_max))
+    walk = tables._walk(tables.start.copy(), N, n_max + 1)
+    for row, (rrow, _) in zip(rhat, walk, strict=True):
         row[: len(rrow)] = rrow
     return rhat
 
 
 def walk_tables(tables):
     """One walk of the tables' blocks stacked into the dense table: row n - (N+1)
-    of pairs and of tilde for the step n = N+1..n_max."""
-    got = [(pairs, tilde) for _, _, pairs, tilde in tables.blocks()]
-    return np.vstack([pairs for pairs, _ in got]), np.concatenate([t for _, t in got])
+    of pairs and of tilde for the step n = N+1..n_max, column k - N of pairs
+    for the atom k = N..n_max.  Every tile yields every step once, in
+    ascending blocks, with the same tilde."""
+    N, n_max = tables.N, len(tables.b)
+    pairs, tilde = np.full((n_max - N, n_max - N + 1), np.nan), None
+    blocks, per_tile = tables.blocks(), -(-(n_max - N) // adversarial._VERIFY_BLOCK)
+    for k0, k1 in tables.tiles:
+        got = []
+        for lo, hi, block, t in itertools.islice(blocks, per_tile):
+            assert block.shape == (hi - lo + 1, k1 - k0)
+            pairs[lo - N - 1: hi - N, k0 - N: k1 - N] = block
+            got.append(t)
+        got = np.concatenate(got)
+        assert tilde is None or np.array_equal(got, tilde, equal_nan=True)
+        tilde = got
+    assert next(blocks, None) is None
+    return pairs, tilde
+
+
+def formed_atoms(tables):
+    """d_hat[k] for k = N..n_max, zero-padded to n_max, as one walk of
+    tables.blocks() forms them: its tiles, stacked."""
+    N, n_max = tables.N, len(tables.b)
+    made, real = [], adversarial.lazy_zeros
+    adversarial.lazy_zeros = lambda shape: made.append(real(shape)) or made[-1]
+    try:
+        for _ in tables.blocks():
+            pass
+    finally:
+        adversarial.lazy_zeros = real
+    dhat = np.zeros((n_max - N + 1, n_max))
+    for (k0, k1), tile in zip(tables.tiles, made, strict=True):
+        assert tile.shape == (k1 - k0, k1 - 1)
+        dhat[k0 - N: k1 - N, : k1 - 1] = tile
+    return dhat
 
 
 def with_tables(instance, tables, **changes):
@@ -293,10 +329,12 @@ def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
     assert replayed.r_hist.tobytes() == full.r_hist.tobytes()
     band, dense = OracleTables(replayed), OracleTables(full)
     assert dense.phi.first_live(st.n_max) == 1 < band.phi.first_live(st.n_max)
-    for (_, h_band), (_, h_full) in zip(band._residual_rows(), dense._residual_rows(),
+    assert band.start.tobytes() == dense.start.tobytes()
+    for (_, h_band), (_, h_full) in zip(band._walk(band.start.copy(), st.N, st.n_max + 1),
+                                        dense._walk(dense.start.copy(), st.N, st.n_max + 1),
                                         strict=True):
         assert h_band.tobytes() == h_full.tobytes()
-    assert band.dhat.tobytes() == dense.dhat.tobytes()
+    assert formed_atoms(band).tobytes() == formed_atoms(dense).tobytes()
 
 
 def test_step_xi_imaginary_error(profile05):
@@ -453,45 +491,80 @@ def test_oracle_tilde_path(small_instance, reference, rng, residual_history):
     assert worst <= 1e-9
 
 
-def test_bulk_rows_match_pair_values(small_instance, reference):
-    # every k of four rows: the one product per block against the recursions
-    pairs, tilde = walk_tables(small_instance.oracle_tables())
+def test_bulk_rows_match_pair_values(small_instance, reference, monkeypatch):
+    # every k of four rows, at 1, 2, 3 and 7 atom tiles: the one product per
+    # block and tile against the recursions
     st = small_instance.state
-    assert pairs.shape == (160, 161) and tilde.shape == (160,)
-    for n in (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max):
-        row = pairs[n - st.N - 1]
-        assert row[n - st.N] == st.q[n]
-        for k in range(st.N, st.n_max + 1):
-            expected = reference.pair_value(n, k)
-            assert row[k - st.N] == pytest.approx(expected, rel=1e-9, abs=1e-15)
-        assert tilde[n - st.N - 1] == pytest.approx(reference.tilde_pair_value(n),
-                                                    rel=1e-9, abs=1e-15)
+    ns = (st.N + 1, st.N + 7, st.n_max // 2 + 40, st.n_max)
+    expected = {n: [reference.pair_value(n, k) for k in range(st.N, st.n_max + 1)] for n in ns}
+    for tiles in (1, 2, 3, 7):
+        monkeypatch.setattr(adversarial, "_TILES", tiles)
+        pairs, tilde = walk_tables(small_instance.oracle_tables())
+        assert pairs.shape == (160, 161) and tilde.shape == (160,)
+        for n in ns:
+            row = pairs[n - st.N - 1]
+            assert row[n - st.N] == st.q[n]
+            assert row == pytest.approx(expected[n], rel=1e-9, abs=1e-15)
+            assert tilde[n - st.N - 1] == pytest.approx(reference.tilde_pair_value(n),
+                                                        rel=1e-9, abs=1e-15)
 
 
-def test_oracle_tables_keep_only_what_rows_reads(small_instance):
-    # one dense array, dhat, and no correction vectors; the rest are vectors,
-    # scalars and phi, before and after walks: the running state of a walk,
-    # its correction vectors included, is the walk's own
+def test_oracle_tables_keep_only_what_rows_reads(small_instance, monkeypatch):
+    # no 2-D array and no correction vectors: vectors, scalars, phi and the
+    # tile bounds, before, during and after walks.  The running state of a
+    # walk, its correction vectors and its tile included, is the walk's own,
+    # and an open walk holds one tile of atoms, on lazy_zeros pages
     p = small_instance.params
+    monkeypatch.setattr(adversarial, "_TILES", 3)
+    made, real = [], adversarial.lazy_zeros
+
+    def recorded(shape):
+        tile = real(shape)
+        made.append(weakref.ref(tile))
+        return tile
+
+    monkeypatch.setattr(adversarial, "lazy_zeros", recorded)
     tables = OracleTables(small_instance.state)
+    assert len(tables.tiles) == 3 and made == []
     open_walk = tables.blocks()
     for stage in ("built", "one walk open", "walked through"):
         arrays = {name: value for name, value in vars(tables).items()
                   if isinstance(value, np.ndarray)}
-        dense = {name for name, value in arrays.items() if value.ndim == 2}
-        assert dense == {"dhat"}
-        assert set(arrays) - dense == {"q", "alpha", "b", "dtil"}
-        assert set(vars(tables)) - set(arrays) == {"K", "N", "phi"}
-        assert tables.dtil.shape == (p.N,) and tables.b.shape == (p.n_max,)
+        assert set(arrays) == {"q", "gamma", "alpha", "b", "dtil", "start"}
+        assert all(value.ndim == 1 for value in arrays.values())
+        assert set(vars(tables)) - set(arrays) == {"K", "N", "phi", "tiles"}
+        assert tables.dtil.shape == (p.N,) and tables.b.shape == tables.start.shape == (p.n_max,)
         st = small_instance.state     # copies of the sequences, not the state's arrays
-        assert not any(np.shares_memory(tables.q, a) or np.shares_memory(tables.alpha, a)
-                       or np.shares_memory(tables.b, a)
+        assert not any(np.shares_memory(mine, a)
+                       for mine in (tables.q, tables.gamma, tables.alpha, tables.b)
                        for a in (st.q, st.gamma, st.alpha, st.xi))
-        assert tables.dhat.shape == (p.n_max - p.N + 1, p.n_max)
         if stage == "built":
             next(open_walk)             # an open walk holds its running state itself
+            assert len(made) == 1 and made[0]() is not None
         elif stage == "one walk open":
-            walk_tables(tables)
+            del made[:]
+            for _ in tables.blocks():
+                alive = [tile() for tile in made if tile() is not None]
+                k0, k1 = tables.tiles[len(made) - 1]
+                assert len(alive) == 1 and alive[0].shape == (k1 - k0, k1 - 1)
+                base = alive[0]
+                while isinstance(base, np.ndarray):
+                    base = base.base
+                assert isinstance(base, mmap.mmap)
+                del alive, base
+            assert len(made) == 3 and all(tile() is None for tile in made)
+    assert tables.tiles == adversarial._tiles(p.N, p.n_max)
+
+
+@pytest.mark.parametrize("tiles", [1, 2, 3, 7])
+def test_tiles_cut_the_atoms_into_runs_of_about_equal_area(tiles, monkeypatch):
+    monkeypatch.setattr(adversarial, "_TILES", tiles)
+    for N, n_max in ((80, 240), (400, 900), (400, 5000)):
+        cut = adversarial._tiles(N, n_max)
+        assert len(cut) == tiles and cut[0][0] == N and cut[-1][1] == n_max + 1
+        assert all(k1 == k0_next for (_, k1), (k0_next, _) in zip(cut, cut[1:]))
+        area = [sum(range(k0, k1)) for k0, k1 in cut]   # d_hat[k] holds k entries
+        assert max(area) - min(area) <= 2 * n_max
 
 
 def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
@@ -513,18 +586,24 @@ def test_oracle_never_reads_stored_vectors(small_instance, mid_instance):
 @pytest.mark.parametrize("block", [1, 7, 64, 128])
 def test_blocks_cover_every_step_once_in_ascending_order(small_instance, mid_instance,
                                                          monkeypatch, block):
+    # in each tile of atoms in turn, which together cover N..n_max once
     monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
     for inst in (small_instance, mid_instance[0]):
         p = inst.params
-        width = p.n_max - p.N + 1
-        bounds = []
-        for lo, hi, pairs, tilde in inst.oracle_tables().blocks():
-            assert pairs.shape == (hi - lo + 1, width) and tilde.shape == (hi - lo + 1,)
-            bounds.append((lo, hi))
-        assert len(bounds) == -(-(p.n_max - p.N) // block)
-        assert bounds[0][0] == p.N + 1 and bounds[-1][1] == p.n_max
-        assert all(hi - lo + 1 == block for lo, hi in bounds[:-1])
-        assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        tables = inst.oracle_tables()
+        blocks = tables.blocks()
+        assert tables.tiles[0][0] == p.N and tables.tiles[-1][1] == p.n_max + 1
+        assert all(k1 == k0 for (_, k1), (k0, _) in zip(tables.tiles, tables.tiles[1:]))
+        for k0, k1 in tables.tiles:
+            bounds = []
+            for lo, hi, pairs, tilde in itertools.islice(blocks, -(-(p.n_max - p.N) // block)):
+                assert pairs.shape == (hi - lo + 1, k1 - k0) and tilde.shape == (hi - lo + 1,)
+                bounds.append((lo, hi))
+            assert len(bounds) == -(-(p.n_max - p.N) // block)
+            assert bounds[0][0] == p.N + 1 and bounds[-1][1] == p.n_max
+            assert all(hi - lo + 1 == block for lo, hi in bounds[:-1])
+            assert all(hi + 1 == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        assert next(blocks, None) is None
 
 
 @pytest.mark.parametrize("block", [1, 7, 128])
@@ -583,9 +662,11 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
     n0, k0 = p.N + 95, p.N          # <r_{n0-1}, d_N> is far from q_{n0}
     blocks = tables.blocks
 
-    def shifted():
+    def shifted():   # in the first tile, which holds d_N
+        passes = 0
         for lo, hi, pairs, tilde in blocks():
-            if lo <= n0 <= hi:
+            passes += lo == p.N + 1
+            if passes == 1 and lo <= n0 <= hi:
                 pairs[n0 - lo, k0 - p.N] += shift
             yield lo, hi, pairs, tilde
 
@@ -601,24 +682,33 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
         assert not dataclasses.replace(report, **{field: np.nan}).passed
 
 
-def test_verify_memory_stays_within_dhat_and_a_few_blocks(mid_instance):
-    # everything verify allocates past the oracle's one dense array is a few
-    # arrays of one block of steps each (the parent's dense tables needed
-    # about 15 such blocks more here).  dhat is on lazy_zeros pages, which
-    # tracemalloc does not see, so the bound leaves it out; its resident
-    # memory is test_resident_memory_follows_the_nonzero_structure's.
+def test_verify_memory_stays_within_one_tile_and_a_few_blocks(mid_instance, monkeypatch):
+    # everything verify allocates past the oracle's one tile of atoms is a few
+    # arrays of one block of steps each (the earlier dense tables needed
+    # about 15 such blocks more here).  Each tile is on lazy_zeros pages,
+    # which tracemalloc does not see, so the bound leaves it out; its
+    # resident memory is test_resident_memory_follows_the_nonzero_structure's.
     inst = mid_instance[0]
     p = inst.params
+    made, real = [], adversarial.lazy_zeros
+
+    def recorded(shape):
+        tile = real(shape)
+        base = tile
+        while isinstance(base, np.ndarray):
+            base = base.base
+        made.append((shape, isinstance(base, mmap.mmap)))
+        return tile
+
+    monkeypatch.setattr(adversarial, "lazy_zeros", recorded)
     tracemalloc.start()
     try:
         verify(inst)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    base = inst.oracle_tables().dhat
-    while isinstance(base, np.ndarray):
-        base = base.base
-    assert isinstance(base, mmap.mmap)
+    tiles = adversarial._tiles(p.N, p.n_max)
+    assert made == [((k1 - k0, k1 - 1), True) for k0, k1 in tiles]
     block_bytes = adversarial._VERIFY_BLOCK * (p.n_max - p.N + 1) * 8
     assert peak <= 7 * block_bytes
 
@@ -666,8 +756,9 @@ def test_build_instance_doubling_exhaustion(profile05, monkeypatch):
 def reference_verify(instance):
     """verify's fold as it was before it reduced whole blocks: one row at a time.
 
-    It takes the same block products of the direct route and the same
-    oracle values, so every figure of its report must equal verify's.  The
+    It takes the same block products of the direct route, one per tile of
+    atoms, and the same oracle values, stacked from the oracle's tiles, so
+    every figure of its report must equal verify's.  The
     residual history it reads is its own: r_N walked forward one step at a
     time by step's update r[:n] -= q_n d_n.
     """
@@ -693,9 +784,13 @@ def reference_verify(instance):
     n_pairs = 0
     first_nonfinite = None
 
-    for lo, hi, pairs, tilde in instance.oracle_tables().blocks():
+    tables = instance.oracle_tables()
+    all_pairs, all_tilde = walk_tables(tables)
+    for lo in range(N + 1, n_max + 1, adversarial._VERIFY_BLOCK):
+        hi = min(lo + adversarial._VERIFY_BLOCK - 1, n_max)
+        pairs, tilde = all_pairs[lo - N - 1: hi - N], all_tilde[lo - N - 1: hi - N]
         rows = hist[lo - 1 - N: hi - N]
-        direct = rows @ atoms_mat.T
+        direct = np.hstack([rows @ atoms_mat[k0 - N: k1 - N].T for k0, k1 in tables.tiles])
         til_direct = rows @ dtil
         for n in range(lo, hi + 1):
             drow = direct[n - lo]
@@ -757,13 +852,18 @@ def corrupted(instance, target, value):
     d_n at the step n of the smallest blended margin, whose NaN reaches
     the blended margins from step n + 1 on: in small_instance, whose
     smallest margin is at N + 1, every block size puts the first NaN
-    margin in the block of that margin.  The oracle targets get tables of
-    their own; the copy shares nothing it changes.
+    margin in the block of that margin.  The target last_tile_atom is the
+    first atom d_n of the last tile, so each row up to n holds its one NaN
+    margin in that tile while its smallest margin lies in an earlier one
+    (with two tiles or more).  The oracle targets get tables of their own;
+    the copy shares nothing it changes.
     """
     st = copy.copy(instance.state)
     n = st.N + 95
     if target == "blended_min_atom":
         n, target = reference_verify(instance).tilde_argmin, "atom"
+    if target == "last_tile_atom":
+        n, target = OracleTables(st).tiles[-1][0], "atom"
     if target == "residual":
         st.r_hist = st.r_hist.copy()
         st.r_hist[0, st.N // 2] = value
@@ -774,7 +874,15 @@ def corrupted(instance, target, value):
     else:
         tables = OracleTables(st)
         if target == "cw":
-            tables.dhat[n - 1 - st.N, st.N // 2] = value
+            form = tables._atom
+
+            def planted(k, rrow, h_k, out):
+                form(k, rrow, h_k, out)
+                if k == n - 1:
+                    out[st.N // 2] = value
+                return out
+
+            tables._atom = planted
         else:
             tables.dtil[st.N // 2] = value
         return with_tables(instance, tables, state=st)
@@ -783,7 +891,8 @@ def corrupted(instance, target, value):
 
 CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
                 for value in (np.nan, np.inf, -np.inf, 1e300)]
-               + [("cw", np.nan), ("dtil", np.nan), ("blended_min_atom", np.nan)])
+               + [("cw", np.nan), ("dtil", np.nan), ("blended_min_atom", np.nan),
+                  ("last_tile_atom", np.nan)])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
@@ -792,10 +901,60 @@ CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
                          ids=["clean", *(f"{t}-{v!r}" for t, v in CORRUPTIONS)])
 def test_verify_matches_row_by_row_reference(small_instance, mid_instance, monkeypatch,
                                              block, corruption):
+    # at 1, 2, 3 and 7 tiles of atoms: the per-row state verify carries
+    # across tiles must fold to the one-row-at-a-time figures
+    monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
+    for tiles in (1, 2, 3, 7):
+        monkeypatch.setattr(adversarial, "_TILES", tiles)
+        for inst in (small_instance, mid_instance[0]):
+            if corruption is not None:
+                inst = corrupted(inst, *corruption)
+            report = verify(inst)
+            assert report.to_text() == reference_verify(inst).to_text()
+            assert (corruption is None) or not report.passed
+
+
+@pytest.mark.parametrize("tiles", [2, 3, 7])
+def test_a_tie_across_tiles_goes_to_the_first_pair_in_row_order(small_instance, monkeypatch,
+                                                                 tiles):
+    """d_N, in the first tile, and d_n_max, in the last, are made the same
+    multiple of one unit vector, so every step's values at the two tie
+    exactly and dominate its row: the smallest margin is (n, N), never
+    (n, n_max).  d_N enters no step of the walk, and d_n_max only the last."""
+    monkeypatch.setattr(adversarial, "_TILES", tiles)
+    st = copy.copy(small_instance.state)
+    st.atoms = st.atoms.copy()
+    for k in (st.N, st.n_max):
+        row = st.atom_row(k)
+        row[:] = 0.0
+        row[st.N // 2] = 1e3
+    inst = dataclasses.replace(small_instance, state=st)
+    report = verify(inst)
+    n, k = report.min_margin_pair
+    assert k == st.N and report.min_margin < -1.0
+    assert report.to_text() == reference_verify(inst).to_text()
+
+
+@pytest.mark.parametrize("block", [512, 64, 7])
+def test_the_report_is_the_same_at_every_tile_count(small_instance, mid_instance,
+                                                    monkeypatch, block):
+    """Every figure the fold decides is the same at 1, 2, 3 and 7 tiles: the
+    argmin pairs, the verdicts, the notes, and the blended-atom and
+    norm-schedule figures, whose products do not depend on the tiles.  The
+    figures read off tile products agree to their last bits only: the BLAS
+    picks its kernel, and the oracle's product its inner length
+    min(hi, k1) - 1, by the product's shape, which the tile count sets."""
     monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
     for inst in (small_instance, mid_instance[0]):
-        if corruption is not None:
-            inst = corrupted(inst, *corruption)
-        report = verify(inst)
-        assert report.to_text() == reference_verify(inst).to_text()
-        assert (corruption is None) or not report.passed
+        reports = []
+        for tiles in (1, 2, 3, 7):
+            monkeypatch.setattr(adversarial, "_TILES", tiles)
+            reports.append(verify(inst))
+        one = reports[0]
+        rounded = {"min_margin": (1e-9, 0.0), "min_margin_oracle": (1e-9, 0.0),
+                   "min_abs_margin": (1e-9, 0.0), "dual_max_diff": (0.0, 1e-16),
+                   "diag_max_rel_err": (0.0, 1e-14)}
+        for report in reports[1:]:
+            assert dataclasses.replace(report, **{f: getattr(one, f) for f in rounded}) == one
+            for f, (rel, abs_) in rounded.items():
+                assert getattr(report, f) == pytest.approx(getattr(one, f), rel=rel, abs=abs_)

@@ -1,5 +1,4 @@
 import json
-import mmap
 import os
 import re
 import subprocess
@@ -980,69 +979,91 @@ def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
 
 
 _SMAPS_PROBE = """
-import json, sys
+import json, mmap, sys, weakref
+from mpursuit import adversarial
 from mpursuit.instance_io import load_instance
 
 inst = load_instance(sys.argv[1])
 st = inst.state
+made, lazy_zeros = [], adversarial.lazy_zeros
+adversarial.lazy_zeros = lambda shape: made.append(lazy_zeros(shape)) or made[-1]
 tables = inst.oracle_tables()
-# the oracle keeps one 2-D array, and no correction vectors
-assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == ["dhat"]
+# the oracle keeps no 2-D array, and no correction vectors
+assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == []
+assert made == []
 N, n_max = st.N, st.n_max
-# the columns each row is written on: atoms the blended atom then d_N..d_n_max,
-# dhat the triangle
-written = {
-    "atoms": [(0, N)] + [(0, k) for k in range(N, n_max + 1)],
-    "dhat": [(0, k) for k in range(N, n_max + 1)],
-}
-arrays = {}
-for name, a in (("atoms", st.atoms), ("dhat", tables.dhat)):
-    assert len(written[name]) == len(a)
-    arrays[name] = (a.ctypes.data, a.ctypes.data + a.nbytes, len(a),
-                    8 * sum(hi - lo for lo, hi in written[name]))
-maps = []
-with open("/proc/self/smaps") as fh:
-    for line in fh:
-        head = line.split()
-        if head[0] == "Rss:":
-            maps[-1][2] = int(head[1]) * 1024
-        elif not head[0].endswith(":"):
-            lo, hi = head[0].split("-")
-            maps.append([int(lo, 16), int(hi, 16), 0])
-print(json.dumps({"arrays": arrays, "maps": maps}))
+nblocks = -(-(n_max - N) // adversarial._VERIFY_BLOCK)
+snapshots, walk, last = [], tables.blocks(), None
+for k0, k1 in tables.tiles:
+    for _ in range(nblocks):   # the tile's blocks: after the last the open walk holds it
+        next(walk)
+    tile = weakref.ref(made.pop())
+    assert made == [] and (last is None or last() is None)   # one tile at a time
+    # the atom store: its written trapezoid, the blended atom then d_N..d_n_max,
+    # plus one page a row; the tile: the pages its rows d_k0..d_k1-1 are written on
+    a = st.atoms
+    arrays = {"atoms": (a.ctypes.data, a.ctypes.data + a.nbytes,
+                        8 * (N + sum(range(N, n_max + 1))) + len(a) * mmap.PAGESIZE)}
+    a = tile()
+    start, width = a.ctypes.data, 8 * a.shape[1]
+    pages = {p for i, k in enumerate(range(k0, k1))
+             for p in range((start + i * width) // mmap.PAGESIZE,
+                            (start + i * width + 8 * k - 1) // mmap.PAGESIZE + 1)}
+    arrays["tile"] = (start, start + a.nbytes, len(pages) * mmap.PAGESIZE)
+    del a
+    maps = []
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if head[0] == "Rss:":
+                maps[-1][2] = int(head[1]) * 1024
+            elif not head[0].endswith(":"):
+                lo, hi = head[0].split("-")
+                maps.append([int(lo, 16), int(hi, 16), 0])
+    snapshots.append({"arrays": arrays, "maps": maps})
+    last = tile
+assert next(walk, None) is None and last() is None
+print(json.dumps(snapshots))
 """
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
 def test_resident_memory_follows_the_nonzero_structure(instance_2500):
-    """In a fresh process that replays the 2500 instance and makes its oracle
-    tables, which hold no correction vectors, the resident pages of the atom
-    store and of dhat number at most their written trapezoid and triangle,
-    8 bytes an entry, plus one page a row.  Dense, they would take 42 MB
-    each, against bounds of 33 MB each.  The kernel merges adjacent mappings
-    with the same flags, so the Rss of every mapping that overlaps an array
-    counts, against the bounds of every array those mappings overlap."""
+    """In a fresh process that replays the 2500 instance and walks its oracle
+    tables, which hold no 2-D array, the resident pages of the atom store
+    number at most its written trapezoid, 8 bytes an entry, plus one page a
+    row, and those of each tile of the oracle's atoms, read after its last
+    block while the walk holds it, at most the pages its rows are written on;
+    no two tiles are alive at once.  Dense, the atom store would take 42 MB
+    against a bound of 33 MB.  The three tiles map 12.8, 9.5 and 8.9 MB, and
+    their rows are written on 11.5, 9.4 and 8.9 MB of pages: a tile's rows
+    fill most of their width, so only the first tile's bound is below its
+    mapping.  The kernel merges adjacent mappings with the same flags, so
+    the Rss of every mapping that overlaps an array counts, against the
+    bounds of every array those mappings overlap."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
     proc = subprocess.run([sys.executable, "-c", _SMAPS_PROBE, instance_2500],
-                          env=dict(os.environ, PYTHONPATH=src), check=True,
-                          capture_output=True, text=True)
-    probe = json.loads(proc.stdout.splitlines()[-1])
-    arrays, maps = probe["arrays"].values(), probe["maps"]
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    snapshots = json.loads(proc.stdout.splitlines()[-1])
+    assert len(snapshots) == 3
 
     def meets(a, b):
         return a[0] < b[1] and b[0] < a[1]
 
-    for array in arrays:
-        group, over = [array], []
-        while True:  # the arrays and mappings linked to this array by overlaps
-            over = [m for m in maps if any(meets(m, a) for a in group)]
-            linked = [a for a in arrays if any(meets(a, m) for m in over)]
-            if len(linked) == len(group):
-                break
-            group = linked
-        rss = sum(m[2] for m in over)
-        bound = sum(written + rows * mmap.PAGESIZE for _, _, rows, written in group)
-        assert 0 < rss <= bound, (array, rss, bound)
+    for snapshot in snapshots:
+        arrays, maps = snapshot["arrays"].values(), snapshot["maps"]
+        for array in arrays:
+            group, over = [array], []
+            while True:  # the arrays and mappings linked to this array by overlaps
+                over = [m for m in maps if any(meets(m, a) for a in group)]
+                linked = [a for a in arrays if any(meets(a, m) for m in over)]
+                if len(linked) == len(group):
+                    break
+                group = linked
+            rss = sum(m[2] for m in over)
+            bound = sum(written for _, _, written in group)
+            assert 0 < rss <= bound, (array, rss, bound)
 
 
 @pytest.mark.parametrize("alg", ["pga", "oga"])

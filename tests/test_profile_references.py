@@ -1,31 +1,44 @@
 """The whole-array profile kernels against literal per-point references.
 
 `reference_check_conditions` and `reference_mollify` are the per-a and
-per-node loops that `check_conditions` and `mollify` replaced, and
-`reference_selfconv` is the self-convolution sweep as one serial `_value`
-over every query point.  The kernels must match them bit for bit: the
-profile, phi.csv and the certificate are output bodies.
+per-node loops that `check_conditions` and `mollify` replaced,
+`reference_selfconv` is the self-convolution sweep as one serial
+`ppoly_at` over every query point, and `ppoly_at` is PPoly's evaluation
+written out: a search of the interior nodes and the terms summed left to
+right in one pass over all points.  The kernels must match them bit for
+bit: the profile, phi.csv and the certificate are output bodies.
 """
 
+import operator
 import os
 import sys
 import threading
+import warnings
 import weakref
 from concurrent import futures
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from mpursuit import adversarial, cli, integral_equation, phi_builder
 from mpursuit.constants import Condition, bundle
-from mpursuit.grid_functions import (GridFunction, SelfConvPlan, _corrected_trapezoid,
-                                     _locate, _value, selfconv_on_nodes)
+from mpursuit import grid_functions
+from mpursuit.grid_functions import (_EDGE_SLACK, GridFunction, SelfConvPlan,
+                                     _corrected_trapezoid, _locate, _terms, selfconv_on_nodes)
 from mpursuit.integral_equation import solve_f
 from mpursuit.phi_builder import (_GL_PIECE_NODES, _GL_PIECE_WEIGHTS, ConditionReport,
                                   _extended, bump_kernel, check_conditions, mollify)
 
 
 # -- references -------------------------------------------------------------
+
+
+def ppoly_at(c, nodes, x):
+    """Piece table c at the points x as PPoly evaluates it: the interval by
+    a search of the interior nodes, the terms summed left to right."""
+    i = np.searchsorted(nodes[1:-1], x, "right")
+    return reduce(operator.add, _terms(c.take(i, axis=1), x - nodes[i]))
 
 
 def reference_mollify(f, t):
@@ -132,16 +145,15 @@ def reference_check_conditions(fn, beta, tau, mode, a_points=2000, extra_points=
 
 
 def reference_selfconv(f):
-    """The sweep with one serial `_value` over every query point x_j / x_i."""
+    """The sweep with one serial `ppoly_at` over every query point x_j / x_i."""
     m, nodes, h = f.m, f.nodes, f.h
     counts = np.arange(1, m + 1)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     row_ends = offsets + np.arange(m)
     rows = np.repeat(np.arange(m), counts)
     cols = np.concatenate([np.arange(i + 1) for i in range(m)])
-    piece, offset = _locate(nodes, np.minimum(nodes[cols] / nodes[rows], f.hi))
     nonneg = float(np.min(f.values)) >= 0.0
-    q = _value(f.pieces, piece, offset)
+    q = ppoly_at(f.pieces, nodes, np.minimum(nodes[cols] / nodes[rows], f.hi))
     if nonneg:
         q = np.maximum(q, 0.0)
     p = q * f.values[cols]
@@ -342,6 +354,63 @@ def test_the_benchmark_tracer_names_resolve():
                         (integral_equation, "selfconv_on_nodes"), (phi_builder, "mollify"),
                         (phi_builder, "check_conditions"), (cli, "build_profile")]:
         assert callable(getattr(owner, name)), name
+
+
+# -- the uniform-grid evaluation kernel --------------------------------------------------
+
+
+def kernel_points(nodes):
+    """Every node and both its float neighbours, lo and hi, points inside the
+    edge slack on either side, and a NaN last."""
+    lo, hi = nodes[0], nodes[-1]
+    slack = _EDGE_SLACK * (hi - lo) * np.array([1.0, 0.5, 1e-3])
+    return np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf),
+                           [lo, hi], lo - slack, hi + slack, [np.nan]])
+
+
+@pytest.mark.parametrize("lo", ["zero", "tau"])
+@pytest.mark.parametrize("m", [3, 2001, 4001])
+def test_locate_equals_the_search_of_the_interior_nodes(op_point, m, lo):
+    """On [0, 1] the arithmetic floor lands one high at some nodes' lower
+    neighbours (301 points at M=2001), on [tau, 1] one low at some nodes
+    (703 at M=2001), so the two grids exercise one correction each."""
+    lo = op_point[1] if lo == "tau" else 0.0
+    nodes = GridFunction(lo, 1.0, np.zeros(m)).nodes
+    x = kernel_points(nodes)
+    i, s = _locate(nodes, x)
+    want = np.searchsorted(nodes[1:-1], x, "right")
+    assert np.array_equal(i, want) and i[-1] == m - 2
+    assert np.array_equal(s, x - nodes[want], equal_nan=True)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_evaluation_in_chunks_equals_the_literal_sum(coarse_solution, rng, shift):
+    """Points one short of a chunk, a whole chunk and one more, with nodes,
+    their neighbours, the slack and a NaN among them, in 1-D and 2-D: every
+    piece table evaluates bit for bit as the literal sum."""
+    fbar = coarse_solution[3].converged_f
+    x = kernel_points(fbar.nodes)
+    size = grid_functions._CHUNK + shift
+    x = np.concatenate([x, rng.uniform(fbar.lo, fbar.hi, size - x.size)])
+    rng.shuffle(x)
+    clipped = np.clip(x, fbar.lo, fbar.hi)
+    for table in (fbar.pieces, fbar._derivative, fbar._antiderivative, fbar._log_antiderivative):
+        want = ppoly_at(table, fbar.nodes, clipped)
+        assert np.array_equal(fbar._at(table, x), want, equal_nan=True)
+        assert np.array_equal(fbar._at(table, x[:-1].reshape(-1, 1 + shift % 2)),
+                              want[:-1].reshape(-1, 1 + shift % 2), equal_nan=True)
+
+
+def test_nan_points_raise_no_warning(coarse_solution):
+    fbar = coarse_solution[3].converged_f
+    x = np.array([fbar.lo, np.nan, 0.5 * (fbar.lo + fbar.hi)])
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        i, s = _locate(fbar.nodes, x)
+        values = (fbar(x), fbar(np.nan), fbar.derivative(x), fbar.log_between(x, fbar.hi),
+                  fbar.integral_between(fbar.lo, x))
+    assert i[1] == fbar.m - 2 and np.isnan(s[1])
+    assert all(np.isnan(v[1]) for v in values if np.ndim(v)) and np.isnan(values[1])
 
 
 # -- oracle tables --------------------------------------------------------------------
