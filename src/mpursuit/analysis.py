@@ -25,7 +25,7 @@ class RateFit:
 def _usable(trace: GreedyTrace, index_offset: int):
     """(n, residual) pairs above the noise floor, n in the caller's indexing."""
     norms = trace.residual_norms
-    ns = index_offset + np.arange(1, norms.size + 1)
+    ns = index_offset + trace.step_indices
     keep = norms > _FLOOR
     return ns[keep], norms[keep]
 
@@ -34,7 +34,7 @@ def fit_decay(trace: GreedyTrace, n_min: int, n_max: int,
               index_offset: int = 0) -> RateFit:
     """Least-squares slope of log residual against log step index.
 
-    `index_offset` shifts the step counter (a run on the worst-case
+    `index_offset` shifts each step's own n (a run on the worst-case
     instance restarts at 1 while its schedule is indexed from N).
     """
     if not n_max > n_min >= 1:
@@ -69,7 +69,7 @@ def check_bounds(trace: GreedyTrace, alpha: float, variation_bound: float,
     if not 0.0 < variation_bound < np.inf:
         raise ValueError("variation_bound must be positive and finite")
     norms = trace.residual_norms
-    ns = index_offset + np.arange(1, norms.size + 1)
+    ns = index_offset + trace.step_indices
     scaled = norms * ns.astype(np.float64) ** alpha / variation_bound
     late = scaled[(ns >= 10) & (norms > _FLOOR)]
     lower = float(late.min()) if late.size else 0.0

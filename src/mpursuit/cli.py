@@ -19,7 +19,7 @@ from . import __version__
 from .adversarial import build_instance, check_sizes, verify
 from .analysis import check_bounds, fit_decay
 from .constants import bundle, operating_point, solve_beta_star, solve_gamma, tau_star
-from .errors import ConditionFailure, NumericFailure
+from .errors import ConditionFailure, NumericFailure, key_values
 from .greedy_algorithms import GreedyTrace, check_algorithm, run
 from .grid_functions import GridFunction
 from .instance_io import load_instance, save_instance
@@ -42,30 +42,17 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_config_file(path: str) -> dict:
-    """key=value lines; a line without "=" or a repeated key is a usage error."""
-    out = {}
-    for line in _read(path).splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            key, eq, val = (part.strip() for part in line.partition("="))
-            if not eq:
-                raise ValueError(f"config line {line!r} is not key=value")
-            if key in out:
-                raise ValueError(f"config repeats {key}=")
-            out[key] = val
-    return out
-
-
 def _resolve(args, options: dict) -> dict:
     """Table defaults < config file < explicit flags.
 
-    A config key that only another command declares is ignored, so one
-    file can serve the whole pipeline; a key that no command declares is
-    a usage error.
+    Config lines other than blank and # ones are key=value.  A key that only
+    another command declares is ignored, so one file can serve the whole
+    pipeline; a key that no command declares is a usage error.
     """
     cfg = dict(options)
-    for key, val in (_read_config_file(args.config) if args.config else {}).items():
+    lines = [line.strip() for line in (_read(args.config) if args.config else "").splitlines()]
+    for key, val in key_values([line for line in lines if line and not line.startswith("#")],
+                               "config").items():
         if key not in options:
             if not any(key in opts for _, _, opts in COMMANDS.values()):
                 raise ValueError(f"config key {key!r} is not an option of any command")
@@ -303,7 +290,7 @@ def _load_curve(path: str):
         return g.nodes, g.values
     if GreedyTrace.CSV_HEADER in lines:
         trace, _ = GreedyTrace.from_csv(text)
-        return [step.step_index for step in trace.steps], trace.residual_norms
+        return trace.step_indices, trace.residual_norms
     raise ValueError(f"{path}: not a grid or trace CSV")
 
 

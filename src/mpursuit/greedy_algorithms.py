@@ -102,6 +102,10 @@ class GreedyTrace:
     def residual_norms(self) -> np.ndarray:
         return np.array([s.residual_norm for s in self.steps])
 
+    @property
+    def step_indices(self) -> np.ndarray:
+        return np.array([s.step_index for s in self.steps], dtype=np.intp)
+
     CSV_HEADER = "n,residual_norm,atom_id,sign,coefficient"
 
     def to_csv(self) -> str:
@@ -114,8 +118,9 @@ class GreedyTrace:
     @classmethod
     def from_csv(cls, text: str) -> tuple["GreedyTrace", int]:
         """Parse `to_csv` output and the `# index_offset=` line `mpursuit run` writes
-        above it: (trace, offset), the offset 0 when the line is absent.  A
-        second offset line, or one that is not an integer >= 0, raises ValueError."""
+        above it: (trace, offset), the offset 0 when the line is absent.  A second
+        offset line, one that is not an integer >= 0, or a row whose n is below 1
+        or not above the previous row's raises ValueError."""
         trace, offset = cls(), None
         for line in text.splitlines():
             line = line.strip()
@@ -132,6 +137,9 @@ class GreedyTrace:
                     step = TraceStep(int(n), atom, int(sign), float(coeff), float(rn))
                 except ValueError:
                     raise ValueError(f"trace CSV row {line!r} is not {cls.CSV_HEADER}") from None
+                last = trace.steps[-1].step_index if trace.steps else 0
+                if not step.step_index > last:
+                    raise ValueError(f"trace CSV row {line!r}: n must be above {last}")
                 trace.steps.append(step)
         return trace, offset or 0
 

@@ -9,11 +9,12 @@ a^{-1} * integral_tau^a f(x) f(x/a) dx.
 
 from __future__ import annotations
 
-import operator
 import os
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
+
+from .errors import key_values
 
 __all__ = ["GridFunction", "SelfConvPlan", "scaled_selfconv", "selfconv_on_nodes"]
 
@@ -51,15 +52,12 @@ def _antiderivative_pieces(c: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Piece table of the antiderivative that vanishes at nodes[0].
 
     A piece's constant is the previous piece's value at its right end, its
-    terms added to that constant in PPoly's order: a sequential loop.
+    terms added to it in PPoly's order: one running sum over all the rises.
     """
     a = np.zeros((c.shape[0] + 1, c.shape[1]))
     a[:-1] = c / np.arange(c.shape[0], 0, -1)[:, None]
     rises = _terms(a[:, :-1], np.diff(nodes)[:-1])[1:]  # each piece at its right end
-    const = [0.0]
-    for rise in zip(*(t.tolist() for t in rises)):
-        const.append(reduce(operator.add, rise, const[-1]))
-    a[-1] = const
+    a[-1] = np.add.accumulate(np.append(0.0, np.array(rises).T))[::len(rises)]
     return a
 
 
@@ -244,8 +242,8 @@ class GridFunction:
     def from_csv(cls, text: str) -> "GridFunction":
         """Parse `to_csv` output; each row's x must be its grid node.
 
-        Header keys other than lo, hi and M are ignored; a second header, or
-        a header that repeats a key, raises.
+        The header's comma-separated parts are key=value; keys other than lo,
+        hi and M are ignored, and a second header raises.
         """
         head, xs, vals = {}, [], []
         for line in text.splitlines():
@@ -254,11 +252,7 @@ class GridFunction:
                 if line.lstrip("# ").startswith("lo="):
                     if head:
                         raise ValueError("grid CSV repeats its lo=,hi=,M= header")
-                    for part in line.lstrip("# ").split(","):
-                        key, _, value = part.partition("=")
-                        if key in head:
-                            raise ValueError(f"grid CSV header repeats {key}=")
-                        head[key] = value
+                    head = key_values(line.lstrip("# ").split(","), "grid CSV header")
             elif line and not line.startswith("x,"):
                 try:
                     x, v = map(float, line.split(","))

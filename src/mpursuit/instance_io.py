@@ -18,7 +18,7 @@ import numpy as np
 
 from .adversarial import (CONDITION_RTOL, AdversarialInstance, ConstructionParams,
                           advance, finalize, init_state)
-from .errors import ConstructionError, InstanceFormatError
+from .errors import ConstructionError, InstanceFormatError, key_values
 from .grid_functions import GridFunction
 from .phi_builder import PhiProfile
 
@@ -80,40 +80,28 @@ def load_instance(path: str) -> AdversarialInstance:
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    scalars: dict[str, str] = {}
+    head: list[str] = []
     phi_lines: list[str] = []
     seq_rows: list[tuple[int, float, float, float, float]] = []
     section = "head"
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
+        if line in ("[phi]", "[sequences]"):
+            section = line
+        elif not line:
             continue
-        if line == "[phi]":
-            section = "phi"
-            continue
-        if line == "[sequences]":
-            section = "seq"
-            continue
-        if section == "head":
-            if line.startswith("#"):
-                continue
-            key, eq, val = line.partition("=")
-            if not eq:
-                raise InstanceFormatError(f"instance header line {line!r} is not key=value")
-            key = key.strip()
-            if key in scalars:
-                raise InstanceFormatError(f"instance header repeats {key}=")
-            scalars[key] = val.strip()
-        elif section == "phi":
+        elif section == "head":
+            if not line.startswith("#"):
+                head.append(line)
+        elif section == "[phi]":
             phi_lines.append(line)
-        else:
-            if line.startswith("n,"):
-                continue
+        elif not line.startswith("n,"):
             try:
                 n, qv, gv, av, xv = line.split(",")
                 seq_rows.append((int(n), float(qv), float(gv), float(av), float(xv)))
             except ValueError:
                 raise InstanceFormatError(f"malformed sequence row {line!r}") from None
+    scalars = key_values(head, "instance header", InstanceFormatError)
 
     beta = _header_value(scalars, "beta", float)
     k_par = _header_value(scalars, "K", int)

@@ -41,6 +41,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+_CONFIG_CASE = "tests/test_cli.py::test_config_value_of_the_wrong_type_names_its_key"
+_INSTANCE_CASE = "tests/test_cli.py::test_instance_needs_one_row_per_step_and_a_zero_seed_row"
+_GRID_CASE = "tests/test_cli.py::test_plot_malformed_input_is_a_usage_error"
+
 MUTANTS = (
     Mutant("bundle_sense_flipped", "constants.py",
            'Condition("tail_lower_bound", cond2, -1.0, ">")',
@@ -55,11 +59,6 @@ MUTANTS = (
            '"<=": v <= b}', '"<=": v < b}',
            ("tests/test_constants.py::test_condition_passes_exactly_when_its_inequality"
             "_holds[<=]",)),
-    Mutant("repeated_config_key_accepted", "cli.py",
-           '            if key in out:\n'
-           '                raise ValueError(f"config repeats {key}=")\n', '',
-           ("tests/test_cli.py::test_config_value_of_the_wrong_type_names_its_key"
-            "[n_min=500\\nn_min=9999-config repeats n_min=]",)),
     Mutant("dual_diff_not_below_min_abs_margin", "adversarial.py",
            "                and self.dual_max_diff < self.min_abs_margin\n", "",
            ("tests/test_adversarial.py::test_disagreement_must_stay_below_the_smallest"
@@ -163,6 +162,28 @@ MUTANTS = (
            "wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))",
            "wide = np.zeros((_TILE, min(self.width, cols + _TILE)))",
            ("tests/test_greedy.py::test_oga_basis_tiles_widen_on_lazy_pages",)),
+    # the one key=value rule of the config file, the instance header and the grid-CSV header
+    Mutant("repeated_config_key_accepted", "errors.py",
+           "        if key in out:\n", '        if key in out and what != "config":\n',
+           (_CONFIG_CASE + "[n_min=500\\nn_min=9999-config repeats n_min=]",)),
+    Mutant("repeated_key_accepted", "errors.py",
+           '        if key in out:\n            raise error(f"{what} repeats {key}=")\n', "",
+           (_CONFIG_CASE + "[n_min=500\\nn_min=9999-config repeats n_min=]",
+            _INSTANCE_CASE + "[repeated_header_key]",
+            _GRID_CASE + "[# lo=0.5,hi=1.0,M=3,lo=0.25\\nx,value\\n0.5,1\\n0.75,1\\n1,1\\n"
+            "-grid CSV header repeats lo=]")),
+    Mutant("key_value_line_without_equals_accepted", "errors.py",
+           '        if not eq:\n'
+           '            raise error(f"{what} line {item!r} is not key=value")\n', "",
+           (_CONFIG_CASE + "[grid_m=501\\nout-config line 'out' is not key=value]",
+            _INSTANCE_CASE + "[header_line_without_equals]",
+            _GRID_CASE + "[# lo=0,hi=1,M=3,junk\\nx,value\\n0,1\\n0.5,1\\n1,1\\n"
+            "-grid CSV header line 'junk' is not key=value]")),
+    Mutant("trace_rows_out_of_order_accepted", "greedy_algorithms.py",
+           "                if not step.step_index > last:\n                    raise "
+           'ValueError(f"trace CSV row {line!r}: n must be above {last}")\n', "",
+           tuple(f"tests/test_cli.py::test_trace_rows_must_count_up_from_1[{command}-{case}]"
+                 for command in ("rate", "plot") for case in ("n_0", "n_falls", "n_repeats"))),
     # input checks
     Mutant("rate_accepts_non_finite_bounds", "cli.py",
            "if not math.isfinite(cfg[key]):", "if False:",

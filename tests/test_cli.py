@@ -238,6 +238,9 @@ TRACE_HEAD = "# index_offset=400\nn,residual_norm,atom_id,sign,coefficient\n"
     # the later lo= won, and the rows were reported off its grid
     ("# lo=0.5,hi=1.0,M=3,lo=0.25\nx,value\n0.5,1\n0.75,1\n1,1\n",
      "grid CSV header repeats lo="),
+    # a header part without "=" was ignored
+    ("# lo=0,hi=1,M=3,junk\nx,value\n0,1\n0.5,1\n1,1\n",
+     "grid CSV header line 'junk' is not key=value"),
 ])
 def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
     good, bad = write_curve(tmp_path), tmp_path / "bad.csv"
@@ -308,6 +311,41 @@ def test_malformed_index_offset_is_a_usage_error(tmp_path, capsys, command, valu
     assert error_line(capsys) == ("error: trace CSV repeats index_offset=" if "\n" in value
                                   else f"error: trace line '# index_offset={value}' "
                                   "is not an index offset >= 0")
+    assert not out.exists()
+
+
+def test_rate_reads_each_rows_own_n(tmp_path):
+    # rows n = 2, 4, ..., 200: numbered 1, 2, ... by position, 91 of them
+    # fell in [10, 200], and each witness read (2j)^-1/2 j^1/2
+    trace = tmp_path / "even.csv"
+    trace.write_text(GreedyTrace.CSV_HEADER + "\n" + "".join(
+        f"{n},{n ** -0.5!r},d{n},1,0.1\n" for n in range(2, 201, 2)))
+    out = tmp_path / "r.txt"
+    assert main(["rate", "--trace", str(trace), "--n-min", "10", "--n-max", "200",
+                 "--alpha", "0.5", "--variation-bound", "1", "--out", str(out)]) == 0
+    text = read(out)
+    assert value_of(text, "points") == "96"
+    assert float(value_of(text, "slope")) == pytest.approx(-0.5)
+    assert float(value_of(text, "upper_witness")) == pytest.approx(1.0)
+    assert float(value_of(text, "lower_witness")) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("rows, bad, last", [
+    ("0,0.5,d0,1,0.1\n", "0,0.5,d0,1,0.1", 0),
+    ("1,0.5,d1,1,0.1\n3,0.4,d3,1,0.1\n2,0.45,d2,1,0.1\n", "2,0.45,d2,1,0.1", 3),
+    ("1,0.5,d1,1,0.1\n1,0.4,d1,1,0.1\n", "1,0.4,d1,1,0.1", 1)],
+    ids=["n_0", "n_falls", "n_repeats"])
+@pytest.mark.parametrize("command", ["rate", "plot"])
+def test_trace_rows_must_count_up_from_1(tmp_path, capsys, command, rows, bad, last):
+    # such rows were read as they came: rate numbered them by position, plot
+    # drew them back and forth
+    trace = tmp_path / "bad.csv"
+    trace.write_text(TRACE_HEAD + rows)
+    out = tmp_path / "out.txt"
+    capsys.readouterr()
+    assert main([command, str(trace), "--out", str(out)] if command == "plot"
+                else ["rate", "--trace", str(trace), "--out", str(out)]) == 1
+    assert error_line(capsys) == f"error: trace CSV row {bad!r}: n must be above {last}"
     assert not out.exists()
 
 

@@ -401,6 +401,22 @@ def test_evaluation_in_chunks_equals_the_literal_sum(coarse_solution, rng, shift
                               want[:-1].reshape(-1, 1 + shift % 2), equal_nan=True)
 
 
+@pytest.mark.parametrize("lo", ["zero", "tau"])
+@pytest.mark.parametrize("m", [3, 5, 101, 2001, 4001])
+def test_antiderivative_constants_equal_the_sequential_sum(op_point, rng, m, lo):
+    """Each piece's constant is the previous one plus that piece's rises at
+    its right end, added one at a time in PPoly's order, signed zeros included."""
+    lo = op_point[1] if lo == "tau" else 0.0
+    vals = rng.standard_normal(m)
+    vals[rng.integers(0, m, size=m // 4)] = -0.0
+    table = GridFunction(lo, 1.0, vals)._antiderivative
+    rises = _terms(table[:, :-1], np.diff(np.linspace(lo, 1.0, m))[:-1])[1:]
+    const = [0.0]
+    for rise in zip(*(t.tolist() for t in rises)):
+        const.append(reduce(operator.add, rise, const[-1]))
+    assert table[-1].tobytes() == np.array(const).tobytes()
+
+
 def test_nan_points_raise_no_warning(coarse_solution):
     fbar = coarse_solution[3].converged_f
     x = np.array([fbar.lo, np.nan, 0.5 * (fbar.lo + fbar.hi)])
