@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConstructionError
 from .greedy_algorithms import Dictionary
-from .linear_core import CoeffVector, lazy_zeros
+from .linear_core import CoeffVector, page_rows
 from .phi_builder import PhiProfile
 
 __all__ = [
@@ -45,7 +45,7 @@ CONDITION_RTOL = 1e-9
 DUAL_PATH_TOL = 1e-9
 DIAG_RTOL = 1e-10
 _VERIFY_BLOCK = 128  # steps per block of the oracle's walk, read when a walk starts
-_H_BLOCK = 8         # correction vectors per phi evaluation in the oracle's walk
+_H_BLOCK = 8         # steps per phi evaluation in advance and in the oracle's walk
 _TILES = 3           # atom tiles of equal area the oracle forms one at a time
 _MAX_DOUBLINGS = 4   # times build_instance doubles K and N after a failed attempt
 
@@ -108,7 +108,7 @@ class ConstructionState:
 
     Scalar sequences are indexed by the step number n directly.  `atoms` is
     the only atom store: row 0 the blended atom, then d_N..d_n, zero-padded
-    on `lazy_zeros` pages, so only the written trapezoid is resident;
+    on `page_rows`, so only the pages of the written trapezoid are resident;
     `r_hist` (a name the benchmark's tracer reads) is one row, r_N.
     """
 
@@ -121,7 +121,7 @@ class ConstructionState:
         self.xi = np.zeros(n_max + 1)
         self.norms = np.zeros(n_max + 1)
         self.r = np.zeros(n_max)
-        self.atoms = lazy_zeros((n_max - params.N + 2, n_max))
+        self.atoms = page_rows(n_max - params.N + 2, n_max)
         self.r_hist = np.zeros((1, n_max))
         self.n = params.K - 1
 
@@ -148,20 +148,23 @@ def init_state(params: ConstructionParams) -> ConstructionState:
     return st
 
 
-def step(state: ConstructionState, given: np.ndarray | None = None) -> ConstructionState:
+def step(state: ConstructionState, given: np.ndarray | None = None,
+         phi_row: np.ndarray | None = None) -> ConstructionState:
     """Advance one index: build d_n and r_n, then assert the step conditions.
 
     `given` replays a stored step, its (q, gamma, alpha, xi), with the same
     vector arithmetic as the solving path; the condition assertions still
-    run, so a corrupted sequence is caught here.
+    run, so a corrupted sequence is caught here.  `phi_row`, phi(i / n) for
+    i = 1..n-1 as `_phi_rows` forms it, spares step its own evaluation.
     """
     n = state.n + 1
     if n > state.n_max:
         raise ValueError("state already at n_max")
-    beta, phi = state.params.beta, state.params.phi
-    i0 = phi.first_live(n)  # phi(i / n) is +0.0 below i0
-    w = np.zeros(n - 1)
-    w[i0 - 1:] = phi(np.arange(i0, n) / n) / n
+    beta = state.params.beta
+    if phi_row is None:
+        phi_row = np.zeros(n - 1)
+        _phi_rows(state.params.phi, np.array([n]), phi_row[None])
+    w = phi_row[: n - 1] / n
     r = state.r
     if given is None:
         qn = q_of(n, beta)
@@ -222,10 +225,15 @@ def step(state: ConstructionState, given: np.ndarray | None = None) -> Construct
 def advance(state: ConstructionState,
             given_rows: np.ndarray | None = None) -> ConstructionState:
     """Run steps up to n_max; column n of `given_rows`, a (4, n_max + 1)
-    table of q, gamma, alpha and xi, replays step n."""
+    table of q, gamma, alpha and xi, replays step n.  phi is evaluated once
+    per block of `_H_BLOCK` steps."""
     while state.n < state.n_max:
-        given = None if given_rows is None else given_rows[:, state.n + 1]
-        step(state, given=given)
+        ls = np.arange(state.n + 1, min(state.n + _H_BLOCK, state.n_max) + 1)
+        rows = np.zeros((len(ls), ls[-1] - 1))
+        _phi_rows(state.params.phi, ls, rows)
+        for row in rows:
+            given = None if given_rows is None else given_rows[:, state.n + 1]
+            step(state, given=given, phi_row=row)
     return state
 
 
@@ -330,18 +338,23 @@ def _tiles(N: int, n_max: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(bounds[:-1], bounds[1:]))
 
 
-def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray, out: np.ndarray) -> None:
-    """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
-    consecutive l in ls: one row each, zero from column l - 1 on.  One phi
-    evaluation covers the columns from the first row's support edge on;
-    phi is +0.0 below it in every row.  The rows go into out, a zero
-    len(ls) x (ls[-1] - 1) block."""
+def _phi_rows(phi: PhiProfile, ls: np.ndarray, out: np.ndarray) -> int:
+    """phi(i / l), i = 1..l-1, for the consecutive l in ls: one row each, zero
+    from column l - 1 on, into out, a zero len(ls) x (ls[-1] - 1) block.  One
+    phi evaluation covers the columns from the first row's support edge on;
+    phi is +0.0 below it in every row.  Returns that edge's column."""
     i0 = phi.first_live(int(ls[0]))
     i = np.arange(i0, ls[-1])
     inside = i < ls[:, None]
-    vals = phi(np.where(inside, i / ls[:, None], 0.0))
-    vals *= (alpha[ls] / ls)[:, None]
-    np.copyto(out[:, i0 - 1:], vals, where=inside)
+    np.copyto(out[:, i0 - 1:], phi(np.where(inside, i / ls[:, None], 0.0)), where=inside)
+    return i0 - 1
+
+
+def _h_rows(alpha: np.ndarray, phi: PhiProfile, ls: np.ndarray, out: np.ndarray) -> None:
+    """Correction vectors h_l = (alpha_l / l) phi(i / l), i = 1..l-1, for the
+    consecutive l in ls, into out as `_phi_rows` lays them out."""
+    edge = _phi_rows(phi, ls, out)
+    out[:, edge:] *= (alpha[ls] / ls)[:, None]
 
 
 class OracleTables:
@@ -353,9 +366,9 @@ class OracleTables:
     b_j = xi_{j+1} past the seed block j < K, and every atom by the inductive
     definition d_hat[k] = gamma_k r_hat[k-1] + h_k + xi_k e_k.  It keeps no
     2-D array: `blocks` forms the atoms one tile at a time (`tiles`, read
-    from `_TILES` when the tables are built), on `lazy_zeros` pages, so only
-    the tile's triangle is resident, and drops each tile once every block of
-    steps has been paired with it.
+    from `_TILES` when the tables are built), on `page_rows`, so only the
+    pages of the tile's triangle are resident, and drops each tile once
+    every block of steps has been paired with it.
 
     The tables hold copies of q, gamma, alpha and xi (as `b`), the profile
     phi, the blended atom `dtil` (epsilon enters it only) and `start`, the
@@ -429,7 +442,7 @@ class OracleTables:
         N, n_max, q, block = self.N, len(self.b), self.q, _VERIFY_BLOCK
         form = self.start.copy()
         for k0, k1 in self.tiles:
-            tile = lazy_zeros((k1 - k0, k1 - 1))      # d_hat[k] is zero from column k on
+            tile = page_rows(k1 - k0, k1 - 1)   # d_hat[k] is zero from column k on
             for row, k, (rrow, h_k) in zip(tile, range(k0, k1), self._walk(form, k0, k1)):
                 self._atom(k, rrow, h_k, row)
             walk = self._walk(self.start.copy(), N, n_max + 1)

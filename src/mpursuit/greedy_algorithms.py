@@ -40,14 +40,17 @@ _GRAM_STREAMS = 3  # Gram blocks kept, one per stream of picks
 class Dictionary:
     """Finite symmetric set of unit atoms with fast best-atom selection.
 
-    The atoms are the rows of one matrix, held without a copy when it is
-    C-order float64: atom i is a read-only view of the first lengths[i]
-    entries of row i, and the rest of the row must be zero.  `lengths` is
-    kept as a read-only int array.
+    The atoms are the rows of one float64 matrix, held without a copy when
+    each row is contiguous, as in C order or in a store of `page_rows`
+    (a copy in C order otherwise): atom i is a read-only view of the first
+    lengths[i] entries of row i, and the rest of the row must be zero.
+    `lengths` is kept as a read-only int array.
     """
 
     def __init__(self, rows: np.ndarray, lengths: Sequence[int], labels: Sequence[str]):
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.strides[1] != 8 or rows.strides[0] < 8 * rows.shape[1]:
+            rows = np.ascontiguousarray(rows)
         labels = [str(s) for s in labels]
         if not len(lengths) == len(labels) == len(rows):
             raise ValueError("one length and one label per atom required")
@@ -309,7 +312,11 @@ class _GramRows:
     A row outside them that comes right after one of them opens a block of
     twice that one's rows, at most _GRAM_BLOCK, in its place; any other row
     opens a block of one in place of the oldest.  So each stream of picks
-    that runs on in storage order doubles its own blocks.
+    that runs on in storage order doubles its own blocks.  A stream's first
+    block opens a `lazy_zeros` buffer of _GRAM_BLOCK rows, backed only as
+    it is written, and each block that replaces it is formed into that
+    buffer, so a stream holds one block's rows, not two.  A row read stays
+    valid until the next read.
     """
 
     def __init__(self, mat: np.ndarray, lengths: np.ndarray):
@@ -318,16 +325,19 @@ class _GramRows:
 
     def __getitem__(self, j: int) -> np.ndarray:
         blocks = self.blocks
-        m, kept = 1, blocks[1 - _GRAM_STREAMS:]  # a new stream drops the oldest
+        m, kept, buf = 1, blocks[1 - _GRAM_STREAMS:], None  # a new stream drops the oldest
         for b, (lo, rows) in enumerate(blocks):
             if lo <= j < lo + len(rows):
                 return rows[j - lo]
             if j == lo + len(rows):  # the stream of block b runs on: it replaces b
                 m, kept = min(2 * len(rows), _GRAM_BLOCK), blocks[:b] + blocks[b + 1:]
+                buf = rows.base   # the stream's buffer, of which rows are the first
         mat = self.mat
+        if buf is None:
+            buf = lazy_zeros((min(_GRAM_BLOCK, len(mat)), len(mat)))
         m = min(m, len(mat) - j)
         cols = _prefix_cols(mat, int(self.lengths[j:j + m].max()))
-        rows = mat[j:j + m, :cols] @ mat[:, :cols].T
+        rows = np.matmul(mat[j:j + m, :cols], mat[:, :cols].T, out=buf[:m])
         self.blocks = [*kept, (j, rows)]
         return rows[0]
 

@@ -242,17 +242,20 @@ class GridFunction:
     def from_csv(cls, text: str) -> "GridFunction":
         """Parse `to_csv` output; each row's x must be its grid node.
 
-        The header's comma-separated parts are key=value; keys other than lo,
-        hi and M are ignored, and a second header raises.
+        The header is the `#` line whose comma-separated parts name the keys
+        lo, hi and M, in any order; its parts are key=value, keys other than
+        lo, hi and M are ignored, and a second header raises.  Other `#`
+        lines are comments.
         """
         head, xs, vals = {}, [], []
         for line in text.splitlines():
             line = line.strip()
             if line.startswith("#"):
-                if line.lstrip("# ").startswith("lo="):
+                parts = line.lstrip("# ").split(",")
+                if {"lo", "hi", "M"} <= {part.partition("=")[0].strip() for part in parts}:
                     if head:
                         raise ValueError("grid CSV repeats its lo=,hi=,M= header")
-                    head = key_values(line.lstrip("# ").split(","), "grid CSV header")
+                    head = key_values(parts, "grid CSV header")
             elif line and not line.startswith("x,"):
                 try:
                     x, v = map(float, line.split(","))

@@ -6,7 +6,8 @@ read-only containers: the program's inner products are BLAS products over
 the dictionary's atom matrix.
 
 `lazy_zeros` allocates the program's triangular and banded stores: dense
-arrays of which only a trapezoid or a band is ever written.
+arrays of which only a trapezoid or a band is ever written; `page_rows`
+lays such a store's rows out one to a run of whole pages.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CoeffVector", "lazy_zeros"]
+__all__ = ["CoeffVector", "lazy_zeros", "page_rows"]
 
 
 def lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
@@ -36,6 +37,20 @@ def lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
         with contextlib.suppress(OSError):  # a kernel built without huge pages
             buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.ndarray(shape, dtype=np.float64, buffer=buf)
+
+
+def page_rows(rows: int, width: int) -> np.ndarray:
+    """`lazy_zeros` rows of `width` entries, each starting on a page boundary.
+
+    The rows are laid out `width` rounded up to a whole page apart, and the
+    first `width` entries of each are returned, a view whose rows are
+    contiguous (``strides[1] == 8``) but not each other's neighbours.  A
+    written prefix of k entries then backs ceil(8 k / PAGESIZE) pages, none
+    shared with another row.  BLAS reads such rows through its leading
+    dimension, so no product changes its order of summation.
+    """
+    per_page = mmap.PAGESIZE // 8
+    return lazy_zeros((rows, -(-width // per_page) * per_page))[:, :width]
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ this runs ``python -m mpursuit.cli`` for ``constants`` at its defaults,
 with ``--shrinkage 0.5``, with ``--tau-margin 1.0`` and with
 ``--beta-margin -0.01`` (the last two fail conditions and exit 3);
 ``solve-f``; ``make-phi``; ``build`` at n_max 900 and 2500; ``verify`` on
-both instances; ``run`` on the 2500 instance for pga, pga_shrink
-(shrinkage 0.5), rga and oga; and ``rate`` on the pga and oga traces, and
-on the pga trace with the bound witnesses of ``--alpha 0.1828
---variation-bound 1.0``.  It then runs ``solve-f`` and ``build`` at n_max
+both instances; ``run`` on both instances for pga, pga_shrink (shrinkage
+0.5), rga and oga, so that the traces cover two padded layouts of the atom
+store (rows of 900 and 2500 entries, laid out 1024 and 2560 entries apart
+on 4 KiB pages); and ``rate`` on the 2500 pga and oga traces, and on the pga
+trace with the bound witnesses of ``--alpha 0.1828 --variation-bound
+1.0``.  It then runs ``solve-f`` and ``build`` at n_max
 900 once more under ``OPENBLAS_NUM_THREADS=1`` with each command pinned to
 one CPU (``os.sched_setaffinity`` in the child alone), so that the
 self-convolution sweep takes its one-worker path.  It compares each output
@@ -49,9 +51,10 @@ def commands() -> list[list[str]]:
     for n in (900, 2500):
         cmds.append(["build", "--n-max", str(n), "--outdir", f"b{n}"])
         cmds.append(["verify", "--instance", f"b{n}/instance.txt", "--out", f"b{n}/verify.txt"])
-    for alg, *extra in ALGS:
-        cmds.append(["run", "--instance", "b2500/instance.txt", "--alg", alg, *extra,
-                     "--out", f"b2500/trace_{alg}.csv"])
+    for n in (900, 2500):
+        for alg, *extra in ALGS:
+            cmds.append(["run", "--instance", f"b{n}/instance.txt", "--alg", alg, *extra,
+                         "--out", f"b{n}/trace_{alg}.csv"])
     for alg in ("pga", "oga"):
         cmds.append(["rate", "--trace", f"b2500/trace_{alg}.csv", "--out", f"b2500/rate_{alg}.txt"])
     cmds.append(["rate", "--trace", "b2500/trace_pga.csv", "--alpha", "0.1828",

@@ -101,7 +101,7 @@ MUTANTS = (
            ("tests/test_adversarial.py::test_bulk_rows_match_pair_values",
             "tests/test_adversarial.py::test_phi_band_skip_keeps_the_replayed_atom_store")),
     Mutant("oracle_dhat_on_np_zeros", "adversarial.py",
-           "tile = lazy_zeros((k1 - k0, k1 - 1))", "tile = np.zeros((k1 - k0, k1 - 1))",
+           "tile = page_rows(k1 - k0, k1 - 1)", "tile = np.zeros((k1 - k0, k1 - 1))",
            ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",
             "tests/test_adversarial.py::test_verify_memory_stays_within_one_tile_and_a_few"
             "_blocks")),
@@ -141,7 +141,7 @@ MUTANTS = (
            ("tests/test_greedy.py::test_gram_rows_keep_the_contract_in_any_storage_order"
             "[pga-1.0-shuffled]",)),
     Mutant("gram_miss_keeps_no_other_block", "greedy_algorithms.py",
-           "m, kept = 1, blocks[1 - _GRAM_STREAMS:]", "m, kept = 1, []",
+           "kept, buf = 1, blocks[1 - _GRAM_STREAMS:], None", "kept, buf = 1, [], None",
            ("tests/test_greedy.py::test_gram_rows_double_per_stream_and_keep_one_block_a_stream",)),
     Mutant("h_rows_from_the_last_row_edge", "adversarial.py",
            "i0 = phi.first_live(int(ls[0]))", "i0 = phi.first_live(int(ls[-1]))",
@@ -155,9 +155,20 @@ MUTANTS = (
            ("tests/test_phi_builder.py::test_build_profile_certificate",
             "tests/test_adversarial.py::test_phi_band_skip_keeps_the_replayed_atom_store")),
     Mutant("atom_store_on_np_zeros", "adversarial.py",
-           "self.atoms = lazy_zeros((n_max - params.N + 2, n_max))",
+           "self.atoms = page_rows(n_max - params.N + 2, n_max)",
            "self.atoms = np.zeros((n_max - params.N + 2, n_max))",
            ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",)),
+    Mutant("rows_share_pages", "linear_core.py",
+           "per_page = mmap.PAGESIZE // 8", "per_page = 1",
+           ("tests/test_cli.py::test_resident_memory_follows_the_nonzero_structure",)),
+    Mutant("gram_block_in_a_fresh_array", "greedy_algorithms.py",
+           "out=buf[:m])", "out=None)",
+           ("tests/test_greedy.py::test_a_gram_stream_forms_each_block_into_the_buffer_of_the"
+            "_one_it_replaces",)),
+    Mutant("dictionary_copies_its_store", "greedy_algorithms.py",
+           "rows = np.asarray(rows, dtype=np.float64)",
+           "rows = np.array(rows, dtype=np.float64)",
+           ("tests/test_greedy.py::test_dictionary_holds_contiguous_rows_without_a_copy",)),
     Mutant("oga_widened_tile_on_np_zeros", "greedy_algorithms.py",
            "wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))",
            "wide = np.zeros((_TILE, min(self.width, cols + _TILE)))",

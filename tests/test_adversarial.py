@@ -54,13 +54,13 @@ def formed_atoms(tables):
     """d_hat[k] for k = N..n_max, zero-padded to n_max, as one walk of
     tables.blocks() forms them: its tiles, stacked."""
     N, n_max = tables.N, len(tables.b)
-    made, real = [], adversarial.lazy_zeros
-    adversarial.lazy_zeros = lambda shape: made.append(real(shape)) or made[-1]
+    made, real = [], adversarial.page_rows
+    adversarial.page_rows = lambda rows, width: made.append(real(rows, width)) or made[-1]
     try:
         for _ in tables.blocks():
             pass
     finally:
-        adversarial.lazy_zeros = real
+        adversarial.page_rows = real
     dhat = np.zeros((n_max - N + 1, n_max))
     for (k0, k1), tile in zip(tables.tiles, made, strict=True):
         assert tile.shape == (k1 - k0, k1 - 1)
@@ -337,6 +337,18 @@ def test_phi_band_skip_keeps_the_replayed_atom_store(mid_instance, load_text):
     assert formed_atoms(band).tobytes() == formed_atoms(dense).tobytes()
 
 
+def test_advance_in_phi_blocks_keeps_the_bits_of_one_step_at_a_time(mid_instance):
+    # advance evaluates phi once per block of _H_BLOCK steps; a step on its
+    # own evaluates it for itself, and both give every stored byte
+    inst, _ = mid_instance
+    built, st = inst.state, init_state(inst.params)
+    while st.n < st.n_max:
+        step(st)
+    assert st.atoms[1:].tobytes() == built.atoms[1:].tobytes()   # row 0 is finalize's
+    for name in ("q", "gamma", "alpha", "xi", "norms", "r", "r_hist"):
+        assert getattr(st, name).tobytes() == getattr(built, name).tobytes(), name
+
+
 def test_step_xi_imaginary_error(profile05):
     # beta near 1/2 blows up gamma_n |r_{n-1}| past one
     params = ConstructionParams(K=4, N=5, n_max=9, epsilon=None,
@@ -513,17 +525,17 @@ def test_oracle_tables_keep_only_what_rows_reads(small_instance, monkeypatch):
     # no 2-D array and no correction vectors: vectors, scalars, phi and the
     # tile bounds, before, during and after walks.  The running state of a
     # walk, its correction vectors and its tile included, is the walk's own,
-    # and an open walk holds one tile of atoms, on lazy_zeros pages
+    # and an open walk holds one tile of atoms, on page_rows
     p = small_instance.params
     monkeypatch.setattr(adversarial, "_TILES", 3)
-    made, real = [], adversarial.lazy_zeros
+    made, real = [], adversarial.page_rows
 
-    def recorded(shape):
-        tile = real(shape)
+    def recorded(rows, width):
+        tile = real(rows, width)
         made.append(weakref.ref(tile))
         return tile
 
-    monkeypatch.setattr(adversarial, "lazy_zeros", recorded)
+    monkeypatch.setattr(adversarial, "page_rows", recorded)
     tables = OracleTables(small_instance.state)
     assert len(tables.tiles) == 3 and made == []
     open_walk = tables.blocks()
@@ -685,22 +697,22 @@ def test_disagreement_must_stay_below_the_smallest_absolute_margin(mid_instance,
 def test_verify_memory_stays_within_one_tile_and_a_few_blocks(mid_instance, monkeypatch):
     # everything verify allocates past the oracle's one tile of atoms is a few
     # arrays of one block of steps each (the earlier dense tables needed
-    # about 15 such blocks more here).  Each tile is on lazy_zeros pages,
+    # about 15 such blocks more here).  Each tile is on page_rows,
     # which tracemalloc does not see, so the bound leaves it out; its
     # resident memory is test_resident_memory_follows_the_nonzero_structure's.
     inst = mid_instance[0]
     p = inst.params
-    made, real = [], adversarial.lazy_zeros
+    made, real = [], adversarial.page_rows
 
-    def recorded(shape):
-        tile = real(shape)
+    def recorded(rows, width):
+        tile = real(rows, width)
         base = tile
         while isinstance(base, np.ndarray):
             base = base.base
-        made.append((shape, isinstance(base, mmap.mmap)))
+        made.append(((rows, width), isinstance(base, mmap.mmap)))
         return tile
 
-    monkeypatch.setattr(adversarial, "lazy_zeros", recorded)
+    monkeypatch.setattr(adversarial, "page_rows", recorded)
     tracemalloc.start()
     try:
         verify(inst)

@@ -252,6 +252,22 @@ def test_plot_malformed_input_is_a_usage_error(tmp_path, capsys, text, message):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("text", [
+    # the header was taken for a comment unless lo= came first
+    "# hi=1,lo=0,M=3\nx,value\n0,1\n0.5,1\n1,1\n",
+    # the command and config echo stay comments
+    "# mpursuit solve-f v0\n# config: lo=9 hi=9 M=9\n# M=3, hi=1, lo=0\n"
+    "x,value\n0,1\n0.5,2\n1,1\n",
+])
+def test_plot_reads_the_grid_header_in_any_key_order(tmp_path, text):
+    curve, svg = tmp_path / "g.csv", tmp_path / "p.svg"
+    curve.write_text(text)
+    g = GridFunction.from_csv(text)
+    assert (g.lo, g.hi, g.m) == (0.0, 1.0, 3)
+    assert main(["plot", str(curve), "--out", str(svg)]) == 0
+    assert read(svg).startswith("<svg")
+
+
 def test_plot_log_log_flat_trace(tmp_path):
     # one row: both ranges are degenerate, and widening by +-0.5 would leave log10(<= 0)
     trace = tmp_path / "flat.csv"
@@ -1023,32 +1039,34 @@ from mpursuit.instance_io import load_instance
 
 inst = load_instance(sys.argv[1])
 st = inst.state
-made, lazy_zeros = [], adversarial.lazy_zeros
-adversarial.lazy_zeros = lambda shape: made.append(lazy_zeros(shape)) or made[-1]
+made, page_rows = [], adversarial.page_rows
+adversarial.page_rows = lambda rows, width: made.append(page_rows(rows, width)) or made[-1]
 tables = inst.oracle_tables()
 # the oracle keeps no 2-D array, and no correction vectors
 assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == []
 assert made == []
 N, n_max = st.N, st.n_max
 nblocks = -(-(n_max - N) // adversarial._VERIFY_BLOCK)
+
+
+def own_pages(lengths):   # bytes of the pages of rows holding lengths[i] entries each
+    return mmap.PAGESIZE * sum(-(-8 * k // mmap.PAGESIZE) for k in lengths)
+
+
+def extent(a):            # the addresses a's rows span
+    return a.ctypes.data, a.ctypes.data + a.strides[0] * len(a)
+
+
 snapshots, walk, last = [], tables.blocks(), None
 for k0, k1 in tables.tiles:
     for _ in range(nblocks):   # the tile's blocks: after the last the open walk holds it
         next(walk)
     tile = weakref.ref(made.pop())
     assert made == [] and (last is None or last() is None)   # one tile at a time
-    # the atom store: its written trapezoid, the blended atom then d_N..d_n_max,
-    # plus one page a row; the tile: the pages its rows d_k0..d_k1-1 are written on
-    a = st.atoms
-    arrays = {"atoms": (a.ctypes.data, a.ctypes.data + a.nbytes,
-                        8 * (N + sum(range(N, n_max + 1))) + len(a) * mmap.PAGESIZE)}
-    a = tile()
-    start, width = a.ctypes.data, 8 * a.shape[1]
-    pages = {p for i, k in enumerate(range(k0, k1))
-             for p in range((start + i * width) // mmap.PAGESIZE,
-                            (start + i * width + 8 * k - 1) // mmap.PAGESIZE + 1)}
-    arrays["tile"] = (start, start + a.nbytes, len(pages) * mmap.PAGESIZE)
-    del a
+    # each at the pages of its own rows: the atom store's blended atom of N
+    # entries then d_N..d_n_max, d_k of k entries, and the tile's d_k0..d_k1-1
+    arrays = {"atoms": (*extent(st.atoms), own_pages([N, *range(N, n_max + 1)])),
+              "tile": (*extent(tile()), own_pages(range(k0, k1)))}
     maps = []
     with open("/proc/self/smaps") as fh:
         for line in fh:
@@ -1069,16 +1087,16 @@ print(json.dumps(snapshots))
 def test_resident_memory_follows_the_nonzero_structure(instance_2500):
     """In a fresh process that replays the 2500 instance and walks its oracle
     tables, which hold no 2-D array, the resident pages of the atom store
-    number at most its written trapezoid, 8 bytes an entry, plus one page a
-    row, and those of each tile of the oracle's atoms, read after its last
-    block while the walk holds it, at most the pages its rows are written on;
-    no two tiles are alive at once.  Dense, the atom store would take 42 MB
-    against a bound of 33 MB.  The three tiles map 12.8, 9.5 and 8.9 MB, and
-    their rows are written on 11.5, 9.4 and 8.9 MB of pages: a tile's rows
-    fill most of their width, so only the first tile's bound is below its
-    mapping.  The kernel merges adjacent mappings with the same flags, so
-    the Rss of every mapping that overlaps an array counts, against the
-    bounds of every array those mappings overlap."""
+    and of each tile of the oracle's atoms, read after the tile's last block
+    while the walk holds it, number at most the pages of their own rows,
+    sum ceil(8 k / PAGESIZE) over rows of k written entries: each row starts
+    on a page, and shares none with another row.  No two tiles are alive at
+    once.  Dense, the atom store would take 42.0 MB against a bound of
+    28.6 MB (rows that share pages took 31.9 MB).  The three tiles map 13.3,
+    11.8 and 9.1 MB against bounds of 10.3, 9.2 and 9.1 MB.  The kernel
+    merges adjacent mappings with the same flags, so the Rss of every
+    mapping that overlaps an array counts, against the bounds of every
+    array those mappings overlap."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
     proc = subprocess.run([sys.executable, "-c", _SMAPS_PROBE, instance_2500],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)

@@ -3,7 +3,7 @@ import mmap
 import numpy as np
 import pytest
 
-from mpursuit.linear_core import CoeffVector, lazy_zeros
+from mpursuit.linear_core import CoeffVector, lazy_zeros, page_rows
 
 
 def test_vectors_are_immutable():
@@ -48,3 +48,14 @@ def test_lazy_zeros_are_writable_c_order_float64_zeros(shape):
     b = lazy_zeros(shape)
     a[...] = 1.0  # each call maps pages of its own
     assert not b.any() and np.all(a == 1.0)
+
+
+@pytest.mark.parametrize("width", [1, 511, 512, 513, 900])
+def test_page_rows_start_each_row_on_a_page(width):
+    a = page_rows(3, width)
+    assert a.shape == (3, width) and a.dtype == np.float64 and a.flags.writeable
+    # each row a whole number of pages from the last, the first at a page
+    assert a.strides == (-(-8 * width // mmap.PAGESIZE) * mmap.PAGESIZE, 8)
+    assert a.ctypes.data % mmap.PAGESIZE == 0
+    assert isinstance(mmap_base(a), mmap.mmap)
+    assert not a.any()
