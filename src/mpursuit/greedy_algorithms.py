@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linear_core import CoeffVector, lazy_zeros
+from .linear_core import CoeffVector, lazy_zeros, page_rows
 
 __all__ = ["Dictionary", "TraceStep", "GreedyTrace", "select_atom", "run",
            "check_algorithm", "ALGORITHMS"]
@@ -179,39 +179,33 @@ def check_algorithm(algorithm: str) -> None:
 
 
 class _Basis:
-    """OGA's orthonormal rows, packed in tiles of _TILE rows.
+    """OGA's orthonormal rows, held in one `page_rows` store and read in tiles.
 
-    A tile is as wide as the live prefix of its rows needs, with _TILE
-    columns to spare when it opens: on a run whose live prefix grows by one
-    entry a step the tile never has to widen.  Products read no zero corner
-    outside a tile, and the rows of the open tile not yet filled are never
-    written: a tile is `lazy_zeros`, so they take no resident memory.
+    The store has room for `rows` rows: a run appends at most one a step
+    and one an atom, and no more orthonormal rows than the width.  Row i
+    is written once, on its own live prefix.  `views()` reads the store in
+    tiles of _TILE rows, each as wide as the widest row written into it,
+    so products read no zero corner outside a tile; the rows not yet
+    written take no resident memory.
     """
 
-    def __init__(self, width: int):
-        self.width = width
-        self.tiles: list[tuple] = []  # (array (_TILE, room), rows filled, live columns)
+    def __init__(self, rows: int, width: int):
+        self.store = page_rows(rows, width)
+        self.cols: list[int] = []  # per tile: the widest row written into it
         self.size = 0
 
     def views(self) -> list[np.ndarray]:
-        return [t[:rows, :cols] for t, rows, cols in self.tiles]
+        filled = self.store[:self.size]
+        return [filled[a:a + _TILE, :c] for a, c in zip(range(0, self.size, _TILE), self.cols)]
 
     def append(self, rows: np.ndarray) -> None:
         """Add orthonormal rows, each zero beyond its own live prefix."""
-        cols = rows.shape[1]
-        while len(rows):
-            if not self.tiles or self.tiles[-1][1] == _TILE:
-                self.tiles.append((np.zeros((_TILE, 0)), 0, 0))
-            tile, filled, live = self.tiles[-1]
-            if tile.shape[1] < cols:  # the live prefix outgrew the tile
-                wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))
-                wide[:filled, :live] = tile[:filled, :live]
-                tile = wide
-            k = min(_TILE - filled, len(rows))
-            tile[filled:filled + k, :cols] = rows[:k]
-            self.tiles[-1] = (tile, filled + k, max(live, cols))
-            self.size += k
-            rows = rows[k:]
+        a, b, cols = self.size, self.size + len(rows), rows.shape[1]
+        self.store[a:b, :cols] = rows
+        first = a // _TILE
+        self.cols[first:] = [max(c, cols) for c in self.cols[first:]]
+        self.cols += [cols] * (-(-b // _TILE) - len(self.cols))
+        self.size = b
 
 
 def _project(x: np.ndarray, views: list[np.ndarray]) -> None:
@@ -241,7 +235,7 @@ def _oga(f: CoeffVector, dictionary: Dictionary, steps: int):
     width = max(dictionary.width, f.active_len)
     r = f.padded(width)
     trace = GreedyTrace()
-    basis = _Basis(mat.shape[1])
+    basis = _Basis(min(steps, len(mat), mat.shape[1]), mat.shape[1])
     live = f.active_len
     c = _prefix_cols(mat, live)
     j, sign, value = _best(mat[:, :c] @ r[:c])
@@ -375,8 +369,8 @@ def run(algorithm: str, f: CoeffVector, dictionary: Dictionary, steps: int,
     guess is kept only while it is the atom the check selects, so the run
     picks what a step-by-step run picks.  The block size doubles while the
     picks run on in storage order and falls back to 1 on a miss.  The
-    basis is packed in tiles of _TILE rows that read only their rows' live
-    prefix.
+    basis is one `page_rows` store (_Basis), read in views of _TILE rows,
+    each as wide as the widest row written into it.
     """
     check_algorithm(algorithm)
     if len(dictionary) == 0:

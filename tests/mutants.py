@@ -169,10 +169,13 @@ MUTANTS = (
            "rows = np.asarray(rows, dtype=np.float64)",
            "rows = np.array(rows, dtype=np.float64)",
            ("tests/test_greedy.py::test_dictionary_holds_contiguous_rows_without_a_copy",)),
-    Mutant("oga_widened_tile_on_np_zeros", "greedy_algorithms.py",
-           "wide = lazy_zeros((_TILE, min(self.width, cols + _TILE)))",
-           "wide = np.zeros((_TILE, min(self.width, cols + _TILE)))",
-           ("tests/test_greedy.py::test_oga_basis_tiles_widen_on_lazy_pages",)),
+    Mutant("oga_basis_on_np_zeros", "greedy_algorithms.py",
+           "self.store = page_rows(rows, width)", "self.store = np.zeros((rows, width))",
+           ("tests/test_greedy.py::test_oga_basis_is_one_page_backed_store_read_in_tiles",
+            "tests/test_cli.py::test_oga_basis_resident_memory_follows_its_rows")),
+    Mutant("oga_view_as_wide_as_its_first_row", "greedy_algorithms.py",
+           "[max(c, cols) for c in self.cols[first:]]", "[c for c in self.cols[first:]]",
+           ("tests/test_greedy.py::test_oga_basis_is_one_page_backed_store_read_in_tiles",)),
     # the one key=value rule of the config file, the instance header and the grid-CSV header
     Mutant("repeated_config_key_accepted", "errors.py",
            "        if key in out:\n", '        if key in out and what != "config":\n',

@@ -29,14 +29,16 @@ def residual_matrix(tables):
     return rhat
 
 
-def walk_tables(tables):
-    """One walk of the tables' blocks stacked into the dense table: row n - (N+1)
-    of pairs and of tilde for the step n = N+1..n_max, column k - N of pairs
-    for the atom k = N..n_max.  Every tile yields every step once, in
-    ascending blocks, with the same tilde."""
+def walk_tables(tables, blocks=None):
+    """One walk of the tables' blocks (or the blocks one walk yielded, in
+    order) stacked into the dense table: row n - (N+1) of pairs and of tilde
+    for the step n = N+1..n_max, column k - N of pairs for the atom
+    k = N..n_max.  Every tile yields every step once, in ascending blocks,
+    with the same tilde."""
     N, n_max = tables.N, len(tables.b)
     pairs, tilde = np.full((n_max - N, n_max - N + 1), np.nan), None
-    blocks, per_tile = tables.blocks(), -(-(n_max - N) // adversarial._VERIFY_BLOCK)
+    blocks = tables.blocks() if blocks is None else iter(blocks)
+    per_tile = -(-(n_max - N) // adversarial._VERIFY_BLOCK)
     for k0, k1 in tables.tiles:
         got = []
         for lo, hi, block, t in itertools.islice(blocks, per_tile):
@@ -765,86 +767,79 @@ def test_build_instance_doubling_exhaustion(profile05, monkeypatch):
         build_instance(profile05, K=50, N=100, n_max=420)
 
 
-def reference_verify(instance):
-    """verify's fold as it was before it reduced whole blocks: one row at a time.
+def reference_verify(instance, tables=None, blocks=None):
+    """verify's figures reduced over the whole tables at once, where verify
+    folds them block by block and tile by tile.
 
     It takes the same block products of the direct route, one per tile of
-    atoms, and the same oracle values, stacked from the oracle's tiles, so
-    every figure of its report must equal verify's.  The
-    residual history it reads is its own: r_N walked forward one step at a
-    time by step's update r[:n] -= q_n d_n.
+    atoms, and the oracle's values stacked by `walk_tables` from `blocks`,
+    the blocks one walk of `tables` yielded (by default the instance's
+    tables, walked here), so every figure of its report must equal
+    verify's.  The residual history it reads is its own: r_N walked forward
+    one step at a time by step's update r[:n] -= q_n d_n.  The smallest
+    margin is the first in row order of the rows that hold no NaN margin;
+    the smallest blended margin is the first in row order that is not NaN,
+    each step taking the oracle's value only where its magnitude is
+    strictly larger.  The first non-finite step is the first whose row of
+    disagreements holds a NaN or an infinity.
     """
     st = instance.state
     N, n_max = st.N, st.n_max
-    atoms_mat = st.atoms[1:]
-    dtil = st.atoms[0]
-    q = st.q
+    atoms_mat, dtil = st.atoms[1:], st.atoms[0]
     hist = np.empty((n_max - N + 1, n_max))   # hist[m - N] = r_m
     hist[0] = st.r_hist[0]
     for n in range(N + 1, n_max + 1):
         hist[n - N] = hist[n - 1 - N]
-        hist[n - N, :n] -= q[n] * st.atom_row(n)[:n]
+        hist[n - N, :n] -= st.q[n] * st.atom_row(n)[:n]
 
-    min_margin = np.inf
-    min_pair = (-1, -1)
-    min_margin_o = np.inf
-    til_min = np.inf
-    til_arg = -1
-    dual_max = 0.0
-    diag_max = 0.0
-    min_abs = np.inf
-    n_pairs = 0
-    first_nonfinite = None
-
-    tables = instance.oracle_tables()
-    all_pairs, all_tilde = walk_tables(tables)
+    tables = instance.oracle_tables() if tables is None else tables
+    pairs, tilde = walk_tables(tables, blocks)
+    direct, til_direct = [], []
     for lo in range(N + 1, n_max + 1, adversarial._VERIFY_BLOCK):
-        hi = min(lo + adversarial._VERIFY_BLOCK - 1, n_max)
-        pairs, tilde = all_pairs[lo - N - 1: hi - N], all_tilde[lo - N - 1: hi - N]
-        rows = hist[lo - 1 - N: hi - N]
-        direct = np.hstack([rows @ atoms_mat[k0 - N: k1 - N].T for k0, k1 in tables.tiles])
-        til_direct = rows @ dtil
-        for n in range(lo, hi + 1):
-            drow = direct[n - lo]
-            orow = pairs[n - lo]
-            dual_max = np.maximum(dual_max, np.max(np.abs(drow - orow)))
-            qn = q[n]
-            diag_max = np.maximum(diag_max, abs(drow[n - N] - qn) / qn)
-            abs_margins = qn - np.abs(drow)
-            abs_margins[n - N] = np.inf
-            min_abs = np.minimum(min_abs, np.min(abs_margins))
-            margins = (qn - np.abs(drow)) / qn
-            margins[n - N] = np.inf
-            jmin = int(np.argmin(margins))
-            if margins[jmin] < min_margin:
-                min_margin = float(margins[jmin])
-                min_pair = (n, N + jmin)
-            omargins = (qn - np.abs(orow)) / qn
-            omargins[n - N] = np.inf
-            min_margin_o = np.minimum(min_margin_o, np.min(omargins))
-            tval = float(til_direct[n - lo])
-            oval = float(tilde[n - lo])
-            dual_max = np.maximum(dual_max, abs(tval - oval))
-            min_abs = np.minimum(min_abs, qn - abs(tval))
-            if first_nonfinite is None and not np.isfinite(dual_max):
-                first_nonfinite = n
-            tmarg = (qn - max(abs(tval), abs(oval))) / qn
-            if tmarg < til_min:
-                til_min = tmarg
-                til_arg = n
-            n_pairs += n_max - N + 1
+        rows = hist[lo - 1 - N: min(lo + adversarial._VERIFY_BLOCK, n_max + 1) - 1 - N]
+        direct.append(np.hstack([rows @ atoms_mat[k0 - N: k1 - N].T for k0, k1 in tables.tiles]))
+        til_direct.append(rows @ dtil)
+    direct, til_direct = np.vstack(direct), np.concatenate(til_direct)
+
+    qn = st.q[N + 1: n_max + 1]
+    diag = (np.arange(n_max - N), np.arange(1, n_max - N + 1))   # the pairs k = n
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = np.maximum(np.max(np.abs(direct - pairs), axis=1), np.abs(til_direct - tilde))
+        diag_max = np.max(np.abs(direct[diag] - qn) / qn)
+        abs_margins = qn[:, None] - np.abs(direct)
+        abs_margins[diag] = np.inf
+        min_abs = np.minimum(np.min(abs_margins), np.min(qn - np.abs(til_direct)))
+        margins = (qn[:, None] - np.abs(direct)) / qn[:, None]
+        margins[diag] = np.inf
+        margins[np.isnan(margins).any(axis=1)] = np.inf
+        omargins = (qn[:, None] - np.abs(pairs)) / qn[:, None]
+        omargins[diag] = np.inf
+        t_abs, o_abs = np.abs(til_direct), np.abs(tilde)
+        tmarg = (qn - np.where(o_abs > t_abs, o_abs, t_abs)) / qn
+    min_margin, min_pair = np.inf, (-1, -1)
+    n, k = np.unravel_index(np.argmin(margins), margins.shape)
+    if margins[n, k] < min_margin:
+        min_margin, min_pair = float(margins[n, k]), (N + 1 + int(n), N + int(k))
+    til_min, til_arg = np.inf, -1
+    if (tmarg < til_min).any():
+        n = int(np.argmin(np.where(np.isnan(tmarg), np.inf, tmarg)))
+        til_min, til_arg = tmarg[n], N + 1 + n
+    min_margin_o = np.min(omargins)
+    bad = np.flatnonzero(~np.isfinite(gaps))
+    first_nonfinite = N + 1 + int(bad[0]) if bad.size else None
     sched = _schedule(np.arange(N, n_max + 1), st.params.beta)
     hist_norms = np.linalg.norm(hist, axis=1)
     sched_err = float(np.max(np.abs(hist_norms / sched - 1.0)))
 
     return VerificationReport(
-        n_pairs=n_pairs,
+        n_pairs=pairs.size,
         all_strict=bool(first_nonfinite is None and min_margin > 0.0
                         and min_margin_o > 0.0 and til_min > 0.0),
         min_margin=float(min_margin), min_margin_pair=min_pair,
         min_margin_oracle=float(min_margin_o), min_abs_margin=float(min_abs),
         tilde_min_margin=float(til_min), tilde_argmin=til_arg,
-        dual_max_diff=float(dual_max), diag_max_rel_err=float(diag_max),
+        dual_max_diff=float(np.max(gaps, initial=0.0)),
+        diag_max_rel_err=float(np.maximum(diag_max, 0.0)),
         schedule_max_rel_err=sched_err,
         notes="" if first_nonfinite is None
         else f"non-finite inner product at n={first_nonfinite}")
@@ -907,22 +902,55 @@ CORRUPTIONS = ([(target, value) for target in ("residual", "atom", "blended")
                   ("last_tile_atom", np.nan)])
 
 
+@pytest.fixture(scope="module")
+def h_rows_made():
+    """Blocks of correction vectors the oracle's walks formed, by their phi,
+    rows l and alpha_l, kept across the cases of this module."""
+    return {}
+
+
 @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
 @pytest.mark.parametrize("block", [512, 64, 7])
 @pytest.mark.parametrize("corruption", [None, *CORRUPTIONS],
                          ids=["clean", *(f"{t}-{v!r}" for t, v in CORRUPTIONS)])
 def test_verify_matches_row_by_row_reference(small_instance, mid_instance, monkeypatch,
-                                             block, corruption):
+                                             h_rows_made, block, corruption):
     # at 1, 2, 3 and 7 tiles of atoms: the per-row state verify carries
-    # across tiles must fold to the one-row-at-a-time figures
+    # across tiles must fold to the whole-table figures.  The reference reads
+    # the oracle's blocks as verify's own walk yielded them, copied before
+    # verify reduces them in place, rather than walking the tables again.
+    # Each block of correction vectors is the same bits whenever its phi, l
+    # and alpha_l are, so phi is evaluated for it once and the copy reused
     monkeypatch.setattr(adversarial, "_VERIFY_BLOCK", block)
+    h_rows = adversarial._h_rows
+
+    def h_rows_once(alpha, phi, ls, out):
+        key = (id(phi), int(ls[0]), int(ls[-1]), out.shape, alpha[ls].tobytes())
+        if key not in h_rows_made:
+            h_rows(alpha, phi, ls, out)
+            h_rows_made[key] = out.copy()
+        out[...] = h_rows_made[key]
+
+    monkeypatch.setattr(adversarial, "_h_rows", h_rows_once)
+    real, walks = OracleTables.blocks, []
+
+    def recorded(tables):
+        walks.append((tables, []))
+        for lo, hi, pairs, tilde in real(tables):
+            walks[-1][1].append((lo, hi, pairs.copy(), tilde.copy()))
+            yield lo, hi, pairs, tilde
+
     for tiles in (1, 2, 3, 7):
         monkeypatch.setattr(adversarial, "_TILES", tiles)
         for inst in (small_instance, mid_instance[0]):
             if corruption is not None:
                 inst = corrupted(inst, *corruption)
-            report = verify(inst)
-            assert report.to_text() == reference_verify(inst).to_text()
+            with monkeypatch.context() as m:
+                m.setattr(OracleTables, "blocks", recorded)
+                report = verify(inst)
+            (walk,) = walks
+            walks.clear()
+            assert report.to_text() == reference_verify(inst, *walk).to_text()
             assert (corruption is None) or not report.passed
 
 

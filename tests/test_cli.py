@@ -1032,21 +1032,10 @@ def test_run_holds_one_atom_store_and_no_residual_history(tmp_path, monkeypatch,
     assert shared == [True]
 
 
-_SMAPS_PROBE = """
+# the probes' common start: helpers, then the replayed instance and its atom store
+_SMAPS_REPLAY = """
 import json, mmap, sys, weakref
-from mpursuit import adversarial
 from mpursuit.instance_io import load_instance
-
-inst = load_instance(sys.argv[1])
-st = inst.state
-made, page_rows = [], adversarial.page_rows
-adversarial.page_rows = lambda rows, width: made.append(page_rows(rows, width)) or made[-1]
-tables = inst.oracle_tables()
-# the oracle keeps no 2-D array, and no correction vectors
-assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == []
-assert made == []
-N, n_max = st.N, st.n_max
-nblocks = -(-(n_max - N) // adversarial._VERIFY_BLOCK)
 
 
 def own_pages(lengths):   # bytes of the pages of rows holding lengths[i] entries each
@@ -1057,16 +1046,7 @@ def extent(a):            # the addresses a's rows span
     return a.ctypes.data, a.ctypes.data + a.strides[0] * len(a)
 
 
-snapshots, walk, last = [], tables.blocks(), None
-for k0, k1 in tables.tiles:
-    for _ in range(nblocks):   # the tile's blocks: after the last the open walk holds it
-        next(walk)
-    tile = weakref.ref(made.pop())
-    assert made == [] and (last is None or last() is None)   # one tile at a time
-    # each at the pages of its own rows: the atom store's blended atom of N
-    # entries then d_N..d_n_max, d_k of k entries, and the tile's d_k0..d_k1-1
-    arrays = {"atoms": (*extent(st.atoms), own_pages([N, *range(N, n_max + 1)])),
-              "tile": (*extent(tile()), own_pages(range(k0, k1)))}
+def snapshot(arrays):     # each array's extent and bound, and every mapping with its Rss
     maps = []
     with open("/proc/self/smaps") as fh:
         for line in fh:
@@ -1076,33 +1056,72 @@ for k0, k1 in tables.tiles:
             elif not head[0].endswith(":"):
                 lo, hi = head[0].split("-")
                 maps.append([int(lo, 16), int(hi, 16), 0])
-    snapshots.append({"arrays": arrays, "maps": maps})
+    return {"arrays": arrays, "maps": maps}
+
+
+inst = load_instance(sys.argv[1])
+st = inst.state
+N, n_max = st.N, st.n_max
+# the atom store's blended atom of N entries then d_N..d_n_max, d_k of k entries
+atoms = (*extent(st.atoms), own_pages([N, *range(N, n_max + 1)]))
+"""
+
+_SMAPS_PROBE = _SMAPS_REPLAY + """
+from mpursuit import adversarial
+
+made, page_rows = [], adversarial.page_rows
+adversarial.page_rows = lambda rows, width: made.append(page_rows(rows, width)) or made[-1]
+tables = inst.oracle_tables()
+# the oracle keeps no 2-D array, and no correction vectors
+assert [name for name, v in vars(tables).items() if getattr(v, "ndim", 0) == 2] == []
+assert made == []
+nblocks = -(-(n_max - N) // adversarial._VERIFY_BLOCK)
+snapshots, walk, last = [], tables.blocks(), None
+for k0, k1 in tables.tiles:
+    for _ in range(nblocks):   # the tile's blocks: after the last the open walk holds it
+        next(walk)
+    tile = weakref.ref(made.pop())
+    assert made == [] and (last is None or last() is None)   # one tile at a time
+    # each at the pages of its own rows: the tile holds d_k0..d_k1-1
+    snapshots.append(snapshot({"atoms": atoms,
+                               "tile": (*extent(tile()), own_pages(range(k0, k1)))}))
     last = tile
 assert next(walk, None) is None and last() is None
 print(json.dumps(snapshots))
 """
 
+_OGA_SMAPS_PROBE = _SMAPS_REPLAY + """
+from mpursuit import greedy_algorithms
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-def test_resident_memory_follows_the_nonzero_structure(instance_2500):
-    """In a fresh process that replays the 2500 instance and walks its oracle
-    tables, which hold no 2-D array, the resident pages of the atom store
-    and of each tile of the oracle's atoms, read after the tile's last block
-    while the walk holds it, number at most the pages of their own rows,
-    sum ceil(8 k / PAGESIZE) over rows of k written entries: each row starts
-    on a page, and shares none with another row.  No two tiles are alive at
-    once.  Dense, the atom store would take 42.0 MB against a bound of
-    28.6 MB (rows that share pages took 31.9 MB).  The three tiles map 13.3,
-    11.8 and 9.1 MB against bounds of 10.3, 9.2 and 9.1 MB.  The kernel
-    merges adjacent mappings with the same flags, so the Rss of every
-    mapping that overlaps an array counts, against the bounds of every
-    array those mappings overlap."""
+made, widths = [], []
+page_rows, append = greedy_algorithms.page_rows, greedy_algorithms._Basis.append
+greedy_algorithms.page_rows = lambda rows, width: made.append(page_rows(rows, width)) or made[-1]
+
+
+def recorded(basis, rows):
+    widths.extend([rows.shape[1]] * len(rows))
+    append(basis, rows)
+
+
+greedy_algorithms._Basis.append = recorded
+greedy_algorithms.run("oga", inst.f, inst.dictionary, n_max - N)
+(store,) = made   # kept alive past the run
+print(json.dumps([snapshot({"atoms": atoms, "basis": (*extent(store), own_pages(widths))})]))
+"""
+
+
+def resident_within_own_pages(instance, probe):
+    """Run `probe` on `instance` in a fresh process and assert each of its
+    snapshots: every array's resident pages number above 0 and at most the
+    pages of its own rows.  The kernel merges adjacent mappings with the
+    same flags, so the Rss of every mapping that overlaps an array counts,
+    against the bounds of every array those mappings overlap.  Returns the
+    number of snapshots."""
     src = os.path.dirname(os.path.dirname(mpursuit.__file__))
-    proc = subprocess.run([sys.executable, "-c", _SMAPS_PROBE, instance_2500],
+    proc = subprocess.run([sys.executable, "-c", probe, instance],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     snapshots = json.loads(proc.stdout.splitlines()[-1])
-    assert len(snapshots) == 3
 
     def meets(a, b):
         return a[0] < b[1] and b[0] < a[1]
@@ -1120,6 +1139,30 @@ def test_resident_memory_follows_the_nonzero_structure(instance_2500):
             rss = sum(m[2] for m in over)
             bound = sum(written for _, _, written in group)
             assert 0 < rss <= bound, (array, rss, bound)
+    return len(snapshots)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+def test_resident_memory_follows_the_nonzero_structure(instance_2500):
+    """In a fresh process that replays the 2500 instance and walks its oracle
+    tables, which hold no 2-D array, the resident pages of the atom store
+    and of each tile of the oracle's atoms, read after the tile's last block
+    while the walk holds it, number at most the pages of their own rows,
+    sum ceil(8 k / PAGESIZE) over rows of k written entries: each row starts
+    on a page, and shares none with another row.  No two tiles are alive at
+    once.  Dense, the atom store would take 42.0 MB against a bound of
+    28.6 MB (rows that share pages took 31.9 MB).  The three tiles map 13.3,
+    11.8 and 9.1 MB against bounds of 10.3, 9.2 and 9.1 MB."""
+    assert resident_within_own_pages(instance_2500, _SMAPS_PROBE) == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+def test_oga_basis_resident_memory_follows_its_rows(instance_2500):
+    """In a fresh process that replays the 2500 instance and runs oga on it,
+    the basis store, kept alive past the run, and the atom store are
+    resident on at most the pages of their own rows, sum
+    ceil(8 w / PAGESIZE) over the widths w that `_Basis.append` writes."""
+    assert resident_within_own_pages(instance_2500, _OGA_SMAPS_PROBE) == 1
 
 
 @pytest.mark.parametrize("alg", ["pga", "oga"])

@@ -336,23 +336,30 @@ def test_live_prefix_selection_matches_full_width(rng, algorithm, shrinkage):
                            rtol=0.0, atol=1e-12)
 
 
-def test_oga_basis_tiles_widen_on_lazy_pages(monkeypatch):
-    """A tile is written only on its filled rows' live prefix; every tile
-    the basis widens sits on lazy_zeros pages, so the rest takes no
-    resident memory (DECISIONS.md "Resident memory follows the nonzero
-    structure"), and the rows read back as appended."""
+def test_oga_basis_is_one_page_backed_store_read_in_tiles(monkeypatch, rng):
+    """The basis is one `page_rows` store: an mmap whose rows lie a whole
+    number of pages apart, so each row backs only the pages of its own live
+    prefix (DECISIONS.md "Resident memory follows the nonzero structure").
+    Rows whose live prefix jumps inside a tile, appended in blocks that
+    straddle tiles, read back through views() as appended, and each view is
+    as wide as the widest row written into its tile."""
     monkeypatch.setattr(greedy_algorithms, "_TILE", 4)
-    basis, eye = greedy_algorithms._Basis(40), np.eye(40)
-    for k in range(1, 19):      # the live prefix grows by one column a row
-        basis.append(eye[k - 1:k, :k])
-    assert len(basis.tiles) == 5 and basis.size == 18
-    for tile, _, _ in basis.tiles:
-        base = tile
-        while isinstance(base, np.ndarray):
-            base = base.base
-        assert isinstance(base, mmap.mmap)
-    rows = np.vstack([np.pad(v, ((0, 0), (0, 40 - v.shape[1]))) for v in basis.views()])
-    assert np.array_equal(rows, eye[:18])
+    basis = greedy_algorithms._Basis(16, 40)
+    base = basis.store
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert isinstance(base, mmap.mmap)
+    assert basis.store.strides[1] == 8 and basis.store.strides[0] % mmap.PAGESIZE == 0
+    appended = []
+    for count, width in [(1, 3), (2, 3), (3, 9), (1, 9), (4, 30)]:
+        rows = rng.standard_normal((count, width))
+        basis.append(rows)
+        appended += [np.pad(row, (0, 40 - width)) for row in rows]
+    # rows 0-3 have widths 3, 3, 3, 9; rows 4-7 9, 9, 9, 30; rows 8-10 30
+    views = basis.views()
+    assert basis.size == 11 and [v.shape for v in views] == [(4, 9), (4, 30), (3, 30)]
+    got = np.vstack([np.pad(v, ((0, 0), (0, 40 - v.shape[1]))) for v in views])
+    assert np.array_equal(got, np.array(appended))
 
 
 def test_oga_recheck_keeps_near_collinear_atoms_orthogonal():

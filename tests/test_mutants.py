@@ -1,5 +1,6 @@
-"""The committed mutants of tests/mutants.py still name code that exists."""
+"""The committed mutants of tests/mutants.py still name code and tests that exist."""
 
+import ast
 import os
 
 from mutants import MUTANTS, ROOT
@@ -17,3 +18,18 @@ def test_each_mutant_snippet_occurs_once_in_src():
         counts = {name: text.count(m.snippet) for name, text in sources.items()}
         assert counts[m.path] == 1 and sum(counts.values()) == 1, m.name
         assert m.snippet != m.replacement and m.tests, m.name
+
+
+def test_each_mutant_test_id_names_a_test_function_of_its_file():
+    # a renamed or deleted test would otherwise only stop `python tests/mutants.py`
+    defined = {}
+    for m in MUTANTS:
+        for test in m.tests:
+            path, _, name = test.partition("::")
+            if path not in defined:
+                with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                defined[path] = {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)
+                                 and node.name.startswith("test_")}
+            assert name.partition("[")[0] in defined[path], (m.name, test)
